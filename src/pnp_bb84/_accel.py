@@ -1,42 +1,3 @@
-"""JIT plumbing for the hot numeric kernels.
-
-Every function in ``_kernels`` is plain scalar Python (math module only), so
-it runs unchanged with or without numba.  Compilation is controlled by the
-``PNP_BB84_NUMBA`` environment variable: any of ``0/false/off/no`` selects the
-pure-Python path.  ``benchmarks/compare_backends.py`` times both.
-"""
-
-from __future__ import annotations
-
-import os
-
-
-def numba_requested() -> bool:
-    flag = os.environ.get("PNP_BB84_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
+"""Backend marker read by provenance records: the kernels run as plain Python."""
 
 NUMBA_ACTIVE = False
-
-if numba_requested():
-    try:
-        from numba import njit as _numba_njit
-
-        NUMBA_ACTIVE = True
-    except ImportError:
-        NUMBA_ACTIVE = False
-
-if NUMBA_ACTIVE:
-
-    def njit(func):
-        return _numba_njit(cache=True)(func)
-
-else:
-
-    def njit(func):
-        return func
-
-
-def py_func(kernel):
-    """Uncompiled twin of a kernel (the kernel itself on the fallback path)."""
-    return getattr(kernel, "py_func", kernel)

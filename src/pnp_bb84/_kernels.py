@@ -1,26 +1,32 @@
 """Scalar rate kernels.
 
-Everything here is plain ``math``-module Python so the functions compile under
-numba's nopython mode and run identically without it (see ``_accel``).  The
+Plain Python on Python floats, with the ``math`` module only.  The layouts
+below arrive as tuples (`PhysicalParams.to_array`, `BoundConventions.to_flags`)
+and raw optimizer vectors as lists, so no intermediate is a boxed numpy
+scalar.  The channel attenuation is hoisted out of the kernels: each takes the
+mean photon number ``m_a`` reaching the sender and the overall transmittance
+``eta`` from `channel_at`, computed once per problem or per call.  The
 Python-facing layers (`rates`, `optimize`, `scans`) wrap these kernels in
 dataclasses and validation; nothing outside this module does heavy arithmetic.
 
 Layouts shared with the wrappers:
 
-``phys`` (float64[11]):
+``phys`` (11 floats):
     eta_bob, loss_coeff, y0, e_det, e0, e0_vac, f_ec, m_bright, q_split,
     eps_total, eps_ec
 
-``flags`` (int64[6]):
+``flags`` (6 ints):
     gain_with_eta, coverage_half_inside, single_photon_mixed,
     finite_gain_direct, decoy_estimator (0 paired / 1 alternate / 2 strict),
     sifting_exact
 
-Breakdown tuple (18 float64 slots):
+Breakdown tuple (18 float slots):
     0 status, 1 rate, 2 mu_signal, 3 mu_decoy, 4 gain_signal, 5 qber_signal,
     6 gain_decoy, 7 qber_decoy, 8 pu_signal, 9 pu_decoy, 10 pu_vacuum,
     11 qu_lower, 12 qu_upper, 13 q1u_lower, 14 e1u_upper,
     15 finite_correction, 16 n_raw, 17 sifted
+Every slot is set once the status is ok; the finite kernels also set the
+untagged probabilities (8-10) before failing with status 3.
 
 Status codes: 0 ok, 1 window condition violated, 2 no untagged pulses,
 3 fluctuation exceeds untagged probability, 4 empty raw key,
@@ -29,9 +35,7 @@ Status codes: 0 ok, 1 window condition violated, 2 no untagged pulses,
 
 from __future__ import annotations
 
-import math
-
-from ._accel import njit
+from math import erf, exp, expm1, isfinite, lgamma, log, log1p, log2, sqrt
 
 NAN = float("nan")
 INF = float("inf")
@@ -42,6 +46,15 @@ U_LO, U_HI = 1e-10, 0.9999
 RATIO_LO, RATIO_HI = 1e-4, 0.9995
 MFRAC_LO, MFRAC_HI = 1e-6, 0.995
 
+# (ln lo, ln hi - ln lo) of each range, the arguments of `logrange_kernel`
+DELTA_LOG = (log(DELTA_LO), log(DELTA_HI) - log(DELTA_LO))
+U_LOG = (log(U_LO), log(U_HI) - log(U_LO))
+RATIO_LOG = (log(RATIO_LO), log(RATIO_HI) - log(RATIO_LO))
+MFRAC_LOG = (log(MFRAC_LO), log(MFRAC_HI) - log(MFRAC_LO))
+
+_LGAMMA_2 = lgamma(2.0)   # ln 1!
+_LGAMMA_3 = lgamma(3.0)   # ln 2!
+
 STATUS_OK = 0.0
 STATUS_WINDOW = 1.0
 STATUS_NO_UNTAGGED = 2.0
@@ -49,34 +62,37 @@ STATUS_FLUCTUATION = 3.0
 STATUS_EMPTY_KEY = 4.0
 STATUS_ORDERING = 5.0
 
+PENALTY = -1.0e6
+
 
 # --- elementary pieces --------------------------------------------------------
 
-@njit
+def channel_at(dist, phys):
+    """(m_a, eta): sender-side mean photon number and overall transmittance."""
+    att = 10.0 ** (-phys[1] * dist / 10.0)
+    return phys[7] * att, phys[0] * att
+
+
 def h2_kernel(x):
     if x <= 0.0 or x >= 1.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return -x * log2(x) - (1.0 - x) * log2(1.0 - x)
 
 
-@njit
 def xi_kernel(eps, m):
     # statistical deviation of an m-sample estimate at failure probability eps
-    if not math.isfinite(m):
+    if not isfinite(m):
         return 0.0
-    return math.sqrt((math.log(1.0 / eps) + 2.0 * math.log(m + 1.0)) / (2.0 * m))
+    return sqrt((log(1.0 / eps) + 2.0 * log(m + 1.0)) / (2.0 * m))
 
 
-@njit
 def log_choose_kernel(upper, n):
     # generalized binomial coefficient via log-gamma; zero (=-inf) above the window
     if n > upper:
         return -INF
-    return (math.lgamma(upper + 1.0) - math.lgamma(n + 1.0)
-            - math.lgamma(upper - n + 1.0))
+    return lgamma(upper + 1.0) - lgamma(n + 1.0) - lgamma(upper - n + 1.0)
 
 
-@njit
 def photon_upper_kernel(m_a, delta, lam_p, n):
     # upper envelope of the emitted photon-number distribution, window (1+-delta)m_a
     if lam_p <= 0.0:
@@ -84,221 +100,131 @@ def photon_upper_kernel(m_a, delta, lam_p, n):
     hi = (1.0 + delta) * m_a
     lo = (1.0 - delta) * m_a
     if n == 0:
-        return math.exp(lo * math.log1p(-lam_p))
+        return exp(lo * log1p(-lam_p))
     if n > hi:
         return 0.0
-    return math.exp(log_choose_kernel(hi, n) + n * math.log(lam_p)
-                    + (hi - n) * math.log1p(-lam_p))
+    return exp(log_choose_kernel(hi, n) + n * log(lam_p)
+               + (hi - n) * log1p(-lam_p))
 
 
-@njit
 def photon_lower_kernel(m_a, delta, lam_p, n):
     if lam_p <= 0.0:
         return 1.0 if n == 0 else 0.0
     hi = (1.0 + delta) * m_a
     lo = (1.0 - delta) * m_a
     if n == 0:
-        return math.exp(hi * math.log1p(-lam_p))
+        return exp(hi * log1p(-lam_p))
     if n > lo:
         return 0.0
-    return math.exp(log_choose_kernel(lo, n) + n * math.log(lam_p)
-                    + (lo - n) * math.log1p(-lam_p))
+    return exp(log_choose_kernel(lo, n) + n * log(lam_p)
+               + (lo - n) * log1p(-lam_p))
 
 
-@njit
+def _log_binomials(bound):
+    """ln C(bound, 1) and ln C(bound, 2), sharing ln Gamma(bound + 1).
+
+    A value is nan where its envelope term vanishes (n > bound); callers
+    test that condition themselves, as `photon_upper_kernel` does.
+    """
+    if 1 > bound:
+        return NAN, NAN
+    lg = lgamma(bound + 1.0)
+    c1 = lg - _LGAMMA_2 - lgamma(bound - 1.0 + 1.0)
+    if 2 > bound:
+        return c1, NAN
+    return c1, lg - _LGAMMA_3 - lgamma(bound - 2.0 + 1.0)
+
+
+def _envelope(lam_p, zero_bound, bound, c1, c2):
+    """P_0, P_1, P_2 of one photon-number envelope, as the photon kernels give.
+
+    The lower envelope has ``zero_bound`` = hi and ``bound`` = lo, the upper
+    one lo and hi; ``c1``, ``c2`` come from `_log_binomials(bound)`.
+    """
+    if lam_p <= 0.0:
+        return 1.0, 0.0, 0.0
+    log_lp = log(lam_p)
+    log_q = log1p(-lam_p)
+    p1 = 0.0 if 1 > bound else exp(c1 + log_lp + (bound - 1.0) * log_q)
+    p2 = 0.0 if 2 > bound else exp(c2 + 2 * log_lp + (bound - 2.0) * log_q)
+    return exp(zero_bound * log_q), p1, p2
+
+
 def coverage_kernel(delta, m_a, q_split, half_inside):
     if half_inside == 1:
-        arg = delta * math.sqrt(m_a * (1.0 - q_split) / 2.0)
+        arg = delta * sqrt(m_a * (1.0 - q_split) / 2.0)
     else:
-        arg = delta * math.sqrt(m_a * (1.0 - q_split)) / 2.0
-    return math.erf(arg)
+        arg = delta * sqrt(m_a * (1.0 - q_split)) / 2.0
+    return erf(arg)
 
 
-@njit
 def gain_qber_kernel(mu, eta, y0, e_det, e0, with_eta):
     x = mu * eta if with_eta == 1 else mu
-    detected = -math.expm1(-x)  # 1 - exp(-x)
+    detected = -expm1(-x)  # 1 - exp(-x)
     q = y0 + detected
     e = (e0 * y0 + e_det * detected) / q
     return q, e
 
 
-@njit
 def finite_delta_kernel(n, eps_pe, eps_bar, eps_pa):
     # rate penalty from finite raw-key length
-    if not math.isfinite(n):
+    if not isfinite(n):
         return 0.0
-    return (math.log2(2.0 / eps_pe) / n
-            + 7.0 * math.sqrt((1.0 - math.log2(eps_bar)) / n)
-            + 2.0 * math.log2(1.0 / (2.0 * eps_pa)) / n)
+    return (log2(2.0 / eps_pe) / n
+            + 7.0 * sqrt((1.0 - log2(eps_bar)) / n)
+            + 2.0 * log2(1.0 / (2.0 * eps_pa)) / n)
 
 
-@njit
 def decoy_correction_kernel(delta, m_a, lam_p_d, p2s_low):
     # multiphoton remainder of the single-photon estimator, in log space;
     # underflows to zero for any realistic pulse count
     if delta <= 0.0 or p2s_low <= 0.0 or lam_p_d >= 1.0:
         return 0.0
-    lc = (math.log(2.0 * delta * m_a)
-          + (2.0 * delta * m_a - 1.0) * math.log1p(-lam_p_d)
-          + math.log(p2s_low)
-          - math.lgamma((1.0 - delta) * m_a + 2.0))
+    lc = (log(2.0 * delta * m_a)
+          + (2.0 * delta * m_a - 1.0) * log1p(-lam_p_d)
+          + log(p2s_low)
+          - lgamma((1.0 - delta) * m_a + 2.0))
     if lc < -700.0:
         return 0.0
-    return math.exp(lc)
+    return exp(lc)
 
 
-# --- rate evaluators ----------------------------------------------------------
-
-@njit
-def rate_no_decoy_infinite(dist, lam, delta, phys, flags):
-    eta_bob, loss, y0, e_det, e0 = phys[0], phys[1], phys[2], phys[3], phys[4]
-    f_ec, m_bright, q_split = phys[6], phys[7], phys[8]
-    m_a = m_bright * 10.0 ** (-loss * dist / 10.0)
-    eta = eta_bob * 10.0 ** (-loss * dist / 10.0)
-    lam_p = lam * q_split / (1.0 - q_split)
-    out = [NAN] * 18
-    out[15], out[16], out[17] = 0.0, INF, INF
-    if (1.0 + delta) * m_a * lam_p >= 1.0 or lam_p > 1.0:
-        out[0] = STATUS_WINDOW
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    mu = m_a * lam * q_split
-    q, e = gain_qber_kernel(mu, eta, y0, e_det, e0, flags[0])
-    p_u = coverage_kernel(delta, m_a, q_split, flags[1])
-    out[2], out[4], out[5] = mu, q, e
-    if p_u <= 0.0:
-        out[0] = STATUS_NO_UNTAGGED
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    p_t = 1.0 - p_u
-    qu_up = q / p_u
-    qu_low = (q - p_t) / p_u
-    if qu_low < 0.0:
-        qu_low = 0.0
+def _no_decoy_q1u(m_a, delta, lam_p, qu_low, mixed):
+    """Single-photon untagged gain from the lower P_0 and the chosen P_1."""
     p0 = photon_lower_kernel(m_a, delta, lam_p, 0)
-    if flags[2] == 1:
+    if mixed == 1:
         p1 = photon_upper_kernel(m_a, delta, lam_p, 1)
     else:
         p1 = photon_lower_kernel(m_a, delta, lam_p, 1)
     q1u = qu_low + p0 + p1 - 1.0
-    if q1u < 0.0:
-        q1u = 0.0
-    privacy = 0.0
-    e1u = NAN
-    if q1u > 0.0:
-        e1u = q * e / q1u
-        cap = e1u if e1u < 0.5 else 0.5
-        privacy = q1u * (1.0 - h2_kernel(cap))
-    rate = 0.5 * (-q * f_ec * h2_kernel(e) + privacy)
-    out[0], out[1] = STATUS_OK, rate
-    out[8] = p_u
-    out[11], out[12], out[13], out[14] = qu_low, qu_up, q1u, e1u
-    return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-            out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-            out[15], out[16], out[17])
+    return 0.0 if q1u < 0.0 else q1u
 
 
-@njit
-def rate_no_decoy_finite(dist, n_pulses, lam, delta, m_e,
-                         eps_pa, eps_bar, eps_u, eps_e, phys, flags):
-    eta_bob, loss, y0, e_det, e0 = phys[0], phys[1], phys[2], phys[3], phys[4]
-    f_ec, m_bright, q_split = phys[6], phys[7], phys[8]
-    m_a = m_bright * 10.0 ** (-loss * dist / 10.0)
-    eta = eta_bob * 10.0 ** (-loss * dist / 10.0)
-    lam_p = lam * q_split / (1.0 - q_split)
-    out = [NAN] * 18
-    if (1.0 + delta) * m_a * lam_p >= 1.0 or lam_p > 1.0:
-        out[0] = STATUS_WINDOW
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    mu = m_a * lam * q_split
-    q, e = gain_qber_kernel(mu, eta, y0, e_det, e0, flags[0])
-    out[2], out[4], out[5] = mu, q, e
-    p_u_inf = coverage_kernel(delta, m_a, q_split, flags[1])
-    if p_u_inf <= 0.0:
-        out[0] = STATUS_NO_UNTAGGED
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    xi_u = xi_kernel(eps_u, n_pulses)
-    p_u = p_u_inf - xi_u
-    out[8] = p_u
-    if p_u <= 0.0:
-        out[0] = STATUS_FLUCTUATION
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    if math.isfinite(n_pulses):
-        sifted = 0.5 * q * n_pulses
-        n_raw = sifted - m_e
-    else:
-        sifted = INF
-        n_raw = INF
-    out[16], out[17] = n_raw, sifted
-    if n_raw <= 0.0:
-        out[0] = STATUS_EMPTY_KEY
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    qu_up = q / p_u
-    if flags[3] == 1:
-        denom = 1.0 - p_u_inf - xi_u
-        qu_low = 0.0 if denom <= 0.0 else (q - p_u_inf - xi_u) / denom
-    else:
-        qu_low = (q - (1.0 - p_u)) / p_u
-    if qu_low < 0.0:
-        qu_low = 0.0
-    p0 = photon_lower_kernel(m_a, delta, lam_p, 0)
-    if flags[2] == 1:
-        p1 = photon_upper_kernel(m_a, delta, lam_p, 1)
-    else:
-        p1 = photon_lower_kernel(m_a, delta, lam_p, 1)
-    q1u = qu_low + p0 + p1 - 1.0
-    if q1u < 0.0:
-        q1u = 0.0
-    privacy = 0.0
-    e1u = NAN
-    if q1u > 0.0:
-        e1u = q * (e + xi_kernel(eps_e, m_e)) / q1u
-        cap = e1u if e1u < 0.5 else 0.5
-        privacy = q1u * (1.0 - h2_kernel(cap))
-    eps_pe = eps_u if eps_u < eps_e else eps_e
-    corr = finite_delta_kernel(n_raw, eps_pe, eps_bar, eps_pa)
-    rate = 0.5 * (q * (-f_ec * h2_kernel(e) - corr) + privacy)
-    if flags[5] == 1 and math.isfinite(sifted):
-        rate *= 1.0 - m_e / sifted
-    out[0], out[1] = STATUS_OK, rate
-    out[11], out[12], out[13], out[14], out[15] = qu_low, qu_up, q1u, e1u, corr
-    return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-            out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-            out[15], out[16], out[17])
-
-
-@njit
 def _decoy_q1u_e1u(m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low, qu_v_up,
                    eq_s_up, eq_v_low, estimator):
-    """Single-photon untagged gain (lower) and error (upper) for the signal class."""
-    p0s_l = photon_lower_kernel(m_a, delta, lam_p_s, 0)
-    p1s_l = photon_lower_kernel(m_a, delta, lam_p_s, 1)
-    p2s_l = photon_lower_kernel(m_a, delta, lam_p_s, 2)
-    p2s_u = photon_upper_kernel(m_a, delta, lam_p_s, 2)
-    p0d_u = photon_upper_kernel(m_a, delta, lam_p_d, 0)
-    p1d_u = photon_upper_kernel(m_a, delta, lam_p_d, 1)
-    p2d_l = photon_lower_kernel(m_a, delta, lam_p_d, 2)
-    p2d_u = photon_upper_kernel(m_a, delta, lam_p_d, 2)
+    """Single-photon untagged gain (lower) and error (upper) for the signal class.
+
+    The signal class uses lower envelopes and the decoy class upper ones;
+    both share the log-binomials of the window edges.  The estimator's
+    denominator comes third: the bound is unavailable where it is <= 0.
+    """
+    hi = (1.0 + delta) * m_a
+    lo = (1.0 - delta) * m_a
+    c1_lo, c2_lo = _log_binomials(lo)
+    c1_hi, c2_hi = _log_binomials(hi)
+    p0s_l, p1s_l, p2s_l = _envelope(lam_p_s, hi, lo, c1_lo, c2_lo)
+    p0d_u, p1d_u, p2d_u = _envelope(lam_p_d, lo, hi, c1_hi, c2_hi)
 
     if estimator == 0:      # paired: one bound per (class, n), reused everywhere
         vac = p0s_l * p2d_u - p0d_u * p2s_l
         den = p1d_u * p2s_l - p1s_l * p2d_u
-    elif estimator == 1:    # alternate: zero-photon-weighted vacuum subtraction
-        vac = p0s_l * p2d_l - p0d_u * p0s_l
-        den = p1d_u * p2s_u - p1s_l * p2d_l
-    else:                   # strict: every slot bounded in the safe direction
-        vac = p0s_l * p2d_l - p0d_u * p2s_u
+    else:
+        p2s_u = _envelope(lam_p_s, lo, hi, c1_hi, c2_hi)[2]
+        p2d_l = _envelope(lam_p_d, hi, lo, c1_lo, c2_lo)[2]
+        if estimator == 1:  # alternate: zero-photon-weighted vacuum subtraction
+            vac = p0s_l * p2d_l - p0d_u * p0s_l
+        else:               # strict: every slot bounded in the safe direction
+            vac = p0s_l * p2d_l - p0d_u * p2s_u
         den = p1d_u * p2s_u - p1s_l * p2d_l
 
     corr = decoy_correction_kernel(delta, m_a, lam_p_d, p2s_l)
@@ -311,339 +237,356 @@ def _decoy_q1u_e1u(m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low, qu_v_up,
         elif q1u > qu_s_up:
             q1u = qu_s_up
     if q1u <= 0.0:
-        return 0.0, NAN
+        return 0.0, NAN, den
     e1u = (eq_s_up - p0s_l * eq_v_low) / q1u
     if e1u < 0.0:
         e1u = 0.0
-    return q1u, e1u
+    return q1u, e1u, den
 
 
-@njit
-def rate_decoy_infinite(dist, lam_s, lam_d, delta, phys, flags):
-    eta_bob, loss, y0, e_det, e0 = phys[0], phys[1], phys[2], phys[3], phys[4]
-    e0_vac, f_ec, m_bright, q_split = phys[5], phys[6], phys[7], phys[8]
-    m_a = m_bright * 10.0 ** (-loss * dist / 10.0)
-    eta = eta_bob * 10.0 ** (-loss * dist / 10.0)
+def _privacy(q1u, e1u, p_u=1.0):
+    """Privacy-amplification term p_u q1u (1 - h2(min(e1u, 1/2))), 0 without q1u."""
+    if q1u > 0.0:
+        return p_u * q1u * (1.0 - h2_kernel(e1u if e1u < 0.5 else 0.5))
+    return 0.0
+
+
+# --- rate evaluators ----------------------------------------------------------
+#
+# Each evaluator runs its stages in order while the status stays ok and
+# returns the breakdown tuple from one place; slots of stages not reached
+# stay nan.
+
+def rate_no_decoy_infinite(m_a, eta, lam, delta, phys, flags):
+    q_split = phys[8]
+    lam_p = lam * q_split / (1.0 - q_split)
+    rate = mu = q = e = p_u = qu_low = qu_up = q1u = e1u = NAN
+    status = STATUS_OK
+    if (1.0 + delta) * m_a * lam_p >= 1.0 or lam_p > 1.0:
+        status = STATUS_WINDOW
+    else:
+        mu = m_a * lam * q_split
+        q, e = gain_qber_kernel(mu, eta, phys[2], phys[3], phys[4], flags[0])
+        p_u = coverage_kernel(delta, m_a, q_split, flags[1])
+        if p_u <= 0.0:
+            status = STATUS_NO_UNTAGGED
+    if status == STATUS_OK:
+        qu_up = q / p_u
+        qu_low = (q - (1.0 - p_u)) / p_u
+        if qu_low < 0.0:
+            qu_low = 0.0
+        q1u = _no_decoy_q1u(m_a, delta, lam_p, qu_low, flags[2])
+        if q1u > 0.0:
+            e1u = q * e / q1u
+        rate = 0.5 * (-q * phys[6] * h2_kernel(e) + _privacy(q1u, e1u))
+    return (status, rate, mu, NAN, q, e, NAN, NAN, p_u, NAN, NAN,
+            qu_low, qu_up, q1u, e1u, 0.0, INF, INF)
+
+
+def rate_no_decoy_finite(m_a, eta, n_pulses, lam, delta, m_e,
+                         eps_pa, eps_bar, eps_u, eps_e, phys, flags):
+    q_split = phys[8]
+    lam_p = lam * q_split / (1.0 - q_split)
+    rate = mu = q = e = p_u = qu_low = qu_up = q1u = e1u = NAN
+    corr = n_raw = sifted = NAN
+    status = STATUS_OK
+    if (1.0 + delta) * m_a * lam_p >= 1.0 or lam_p > 1.0:
+        status = STATUS_WINDOW
+    else:
+        mu = m_a * lam * q_split
+        q, e = gain_qber_kernel(mu, eta, phys[2], phys[3], phys[4], flags[0])
+        p_u_inf = coverage_kernel(delta, m_a, q_split, flags[1])
+        if p_u_inf <= 0.0:
+            status = STATUS_NO_UNTAGGED
+    if status == STATUS_OK:
+        xi_u = xi_kernel(eps_u, n_pulses)
+        p_u = p_u_inf - xi_u
+        if p_u <= 0.0:
+            status = STATUS_FLUCTUATION
+    if status == STATUS_OK:
+        if isfinite(n_pulses):
+            sifted = 0.5 * q * n_pulses
+            n_raw = sifted - m_e
+        else:
+            sifted = n_raw = INF
+        if n_raw <= 0.0:
+            status = STATUS_EMPTY_KEY
+    if status == STATUS_OK:
+        qu_up = q / p_u
+        if flags[3] == 1:
+            denom = 1.0 - p_u_inf - xi_u
+            qu_low = 0.0 if denom <= 0.0 else (q - p_u_inf - xi_u) / denom
+        else:
+            qu_low = (q - (1.0 - p_u)) / p_u
+        if qu_low < 0.0:
+            qu_low = 0.0
+        q1u = _no_decoy_q1u(m_a, delta, lam_p, qu_low, flags[2])
+        if q1u > 0.0:
+            e1u = q * (e + xi_kernel(eps_e, m_e)) / q1u
+        eps_pe = eps_u if eps_u < eps_e else eps_e
+        corr = finite_delta_kernel(n_raw, eps_pe, eps_bar, eps_pa)
+        rate = 0.5 * (q * (-phys[6] * h2_kernel(e) - corr)
+                      + _privacy(q1u, e1u))
+        if flags[5] == 1 and isfinite(sifted):
+            rate *= 1.0 - m_e / sifted
+    return (status, rate, mu, NAN, q, e, NAN, NAN, p_u, NAN, NAN,
+            qu_low, qu_up, q1u, e1u, corr, n_raw, sifted)
+
+
+def rate_decoy_infinite(m_a, eta, lam_s, lam_d, delta, phys, flags):
+    q_split = phys[8]
     lam_p_s = lam_s * q_split / (1.0 - q_split)
     lam_p_d = lam_d * q_split / (1.0 - q_split)
-    out = [NAN] * 18
-    out[15], out[16], out[17] = 0.0, INF, INF
+    rate = mu_s = mu_d = q_s = e_s = q_d = e_d = p_u = NAN
+    qu_d_low = qu_s_up = q1u = e1u = NAN
+    status = STATUS_OK
     if lam_d >= lam_s or lam_d <= 0.0:
-        out[0] = STATUS_ORDERING
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    if (1.0 + delta) * m_a * lam_p_s >= 1.0 or lam_p_s > 1.0:
-        out[0] = STATUS_WINDOW
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    mu_s = m_a * lam_s * q_split
-    mu_d = m_a * lam_d * q_split
-    q_s, e_s = gain_qber_kernel(mu_s, eta, y0, e_det, e0, flags[0])
-    q_d, e_d = gain_qber_kernel(mu_d, eta, y0, e_det, e0, flags[0])
-    q_v, e_v = y0, e0_vac
-    out[2], out[3], out[4], out[5], out[6], out[7] = mu_s, mu_d, q_s, e_s, q_d, e_d
-    p_u = coverage_kernel(delta, m_a, q_split, flags[1])
-    if p_u <= 0.0:
-        out[0] = STATUS_NO_UNTAGGED
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    p_t = 1.0 - p_u
-    qu_s_up = q_s / p_u
-    qu_d_low = (q_d - p_t) / p_u
-    if qu_d_low < 0.0:
-        qu_d_low = 0.0
-    qu_v_up = q_v / p_u
-    eq_s_up = e_s * q_s / p_u
-    eq_v_low = (e_v * q_v - p_t) / p_u
-    if eq_v_low < 0.0:
-        eq_v_low = 0.0
-    q1u, e1u = _decoy_q1u_e1u(m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low,
-                              qu_v_up, eq_s_up, eq_v_low, flags[4])
-    privacy = 0.0
-    if q1u > 0.0:
-        cap = e1u if e1u < 0.5 else 0.5
-        privacy = p_u * q1u * (1.0 - h2_kernel(cap))
-    p_signal = 0.5  # random signal/decoy assignment in the asymptotic protocol
-    rate = 0.5 * p_signal * (-q_s * f_ec * h2_kernel(e_s) + privacy)
-    out[0], out[1] = STATUS_OK, rate
-    out[8], out[9], out[10] = p_u, p_u, p_u
-    out[11], out[12], out[13], out[14] = qu_d_low, qu_s_up, q1u, e1u
-    return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-            out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-            out[15], out[16], out[17])
+        status = STATUS_ORDERING
+    elif (1.0 + delta) * m_a * lam_p_s >= 1.0 or lam_p_s > 1.0:
+        status = STATUS_WINDOW
+    else:
+        y0, e_det, e0 = phys[2], phys[3], phys[4]
+        mu_s = m_a * lam_s * q_split
+        mu_d = m_a * lam_d * q_split
+        q_s, e_s = gain_qber_kernel(mu_s, eta, y0, e_det, e0, flags[0])
+        q_d, e_d = gain_qber_kernel(mu_d, eta, y0, e_det, e0, flags[0])
+        p_u = coverage_kernel(delta, m_a, q_split, flags[1])
+        if p_u <= 0.0:
+            status = STATUS_NO_UNTAGGED
+    if status == STATUS_OK:
+        q_v, e_v = y0, phys[5]
+        p_t = 1.0 - p_u
+        qu_s_up = q_s / p_u
+        qu_d_low = (q_d - p_t) / p_u
+        if qu_d_low < 0.0:
+            qu_d_low = 0.0
+        eq_v_low = (e_v * q_v - p_t) / p_u
+        if eq_v_low < 0.0:
+            eq_v_low = 0.0
+        q1u, e1u, _ = _decoy_q1u_e1u(m_a, delta, lam_p_s, lam_p_d, qu_s_up,
+                                     qu_d_low, q_v / p_u, e_s * q_s / p_u,
+                                     eq_v_low, flags[4])
+        privacy = _privacy(q1u, e1u, p_u)
+        p_signal = 0.5  # random signal/decoy assignment in the asymptotic protocol
+        rate = 0.5 * p_signal * (-q_s * phys[6] * h2_kernel(e_s) + privacy)
+    return (status, rate, mu_s, mu_d, q_s, e_s, q_d, e_d, p_u, p_u, p_u,
+            qu_d_low, qu_s_up, q1u, e1u, 0.0, INF, INF)
 
 
-@njit
-def rate_decoy_finite(dist, n_pulses, lam_s, lam_d, delta, m_e, p_s, p_d,
+def rate_decoy_finite(m_a, eta, n_pulses, lam_s, lam_d, delta, m_e, p_s, p_d,
                       eps_pa, eps_bar, eps_us, eps_ud, eps_uv, eps_es,
                       phys, flags):
-    eta_bob, loss, y0, e_det, e0 = phys[0], phys[1], phys[2], phys[3], phys[4]
-    e0_vac, f_ec, m_bright, q_split = phys[5], phys[6], phys[7], phys[8]
-    m_a = m_bright * 10.0 ** (-loss * dist / 10.0)
-    eta = eta_bob * 10.0 ** (-loss * dist / 10.0)
+    q_split = phys[8]
     lam_p_s = lam_s * q_split / (1.0 - q_split)
     lam_p_d = lam_d * q_split / (1.0 - q_split)
     p_v = 1.0 - p_s - p_d
-    out = [NAN] * 18
+    rate = mu_s = mu_d = q_s = e_s = q_d = e_d = pu_s = pu_d = pu_v = NAN
+    qu_d_low = qu_s_up = q1u = e1u = corr = n_raw = sifted = NAN
+    status = STATUS_OK
     if lam_d >= lam_s or lam_d <= 0.0 or p_v <= 0.0 or p_s <= 0.0 or p_d <= 0.0:
-        out[0] = STATUS_ORDERING
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    if (1.0 + delta) * m_a * lam_p_s >= 1.0 or lam_p_s > 1.0:
-        out[0] = STATUS_WINDOW
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    mu_s = m_a * lam_s * q_split
-    mu_d = m_a * lam_d * q_split
-    q_s, e_s = gain_qber_kernel(mu_s, eta, y0, e_det, e0, flags[0])
-    q_d, e_d = gain_qber_kernel(mu_d, eta, y0, e_det, e0, flags[0])
-    q_v, e_v = y0, e0_vac
-    out[2], out[3], out[4], out[5], out[6], out[7] = mu_s, mu_d, q_s, e_s, q_d, e_d
-    p_u_inf = coverage_kernel(delta, m_a, q_split, flags[1])
-    if p_u_inf <= 0.0:
-        out[0] = STATUS_NO_UNTAGGED
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    pu_s = p_u_inf - xi_kernel(eps_us, n_pulses * p_s)
-    pu_d = p_u_inf - xi_kernel(eps_ud, n_pulses * p_d)
-    pu_v = p_u_inf - xi_kernel(eps_uv, n_pulses * p_v)
-    out[8], out[9], out[10] = pu_s, pu_d, pu_v
-    if pu_s <= 0.0 or pu_d <= 0.0 or pu_v <= 0.0:
-        out[0] = STATUS_FLUCTUATION
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    if math.isfinite(n_pulses):
-        sifted = 0.5 * n_pulses * p_s * q_s
-        n_raw = sifted - m_e
+        status = STATUS_ORDERING
+    elif (1.0 + delta) * m_a * lam_p_s >= 1.0 or lam_p_s > 1.0:
+        status = STATUS_WINDOW
     else:
-        sifted = INF
-        n_raw = INF
-    out[16], out[17] = n_raw, sifted
-    if n_raw <= 0.0:
-        out[0] = STATUS_EMPTY_KEY
-        return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-                out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-                out[15], out[16], out[17])
-    qu_s_up = q_s / pu_s
-    if flags[3] == 1:
-        denom = 1.0 - p_u_inf - (p_u_inf - pu_d)
-        qu_d_low = 0.0 if denom <= 0.0 else (q_d - p_u_inf - (p_u_inf - pu_d)) / denom
-    else:
-        qu_d_low = (q_d - (1.0 - pu_d)) / pu_d
-    if qu_d_low < 0.0:
-        qu_d_low = 0.0
-    qu_v_up = q_v / pu_v
-    eq_s_up = q_s * (e_s + xi_kernel(eps_es, m_e)) / pu_s
-    eq_v_low = (e_v * q_v - (1.0 - pu_v)) / pu_v
-    if eq_v_low < 0.0:
-        eq_v_low = 0.0
-    q1u, e1u = _decoy_q1u_e1u(m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low,
-                              qu_v_up, eq_s_up, eq_v_low, flags[4])
-    privacy = 0.0
-    if q1u > 0.0:
-        cap = e1u if e1u < 0.5 else 0.5
-        privacy = pu_s * q1u * (1.0 - h2_kernel(cap))
-    eps_pe = eps_us
-    if eps_ud < eps_pe:
-        eps_pe = eps_ud
-    if eps_uv < eps_pe:
-        eps_pe = eps_uv
-    if eps_es < eps_pe:
-        eps_pe = eps_es
-    corr = finite_delta_kernel(n_raw, eps_pe, eps_bar, eps_pa)
-    rate = 0.5 * p_s * (q_s * (-f_ec * h2_kernel(e_s) - corr) + privacy)
-    if flags[5] == 1 and math.isfinite(sifted):
-        rate *= 1.0 - m_e / sifted
-    out[0], out[1] = STATUS_OK, rate
-    out[11], out[12], out[13], out[14], out[15] = qu_d_low, qu_s_up, q1u, e1u, corr
-    return (out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7],
-            out[8], out[9], out[10], out[11], out[12], out[13], out[14],
-            out[15], out[16], out[17])
+        y0, e_det, e0 = phys[2], phys[3], phys[4]
+        mu_s = m_a * lam_s * q_split
+        mu_d = m_a * lam_d * q_split
+        q_s, e_s = gain_qber_kernel(mu_s, eta, y0, e_det, e0, flags[0])
+        q_d, e_d = gain_qber_kernel(mu_d, eta, y0, e_det, e0, flags[0])
+        p_u_inf = coverage_kernel(delta, m_a, q_split, flags[1])
+        if p_u_inf <= 0.0:
+            status = STATUS_NO_UNTAGGED
+    if status == STATUS_OK:
+        pu_s = p_u_inf - xi_kernel(eps_us, n_pulses * p_s)
+        pu_d = p_u_inf - xi_kernel(eps_ud, n_pulses * p_d)
+        pu_v = p_u_inf - xi_kernel(eps_uv, n_pulses * p_v)
+        if pu_s <= 0.0 or pu_d <= 0.0 or pu_v <= 0.0:
+            status = STATUS_FLUCTUATION
+    if status == STATUS_OK:
+        if isfinite(n_pulses):
+            sifted = 0.5 * n_pulses * p_s * q_s
+            n_raw = sifted - m_e
+        else:
+            sifted = n_raw = INF
+        if n_raw <= 0.0:
+            status = STATUS_EMPTY_KEY
+    if status == STATUS_OK:
+        q_v, e_v = y0, phys[5]
+        qu_s_up = q_s / pu_s
+        if flags[3] == 1:
+            denom = 1.0 - p_u_inf - (p_u_inf - pu_d)
+            qu_d_low = (0.0 if denom <= 0.0
+                        else (q_d - p_u_inf - (p_u_inf - pu_d)) / denom)
+        else:
+            qu_d_low = (q_d - (1.0 - pu_d)) / pu_d
+        if qu_d_low < 0.0:
+            qu_d_low = 0.0
+        eq_v_low = (e_v * q_v - (1.0 - pu_v)) / pu_v
+        if eq_v_low < 0.0:
+            eq_v_low = 0.0
+        q1u, e1u, _ = _decoy_q1u_e1u(
+            m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low, q_v / pu_v,
+            q_s * (e_s + xi_kernel(eps_es, m_e)) / pu_s, eq_v_low, flags[4])
+        privacy = _privacy(q1u, e1u, pu_s)
+        eps_pe = eps_us
+        if eps_ud < eps_pe:
+            eps_pe = eps_ud
+        if eps_uv < eps_pe:
+            eps_pe = eps_uv
+        if eps_es < eps_pe:
+            eps_pe = eps_es
+        corr = finite_delta_kernel(n_raw, eps_pe, eps_bar, eps_pa)
+        rate = 0.5 * p_s * (q_s * (-phys[6] * h2_kernel(e_s) - corr) + privacy)
+        if flags[5] == 1 and isfinite(sifted):
+            rate *= 1.0 - m_e / sifted
+    return (status, rate, mu_s, mu_d, q_s, e_s, q_d, e_d, pu_s, pu_d, pu_v,
+            qu_d_low, qu_s_up, q1u, e1u, corr, n_raw, sifted)
 
 
 # --- unconstrained-to-feasible maps (used by the optimizer) --------------------
 
-@njit
-def sigmoid_kernel(z):
+def logrange_kernel(z, log_lo, log_span):
+    # sigmoid onto a log-spaced interval, given as one of the *_LOG pairs;
+    # total and strictly inside (lo, hi)
     if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+        s = 1.0 / (1.0 + exp(-z))
+    else:
+        ez = exp(z)
+        s = ez / (1.0 + ez)
+    return exp(log_lo + s * log_span)
 
 
-@njit
-def logrange_kernel(z, lo, hi):
-    # sigmoid onto a log-spaced interval; total and strictly inside (lo, hi)
-    return math.exp(math.log(lo) + sigmoid_kernel(z) * (math.log(hi) - math.log(lo)))
+def _weight(z):
+    # unnormalized simplex weight exp(min(max(z, -40), 40))
+    return exp(40.0 if z > 40.0 else -40.0 if z < -40.0 else z)
 
 
-@njit
 def lambda_cap_kernel(delta, m_a, q_split):
     # largest encoder transmittance compatible with the sub-single-photon window
     cap = (1.0 - q_split) / (q_split * (1.0 + delta) * m_a)
     return cap if cap < 1.0 else 1.0
 
 
-@njit
-def params_no_decoy_infinite(raw, dist, phys, flags):
-    m_a = phys[7] * 10.0 ** (-phys[1] * dist / 10.0)
-    delta = logrange_kernel(raw[0], DELTA_LO, DELTA_HI)
-    u = logrange_kernel(raw[1], U_LO, U_HI)
-    lam = u * lambda_cap_kernel(delta, m_a, phys[8])
-    return lam, delta
+def params_no_decoy_infinite(raw, m_a, eta, phys, flags):
+    delta = logrange_kernel(raw[0], *DELTA_LOG)
+    u = logrange_kernel(raw[1], *U_LOG)
+    return u * lambda_cap_kernel(delta, m_a, phys[8]), delta
 
 
-@njit
-def params_no_decoy_finite(raw, dist, n_pulses, phys, flags):
-    m_a = phys[7] * 10.0 ** (-phys[1] * dist / 10.0)
-    eta = phys[0] * 10.0 ** (-phys[1] * dist / 10.0)
-    delta = logrange_kernel(raw[0], DELTA_LO, DELTA_HI)
-    u = logrange_kernel(raw[1], U_LO, U_HI)
+def params_no_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
+    delta = logrange_kernel(raw[0], *DELTA_LOG)
+    u = logrange_kernel(raw[1], *U_LOG)
     lam = u * lambda_cap_kernel(delta, m_a, phys[8])
-    mfrac = logrange_kernel(raw[2], MFRAC_LO, MFRAC_HI)
-    mu = m_a * lam * phys[8]
-    q, _ = gain_qber_kernel(mu, eta, phys[2], phys[3], phys[4], flags[0])
+    mfrac = logrange_kernel(raw[2], *MFRAC_LOG)
+    q, _ = gain_qber_kernel(m_a * lam * phys[8], eta, phys[2], phys[3],
+                            phys[4], flags[0])
     m_e = mfrac * 0.5 * q * n_pulses
     budget = phys[9] - phys[10]
-    w0 = math.exp(min(max(raw[3], -40.0), 40.0))
-    w1 = math.exp(min(max(raw[4], -40.0), 40.0))
-    w2 = math.exp(min(max(raw[5], -40.0), 40.0))
-    w3 = math.exp(min(max(raw[6], -40.0), 40.0))
+    w0, w1, w2, w3 = _weight(raw[3]), _weight(raw[4]), _weight(raw[5]), _weight(raw[6])
     tot = w0 + w1 + w2 + w3
     return (lam, delta, m_e, budget * w0 / tot, budget * w1 / tot,
             budget * w2 / tot, budget * w3 / tot)
 
 
-@njit
-def params_decoy_infinite(raw, dist, phys, flags):
-    m_a = phys[7] * 10.0 ** (-phys[1] * dist / 10.0)
-    delta = logrange_kernel(raw[0], DELTA_LO, DELTA_HI)
-    u = logrange_kernel(raw[1], U_LO, U_HI)
+def params_decoy_infinite(raw, m_a, eta, phys, flags):
+    delta = logrange_kernel(raw[0], *DELTA_LOG)
+    u = logrange_kernel(raw[1], *U_LOG)
     lam_s = u * lambda_cap_kernel(delta, m_a, phys[8])
-    ratio = logrange_kernel(raw[2], RATIO_LO, RATIO_HI)
-    return lam_s, lam_s * ratio, delta
+    return lam_s, lam_s * logrange_kernel(raw[2], *RATIO_LOG), delta
 
 
-@njit
-def params_decoy_finite(raw, dist, n_pulses, phys, flags):
-    m_a = phys[7] * 10.0 ** (-phys[1] * dist / 10.0)
-    eta = phys[0] * 10.0 ** (-phys[1] * dist / 10.0)
-    delta = logrange_kernel(raw[0], DELTA_LO, DELTA_HI)
-    u = logrange_kernel(raw[1], U_LO, U_HI)
+def params_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
+    delta = logrange_kernel(raw[0], *DELTA_LOG)
+    u = logrange_kernel(raw[1], *U_LOG)
     lam_s = u * lambda_cap_kernel(delta, m_a, phys[8])
-    ratio = logrange_kernel(raw[2], RATIO_LO, RATIO_HI)
-    lam_d = lam_s * ratio
-    mfrac = logrange_kernel(raw[3], MFRAC_LO, MFRAC_HI)
-    ws = math.exp(min(max(raw[4], -40.0), 40.0))
-    wd = math.exp(min(max(raw[5], -40.0), 40.0))
-    wv = math.exp(min(max(raw[6], -40.0), 40.0))
+    lam_d = lam_s * logrange_kernel(raw[2], *RATIO_LOG)
+    mfrac = logrange_kernel(raw[3], *MFRAC_LOG)
+    ws, wd, wv = _weight(raw[4]), _weight(raw[5]), _weight(raw[6])
     wt = ws + wd + wv
     p_s, p_d = ws / wt, wd / wt
-    mu_s = m_a * lam_s * phys[8]
-    q_s, _ = gain_qber_kernel(mu_s, eta, phys[2], phys[3], phys[4], flags[0])
+    q_s, _ = gain_qber_kernel(m_a * lam_s * phys[8], eta, phys[2], phys[3],
+                              phys[4], flags[0])
     m_e = mfrac * 0.5 * n_pulses * p_s * q_s
     budget = phys[9] - phys[10]
-    b0 = math.exp(min(max(raw[7], -40.0), 40.0))
-    b1 = math.exp(min(max(raw[8], -40.0), 40.0))
-    b2 = math.exp(min(max(raw[9], -40.0), 40.0))
-    b3 = math.exp(min(max(raw[10], -40.0), 40.0))
-    b4 = math.exp(min(max(raw[11], -40.0), 40.0))
-    b5 = math.exp(min(max(raw[12], -40.0), 40.0))
+    b0, b1, b2 = _weight(raw[7]), _weight(raw[8]), _weight(raw[9])
+    b3, b4, b5 = _weight(raw[10]), _weight(raw[11]), _weight(raw[12])
     bt = b0 + b1 + b2 + b3 + b4 + b5
     return (lam_s, lam_d, delta, m_e, p_s, p_d,
             budget * b0 / bt, budget * b1 / bt, budget * b2 / bt,
             budget * b3 / bt, budget * b4 / bt, budget * b5 / bt)
 
 
-PENALTY = -1.0e6
+# --- objectives: rate at a raw vector, PENALTY (plus a guide) when infeasible ---
+
+def _fluctuation_guide(res):
+    # smallest untagged probability, so the search climbs out of status 3
+    guide = res[8]
+    if res[9] < guide:
+        guide = res[9]
+    if res[10] < guide:
+        guide = res[10]
+    return PENALTY + (guide if guide == guide else -1.0)
 
 
-@njit
-def objective_no_decoy_infinite(raw, dist, phys, flags):
-    lam, delta = params_no_decoy_infinite(raw, dist, phys, flags)
-    res = rate_no_decoy_infinite(dist, lam, delta, phys, flags)
-    if res[0] != STATUS_OK:
-        return PENALTY
-    return res[1]
+def objective_no_decoy_infinite(raw, m_a, eta, phys, flags):
+    res = rate_no_decoy_infinite(
+        m_a, eta, *params_no_decoy_infinite(raw, m_a, eta, phys, flags),
+        phys, flags)
+    return res[1] if res[0] == STATUS_OK else PENALTY
 
 
-@njit
-def objective_no_decoy_finite(raw, dist, n_pulses, phys, flags):
-    p = params_no_decoy_finite(raw, dist, n_pulses, phys, flags)
-    res = rate_no_decoy_finite(dist, n_pulses, p[0], p[1], p[2], p[3], p[4],
-                               p[5], p[6], phys, flags)
-    if res[0] == STATUS_FLUCTUATION:
-        guide = res[8] if res[8] == res[8] else -1.0
-        return PENALTY + guide
-    if res[0] != STATUS_OK:
-        return PENALTY
-    return res[1]
+def objective_no_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
+    res = rate_no_decoy_finite(
+        m_a, eta, n_pulses,
+        *params_no_decoy_finite(raw, m_a, eta, n_pulses, phys, flags),
+        phys, flags)
+    if res[0] == STATUS_OK:
+        return res[1]
+    return _fluctuation_guide(res) if res[0] == STATUS_FLUCTUATION else PENALTY
 
 
-@njit
-def objective_decoy_infinite(raw, dist, phys, flags):
-    p = params_decoy_infinite(raw, dist, phys, flags)
-    res = rate_decoy_infinite(dist, p[0], p[1], p[2], phys, flags)
-    if res[0] != STATUS_OK:
-        return PENALTY
-    return res[1]
+def objective_decoy_infinite(raw, m_a, eta, phys, flags):
+    res = rate_decoy_infinite(
+        m_a, eta, *params_decoy_infinite(raw, m_a, eta, phys, flags),
+        phys, flags)
+    return res[1] if res[0] == STATUS_OK else PENALTY
 
 
-@njit
-def objective_decoy_finite(raw, dist, n_pulses, phys, flags):
-    p = params_decoy_finite(raw, dist, n_pulses, phys, flags)
-    res = rate_decoy_finite(dist, n_pulses, p[0], p[1], p[2], p[3], p[4], p[5],
-                            p[6], p[7], p[8], p[9], p[10], p[11], phys, flags)
-    if res[0] == STATUS_FLUCTUATION:
-        guide = res[8]
-        if res[9] < guide:
-            guide = res[9]
-        if res[10] < guide:
-            guide = res[10]
-        if guide != guide:
-            guide = -1.0
-        return PENALTY + guide
-    if res[0] != STATUS_OK:
-        return PENALTY
-    return res[1]
+def objective_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
+    res = rate_decoy_finite(
+        m_a, eta, n_pulses,
+        *params_decoy_finite(raw, m_a, eta, n_pulses, phys, flags),
+        phys, flags)
+    if res[0] == STATUS_OK:
+        return res[1]
+    return _fluctuation_guide(res) if res[0] == STATUS_FLUCTUATION else PENALTY
 
 
 # --- dense grid evaluation (brute-force oracle) --------------------------------
 
-@njit
-def grid_no_decoy_infinite(dist, deltas, us, phys, flags):
+def grid_no_decoy_infinite(m_a, eta, deltas, us, phys, flags):
     best = -INF
     bi, bj = -1, -1
-    for i in range(deltas.shape[0]):
-        for j in range(us.shape[0]):
-            m_a = phys[7] * 10.0 ** (-phys[1] * dist / 10.0)
-            lam = us[j] * lambda_cap_kernel(deltas[i], m_a, phys[8])
-            res = rate_no_decoy_infinite(dist, lam, deltas[i], phys, flags)
+    for i, delta in enumerate(deltas):
+        cap = lambda_cap_kernel(delta, m_a, phys[8])
+        for j, u in enumerate(us):
+            res = rate_no_decoy_infinite(m_a, eta, u * cap, delta, phys, flags)
             if res[0] == STATUS_OK and res[1] > best:
                 best = res[1]
                 bi, bj = i, j
     return best, bi, bj
 
 
-@njit
-def grid_decoy_infinite(dist, deltas, us, ratios, phys, flags):
+def grid_decoy_infinite(m_a, eta, deltas, us, ratios, phys, flags):
     best = -INF
     bi, bj, bk = -1, -1, -1
-    for i in range(deltas.shape[0]):
-        m_a = phys[7] * 10.0 ** (-phys[1] * dist / 10.0)
-        cap = lambda_cap_kernel(deltas[i], m_a, phys[8])
-        for j in range(us.shape[0]):
-            lam_s = us[j] * cap
-            for k in range(ratios.shape[0]):
-                res = rate_decoy_infinite(dist, lam_s, lam_s * ratios[k],
-                                          deltas[i], phys, flags)
+    for i, delta in enumerate(deltas):
+        cap = lambda_cap_kernel(delta, m_a, phys[8])
+        for j, u in enumerate(us):
+            lam_s = u * cap
+            for k, ratio in enumerate(ratios):
+                res = rate_decoy_infinite(m_a, eta, lam_s, lam_s * ratio,
+                                          delta, phys, flags)
                 if res[0] == STATUS_OK and res[1] > best:
                     best = res[1]
                     bi, bj, bk = i, j, k

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from . import io_csv, scans
 from .config import ConfigError, RunConfig, apply_overrides, parse_config, parse_na_list
+from .optimize import InfeasibleProblemError
 from .params import Scenario
 from .scans import find_lmax, find_na_threshold, figure_datasets, scan_distance
 
@@ -152,10 +153,8 @@ def main(argv=None) -> int:
         if args.command == "nath":
             return _cmd_nath(config)
         return _cmd_figure(config, args.figure_id)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except scans.ThresholdOutsideRangeError as exc:
+    except (ConfigError, OSError, InfeasibleProblemError,
+            scans.NonMonotoneRateError, scans.ThresholdOutsideRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

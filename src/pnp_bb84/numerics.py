@@ -1,7 +1,7 @@
 """Special functions and statistical-deviation primitives.
 
-Pure, stateless and safe for concurrent use; the heavy lifting lives in the
-jitted kernels and these wrappers only add domain validation.
+Pure, stateless and safe for concurrent use; the arithmetic lives in the
+scalar kernels of ``_kernels`` and these wrappers only add domain validation.
 """
 
 from __future__ import annotations

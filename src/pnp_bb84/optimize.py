@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from . import _kernels
 from .params import BoundConventions, PhysicalParams, Scenario
@@ -50,12 +48,13 @@ class OptimizationProblem:
     warm_starts: tuple[ProtocolPoint, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.scenario.finite and not (math.isfinite(self.n_pulses)
-                                         and self.n_pulses > 0):
+        # every check is written so that nan fails it
+        if self.scenario.finite and not 0.0 < self.n_pulses < math.inf:
             raise ValueError("finite scenarios need a finite positive n_pulses")
-        if self.distance_km < 0:
-            raise ValueError("distance_km must be non-negative")
-        if self.n_starts < 1:
+        if not 0.0 <= self.distance_km < math.inf:
+            raise ValueError(f"distance_km={self.distance_km!r} must be finite "
+                             "and non-negative")
+        if not self.n_starts >= 1:
             raise ValueError("n_starts must be at least 1")
 
     @property
@@ -75,8 +74,9 @@ class OptimizationResult:
 
 # --- raw <-> point maps ---------------------------------------------------------
 
-def _logit_of_logrange(x: float, lo: float, hi: float) -> float:
-    s = (math.log(x) - math.log(lo)) / (math.log(hi) - math.log(lo))
+def _logit_of_logrange(x: float, log_lo: float, log_span: float) -> float:
+    # inverse of `_kernels.logrange_kernel`; the range is one of its *_LOG pairs
+    s = (math.log(x) - log_lo) / log_span
     s = min(max(s, 1e-15), 1.0 - 1e-15)
     return math.log(s / (1.0 - s))
 
@@ -86,29 +86,30 @@ def point_from_raw(problem: OptimizationProblem, raw: np.ndarray) -> ProtocolPoi
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != (problem.dim,):
         raise ValueError(f"raw vector must have shape ({problem.dim},)")
+    z = raw.tolist()
     arr = problem.phys.to_array()
     flags = problem.conventions.to_flags()
+    m_a, eta = _kernels.channel_at(problem.distance_km, arr)
     sc = problem.scenario
     if sc is Scenario.NO_DECOY_INFINITE:
-        lam, delta = _kernels.params_no_decoy_infinite(
-            raw, problem.distance_km, arr, flags)
+        lam, delta = _kernels.params_no_decoy_infinite(z, m_a, eta, arr, flags)
         return ProtocolPoint(scenario=sc, distance_km=problem.distance_km,
                              lam=lam, delta=delta)
     if sc is Scenario.NO_DECOY_FINITE:
         lam, delta, m_e, e_pa, e_bar, e_u, e_e = _kernels.params_no_decoy_finite(
-            raw, problem.distance_km, problem.n_pulses, arr, flags)
+            z, m_a, eta, problem.n_pulses, arr, flags)
         budget = ErrorBudget(eps_pa=e_pa, eps_bar=e_bar, eps_u=e_u, eps_e=e_e)
         return ProtocolPoint(scenario=sc, distance_km=problem.distance_km,
                              n_pulses=problem.n_pulses, lam=lam, delta=delta,
                              m_e=m_e, budget=budget)
     if sc is Scenario.DECOY_INFINITE:
         lam_s, lam_d, delta = _kernels.params_decoy_infinite(
-            raw, problem.distance_km, arr, flags)
+            z, m_a, eta, arr, flags)
         return ProtocolPoint(scenario=sc, distance_km=problem.distance_km,
                              lam_s=lam_s, lam_d=lam_d, delta=delta)
     (lam_s, lam_d, delta, m_e, p_s, p_d,
      e_pa, e_bar, e_us, e_ud, e_uv, e_es) = _kernels.params_decoy_finite(
-        raw, problem.distance_km, problem.n_pulses, arr, flags)
+        z, m_a, eta, problem.n_pulses, arr, flags)
     budget = ErrorBudget(eps_pa=e_pa, eps_bar=e_bar, eps_u_s=e_us,
                          eps_u_d=e_ud, eps_u_v=e_uv, eps_e_s=e_es)
     return ProtocolPoint(scenario=sc, distance_km=problem.distance_km,
@@ -122,46 +123,39 @@ def raw_from_point(problem: OptimizationProblem, point: ProtocolPoint) -> np.nda
     if point.scenario is not problem.scenario:
         raise ValueError("point scenario does not match the problem")
     phys = problem.phys
-    m_a = phys.m_bright * 10.0 ** (-phys.loss_coeff * problem.distance_km / 10.0)
+    m_a, eta = _kernels.channel_at(problem.distance_km, phys.to_array())
     cap = _kernels.lambda_cap_kernel(point.delta, m_a, phys.q_split)
-    z_delta = _logit_of_logrange(point.delta, _kernels.DELTA_LO, _kernels.DELTA_HI)
+    z_delta = _logit_of_logrange(point.delta, *_kernels.DELTA_LOG)
     sc = problem.scenario
     budget_total = phys.eps_free
     if sc is Scenario.NO_DECOY_INFINITE:
-        z_u = _logit_of_logrange(point.lam / cap, _kernels.U_LO, _kernels.U_HI)
+        z_u = _logit_of_logrange(point.lam / cap, *_kernels.U_LOG)
         return np.array([z_delta, z_u])
     if sc is Scenario.DECOY_INFINITE:
-        z_u = _logit_of_logrange(point.lam_s / cap, _kernels.U_LO, _kernels.U_HI)
-        z_r = _logit_of_logrange(point.lam_d / point.lam_s,
-                                 _kernels.RATIO_LO, _kernels.RATIO_HI)
+        z_u = _logit_of_logrange(point.lam_s / cap, *_kernels.U_LOG)
+        z_r = _logit_of_logrange(point.lam_d / point.lam_s, *_kernels.RATIO_LOG)
         return np.array([z_delta, z_u, z_r])
-    arr = phys.to_array()
-    flags = problem.conventions.to_flags()
+    with_eta = problem.conventions.to_flags()[0]
     if sc is Scenario.NO_DECOY_FINITE:
-        z_u = _logit_of_logrange(point.lam / cap, _kernels.U_LO, _kernels.U_HI)
+        z_u = _logit_of_logrange(point.lam / cap, *_kernels.U_LOG)
         mu = m_a * point.lam * phys.q_split
-        eta = phys.eta_bob * 10.0 ** (-phys.loss_coeff * problem.distance_km / 10.0)
         q, _ = _kernels.gain_qber_kernel(mu, eta, phys.y0, phys.e_det, phys.e0,
-                                         flags[0])
+                                         with_eta)
         sifted = 0.5 * q * problem.n_pulses
-        z_m = _logit_of_logrange(point.m_e / sifted,
-                                 _kernels.MFRAC_LO, _kernels.MFRAC_HI)
+        z_m = _logit_of_logrange(point.m_e / sifted, *_kernels.MFRAC_LOG)
         b = point.budget
         return np.array([z_delta, z_u, z_m,
                          math.log(b.eps_pa / budget_total),
                          math.log(b.eps_bar / budget_total),
                          math.log(b.eps_u / budget_total),
                          math.log(b.eps_e / budget_total)])
-    z_u = _logit_of_logrange(point.lam_s / cap, _kernels.U_LO, _kernels.U_HI)
-    z_r = _logit_of_logrange(point.lam_d / point.lam_s,
-                             _kernels.RATIO_LO, _kernels.RATIO_HI)
+    z_u = _logit_of_logrange(point.lam_s / cap, *_kernels.U_LOG)
+    z_r = _logit_of_logrange(point.lam_d / point.lam_s, *_kernels.RATIO_LOG)
     mu_s = m_a * point.lam_s * phys.q_split
-    eta = phys.eta_bob * 10.0 ** (-phys.loss_coeff * problem.distance_km / 10.0)
     q_s, _ = _kernels.gain_qber_kernel(mu_s, eta, phys.y0, phys.e_det, phys.e0,
-                                       flags[0])
+                                       with_eta)
     sifted = 0.5 * problem.n_pulses * point.p_s * q_s
-    z_m = _logit_of_logrange(point.m_e / sifted,
-                             _kernels.MFRAC_LO, _kernels.MFRAC_HI)
+    z_m = _logit_of_logrange(point.m_e / sifted, *_kernels.MFRAC_LOG)
     b = point.budget
     return np.array([z_delta, z_u, z_r, z_m,
                      math.log(point.p_s), math.log(point.p_d),
@@ -182,8 +176,7 @@ def _heuristic_raw(problem: OptimizationProblem) -> np.ndarray:
     decoy ratio, a 10% sampling fraction and flat simplex weights.
     """
     phys = problem.phys
-    m_a = phys.m_bright * 10.0 ** (-phys.loss_coeff * problem.distance_km / 10.0)
-    eta = phys.eta_bob * 10.0 ** (-phys.loss_coeff * problem.distance_km / 10.0)
+    m_a, eta = _kernels.channel_at(problem.distance_km, phys.to_array())
     a = math.sqrt(m_a * (1.0 - phys.q_split) / 2.0)
     delta = min(max(4.0 / a, _kernels.DELTA_LO * 2), 0.5)
     cap = _kernels.lambda_cap_kernel(delta, m_a, phys.q_split)
@@ -194,20 +187,23 @@ def _heuristic_raw(problem: OptimizationProblem) -> np.ndarray:
     lam = min(mu / (m_a * phys.q_split), cap * 0.999)
     u = max(min(lam / cap, 0.99), _kernels.U_LO * 10)
     raw = np.zeros(problem.dim)
-    raw[0] = _logit_of_logrange(delta, _kernels.DELTA_LO, _kernels.DELTA_HI)
-    raw[1] = _logit_of_logrange(u, _kernels.U_LO, _kernels.U_HI)
+    raw[0] = _logit_of_logrange(delta, *_kernels.DELTA_LOG)
+    raw[1] = _logit_of_logrange(u, *_kernels.U_LOG)
     if problem.scenario is Scenario.NO_DECOY_FINITE:
-        raw[2] = _logit_of_logrange(0.1, _kernels.MFRAC_LO, _kernels.MFRAC_HI)
+        raw[2] = _logit_of_logrange(0.1, *_kernels.MFRAC_LOG)
     elif problem.scenario is Scenario.DECOY_INFINITE:
-        raw[2] = _logit_of_logrange(0.1, _kernels.RATIO_LO, _kernels.RATIO_HI)
+        raw[2] = _logit_of_logrange(0.1, *_kernels.RATIO_LOG)
     elif problem.scenario is Scenario.DECOY_FINITE:
-        raw[2] = _logit_of_logrange(0.15, _kernels.RATIO_LO, _kernels.RATIO_HI)
-        raw[3] = _logit_of_logrange(0.1, _kernels.MFRAC_LO, _kernels.MFRAC_HI)
+        raw[2] = _logit_of_logrange(0.15, *_kernels.RATIO_LOG)
+        raw[3] = _logit_of_logrange(0.1, *_kernels.MFRAC_LOG)
         raw[4:7] = np.log([0.55, 0.35, 0.10])
     return raw
 
 
 def _sobol_starts(dim: int, n: int, seed: int) -> np.ndarray:
+    # imported here: scipy.stats alone takes longer to load than the package
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = 1 << max(0, (n - 1).bit_length())
     pts = sampler.random(m)[:n]
@@ -217,23 +213,24 @@ def _sobol_starts(dim: int, n: int, seed: int) -> np.ndarray:
 def _objective_fn(problem: OptimizationProblem) -> Callable[[np.ndarray], float]:
     arr = problem.phys.to_array()
     flags = problem.conventions.to_flags()
+    m_a, eta = _kernels.channel_at(problem.distance_km, arr)
     sc = problem.scenario
-    dist, n_pulses = problem.distance_km, problem.n_pulses
+    n_pulses = problem.n_pulses
     if sc is Scenario.NO_DECOY_INFINITE:
         kern = _kernels.objective_no_decoy_infinite
-        return lambda raw: kern(raw, dist, arr, flags)
+        return lambda raw: kern(raw.tolist(), m_a, eta, arr, flags)
     if sc is Scenario.NO_DECOY_FINITE:
         kern = _kernels.objective_no_decoy_finite
-        return lambda raw: kern(raw, dist, n_pulses, arr, flags)
+        return lambda raw: kern(raw.tolist(), m_a, eta, n_pulses, arr, flags)
     if sc is Scenario.DECOY_INFINITE:
         kern = _kernels.objective_decoy_infinite
-        return lambda raw: kern(raw, dist, arr, flags)
+        return lambda raw: kern(raw.tolist(), m_a, eta, arr, flags)
     kern = _kernels.objective_decoy_finite
-    return lambda raw: kern(raw, dist, n_pulses, arr, flags)
+    return lambda raw: kern(raw.tolist(), m_a, eta, n_pulses, arr, flags)
 
 
 def _delta_of_raw(raw: np.ndarray) -> float:
-    return _kernels.logrange_kernel(raw[0], _kernels.DELTA_LO, _kernels.DELTA_HI)
+    return _kernels.logrange_kernel(raw[0], *_kernels.DELTA_LOG)
 
 
 def maximize(problem: OptimizationProblem,
@@ -244,6 +241,9 @@ def maximize(problem: OptimizationProblem,
     Deterministic for a fixed problem seed.  Ties in the achieved value are
     broken toward the smaller untagged-window width.
     """
+    # imported here: scipy.optimize alone takes longer to load than the package
+    from scipy.optimize import minimize
+
     fn = objective if objective is not None else _objective_fn(problem)
     dim = problem.dim
     maxfev = problem.max_evals_per_start or 600 * dim
@@ -254,7 +254,7 @@ def maximize(problem: OptimizationProblem,
     if n_sobol:
         starts.extend(_sobol_starts(dim, n_sobol, problem.seed))
 
-    neg = lambda raw: -fn(np.ascontiguousarray(raw, dtype=np.float64))
+    neg = lambda raw: -fn(raw)
     best_val = -math.inf
     best_raw = starts[0]
     best_delta = math.inf
@@ -312,10 +312,10 @@ def _round_sample_count(problem: OptimizationProblem,
     return replace(point, m_e=m_e)
 
 
-def _grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
+def _grid_axis(lo: float, hi: float, n: int) -> list[float]:
     if n == 1:
-        return np.array([math.sqrt(lo * hi)])
-    return np.geomspace(lo, hi, n)
+        return [math.sqrt(lo * hi)]
+    return np.geomspace(lo, hi, n).tolist()
 
 
 def grid_oracle(problem: OptimizationProblem, resolution: int) -> OptimizationResult:
@@ -330,24 +330,23 @@ def grid_oracle(problem: OptimizationProblem, resolution: int) -> OptimizationRe
         raise ValueError("resolution must be at least 1")
     arr = problem.phys.to_array()
     flags = problem.conventions.to_flags()
+    m_a, eta = _kernels.channel_at(problem.distance_km, arr)
     deltas = _grid_axis(_kernels.DELTA_LO, _kernels.DELTA_HI, resolution)
     us = _grid_axis(_kernels.U_LO, _kernels.U_HI, resolution)
-    m_a = problem.phys.m_bright * 10.0 ** (
-        -problem.phys.loss_coeff * problem.distance_km / 10.0)
     if problem.scenario is Scenario.NO_DECOY_INFINITE:
         best, bi, bj = _kernels.grid_no_decoy_infinite(
-            problem.distance_km, deltas, us, arr, flags)
+            m_a, eta, deltas, us, arr, flags)
         if bi < 0:
             raise InfeasibleProblemError("grid found no feasible point")
         cap = _kernels.lambda_cap_kernel(deltas[bi], m_a, problem.phys.q_split)
         point = ProtocolPoint(scenario=problem.scenario,
                               distance_km=problem.distance_km,
                               lam=us[bj] * cap, delta=deltas[bi])
-        evals = deltas.size * us.size
+        evals = len(deltas) * len(us)
     else:
         ratios = _grid_axis(_kernels.RATIO_LO, _kernels.RATIO_HI, resolution)
         best, bi, bj, bk = _kernels.grid_decoy_infinite(
-            problem.distance_km, deltas, us, ratios, arr, flags)
+            m_a, eta, deltas, us, ratios, arr, flags)
         if bi < 0:
             raise InfeasibleProblemError("grid found no feasible point")
         cap = _kernels.lambda_cap_kernel(deltas[bi], m_a, problem.phys.q_split)
@@ -356,7 +355,7 @@ def grid_oracle(problem: OptimizationProblem, resolution: int) -> OptimizationRe
                               distance_km=problem.distance_km,
                               lam_s=lam_s, lam_d=lam_s * ratios[bk],
                               delta=deltas[bi])
-        evals = deltas.size * us.size * ratios.size
+        evals = len(deltas) * len(us) * len(ratios)
     breakdown = evaluate_rate(point, problem.phys, problem.conventions)
     return OptimizationResult(best_rate=breakdown.rate, best_point=point,
                               breakdown=breakdown,

@@ -6,8 +6,6 @@ import enum
 import math
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 
 class Scenario(str, enum.Enum):
     """The four protocol variants covered by the library."""
@@ -76,13 +74,12 @@ class PhysicalParams:
         """Security budget left for the optimized epsilon components."""
         return self.eps_total - self.eps_ec
 
-    def to_array(self) -> np.ndarray:
-        """Flat float64 layout consumed by the jitted kernels."""
-        return np.array([
-            self.eta_bob, self.loss_coeff, self.y0, self.e_det, self.e0,
-            self.e0_vac, self.f_ec, self.m_bright, self.q_split,
-            self.eps_total, self.eps_ec,
-        ], dtype=np.float64)
+    def to_array(self) -> tuple[float, ...]:
+        """Flat float layout consumed by the kernels (``_kernels`` ``phys``)."""
+        return (float(self.eta_bob), float(self.loss_coeff), float(self.y0),
+                float(self.e_det), float(self.e0), float(self.e0_vac),
+                float(self.f_ec), float(self.m_bright), float(self.q_split),
+                float(self.eps_total), float(self.eps_ec))
 
 
 # --- bound-convention toggles -------------------------------------------------
@@ -149,9 +146,9 @@ class BoundConventions:
         return cls(single_photon_mass=SINGLE_PHOTON_STRICT,
                    decoy_estimator=DECOY_EST_STRICT)
 
-    def to_flags(self) -> np.ndarray:
-        """Integer layout consumed by the jitted kernels."""
-        return np.array([
+    def to_flags(self) -> tuple[int, ...]:
+        """Integer layout consumed by the kernels (``_kernels`` ``flags``)."""
+        return (
             1 if self.gain_model == GAIN_WITH_ETA else 0,
             1 if self.window_coverage == COVERAGE_HALF_INSIDE else 0,
             1 if self.single_photon_mass == SINGLE_PHOTON_MIXED else 0,
@@ -159,7 +156,7 @@ class BoundConventions:
             {DECOY_EST_PAIRED: 0, DECOY_EST_ALTERNATE: 1,
              DECOY_EST_STRICT: 2}[self.decoy_estimator],
             1 if self.sifting_factor == SIFTING_EXACT else 0,
-        ], dtype=np.int64)
+        )
 
     def replace(self, **kw) -> "BoundConventions":
         return replace(self, **kw)

@@ -11,19 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import _kernels
 from .numerics import check_probability, statistical_deviation
 from .params import BoundConventions, PhysicalParams, Scenario
-
-_STATUS_ERRORS = {
-    1.0: ("window condition violated", "WindowViolation"),
-    2.0: ("no untagged pulses", "NoUntaggedPulses"),
-    3.0: ("fluctuation exceeds untagged probability", "FluctuationTooLarge"),
-    4.0: ("empty raw key", "EmptyRawKey"),
-    5.0: ("decoy ordering violated (lambda_d must be below lambda_s)", "DecoyOrdering"),
-}
 
 
 class RateEvaluationError(ValueError):
@@ -54,12 +44,13 @@ class DecoyOrderingError(RateEvaluationError):
     pass
 
 
-_STATUS_EXC = {
-    1.0: WindowViolationError,
-    2.0: NoUntaggedPulsesError,
-    3.0: FluctuationTooLargeError,
-    4.0: EmptyRawKeyError,
-    5.0: DecoyOrderingError,
+_STATUS_ERRORS = {
+    1.0: (WindowViolationError, "window condition violated"),
+    2.0: (NoUntaggedPulsesError, "no untagged pulses"),
+    3.0: (FluctuationTooLargeError, "fluctuation exceeds untagged probability"),
+    4.0: (EmptyRawKeyError, "empty raw key"),
+    5.0: (DecoyOrderingError,
+          "decoy ordering violated (lambda_d must be below lambda_s)"),
 }
 
 
@@ -138,10 +129,12 @@ class ProtocolPoint:
     budget: Optional[ErrorBudget] = None
 
     def validate(self, phys: PhysicalParams) -> None:
-        if self.distance_km < 0:
-            raise ValueError("distance_km must be non-negative")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        # every check is written so that nan fails it
+        if not 0.0 <= self.distance_km < math.inf:
+            raise ValueError(f"distance_km={self.distance_km!r} must be finite "
+                             "and non-negative")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta={self.delta!r} must be finite and positive")
         if self.scenario.uses_decoy:
             if self.lam_s is None or self.lam_d is None:
                 raise ValueError("decoy scenarios require lam_s and lam_d")
@@ -152,17 +145,17 @@ class ProtocolPoint:
             if self.lam is None or not 0 < self.lam <= 1:
                 raise ValueError("no-decoy scenarios require lam in (0, 1]")
         if self.scenario.finite:
-            if not (math.isfinite(self.n_pulses) and self.n_pulses > 0):
+            if not 0.0 < self.n_pulses < math.inf:
                 raise ValueError("finite scenarios require a finite n_pulses > 0")
-            if self.m_e is None or self.m_e <= 0:
-                raise ValueError("finite scenarios require m_e > 0")
+            if self.m_e is None or not 0.0 < self.m_e < math.inf:
+                raise ValueError("finite scenarios require a finite m_e > 0")
             if self.budget is None:
                 raise ValueError("finite scenarios require an error budget")
             self.budget.validate(self.scenario, phys)
         if self.scenario is Scenario.DECOY_FINITE:
             probs = (self.p_s, self.p_d, self.p_v)
-            if any(p is None or p <= 0 for p in probs):
-                raise ValueError("decoy_finite requires positive p_s, p_d, p_v")
+            if any(p is None or not 0.0 < p <= 1.0 for p in probs):
+                raise ValueError("decoy_finite requires p_s, p_d, p_v in (0, 1]")
             if not math.isclose(sum(probs), 1.0, rel_tol=0, abs_tol=1e-12):
                 raise ValueError("class probabilities must sum to 1 within 1e-12")
 
@@ -239,22 +232,10 @@ def q1u_lower_decoy(q_u_s_upper: float, q_u_d_lower: float,
             DECOY_EST_STRICT: 2}[estimator]
     s, d = source_signal, source_decoy
     s.require_window()
-    q1u, _ = _kernels._decoy_q1u_e1u(
+    q1u, _, den = _kernels._decoy_q1u_e1u(
         s.m_a, s.delta, s.lambda_prime, d.lambda_prime, q_u_s_upper,
         q_u_d_lower, q_u_v_upper, 0.0, 0.0, code)
     # distinguish a closed denominator from a clamped-to-zero numerator
-    p1d_u = _kernels.photon_upper_kernel(s.m_a, s.delta, d.lambda_prime, 1)
-    p1s_l = _kernels.photon_lower_kernel(s.m_a, s.delta, s.lambda_prime, 1)
-    if code == 0:
-        den = (p1d_u * _kernels.photon_lower_kernel(s.m_a, s.delta,
-                                                    s.lambda_prime, 2)
-               - p1s_l * _kernels.photon_upper_kernel(s.m_a, s.delta,
-                                                      d.lambda_prime, 2))
-    else:
-        den = (p1d_u * _kernels.photon_upper_kernel(s.m_a, s.delta,
-                                                    s.lambda_prime, 2)
-               - p1s_l * _kernels.photon_lower_kernel(s.m_a, s.delta,
-                                                      d.lambda_prime, 2))
     if den <= 0.0:
         raise BoundUnavailableError(
             "bound unavailable: decoy class indistinguishable from signal")
@@ -285,6 +266,36 @@ def _to_breakdown(res: tuple, scenario: Scenario) -> RateBreakdown:
     )
 
 
+def _run_kernel(point: ProtocolPoint, phys: PhysicalParams,
+                conventions: BoundConventions, n_pulses: float,
+                m_e: Optional[float]) -> RateBreakdown:
+    """Breakdown of the scenario's rate kernel at ``point``, raising on a bad status."""
+    arr = phys.to_array()
+    flags = conventions.to_flags()
+    m_a, eta = _kernels.channel_at(point.distance_km, arr)
+    sc = point.scenario
+    b = point.budget
+    if sc is Scenario.NO_DECOY_INFINITE:
+        res = _kernels.rate_no_decoy_infinite(m_a, eta, point.lam, point.delta,
+                                              arr, flags)
+    elif sc is Scenario.NO_DECOY_FINITE:
+        res = _kernels.rate_no_decoy_finite(
+            m_a, eta, n_pulses, point.lam, point.delta, m_e,
+            b.eps_pa, b.eps_bar, b.eps_u, b.eps_e, arr, flags)
+    elif sc is Scenario.DECOY_INFINITE:
+        res = _kernels.rate_decoy_infinite(m_a, eta, point.lam_s, point.lam_d,
+                                           point.delta, arr, flags)
+    else:
+        res = _kernels.rate_decoy_finite(
+            m_a, eta, n_pulses, point.lam_s, point.lam_d, point.delta, m_e,
+            point.p_s, point.p_d, b.eps_pa, b.eps_bar, b.eps_u_s, b.eps_u_d,
+            b.eps_u_v, b.eps_e_s, arr, flags)
+    if res[0] != _kernels.STATUS_OK:
+        exc, message = _STATUS_ERRORS[res[0]]
+        raise exc(message)
+    return _to_breakdown(res, sc)
+
+
 def evaluate_rate(point: ProtocolPoint,
                   phys: PhysicalParams,
                   conventions: BoundConventions) -> RateBreakdown:
@@ -295,31 +306,7 @@ def evaluate_rate(point: ProtocolPoint,
     an error (the privacy term is simply zero).
     """
     point.validate(phys)
-    arr = phys.to_array()
-    flags = conventions.to_flags()
-    sc = point.scenario
-    if sc is Scenario.NO_DECOY_INFINITE:
-        res = _kernels.rate_no_decoy_infinite(point.distance_km, point.lam,
-                                              point.delta, arr, flags)
-    elif sc is Scenario.NO_DECOY_FINITE:
-        b = point.budget
-        res = _kernels.rate_no_decoy_finite(
-            point.distance_km, point.n_pulses, point.lam, point.delta,
-            point.m_e, b.eps_pa, b.eps_bar, b.eps_u, b.eps_e, arr, flags)
-    elif sc is Scenario.DECOY_INFINITE:
-        res = _kernels.rate_decoy_infinite(point.distance_km, point.lam_s,
-                                           point.lam_d, point.delta, arr, flags)
-    else:
-        b = point.budget
-        res = _kernels.rate_decoy_finite(
-            point.distance_km, point.n_pulses, point.lam_s, point.lam_d,
-            point.delta, point.m_e, point.p_s, point.p_d,
-            b.eps_pa, b.eps_bar, b.eps_u_s, b.eps_u_d, b.eps_u_v, b.eps_e_s,
-            arr, flags)
-    if res[0] != _kernels.STATUS_OK:
-        message, _ = _STATUS_ERRORS[res[0]]
-        raise _STATUS_EXC[res[0]](message)
-    return _to_breakdown(res, sc)
+    return _run_kernel(point, phys, conventions, point.n_pulses, point.m_e)
 
 
 def evaluate_rate_finite_limit(point: ProtocolPoint, phys: PhysicalParams,
@@ -332,24 +319,4 @@ def evaluate_rate_finite_limit(point: ProtocolPoint, phys: PhysicalParams,
     if not point.scenario.finite:
         raise ValueError("limit evaluation only applies to finite scenarios")
     # n_pulses and m_e both go to infinity so every deviation term vanishes
-    limit = ProtocolPoint(
-        scenario=point.scenario, distance_km=point.distance_km,
-        n_pulses=math.inf, lam=point.lam, lam_s=point.lam_s,
-        lam_d=point.lam_d, delta=point.delta, m_e=math.inf,
-        p_s=point.p_s, p_d=point.p_d, p_v=point.p_v, budget=point.budget)
-    arr = phys.to_array()
-    flags = conventions.to_flags()
-    b = point.budget
-    if point.scenario is Scenario.NO_DECOY_FINITE:
-        res = _kernels.rate_no_decoy_finite(
-            limit.distance_km, math.inf, limit.lam, limit.delta, limit.m_e,
-            b.eps_pa, b.eps_bar, b.eps_u, b.eps_e, arr, flags)
-    else:
-        res = _kernels.rate_decoy_finite(
-            limit.distance_km, math.inf, limit.lam_s, limit.lam_d, limit.delta,
-            limit.m_e, limit.p_s, limit.p_d, b.eps_pa, b.eps_bar, b.eps_u_s,
-            b.eps_u_d, b.eps_u_v, b.eps_e_s, arr, flags)
-    if res[0] != _kernels.STATUS_OK:
-        message, _ = _STATUS_ERRORS[res[0]]
-        raise _STATUS_EXC[res[0]](message)
-    return _to_breakdown(res, point.scenario)
+    return _run_kernel(point, phys, conventions, math.inf, math.inf)

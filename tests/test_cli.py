@@ -4,10 +4,13 @@ import math
 
 import pytest
 
+from pnp_bb84 import cli
 from pnp_bb84.cli import main
 from pnp_bb84.config import (ConfigError, RunConfig, parse_config,
                              serialize_config)
+from pnp_bb84.optimize import InfeasibleProblemError
 from pnp_bb84.params import Scenario
+from pnp_bb84.scans import NonMonotoneRateError
 
 
 class TestParseConfig:
@@ -100,3 +103,26 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "L_max" in out
         assert (tmp_path / "lmax_no_decoy_infinite.csv").exists()
+
+    def _raising(self, exc):
+        def solver(*args, **kwargs):
+            raise exc
+        return solver
+
+    def test_non_monotone_rate_is_a_one_line_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "find_lmax", self._raising(
+            NonMonotoneRateError("optimized rate rose")))
+        rc = main(["lmax", "--scenario", "decoy_infinite",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: optimized rate rose\n"
+
+    def test_infeasible_problem_is_a_one_line_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "scan_distance", self._raising(
+            InfeasibleProblemError("no feasible point found")))
+        rc = main(["scan", "--scenario", "no_decoy_infinite", "--lmin", "0",
+                   "--lmax-km", "2", "--lstep", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no feasible point found\n"

@@ -79,6 +79,17 @@ class TestReparameterization:
                 PHYS.eps_free, rel=1e-12)
 
 
+class TestProblemValidation:
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("field", ("distance_km", "n_pulses"))
+    def test_non_finite_field_rejected(self, field, value):
+        kw = dict(scenario=Scenario.DECOY_FINITE, distance_km=20.0,
+                  n_pulses=5e10)
+        kw[field] = value
+        with pytest.raises(ValueError, match=field):
+            OptimizationProblem(**kw)
+
+
 class TestMaximize:
     def test_recovers_injected_concave_objective(self):
         problem = problem_for(Scenario.NO_DECOY_FINITE, 5e10)

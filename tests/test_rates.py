@@ -1,6 +1,7 @@
 """Rate evaluators: bound arithmetic, finite-key corrections, invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -295,6 +296,44 @@ class TestPhotonBoundsView:
             assert bounds.lower(n) <= bounds.upper(n) + 1e-15
         assert bounds.upper(23) == 0.0
         assert bounds.lower(19) == 0.0
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestNonFiniteInputsRejected:
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("make,field", [
+        (nd_inf_point, "distance_km"), (nd_inf_point, "delta"),
+        (nd_inf_point, "lam"), (nd_fin_point, "n_pulses"),
+        (nd_fin_point, "m_e"), (decoy_inf_point, "lam_s"),
+        (decoy_inf_point, "lam_d"), (decoy_fin_point, "p_s"),
+        (decoy_fin_point, "p_d"), (decoy_fin_point, "p_v"),
+    ])
+    def test_point_field(self, make, field, value):
+        point = replace(make(), **{field: value})
+        with pytest.raises(ValueError):
+            point.validate(PHYS)
+        with pytest.raises(ValueError):
+            evaluate_rate(point, PHYS, CONV)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("scenario,field", [
+        (Scenario.NO_DECOY_FINITE, name)
+        for name in ("eps_pa", "eps_bar", "eps_u", "eps_e")] + [
+        (Scenario.DECOY_FINITE, name)
+        for name in ("eps_pa", "eps_bar", "eps_u_s", "eps_u_d", "eps_u_v",
+                     "eps_e_s")])
+    def test_budget_field(self, scenario, field, value):
+        budget = replace(ErrorBudget.equal_split(scenario, PHYS),
+                         **{field: value})
+        with pytest.raises(ValueError, match=field):
+            budget.validate(scenario, PHYS)
+
+    def test_nan_delta_no_longer_gives_a_rate(self):
+        # this point used to evaluate to -3.51e-4 with status ok
+        with pytest.raises(ValueError, match="delta"):
+            evaluate_rate(nd_inf_point(delta=math.nan), PHYS, CONV)
 
 
 def _h2(x):
