@@ -20,17 +20,34 @@ Layouts shared with the wrappers:
     finite_gain_direct, decoy_estimator (0 paired / 1 alternate / 2 strict),
     sifting_exact
 
+Finite-key arguments (``finite``, the optional last argument of a rate
+kernel; None for an asymptotic key):
+    rate_no_decoy: (n_pulses, m_e, eps_pa, eps_bar, eps_u, eps_e)
+    rate_decoy:    (n_pulses, m_e, p_s, p_d, eps_pa, eps_bar, eps_us, eps_ud,
+                    eps_uv, eps_es)
+The finite ``params_*`` maps return this tuple last.  The asymptotic key is
+the limit N -> inf of the finite one: the fluctuation, empty-key, Delta and
+sifting stages are skipped, and the decoy kernel fixes p_s = 1/2.
+
 Breakdown tuple (18 float slots):
     0 status, 1 rate, 2 mu_signal, 3 mu_decoy, 4 gain_signal, 5 qber_signal,
     6 gain_decoy, 7 qber_decoy, 8 pu_signal, 9 pu_decoy, 10 pu_vacuum,
     11 qu_lower, 12 qu_upper, 13 q1u_lower, 14 e1u_upper,
     15 finite_correction, 16 n_raw, 17 sifted
-Every slot is set once the status is ok; the finite kernels also set the
-untagged probabilities (8-10) before failing with status 3.
+The no-decoy kernel leaves the decoy slots (3, 6, 7, 9, 10) nan.  Slots are
+set stage by stage, and a failing stage leaves the later ones nan:
+
+    status 1, 5   only the status
+    status 2      mu, gain and qber (2-7) and the coverage in slots 8-10
+    status 3      as 2, with the deviation subtracted in slots 8-10
+    status 4      as 3, plus n_raw and sifted
+    status 0      every slot; e1u_upper stays nan where q1u_lower is 0
+
+An asymptotic key sets slots 15-17 to 0, inf, inf whatever the status.
 
 Status codes: 0 ok, 1 window condition violated, 2 no untagged pulses,
 3 fluctuation exceeds untagged probability, 4 empty raw key,
-5 decoy ordering violated.
+5 decoy ordering violated.  Statuses 3 and 4 need a finite key.
 """
 
 from __future__ import annotations
@@ -253,67 +270,45 @@ def _privacy(q1u, e1u, p_u=1.0):
 
 # --- rate evaluators ----------------------------------------------------------
 #
-# Each evaluator runs its stages in order while the status stays ok and
-# returns the breakdown tuple from one place; slots of stages not reached
-# stay nan.
+# One evaluator per source model.  Each runs its stages in order while the
+# status stays ok and returns the breakdown tuple from one place; slots of
+# stages not reached stay nan.  ``finite`` is None for an asymptotic key,
+# the limit N -> inf in which every deviation and the penalty Delta vanish.
 
-def rate_no_decoy_infinite(m_a, eta, lam, delta, phys, flags):
+def rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite=None):
     q_split = phys[8]
     lam_p = lam * q_split / (1.0 - q_split)
     rate = mu = q = e = p_u = qu_low = qu_up = q1u = e1u = NAN
+    if finite is None:
+        corr, n_raw, sifted = 0.0, INF, INF
+    else:
+        n_pulses, m_e, eps_pa, eps_bar, eps_u, eps_e = finite
+        corr = n_raw = sifted = NAN
     status = STATUS_OK
     if (1.0 + delta) * m_a * lam_p >= 1.0 or lam_p > 1.0:
         status = STATUS_WINDOW
     else:
         mu = m_a * lam * q_split
         q, e = gain_qber_kernel(mu, eta, phys[2], phys[3], phys[4], flags[0])
-        p_u = coverage_kernel(delta, m_a, q_split, flags[1])
+        p_u = p_u_inf = coverage_kernel(delta, m_a, q_split, flags[1])
         if p_u <= 0.0:
             status = STATUS_NO_UNTAGGED
-    if status == STATUS_OK:
-        qu_up = q / p_u
-        qu_low = (q - (1.0 - p_u)) / p_u
-        if qu_low < 0.0:
-            qu_low = 0.0
-        q1u = _no_decoy_q1u(m_a, delta, lam_p, qu_low, flags[2])
-        if q1u > 0.0:
-            e1u = q * e / q1u
-        rate = 0.5 * (-q * phys[6] * h2_kernel(e) + _privacy(q1u, e1u))
-    return (status, rate, mu, NAN, q, e, NAN, NAN, p_u, NAN, NAN,
-            qu_low, qu_up, q1u, e1u, 0.0, INF, INF)
-
-
-def rate_no_decoy_finite(m_a, eta, n_pulses, lam, delta, m_e,
-                         eps_pa, eps_bar, eps_u, eps_e, phys, flags):
-    q_split = phys[8]
-    lam_p = lam * q_split / (1.0 - q_split)
-    rate = mu = q = e = p_u = qu_low = qu_up = q1u = e1u = NAN
-    corr = n_raw = sifted = NAN
-    status = STATUS_OK
-    if (1.0 + delta) * m_a * lam_p >= 1.0 or lam_p > 1.0:
-        status = STATUS_WINDOW
-    else:
-        mu = m_a * lam * q_split
-        q, e = gain_qber_kernel(mu, eta, phys[2], phys[3], phys[4], flags[0])
-        p_u_inf = coverage_kernel(delta, m_a, q_split, flags[1])
-        if p_u_inf <= 0.0:
-            status = STATUS_NO_UNTAGGED
-    if status == STATUS_OK:
+    if finite is not None and status == STATUS_OK:
         xi_u = xi_kernel(eps_u, n_pulses)
         p_u = p_u_inf - xi_u
         if p_u <= 0.0:
             status = STATUS_FLUCTUATION
-    if status == STATUS_OK:
-        if isfinite(n_pulses):
-            sifted = 0.5 * q * n_pulses
-            n_raw = sifted - m_e
         else:
-            sifted = n_raw = INF
-        if n_raw <= 0.0:
-            status = STATUS_EMPTY_KEY
+            if isfinite(n_pulses):
+                sifted = 0.5 * q * n_pulses
+                n_raw = sifted - m_e
+            else:
+                sifted = n_raw = INF
+            if n_raw <= 0.0:
+                status = STATUS_EMPTY_KEY
     if status == STATUS_OK:
         qu_up = q / p_u
-        if flags[3] == 1:
+        if finite is not None and flags[3] == 1:
             denom = 1.0 - p_u_inf - xi_u
             qu_low = 0.0 if denom <= 0.0 else (q - p_u_inf - xi_u) / denom
         else:
@@ -322,68 +317,36 @@ def rate_no_decoy_finite(m_a, eta, n_pulses, lam, delta, m_e,
             qu_low = 0.0
         q1u = _no_decoy_q1u(m_a, delta, lam_p, qu_low, flags[2])
         if q1u > 0.0:
-            e1u = q * (e + xi_kernel(eps_e, m_e)) / q1u
-        eps_pe = eps_u if eps_u < eps_e else eps_e
-        corr = finite_delta_kernel(n_raw, eps_pe, eps_bar, eps_pa)
-        rate = 0.5 * (q * (-phys[6] * h2_kernel(e) - corr)
-                      + _privacy(q1u, e1u))
-        if flags[5] == 1 and isfinite(sifted):
-            rate *= 1.0 - m_e / sifted
+            e_up = e if finite is None else e + xi_kernel(eps_e, m_e)
+            e1u = q * e_up / q1u
+        rate = 0.5 * (-q * phys[6] * h2_kernel(e) + _privacy(q1u, e1u))
+        if finite is not None:
+            corr = finite_delta_kernel(n_raw, min(eps_u, eps_e), eps_bar, eps_pa)
+            rate -= 0.5 * q * corr
+            if flags[5] == 1 and isfinite(sifted):
+                rate *= 1.0 - m_e / sifted
     return (status, rate, mu, NAN, q, e, NAN, NAN, p_u, NAN, NAN,
             qu_low, qu_up, q1u, e1u, corr, n_raw, sifted)
 
 
-def rate_decoy_infinite(m_a, eta, lam_s, lam_d, delta, phys, flags):
+def rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite=None):
     q_split = phys[8]
     lam_p_s = lam_s * q_split / (1.0 - q_split)
     lam_p_d = lam_d * q_split / (1.0 - q_split)
-    rate = mu_s = mu_d = q_s = e_s = q_d = e_d = p_u = NAN
-    qu_d_low = qu_s_up = q1u = e1u = NAN
-    status = STATUS_OK
-    if lam_d >= lam_s or lam_d <= 0.0:
-        status = STATUS_ORDERING
-    elif (1.0 + delta) * m_a * lam_p_s >= 1.0 or lam_p_s > 1.0:
-        status = STATUS_WINDOW
-    else:
-        y0, e_det, e0 = phys[2], phys[3], phys[4]
-        mu_s = m_a * lam_s * q_split
-        mu_d = m_a * lam_d * q_split
-        q_s, e_s = gain_qber_kernel(mu_s, eta, y0, e_det, e0, flags[0])
-        q_d, e_d = gain_qber_kernel(mu_d, eta, y0, e_det, e0, flags[0])
-        p_u = coverage_kernel(delta, m_a, q_split, flags[1])
-        if p_u <= 0.0:
-            status = STATUS_NO_UNTAGGED
-    if status == STATUS_OK:
-        q_v, e_v = y0, phys[5]
-        p_t = 1.0 - p_u
-        qu_s_up = q_s / p_u
-        qu_d_low = (q_d - p_t) / p_u
-        if qu_d_low < 0.0:
-            qu_d_low = 0.0
-        eq_v_low = (e_v * q_v - p_t) / p_u
-        if eq_v_low < 0.0:
-            eq_v_low = 0.0
-        q1u, e1u, _ = _decoy_q1u_e1u(m_a, delta, lam_p_s, lam_p_d, qu_s_up,
-                                     qu_d_low, q_v / p_u, e_s * q_s / p_u,
-                                     eq_v_low, flags[4])
-        privacy = _privacy(q1u, e1u, p_u)
-        p_signal = 0.5  # random signal/decoy assignment in the asymptotic protocol
-        rate = 0.5 * p_signal * (-q_s * phys[6] * h2_kernel(e_s) + privacy)
-    return (status, rate, mu_s, mu_d, q_s, e_s, q_d, e_d, p_u, p_u, p_u,
-            qu_d_low, qu_s_up, q1u, e1u, 0.0, INF, INF)
-
-
-def rate_decoy_finite(m_a, eta, n_pulses, lam_s, lam_d, delta, m_e, p_s, p_d,
-                      eps_pa, eps_bar, eps_us, eps_ud, eps_uv, eps_es,
-                      phys, flags):
-    q_split = phys[8]
-    lam_p_s = lam_s * q_split / (1.0 - q_split)
-    lam_p_d = lam_d * q_split / (1.0 - q_split)
-    p_v = 1.0 - p_s - p_d
     rate = mu_s = mu_d = q_s = e_s = q_d = e_d = pu_s = pu_d = pu_v = NAN
-    qu_d_low = qu_s_up = q1u = e1u = corr = n_raw = sifted = NAN
+    qu_d_low = qu_s_up = q1u = e1u = NAN
+    if finite is None:
+        p_s = 0.5  # random signal/decoy assignment in the asymptotic protocol
+        corr, n_raw, sifted = 0.0, INF, INF
+        unordered = False
+    else:
+        (n_pulses, m_e, p_s, p_d, eps_pa, eps_bar, eps_us, eps_ud, eps_uv,
+         eps_es) = finite
+        p_v = 1.0 - p_s - p_d
+        corr = n_raw = sifted = NAN
+        unordered = p_v <= 0.0 or p_s <= 0.0 or p_d <= 0.0
     status = STATUS_OK
-    if lam_d >= lam_s or lam_d <= 0.0 or p_v <= 0.0 or p_s <= 0.0 or p_d <= 0.0:
+    if lam_d >= lam_s or lam_d <= 0.0 or unordered:
         status = STATUS_ORDERING
     elif (1.0 + delta) * m_a * lam_p_s >= 1.0 or lam_p_s > 1.0:
         status = STATUS_WINDOW
@@ -393,27 +356,28 @@ def rate_decoy_finite(m_a, eta, n_pulses, lam_s, lam_d, delta, m_e, p_s, p_d,
         mu_d = m_a * lam_d * q_split
         q_s, e_s = gain_qber_kernel(mu_s, eta, y0, e_det, e0, flags[0])
         q_d, e_d = gain_qber_kernel(mu_d, eta, y0, e_det, e0, flags[0])
-        p_u_inf = coverage_kernel(delta, m_a, q_split, flags[1])
+        pu_s = pu_d = pu_v = p_u_inf = coverage_kernel(delta, m_a, q_split,
+                                                        flags[1])
         if p_u_inf <= 0.0:
             status = STATUS_NO_UNTAGGED
-    if status == STATUS_OK:
+    if finite is not None and status == STATUS_OK:
         pu_s = p_u_inf - xi_kernel(eps_us, n_pulses * p_s)
         pu_d = p_u_inf - xi_kernel(eps_ud, n_pulses * p_d)
         pu_v = p_u_inf - xi_kernel(eps_uv, n_pulses * p_v)
         if pu_s <= 0.0 or pu_d <= 0.0 or pu_v <= 0.0:
             status = STATUS_FLUCTUATION
-    if status == STATUS_OK:
-        if isfinite(n_pulses):
-            sifted = 0.5 * n_pulses * p_s * q_s
-            n_raw = sifted - m_e
         else:
-            sifted = n_raw = INF
-        if n_raw <= 0.0:
-            status = STATUS_EMPTY_KEY
+            if isfinite(n_pulses):
+                sifted = 0.5 * n_pulses * p_s * q_s
+                n_raw = sifted - m_e
+            else:
+                sifted = n_raw = INF
+            if n_raw <= 0.0:
+                status = STATUS_EMPTY_KEY
     if status == STATUS_OK:
         q_v, e_v = y0, phys[5]
         qu_s_up = q_s / pu_s
-        if flags[3] == 1:
+        if finite is not None and flags[3] == 1:
             denom = 1.0 - p_u_inf - (p_u_inf - pu_d)
             qu_d_low = (0.0 if denom <= 0.0
                         else (q_d - p_u_inf - (p_u_inf - pu_d)) / denom)
@@ -424,23 +388,26 @@ def rate_decoy_finite(m_a, eta, n_pulses, lam_s, lam_d, delta, m_e, p_s, p_d,
         eq_v_low = (e_v * q_v - (1.0 - pu_v)) / pu_v
         if eq_v_low < 0.0:
             eq_v_low = 0.0
+        e_s_up = e_s if finite is None else e_s + xi_kernel(eps_es, m_e)
         q1u, e1u, _ = _decoy_q1u_e1u(
             m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low, q_v / pu_v,
-            q_s * (e_s + xi_kernel(eps_es, m_e)) / pu_s, eq_v_low, flags[4])
-        privacy = _privacy(q1u, e1u, pu_s)
-        eps_pe = eps_us
-        if eps_ud < eps_pe:
-            eps_pe = eps_ud
-        if eps_uv < eps_pe:
-            eps_pe = eps_uv
-        if eps_es < eps_pe:
-            eps_pe = eps_es
-        corr = finite_delta_kernel(n_raw, eps_pe, eps_bar, eps_pa)
-        rate = 0.5 * p_s * (q_s * (-phys[6] * h2_kernel(e_s) - corr) + privacy)
-        if flags[5] == 1 and isfinite(sifted):
-            rate *= 1.0 - m_e / sifted
+            q_s * e_s_up / pu_s, eq_v_low, flags[4])
+        rate = 0.5 * p_s * (-q_s * phys[6] * h2_kernel(e_s)
+                            + _privacy(q1u, e1u, pu_s))
+        if finite is not None:
+            corr = finite_delta_kernel(n_raw, min(eps_us, eps_ud, eps_uv, eps_es),
+                                       eps_bar, eps_pa)
+            rate -= 0.5 * p_s * q_s * corr
+            if flags[5] == 1 and isfinite(sifted):
+                rate *= 1.0 - m_e / sifted
     return (status, rate, mu_s, mu_d, q_s, e_s, q_d, e_d, pu_s, pu_d, pu_v,
             qu_d_low, qu_s_up, q1u, e1u, corr, n_raw, sifted)
+
+
+# The per-scenario names under which perfbench/tracing.py looks the rate
+# kernels up; nothing in the package calls them.
+rate_no_decoy_infinite = rate_no_decoy_finite = rate_no_decoy
+rate_decoy_infinite = rate_decoy_finite = rate_decoy
 
 
 # --- unconstrained-to-feasible maps (used by the optimizer) --------------------
@@ -484,8 +451,8 @@ def params_no_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
     budget = phys[9] - phys[10]
     w0, w1, w2, w3 = _weight(raw[3]), _weight(raw[4]), _weight(raw[5]), _weight(raw[6])
     tot = w0 + w1 + w2 + w3
-    return (lam, delta, m_e, budget * w0 / tot, budget * w1 / tot,
-            budget * w2 / tot, budget * w3 / tot)
+    return lam, delta, (n_pulses, m_e, budget * w0 / tot, budget * w1 / tot,
+                        budget * w2 / tot, budget * w3 / tot)
 
 
 def params_decoy_infinite(raw, m_a, eta, phys, flags):
@@ -511,52 +478,47 @@ def params_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
     b0, b1, b2 = _weight(raw[7]), _weight(raw[8]), _weight(raw[9])
     b3, b4, b5 = _weight(raw[10]), _weight(raw[11]), _weight(raw[12])
     bt = b0 + b1 + b2 + b3 + b4 + b5
-    return (lam_s, lam_d, delta, m_e, p_s, p_d,
-            budget * b0 / bt, budget * b1 / bt, budget * b2 / bt,
-            budget * b3 / bt, budget * b4 / bt, budget * b5 / bt)
+    return lam_s, lam_d, delta, (n_pulses, m_e, p_s, p_d,
+                                 budget * b0 / bt, budget * b1 / bt,
+                                 budget * b2 / bt, budget * b3 / bt,
+                                 budget * b4 / bt, budget * b5 / bt)
 
 
 # --- objectives: rate at a raw vector, PENALTY (plus a guide) when infeasible ---
 
 def _fluctuation_guide(res):
     # smallest untagged probability, so the search climbs out of status 3
-    guide = res[8]
-    if res[9] < guide:
-        guide = res[9]
-    if res[10] < guide:
-        guide = res[10]
+    guide = min(res[8], res[9], res[10])
     return PENALTY + (guide if guide == guide else -1.0)
 
 
 def objective_no_decoy_infinite(raw, m_a, eta, phys, flags):
-    res = rate_no_decoy_infinite(
+    res = rate_no_decoy(
         m_a, eta, *params_no_decoy_infinite(raw, m_a, eta, phys, flags),
         phys, flags)
     return res[1] if res[0] == STATUS_OK else PENALTY
 
 
 def objective_no_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
-    res = rate_no_decoy_finite(
-        m_a, eta, n_pulses,
-        *params_no_decoy_finite(raw, m_a, eta, n_pulses, phys, flags),
-        phys, flags)
+    lam, delta, finite = params_no_decoy_finite(raw, m_a, eta, n_pulses,
+                                                phys, flags)
+    res = rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite)
     if res[0] == STATUS_OK:
         return res[1]
     return _fluctuation_guide(res) if res[0] == STATUS_FLUCTUATION else PENALTY
 
 
 def objective_decoy_infinite(raw, m_a, eta, phys, flags):
-    res = rate_decoy_infinite(
+    res = rate_decoy(
         m_a, eta, *params_decoy_infinite(raw, m_a, eta, phys, flags),
         phys, flags)
     return res[1] if res[0] == STATUS_OK else PENALTY
 
 
 def objective_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
-    res = rate_decoy_finite(
-        m_a, eta, n_pulses,
-        *params_decoy_finite(raw, m_a, eta, n_pulses, phys, flags),
-        phys, flags)
+    lam_s, lam_d, delta, finite = params_decoy_finite(raw, m_a, eta, n_pulses,
+                                                      phys, flags)
+    res = rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite)
     if res[0] == STATUS_OK:
         return res[1]
     return _fluctuation_guide(res) if res[0] == STATUS_FLUCTUATION else PENALTY
@@ -570,7 +532,7 @@ def grid_no_decoy_infinite(m_a, eta, deltas, us, phys, flags):
     for i, delta in enumerate(deltas):
         cap = lambda_cap_kernel(delta, m_a, phys[8])
         for j, u in enumerate(us):
-            res = rate_no_decoy_infinite(m_a, eta, u * cap, delta, phys, flags)
+            res = rate_no_decoy(m_a, eta, u * cap, delta, phys, flags)
             if res[0] == STATUS_OK and res[1] > best:
                 best = res[1]
                 bi, bj = i, j
@@ -585,8 +547,8 @@ def grid_decoy_infinite(m_a, eta, deltas, us, ratios, phys, flags):
         for j, u in enumerate(us):
             lam_s = u * cap
             for k, ratio in enumerate(ratios):
-                res = rate_decoy_infinite(m_a, eta, lam_s, lam_s * ratio,
-                                          delta, phys, flags)
+                res = rate_decoy(m_a, eta, lam_s, lam_s * ratio, delta,
+                                 phys, flags)
                 if res[0] == STATUS_OK and res[1] > best:
                     best = res[1]
                     bi, bj, bk = i, j, k

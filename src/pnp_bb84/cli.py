@@ -67,11 +67,13 @@ def _require_scenario(config: RunConfig) -> Scenario:
 
 
 def _na_values(config: RunConfig, scenario: Scenario) -> list[float]:
-    if config.na_list:
-        return list(config.na_list)
-    if scenario.finite:
+    if not scenario.finite:
+        return list(config.na_list) or [math.inf]
+    if not config.na_list:
         raise ConfigError("finite scenarios require --na")
-    return [math.inf]
+    if math.inf in config.na_list:
+        raise ConfigError("finite scenarios require finite pulse counts in --na")
+    return list(config.na_list)
 
 
 def _cmd_scan(config: RunConfig) -> int:
@@ -127,6 +129,9 @@ def _cmd_nath(config: RunConfig) -> int:
 
 
 def _cmd_figure(config: RunConfig, figure_id: str) -> int:
+    # every figure solves finite-key scenarios at the given pulse counts
+    if math.inf in config.na_list:
+        raise ConfigError("figures require finite pulse counts in --na")
     na_list = list(config.na_list) if config.na_list else None
     default = RunConfig()
     untouched = (config.lmin_km, config.lmax_km, config.lstep_km) == (

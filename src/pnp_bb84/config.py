@@ -36,9 +36,22 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "."
 
+    def __post_init__(self) -> None:
+        # every check is written so that nan fails it
+        for name in ("lmin_km", "lmax_km", "threshold"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name}={value!r} must be finite and "
+                                  "non-negative")
+        if not 0.0 < self.lstep_km < math.inf:
+            raise ConfigError(f"lstep_km={self.lstep_km!r} must be finite and "
+                              "positive")
+        for value in self.na_list:
+            if not 0.0 < value <= math.inf:
+                raise ConfigError(f"na: pulse count must be positive, got "
+                                  f"{value!r}")
+
     def l_grid(self) -> list[float]:
-        if self.lstep_km <= 0:
-            raise ConfigError("lstep_km must be positive")
         if self.lmax_km < self.lmin_km:
             raise ConfigError("lmax_km must be at least lmin_km")
         n = int(math.floor((self.lmax_km - self.lmin_km) / self.lstep_km + 1e-9))
@@ -62,12 +75,9 @@ def parse_na_list(text: str) -> tuple[float, ...]:
             values.append(math.inf)
             continue
         try:
-            value = float(token)
+            values.append(float(token))
         except ValueError:
             raise ConfigError(f"na: malformed number {token!r}")
-        if value <= 0:
-            raise ConfigError(f"na: pulse count must be positive, got {token!r}")
-        values.append(value)
     return tuple(values)
 
 

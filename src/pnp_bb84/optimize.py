@@ -96,8 +96,9 @@ def point_from_raw(problem: OptimizationProblem, raw: np.ndarray) -> ProtocolPoi
         return ProtocolPoint(scenario=sc, distance_km=problem.distance_km,
                              lam=lam, delta=delta)
     if sc is Scenario.NO_DECOY_FINITE:
-        lam, delta, m_e, e_pa, e_bar, e_u, e_e = _kernels.params_no_decoy_finite(
+        lam, delta, finite = _kernels.params_no_decoy_finite(
             z, m_a, eta, problem.n_pulses, arr, flags)
+        _, m_e, e_pa, e_bar, e_u, e_e = finite
         budget = ErrorBudget(eps_pa=e_pa, eps_bar=e_bar, eps_u=e_u, eps_e=e_e)
         return ProtocolPoint(scenario=sc, distance_km=problem.distance_km,
                              n_pulses=problem.n_pulses, lam=lam, delta=delta,
@@ -107,9 +108,9 @@ def point_from_raw(problem: OptimizationProblem, raw: np.ndarray) -> ProtocolPoi
             z, m_a, eta, arr, flags)
         return ProtocolPoint(scenario=sc, distance_km=problem.distance_km,
                              lam_s=lam_s, lam_d=lam_d, delta=delta)
-    (lam_s, lam_d, delta, m_e, p_s, p_d,
-     e_pa, e_bar, e_us, e_ud, e_uv, e_es) = _kernels.params_decoy_finite(
+    lam_s, lam_d, delta, finite = _kernels.params_decoy_finite(
         z, m_a, eta, problem.n_pulses, arr, flags)
+    _, m_e, p_s, p_d, e_pa, e_bar, e_us, e_ud, e_uv, e_es = finite
     budget = ErrorBudget(eps_pa=e_pa, eps_bar=e_bar, eps_u_s=e_us,
                          eps_u_d=e_ud, eps_u_v=e_uv, eps_e_s=e_es)
     return ProtocolPoint(scenario=sc, distance_km=problem.distance_km,

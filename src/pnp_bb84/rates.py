@@ -133,8 +133,9 @@ class ProtocolPoint:
         if not 0.0 <= self.distance_km < math.inf:
             raise ValueError(f"distance_km={self.distance_km!r} must be finite "
                              "and non-negative")
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError(f"delta={self.delta!r} must be finite and positive")
+        # the window's lower edge (1 - delta) m_a must stay positive
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta={self.delta!r} must lie strictly in (0, 1)")
         if self.scenario.uses_decoy:
             if self.lam_s is None or self.lam_d is None:
                 raise ValueError("decoy scenarios require lam_s and lam_d")
@@ -275,21 +276,17 @@ def _run_kernel(point: ProtocolPoint, phys: PhysicalParams,
     m_a, eta = _kernels.channel_at(point.distance_km, arr)
     sc = point.scenario
     b = point.budget
-    if sc is Scenario.NO_DECOY_INFINITE:
-        res = _kernels.rate_no_decoy_infinite(m_a, eta, point.lam, point.delta,
-                                              arr, flags)
-    elif sc is Scenario.NO_DECOY_FINITE:
-        res = _kernels.rate_no_decoy_finite(
-            m_a, eta, n_pulses, point.lam, point.delta, m_e,
-            b.eps_pa, b.eps_bar, b.eps_u, b.eps_e, arr, flags)
-    elif sc is Scenario.DECOY_INFINITE:
-        res = _kernels.rate_decoy_infinite(m_a, eta, point.lam_s, point.lam_d,
-                                           point.delta, arr, flags)
+    if sc.uses_decoy:
+        finite = None if not sc.finite else (
+            n_pulses, m_e, point.p_s, point.p_d, b.eps_pa, b.eps_bar,
+            b.eps_u_s, b.eps_u_d, b.eps_u_v, b.eps_e_s)
+        res = _kernels.rate_decoy(m_a, eta, point.lam_s, point.lam_d,
+                                  point.delta, arr, flags, finite)
     else:
-        res = _kernels.rate_decoy_finite(
-            m_a, eta, n_pulses, point.lam_s, point.lam_d, point.delta, m_e,
-            point.p_s, point.p_d, b.eps_pa, b.eps_bar, b.eps_u_s, b.eps_u_d,
-            b.eps_u_v, b.eps_e_s, arr, flags)
+        finite = None if not sc.finite else (
+            n_pulses, m_e, b.eps_pa, b.eps_bar, b.eps_u, b.eps_e)
+        res = _kernels.rate_no_decoy(m_a, eta, point.lam, point.delta, arr,
+                                     flags, finite)
     if res[0] != _kernels.STATUS_OK:
         exc, message = _STATUS_ERRORS[res[0]]
         raise exc(message)

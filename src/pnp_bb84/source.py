@@ -38,14 +38,17 @@ class SourceConfig:
     lam: float
 
     def __post_init__(self) -> None:
-        if self.m_bright <= 0:
-            raise ValueError("m_bright must be positive")
+        # every check is written so that nan fails it
+        if not 0.0 < self.m_bright < math.inf:
+            raise ValueError("m_bright must be finite and positive")
         if not 0 < self.q_split < 1:
             raise ValueError("q_split must lie strictly in (0, 1)")
-        if self.loss_coeff < 0 or self.distance_km < 0:
-            raise ValueError("loss_coeff and distance_km must be non-negative")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        if not (0.0 <= self.loss_coeff < math.inf
+                and 0.0 <= self.distance_km < math.inf):
+            raise ValueError("loss_coeff and distance_km must be finite and "
+                             "non-negative")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError("delta must be finite and non-negative")
         if not 0 <= self.lam <= 1:
             raise ValueError("lam must lie in [0, 1]")
         if self.lambda_prime > 1:

@@ -49,6 +49,12 @@ class TestParseConfig:
         assert config.na_list == (5e10, 1e11, math.inf)
         assert config.scenario is Scenario.DECOY_FINITE
 
+    @pytest.mark.parametrize("line", ["threshold = nan", "lstep_km = inf",
+                                      "lmin_km = nan", "na = nan"])
+    def test_non_finite_run_value_rejected(self, line):
+        with pytest.raises(ConfigError, match="must be"):
+            parse_config(line + "\n")
+
     def test_convention_toggles(self):
         config = parse_config("decoy_estimator = strict\n"
                               "sifting_factor = half\n")
@@ -126,3 +132,19 @@ class TestCliCommands:
                    "--lmax-km", "2", "--lstep", "2", "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == "error: no feasible point found\n"
+
+    @pytest.mark.parametrize("args", [
+        ["lmax", "--scenario", "no_decoy_infinite", "--threshold", "nan"],
+        ["scan", "--scenario", "no_decoy_infinite", "--lstep", "nan"],
+        ["scan", "--scenario", "no_decoy_infinite", "--lmin", "nan"],
+        ["scan", "--scenario", "no_decoy_finite", "--na", "nan"],
+        ["scan", "--scenario", "no_decoy_finite", "--na", "inf"],
+        ["figure", "fig2", "--na", "inf"],
+    ], ids=["threshold-nan", "lstep-nan", "lmin-nan", "na-nan", "na-inf",
+            "figure-na-inf"])
+    def test_non_finite_flag_is_a_one_line_error(self, tmp_path, capsys, args):
+        rc = main(args + ["--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))

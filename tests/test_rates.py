@@ -1,7 +1,7 @@
 """Rate evaluators: bound arithmetic, finite-key corrections, invariants."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -146,14 +146,14 @@ class TestFiniteLimits:
         fin = nd_fin_point()
         inf_bd = evaluate_rate(nd_inf_point(), PHYS, CONV)
         lim_bd = evaluate_rate_finite_limit(fin, PHYS, CONV)
-        assert lim_bd.rate == pytest.approx(inf_bd.rate, rel=1e-12)
+        assert asdict(lim_bd) == asdict(inf_bd)
 
     def test_forced_zero_limit_decoy(self):
         # infinite evaluator fixes the signal probability at 1/2
         fin = decoy_fin_point(p_s=0.5, p_d=0.45)
         inf_bd = evaluate_rate(decoy_inf_point(lam_d=1.0e-4), PHYS, CONV)
         lim_bd = evaluate_rate_finite_limit(fin, PHYS, CONV)
-        assert lim_bd.rate == pytest.approx(inf_bd.rate, rel=1e-12)
+        assert asdict(lim_bd) == asdict(inf_bd)
 
     def test_large_pulse_count_convergence(self):
         # 1/sqrt(n) corrections leave ~1e-5 residue at 1e18 pulses
@@ -334,6 +334,16 @@ class TestNonFiniteInputsRejected:
         # this point used to evaluate to -3.51e-4 with status ok
         with pytest.raises(ValueError, match="delta"):
             evaluate_rate(nd_inf_point(delta=math.nan), PHYS, CONV)
+
+    @pytest.mark.parametrize("delta", [1.0, 1.5])
+    def test_delta_of_one_or_more(self, delta):
+        # delta=1.5 used to evaluate to -2.33e-5 with status ok, although the
+        # window's lower edge (1 - delta) m_a is negative
+        point = nd_inf_point(delta=delta)
+        with pytest.raises(ValueError, match="delta"):
+            point.validate(PHYS)
+        with pytest.raises(ValueError, match="delta"):
+            evaluate_rate(point, PHYS, CONV)
 
 
 def _h2(x):

@@ -42,6 +42,13 @@ class TestSourceConfig:
         with pytest.raises(ValueError):
             cfg(delta=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["m_bright", "q_split", "loss",
+                                       "dist", "delta", "lam"])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            cfg(**{field: value})
+
     def test_window_flag(self):
         tight = cfg(lam=1e-7)
         assert tight.window_valid
