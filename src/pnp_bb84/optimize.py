@@ -6,11 +6,34 @@ class probabilities and the error-budget split), so every point the search
 visits is feasible by construction.  The local method is Nelder-Mead from
 multiple deterministic starts: a low-discrepancy batch, a physics-informed
 heuristic, and any caller-provided warm starts.
+
+`_nelder_mead` is a port of scipy 1.17's ``_minimize_neldermead`` with the
+options used here (standard coefficients, initial steps of 5% or 0.00025,
+``xatol=1e-6``, ``fatol=1e-11``, ``maxfev`` given), run on lists of Python
+floats so that no step pays for numpy calls on arrays of 2-13 elements.  It
+does scipy's float operations in scipy's order, so evaluation counts, optima
+and CSV bytes are those of scipy's ``minimize``:
+
+- the centroid adds the sorted vertices 0..n-1 one after another, then
+  divides by n, as numpy's axis-0 reduce does;
+- reflection, expansion and the two contractions are ``2*xbar - w``,
+  ``3*xbar - 2*w``, ``1.5*xbar - 0.5*w`` and ``0.5*xbar + 0.5*w``;
+- an evaluation refused at the budget leaves the simplex as scipy's does,
+  and a shrink writes each vertex before its evaluation is refused;
+- when the values tie or include a nan the vertex order comes from
+  ``np.argsort``, whose tie-breaking depends on numpy's SIMD sort for the
+  CPU; otherwise the order is unique and the new vertex is inserted by
+  bisection;
+- a nan value means not converged, and makes the reported minimum nan.
+
+`tests/test_nelder_mead.py` holds the port to scipy's results.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -211,7 +234,10 @@ def _sobol_starts(dim: int, n: int, seed: int) -> np.ndarray:
     return (pts - 0.5) * (2.0 * _START_SPAN)
 
 
-def _objective_fn(problem: OptimizationProblem) -> Callable[[np.ndarray], float]:
+def _objective_fn(problem: OptimizationProblem
+                  ) -> Callable[[list[float]], float]:
+    # the kernel is looked up per call of this function, not at import, so a
+    # profiler that replaces the `_kernels` attribute sees every evaluation
     arr = problem.phys.to_array()
     flags = problem.conventions.to_flags()
     m_a, eta = _kernels.channel_at(problem.distance_km, arr)
@@ -219,18 +245,155 @@ def _objective_fn(problem: OptimizationProblem) -> Callable[[np.ndarray], float]
     n_pulses = problem.n_pulses
     if sc is Scenario.NO_DECOY_INFINITE:
         kern = _kernels.objective_no_decoy_infinite
-        return lambda raw: kern(raw.tolist(), m_a, eta, arr, flags)
+        return lambda z: kern(z, m_a, eta, arr, flags)
     if sc is Scenario.NO_DECOY_FINITE:
         kern = _kernels.objective_no_decoy_finite
-        return lambda raw: kern(raw.tolist(), m_a, eta, n_pulses, arr, flags)
+        return lambda z: kern(z, m_a, eta, n_pulses, arr, flags)
     if sc is Scenario.DECOY_INFINITE:
         kern = _kernels.objective_decoy_infinite
-        return lambda raw: kern(raw.tolist(), m_a, eta, arr, flags)
+        return lambda z: kern(z, m_a, eta, arr, flags)
     kern = _kernels.objective_decoy_finite
-    return lambda raw: kern(raw.tolist(), m_a, eta, n_pulses, arr, flags)
+    return lambda z: kern(z, m_a, eta, n_pulses, arr, flags)
 
 
-def _delta_of_raw(raw: np.ndarray) -> float:
+# --- Nelder-Mead ----------------------------------------------------------------
+
+_XATOL = 1e-6
+_FATOL = 1e-11
+
+
+class _BudgetSpent(Exception):
+    """An evaluation was refused: the budget of `_nelder_mead` is used up."""
+
+
+def _argsorted(sim: list, fsim: list) -> tuple[list, list, bool]:
+    """Reorder the simplex by ``np.argsort`` of its values, as scipy does.
+
+    Also reports whether the values tie or include a nan; only then can the
+    order differ from the one any other sort would give.
+    """
+    order = np.argsort(fsim).tolist()
+    fsim = [fsim[i] for i in order]
+    tied = fsim[-1] != fsim[-1] or any(a == b for a, b in zip(fsim, fsim[1:]))
+    return [sim[i] for i in order], fsim, tied
+
+
+@functools.cache
+def _centroid_fn(n: int) -> Callable[[list[list[float]]], list[float]]:
+    """Centroid of the first ``n`` vertices, summed in numpy's axis-0 order.
+
+    Each coordinate's sum is written out as ``c0 + c1 + ...``, which Python
+    adds left to right, vertex after vertex, as numpy does, in a fraction of
+    the time a loop over the vertices takes.
+    """
+    names = [f"c{i}" for i in range(n)]
+    return eval(f"lambda sim: [({' + '.join(names)}) / {n} "
+                f"for {', '.join(names)}, in zip(*sim[:{n}])]", {})
+
+
+def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
+                 maxfev: int) -> tuple[list[float], float, int, bool]:
+    """Minimize ``f`` from ``x0`` with at most ``maxfev`` evaluations.
+
+    Returns ``(x, fun, nfev, success)``, where ``success`` means the simplex
+    met ``_XATOL``/``_FATOL`` before the budget ran out.  ``f`` receives a
+    list it must not modify.  The steps are those of scipy's
+    ``minimize(method="Nelder-Mead")`` with ``maxfev`` and the two
+    tolerances set, float for float (see the module docstring).
+    """
+    n = len(x0)
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return f(x)
+
+    x0 = [float(v) for v in x0]
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    # scipy sorts twice before the first step; with ties the second sort
+    # may permute the first one's order
+    sim, fsim, tied = _argsorted(sim, fsim)
+    sim, fsim, tied = _argsorted(sim, fsim)
+
+    centroid = _centroid_fn(n)
+    while nfev < maxfev:
+        best, fbest = sim[0], fsim[0]
+        # fsim is sorted, so its largest distance from fbest is the last
+        # value's (nan, sorted last, fails both tests as in scipy)
+        if (fsim[-1] - fbest <= _FATOL
+                and all(abs(a - b) <= _XATOL
+                        for x in sim[1:] for a, b in zip(x, best))):
+            break
+        new = None
+        shrunk = False
+        try:
+            xbar = centroid(sim)
+            worst = sim[-1]
+            xr = [2.0 * a - b for a, b in zip(xbar, worst)]
+            fxr = call(xr)
+            if fxr < fbest:
+                xe = [3.0 * a - 2.0 * b for a, b in zip(xbar, worst)]
+                fxe = call(xe)
+                new = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                new = (xr, fxr)
+            else:
+                if fxr < fsim[-1]:
+                    xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
+                    fxc = call(xc)
+                    if fxc <= fxr:
+                        new = (xc, fxc)
+                else:
+                    xcc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
+                    fxcc = call(xcc)
+                    if fxcc < fsim[-1]:
+                        new = (xcc, fxcc)
+                if new is None:
+                    shrunk = True
+                    for j in range(1, n + 1):
+                        # the vertex is written before its evaluation,
+                        # which the budget may refuse
+                        sim[j] = [a + 0.5 * (b - a)
+                                  for a, b in zip(best, sim[j])]
+                        fsim[j] = call(sim[j])
+        except _BudgetSpent:
+            pass
+        if shrunk or tied:
+            if new is not None:
+                sim[-1], fsim[-1] = new
+            sim, fsim, tied = _argsorted(sim, fsim)
+        elif new is not None:
+            x, fx = new
+            sim.pop()
+            fsim.pop()
+            pos = bisect_left(fsim, fx)
+            if fx != fx or (pos < n and fsim[pos] == fx):
+                sim.append(x)
+                fsim.append(fx)
+                sim, fsim, tied = _argsorted(sim, fsim)
+            else:
+                sim.insert(pos, x)
+                fsim.insert(pos, fx)
+
+    # a nan value sorts last, and makes the minimum nan as in np.min
+    fun = fsim[0] if fsim[-1] == fsim[-1] else math.nan
+    return sim[0], fun, nfev, nfev < maxfev
+
+
+def _delta_of_raw(raw: Sequence[float]) -> float:
     return _kernels.logrange_kernel(raw[0], *_kernels.DELTA_LOG)
 
 
@@ -242,10 +405,10 @@ def maximize(problem: OptimizationProblem,
     Deterministic for a fixed problem seed.  Ties in the achieved value are
     broken toward the smaller untagged-window width.
     """
-    # imported here: scipy.optimize alone takes longer to load than the package
-    from scipy.optimize import minimize
-
-    fn = objective if objective is not None else _objective_fn(problem)
+    if objective is None:
+        fn = _objective_fn(problem)
+    else:
+        fn = lambda z: objective(np.array(z))
     dim = problem.dim
     maxfev = problem.max_evals_per_start or 600 * dim
     starts: list[np.ndarray] = [np.zeros(dim), _heuristic_raw(problem)]
@@ -255,31 +418,29 @@ def maximize(problem: OptimizationProblem,
     if n_sobol:
         starts.extend(_sobol_starts(dim, n_sobol, problem.seed))
 
-    neg = lambda raw: -fn(raw)
+    neg = lambda z: -fn(z)
     best_val = -math.inf
     best_raw = starts[0]
     best_delta = math.inf
     evaluations = 0
     for x0 in starts:
-        res = minimize(neg, x0, method="Nelder-Mead",
-                       options=dict(maxfev=maxfev, xatol=1e-6, fatol=1e-11))
-        evaluations += res.nfev
-        val = -res.fun
-        d = _delta_of_raw(res.x)
+        x, fun, nfev, _ = _nelder_mead(neg, x0, maxfev)
+        evaluations += nfev
+        val = -fun
+        d = _delta_of_raw(x)
         if val > best_val + _RATE_TIE_TOL or (
                 abs(val - best_val) <= _RATE_TIE_TOL and d < best_delta):
-            best_val, best_raw, best_delta = val, res.x, d
+            best_val, best_raw, best_delta = val, x, d
 
-    polish = minimize(neg, best_raw, method="Nelder-Mead",
-                      options=dict(maxfev=2 * maxfev, xatol=1e-6, fatol=1e-11))
-    evaluations += polish.nfev
-    converged = bool(polish.success)
-    if -polish.fun > best_val:
-        best_val, best_raw = -polish.fun, polish.x
+    x, fun, nfev, converged = _nelder_mead(neg, best_raw, 2 * maxfev)
+    evaluations += nfev
+    if -fun > best_val:
+        best_val, best_raw = -fun, x
+    best_raw = np.asarray(best_raw, dtype=np.float64)
 
     if objective is not None:
         return OptimizationResult(best_rate=best_val, best_point=None,
-                                  breakdown=None, best_raw=np.asarray(best_raw),
+                                  breakdown=None, best_raw=best_raw,
                                   evaluations=evaluations, converged=converged)
 
     if best_val <= _kernels.PENALTY + 1.0:
@@ -287,12 +448,12 @@ def maximize(problem: OptimizationProblem,
             f"no feasible point found for {problem.scenario.value} at "
             f"L={problem.distance_km} km, n_pulses={problem.n_pulses}")
 
-    point = point_from_raw(problem, np.asarray(best_raw))
+    point = point_from_raw(problem, best_raw)
     if problem.scenario.finite:
         point = _round_sample_count(problem, point)
     breakdown = evaluate_rate(point, problem.phys, problem.conventions)
     return OptimizationResult(best_rate=breakdown.rate, best_point=point,
-                              breakdown=breakdown, best_raw=np.asarray(best_raw),
+                              breakdown=breakdown, best_raw=best_raw,
                               evaluations=evaluations, converged=converged)
 
 

@@ -19,6 +19,13 @@ _NA_LOG_RESOLUTION = 0.05
 _MONOTONE_SLACK = 1.02       # optimizer noise allowed before flagging non-monotone
 
 
+def _check_threshold(rate_threshold: float) -> None:
+    # written so that nan fails it
+    if not 0.0 <= rate_threshold < math.inf:
+        raise ValueError(f"rate_threshold={rate_threshold!r} must be finite "
+                         "and non-negative")
+
+
 class NonMonotoneRateError(RuntimeError):
     """The optimized rate increased with distance beyond optimizer noise."""
 
@@ -98,6 +105,8 @@ def scan_distance(scenario: Scenario, n_pulses: float,
     grid = list(l_grid)
     if not grid:
         raise ValueError("l_grid must be non-empty")
+    if not all(0.0 <= dist < math.inf for dist in grid):
+        raise ValueError("l_grid values must be finite and non-negative")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("l_grid must be strictly increasing")
     chain = _WarmChain()
@@ -124,6 +133,11 @@ def solve_lmax_profile(rate_at: Callable[[float], float],
     Assumes a non-increasing profile (verified on the coarse bracketing grid
     up to optimizer noise) and refines by bisection to ``resolution`` km.
     """
+    _check_threshold(rate_threshold)
+    for name, value in (("l_cap", l_cap), ("coarse_step", coarse_step),
+                        ("resolution", resolution)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name}={value!r} must be finite and positive")
     r0 = rate_at(0.0)
     if r0 <= rate_threshold:
         return 0.0
@@ -183,6 +197,7 @@ def find_na_threshold(scenario: Scenario,
     """
     if not scenario.finite:
         raise ValueError("pulse-count threshold applies to finite scenarios only")
+    _check_threshold(rate_threshold)
     lo_log, hi_log = _NA_LOG_RANGE
     chain = _WarmChain()
 

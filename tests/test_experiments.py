@@ -33,6 +33,38 @@ class TestLmaxProfileSolver:
         with pytest.raises(NonMonotoneRateError):
             solve_lmax_profile(bumpy, 1e-9)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(rate_threshold=math.nan), dict(rate_threshold=math.inf),
+        dict(rate_threshold=-1e-9),
+        dict(l_cap=math.nan), dict(l_cap=math.inf), dict(l_cap=0.0),
+        dict(coarse_step=math.nan), dict(coarse_step=-10.0),
+        dict(resolution=math.nan), dict(resolution=0.0),
+    ])
+    def test_bad_arguments_rejected_before_any_rate(self, kwargs):
+        calls = []
+
+        def rate_at(dist):
+            calls.append(dist)
+            return 1e-3 * 10 ** (-dist / 10)
+
+        args = dict(rate_threshold=1e-9) | kwargs
+        with pytest.raises(ValueError):
+            solve_lmax_profile(rate_at, **args)
+        assert calls == []
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1e-9, math.inf])
+def test_solvers_reject_threshold_before_optimizing(monkeypatch, threshold):
+    from pnp_bb84 import find_lmax, find_na_threshold, scans
+
+    calls = []
+    monkeypatch.setattr(scans, "maximize", lambda problem: calls.append(problem))
+    with pytest.raises(ValueError, match="rate_threshold"):
+        find_lmax(Scenario.DECOY_INFINITE, math.inf, rate_threshold=threshold)
+    with pytest.raises(ValueError, match="rate_threshold"):
+        find_na_threshold(Scenario.NO_DECOY_FINITE, rate_threshold=threshold)
+    assert calls == []
+
 
 class TestScanDistance:
     def test_rates_decrease_with_distance(self):
@@ -80,6 +112,20 @@ class TestScanDistance:
         with pytest.raises(ValueError):
             scan_distance(Scenario.NO_DECOY_INFINITE, math.inf, [5.0, 5.0],
                           PHYS, CONV)
+
+    @pytest.mark.parametrize("grid", [[0.0, 10.0, math.nan],
+                                      [0.0, 10.0, math.inf], [-1.0, 10.0]])
+    def test_bad_grid_value_rejected_before_optimizing(self, monkeypatch,
+                                                       grid):
+        from pnp_bb84 import scans
+
+        calls = []
+        monkeypatch.setattr(scans, "maximize",
+                            lambda problem: calls.append(problem))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            scan_distance(Scenario.NO_DECOY_INFINITE, math.inf, grid, PHYS,
+                          CONV)
+        assert calls == []
 
 
 class TestCsvEmission:

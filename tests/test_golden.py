@@ -101,6 +101,20 @@ def test_maximize_matches_golden(scenario, distance, evaluations, best_rate):
     assert math.isclose(result.best_rate, best_rate, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("scenario,distance,evaluations,best_rate", [
+    (Scenario.NO_DECOY_FINITE, 20.0, 4529, 1.8973217920242708e-06),
+    (Scenario.DECOY_FINITE, 60.0, 8259, 4.169130387683537e-06),
+])
+def test_maximize_finite_matches_golden(scenario, distance, evaluations,
+                                        best_rate):
+    # a short budget keeps these fast; the counts pin every simplex step
+    result = maximize(OptimizationProblem(
+        scenario=scenario, distance_km=distance, n_pulses=5e10, seed=0,
+        n_starts=4, max_evals_per_start=1500))
+    assert result.evaluations == evaluations
+    assert math.isclose(result.best_rate, best_rate, rel_tol=1e-12)
+
+
 def test_shared_envelope_terms_match_photon_kernels():
     # the decoy estimator's envelopes share their log-gamma terms; the
     # general photon kernels stay the reference and must agree bit for bit

@@ -1,0 +1,123 @@
+"""The in-package Nelder-Mead must take scipy's steps exactly.
+
+`optimize._nelder_mead` is a port of scipy's Nelder-Mead with the options
+`maximize` uses.  Each case runs both on the same objective and requires the
+same final vertex, value, evaluation count and success flag, compared with
+``==``: a single reordered float operation or a different vertex order after
+a tie shows up as a mismatch.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from scipy.optimize import minimize
+
+from pnp_bb84 import OptimizationProblem, Scenario
+from pnp_bb84.optimize import _nelder_mead, _objective_fn
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_matches_scipy(f, x0, maxfev):
+    with warnings.catch_warnings():
+        # inf - inf in scipy's convergence test when the budget is tiny
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = minimize(f, np.array(x0, dtype=float), method="Nelder-Mead",
+                        options=dict(maxfev=maxfev, xatol=1e-6, fatol=1e-11))
+    x, fun, nfev, success = _nelder_mead(lambda z: f(np.array(z)), x0, maxfev)
+    assert x == want.x.tolist()
+    assert _same(fun, float(want.fun))
+    assert nfev == want.nfev
+    assert success == want.success
+    return success
+
+
+def quadratic(n, seed):
+    rng = np.random.default_rng(seed)
+    centre = rng.normal(size=n)
+    scale = rng.uniform(0.5, 4.0, size=n)
+    return lambda x: float(np.sum(scale * (x - centre) ** 2))
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 13])
+def test_quadratic_from_random_starts(n):
+    rng = np.random.default_rng(n)
+    for seed in range(4):
+        x0 = rng.normal(scale=2.0, size=n).tolist()
+        assert_matches_scipy(quadratic(n, seed), x0, 600 * n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 13])
+def test_rosenbrock_runs_out_of_budget(n):
+    assert not assert_matches_scipy(rosenbrock, [-1.2] * n, 100)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 13])
+def test_start_with_zero_coordinates(n):
+    # a zero coordinate is stepped by 0.00025 instead of 5%
+    x0 = [0.0 if k % 2 else 0.7 for k in range(n)]
+    assert_matches_scipy(quadratic(n, 11), x0, 600 * n)
+    assert_matches_scipy(quadratic(n, 12), [0.0] * n, 600 * n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 13])
+def test_plateau_objective_with_tied_values(n):
+    # floored to a grid, so vertices share values and the order after each
+    # step comes from the tie-breaking of the sort
+    q = quadratic(n, 21)
+    floored = lambda x: math.floor(q(x) * 4.0) / 4.0
+    flat_axis = lambda x: q(np.concatenate([x[:1], np.clip(x[1:], -0.2, 0.2)]))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x0 = rng.normal(scale=2.0, size=n).tolist()
+        assert_matches_scipy(floored, x0, 600 * n)
+        assert_matches_scipy(flat_axis, x0, 600 * n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 13])
+def test_objective_with_a_nan_region(n):
+    q = quadratic(n, 31)
+    holed = lambda x: math.nan if x[0] > 0.6 else q(x)
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        x0 = rng.normal(scale=1.0, size=n).tolist()
+        x0[0] = -abs(x0[0])
+        assert_matches_scipy(holed, x0, 600 * n)
+    # a start inside the region: nan vertices from the first step
+    assert_matches_scipy(holed, [1.0] * n, 200)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 13])
+def test_every_budget_up_to_sixty(n):
+    # the budget runs out in the initial simplex, in a reflection,
+    # expansion or contraction, and part-way through a shrink
+    q = quadratic(n, 41)
+    floored = lambda x: math.floor(q(x) * 2.0) / 2.0
+    for maxfev in range(n + 1, 61):
+        assert_matches_scipy(q, [1.5] * n, maxfev)
+        assert_matches_scipy(floored, [1.5] * n, maxfev)
+        assert_matches_scipy(rosenbrock, [-1.2] * n, maxfev)
+
+
+@pytest.mark.parametrize("scenario,n_pulses", [
+    (Scenario.NO_DECOY_INFINITE, math.inf),
+    (Scenario.DECOY_FINITE, 5e10),
+])
+def test_rate_objective_with_penalty_plateaus(scenario, n_pulses):
+    # infeasible raw vectors all score the same penalty
+    problem = OptimizationProblem(scenario=scenario, distance_km=60.0,
+                                  n_pulses=n_pulses)
+    rate = _objective_fn(problem)
+    neg = lambda x: -rate(x.tolist())
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        x0 = rng.uniform(-3.0, 3.0, size=problem.dim).tolist()
+        assert_matches_scipy(neg, x0, 300 * problem.dim)
