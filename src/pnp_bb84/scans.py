@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .optimize import OptimizationProblem, OptimizationResult, maximize
+from .optimize import (DEFAULT_N_STARTS, OptimizationProblem,
+                       OptimizationResult, maximize)
 from .params import BoundConventions, PhysicalParams, Scenario
 from .rates import ProtocolPoint, RateBreakdown
 
@@ -96,7 +97,8 @@ def scan_distance(scenario: Scenario, n_pulses: float,
                   l_grid: Sequence[float],
                   phys: PhysicalParams = PhysicalParams(),
                   conventions: BoundConventions = BoundConventions(),
-                  seed: int = 0, n_starts: int = 16) -> list[ScanRecord]:
+                  seed: int = 0, n_starts: int = DEFAULT_N_STARTS
+                  ) -> list[ScanRecord]:
     """Optimize the rate at every grid distance, warm-starting along the scan.
 
     Records with non-positive rate are flagged ``no_key`` but still emitted so
@@ -170,7 +172,7 @@ def find_lmax(scenario: Scenario, n_pulses: float,
               rate_threshold: float = DEFAULT_THRESHOLD,
               phys: PhysicalParams = PhysicalParams(),
               conventions: BoundConventions = BoundConventions(),
-              seed: int = 0, n_starts: int = 16,
+              seed: int = 0, n_starts: int = DEFAULT_N_STARTS,
               l_cap: float = _L_CAP_KM) -> float:
     """Maximal secure distance at the given positivity threshold, in km."""
     chain = _WarmChain()
@@ -188,7 +190,7 @@ def find_na_threshold(scenario: Scenario,
                       rate_threshold: float = DEFAULT_THRESHOLD,
                       phys: PhysicalParams = PhysicalParams(),
                       conventions: BoundConventions = BoundConventions(),
-                      seed: int = 0, n_starts: int = 16) -> float:
+                      seed: int = 0, n_starts: int = DEFAULT_N_STARTS) -> float:
     """Smallest pulse count with a positive maximal secure distance.
 
     Since the optimized rate is non-increasing in distance, a positive
@@ -240,7 +242,7 @@ def _default_l_grid(scenario: Scenario) -> list[float]:
 def figure_datasets(figure_id: str, out_dir,
                     phys: PhysicalParams = PhysicalParams(),
                     conventions: BoundConventions = BoundConventions(),
-                    seed: int = 0, n_starts: int = 16,
+                    seed: int = 0, n_starts: int = DEFAULT_N_STARTS,
                     l_grid: Optional[Sequence[float]] = None,
                     na_list: Optional[Sequence[float]] = None,
                     threshold: float = DEFAULT_THRESHOLD) -> dict[str, str]:

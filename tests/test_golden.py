@@ -90,10 +90,13 @@ def test_breakdown_matches_golden(name):
             assert math.isclose(got[field], value, rel_tol=1e-12), field
 
 
+# The four maximize pins were recorded with the absolute initial simplex step,
+# the default budget of 4 starts of 2000 evaluations and the repeated polish.
+# The test ids name the scenario only, so a re-pin keeps them.
 @pytest.mark.parametrize("scenario,distance,evaluations,best_rate", [
-    (Scenario.NO_DECOY_INFINITE, 20.0, 2189, 1.7998151267405228e-05),
-    (Scenario.DECOY_INFINITE, 60.0, 3744, 4.781475758039142e-05),
-])
+    (Scenario.NO_DECOY_INFINITE, 20.0, 535, 1.799815007963616e-05),
+    (Scenario.DECOY_INFINITE, 60.0, 787, 4.781475758071307e-05),
+], ids=["no_decoy_infinite", "decoy_infinite"])
 def test_maximize_matches_golden(scenario, distance, evaluations, best_rate):
     result = maximize(OptimizationProblem(scenario=scenario,
                                           distance_km=distance, seed=0))
@@ -102,15 +105,14 @@ def test_maximize_matches_golden(scenario, distance, evaluations, best_rate):
 
 
 @pytest.mark.parametrize("scenario,distance,evaluations,best_rate", [
-    (Scenario.NO_DECOY_FINITE, 20.0, 4529, 1.8973217920242708e-06),
-    (Scenario.DECOY_FINITE, 60.0, 8259, 4.169130387683537e-06),
-])
+    (Scenario.NO_DECOY_FINITE, 20.0, 5029, 1.9493524711330676e-06),
+    (Scenario.DECOY_FINITE, 60.0, 10106, 4.231356701679911e-06),
+], ids=["no_decoy_finite", "decoy_finite"])
 def test_maximize_finite_matches_golden(scenario, distance, evaluations,
                                         best_rate):
-    # a short budget keeps these fast; the counts pin every simplex step
+    # the counts pin every simplex step
     result = maximize(OptimizationProblem(
-        scenario=scenario, distance_km=distance, n_pulses=5e10, seed=0,
-        n_starts=4, max_evals_per_start=1500))
+        scenario=scenario, distance_km=distance, n_pulses=5e10, seed=0))
     assert result.evaluations == evaluations
     assert math.isclose(result.best_rate, best_rate, rel_tol=1e-12)
 

@@ -1,10 +1,11 @@
 """The in-package Nelder-Mead must take scipy's steps exactly.
 
 `optimize._nelder_mead` is a port of scipy's Nelder-Mead with the options
-`maximize` uses.  Each case runs both on the same objective and requires the
-same final vertex, value, evaluation count and success flag, compared with
-``==``: a single reordered float operation or a different vertex order after
-a tie shows up as a mismatch.
+`maximize` uses.  Each case runs both on the same objective, scipy with an
+``initial_simplex`` built by the port's ``x0[k] + step`` arithmetic, and
+requires the same final vertex, value, evaluation count and success flag,
+compared with ``==``: a single reordered float operation or a different
+vertex order after a tie shows up as a mismatch.
 """
 
 import math
@@ -15,11 +16,21 @@ import pytest
 from scipy.optimize import minimize
 
 from pnp_bb84 import OptimizationProblem, Scenario
-from pnp_bb84.optimize import _nelder_mead, _objective_fn
+from pnp_bb84.optimize import _INITIAL_STEP, _nelder_mead, _objective_fn
 
 
 def _same(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def initial_simplex(x0):
+    x0 = [float(v) for v in x0]
+    sim = [list(x0)]
+    for k in range(len(x0)):
+        y = list(x0)
+        y[k] = x0[k] + _INITIAL_STEP
+        sim.append(y)
+    return np.array(sim)
 
 
 def assert_matches_scipy(f, x0, maxfev):
@@ -27,7 +38,8 @@ def assert_matches_scipy(f, x0, maxfev):
         # inf - inf in scipy's convergence test when the budget is tiny
         warnings.simplefilter("ignore", RuntimeWarning)
         want = minimize(f, np.array(x0, dtype=float), method="Nelder-Mead",
-                        options=dict(maxfev=maxfev, xatol=1e-6, fatol=1e-11))
+                        options=dict(maxfev=maxfev, xatol=1e-6, fatol=1e-11,
+                                     initial_simplex=initial_simplex(x0)))
     x, fun, nfev, success = _nelder_mead(lambda z: f(np.array(z)), x0, maxfev)
     assert x == want.x.tolist()
     assert _same(fun, float(want.fun))
@@ -62,10 +74,25 @@ def test_rosenbrock_runs_out_of_budget(n):
 
 @pytest.mark.parametrize("n", [2, 3, 7, 13])
 def test_start_with_zero_coordinates(n):
-    # a zero coordinate is stepped by 0.00025 instead of 5%
+    # scipy's default rule would step a zero coordinate by 0.00025 and a
+    # nonzero one by 5%; the port steps every coordinate by the same amount
     x0 = [0.0 if k % 2 else 0.7 for k in range(n)]
     assert_matches_scipy(quadratic(n, 11), x0, 600 * n)
     assert_matches_scipy(quadratic(n, 12), [0.0] * n, 600 * n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 13])
+def test_step_is_absolute(n):
+    # starts where 5% of a coordinate is far from the absolute step: all
+    # zeros, large coordinates, and the corners of the random-start box
+    q = quadratic(n, 51)
+    for x0 in ([0.0] * n, [1e3 * (-1) ** k for k in range(n)],
+               [3.0] * n, [-3.0] * n, [3.0 * (-1) ** k for k in range(n)]):
+        assert_matches_scipy(q, x0, 600 * n)
+    seen = []
+    _nelder_mead(lambda z: seen.append(list(z)) or q(np.array(z)),
+                 [0.0] * n, n + 1)
+    assert seen == np.vstack([np.zeros(n), _INITIAL_STEP * np.eye(n)]).tolist()
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 13])
