@@ -21,13 +21,22 @@ Layouts shared with the wrappers:
     sifting_exact
 
 Finite-key arguments (``finite``, the optional last argument of a rate
-kernel; None for an asymptotic key):
+kernel; None for an asymptotic key), budget entries as `rates.budget_fields`:
     rate_no_decoy: (n_pulses, m_e, eps_pa, eps_bar, eps_u, eps_e)
     rate_decoy:    (n_pulses, m_e, p_s, p_d, eps_pa, eps_bar, eps_us, eps_ud,
                     eps_uv, eps_es)
-The finite ``params_*`` maps return this tuple last.  The asymptotic key is
-the limit N -> inf of the finite one: the fluctuation, empty-key, Delta and
-sifting stages are skipped, and the decoy kernel fixes p_s = 1/2.
+The asymptotic key is the limit N -> inf of the finite one: the fluctuation,
+empty-key, Delta and sifting stages are skipped, and the decoy kernel fixes
+p_s to `ASYMPTOTIC_P_S`.
+
+The parameter maps and objectives, one per scenario, share one signature,
+``params_<scenario>(raw, m_a, eta, n_pulses, phys, flags)`` and likewise
+``objective_<scenario>``; the asymptotic ones ignore ``n_pulses``.  A map
+returns the rest of its rate kernel's arguments, ``(lam, delta, finite)`` or
+``(lam_s, lam_d, delta, finite)``.  Raw layout: ``delta``, ``u`` (lam or
+lam_s over its cap), with decoys the decoy ratio, then with a finite key
+the sample fraction, with decoys the three class weights, and one weight
+per budget entry.
 
 Breakdown tuple (18 float slots):
     0 status, 1 rate, 2 mu_signal, 3 mu_decoy, 4 gain_signal, 5 qber_signal,
@@ -81,12 +90,20 @@ STATUS_ORDERING = 5.0
 
 PENALTY = -1.0e6
 
+# signal share of the asymptotic decoy protocol: random signal/decoy assignment
+ASYMPTOTIC_P_S = 0.5
+
 
 # --- elementary pieces --------------------------------------------------------
 
+def attenuation(loss_coeff, dist):
+    """Channel transmittance over ``dist`` km at ``loss_coeff`` dB/km."""
+    return 10.0 ** (-loss_coeff * dist / 10.0)
+
+
 def channel_at(dist, phys):
     """(m_a, eta): sender-side mean photon number and overall transmittance."""
-    att = 10.0 ** (-phys[1] * dist / 10.0)
+    att = attenuation(phys[1], dist)
     return phys[7] * att, phys[0] * att
 
 
@@ -336,7 +353,7 @@ def rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite=None):
     rate = mu_s = mu_d = q_s = e_s = q_d = e_d = pu_s = pu_d = pu_v = NAN
     qu_d_low = qu_s_up = q1u = e1u = NAN
     if finite is None:
-        p_s = 0.5  # random signal/decoy assignment in the asymptotic protocol
+        p_s = ASYMPTOTIC_P_S
         corr, n_raw, sifted = 0.0, INF, INF
         unordered = False
     else:
@@ -434,10 +451,10 @@ def lambda_cap_kernel(delta, m_a, q_split):
     return cap if cap < 1.0 else 1.0
 
 
-def params_no_decoy_infinite(raw, m_a, eta, phys, flags):
+def params_no_decoy_infinite(raw, m_a, eta, n_pulses, phys, flags):
     delta = logrange_kernel(raw[0], *DELTA_LOG)
     u = logrange_kernel(raw[1], *U_LOG)
-    return u * lambda_cap_kernel(delta, m_a, phys[8]), delta
+    return u * lambda_cap_kernel(delta, m_a, phys[8]), delta, None
 
 
 def params_no_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
@@ -455,11 +472,11 @@ def params_no_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
                         budget * w2 / tot, budget * w3 / tot)
 
 
-def params_decoy_infinite(raw, m_a, eta, phys, flags):
+def params_decoy_infinite(raw, m_a, eta, n_pulses, phys, flags):
     delta = logrange_kernel(raw[0], *DELTA_LOG)
     u = logrange_kernel(raw[1], *U_LOG)
     lam_s = u * lambda_cap_kernel(delta, m_a, phys[8])
-    return lam_s, lam_s * logrange_kernel(raw[2], *RATIO_LOG), delta
+    return lam_s, lam_s * logrange_kernel(raw[2], *RATIO_LOG), delta, None
 
 
 def params_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
@@ -492,10 +509,10 @@ def _fluctuation_guide(res):
     return PENALTY + (guide if guide == guide else -1.0)
 
 
-def objective_no_decoy_infinite(raw, m_a, eta, phys, flags):
-    res = rate_no_decoy(
-        m_a, eta, *params_no_decoy_infinite(raw, m_a, eta, phys, flags),
-        phys, flags)
+def objective_no_decoy_infinite(raw, m_a, eta, n_pulses, phys, flags):
+    lam, delta, _ = params_no_decoy_infinite(raw, m_a, eta, n_pulses, phys,
+                                             flags)
+    res = rate_no_decoy(m_a, eta, lam, delta, phys, flags)
     return res[1] if res[0] == STATUS_OK else PENALTY
 
 
@@ -508,10 +525,10 @@ def objective_no_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
     return _fluctuation_guide(res) if res[0] == STATUS_FLUCTUATION else PENALTY
 
 
-def objective_decoy_infinite(raw, m_a, eta, phys, flags):
-    res = rate_decoy(
-        m_a, eta, *params_decoy_infinite(raw, m_a, eta, phys, flags),
-        phys, flags)
+def objective_decoy_infinite(raw, m_a, eta, n_pulses, phys, flags):
+    lam_s, lam_d, delta, _ = params_decoy_infinite(raw, m_a, eta, n_pulses,
+                                                   phys, flags)
+    res = rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags)
     return res[1] if res[0] == STATUS_OK else PENALTY
 
 

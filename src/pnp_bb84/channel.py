@@ -12,7 +12,7 @@ def channel_transmittance(eta_bob: float, loss_coeff: float,
     """One-way transmittance from the sender's output to a detection."""
     if distance_km < 0:
         raise ValueError("distance_km must be non-negative")
-    return eta_bob * 10.0 ** (-loss_coeff * distance_km / 10.0)
+    return eta_bob * _kernels.attenuation(loss_coeff, distance_km)
 
 
 def gain_and_qber(mu: float, eta: float, phys: PhysicalParams,

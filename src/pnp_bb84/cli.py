@@ -68,7 +68,10 @@ def _require_scenario(config: RunConfig) -> Scenario:
 
 def _na_values(config: RunConfig, scenario: Scenario) -> list[float]:
     if not scenario.finite:
-        return list(config.na_list) or [math.inf]
+        if any(na != math.inf for na in config.na_list):
+            raise ConfigError("asymptotic scenarios take no pulse count: "
+                              "drop --na (config key na) or set it to inf")
+        return [math.inf]
     if not config.na_list:
         raise ConfigError("finite scenarios require --na")
     if math.inf in config.na_list:

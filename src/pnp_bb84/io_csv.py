@@ -11,21 +11,31 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import _kernels
 from .params import Scenario
+from .rates import budget_fields
 from .scans import ScanRecord
 
-# fixed, documented column orders (README: "CSV output")
-_COMMON = ("scenario", "L_km", "n_pulses", "rate", "no_key")
-_PARAM_COLUMNS = {
-    Scenario.NO_DECOY_INFINITE: ("lam", "delta", "mu"),
-    Scenario.NO_DECOY_FINITE: (
-        "lam", "delta", "mu", "m_e", "r_sample",
-        "eps_pa", "eps_bar", "eps_u", "eps_e", "n_raw", "key_length"),
-    Scenario.DECOY_INFINITE: ("lam_s", "lam_d", "delta", "mu_s", "mu_d", "p_s"),
-    Scenario.DECOY_FINITE: (
-        "lam_s", "lam_d", "delta", "mu_s", "mu_d", "p_s", "p_d", "p_v",
-        "m_e", "r_sample", "eps_pa", "eps_bar", "eps_u_s", "eps_u_d",
-        "eps_u_v", "eps_e_s", "n_raw", "key_length"),
+# fixed, documented column orders (README: "CSV columns"); every file starts
+# with the key columns, a scan file continues with the common ones
+_KEY = ("scenario", "L_km", "n_pulses")
+_COMMON = _KEY + ("rate", "no_key")
+
+# the columns not read from the point, or its budget, by their own name
+_DERIVED = {
+    "rate": lambda r: r.rate,
+    "no_key": lambda r: r.no_key,
+    "mu": lambda r: r.mu,
+    "mu_s": lambda r: r.mu,
+    "mu_d": lambda r: r.mu_decoy,
+    # the mean-photon file keeps its column for the no-decoy scenarios
+    "mu_decoy": lambda r: math.nan if r.mu_decoy is None else r.mu_decoy,
+    # the asymptotic protocol fixes p_s, the finite one optimizes it
+    "p_s": lambda r: (r.point.p_s if r.scenario.finite
+                      else _kernels.ASYMPTOTIC_P_S),
+    "r_sample": lambda r: r.sample_fraction,
+    "n_raw": lambda r: r.breakdown.n_raw,
+    "key_length": lambda r: r.key_length,
 }
 
 
@@ -36,89 +46,65 @@ def fmt(value: float) -> str:
 
 
 def columns_for(scenario: Scenario) -> tuple[str, ...]:
-    return _COMMON + _PARAM_COLUMNS[scenario]
+    if scenario.uses_decoy:
+        block = ("lam_s", "lam_d", "delta", "mu_s", "mu_d", "p_s")
+        if scenario.finite:
+            block += ("p_d", "p_v")
+    else:
+        block = ("lam", "delta", "mu")
+    if scenario.finite:
+        block += (("m_e", "r_sample") + budget_fields(scenario)
+                  + ("n_raw", "key_length"))
+    return _COMMON + block
 
 
-def _param_values(record: ScanRecord) -> list[float]:
-    p, b = record.point, record.breakdown
-    sc = record.scenario
-    if sc is Scenario.NO_DECOY_INFINITE:
-        return [p.lam, p.delta, b.mu]
-    if sc is Scenario.NO_DECOY_FINITE:
-        eb = p.budget
-        return [p.lam, p.delta, b.mu, p.m_e, record.sample_fraction,
-                eb.eps_pa, eb.eps_bar, eb.eps_u, eb.eps_e, b.n_raw,
-                record.key_length]
-    if sc is Scenario.DECOY_INFINITE:
-        return [p.lam_s, p.lam_d, p.delta, b.mu, b.mu_decoy, 0.5]
-    eb = p.budget
-    return [p.lam_s, p.lam_d, p.delta, b.mu, b.mu_decoy, p.p_s, p.p_d, p.p_v,
-            p.m_e, record.sample_fraction, eb.eps_pa, eb.eps_bar, eb.eps_u_s,
-            eb.eps_u_d, eb.eps_u_v, eb.eps_e_s, b.n_raw, record.key_length]
+def _value(record: ScanRecord, column: str) -> float:
+    derived = _DERIVED.get(column)
+    if derived is not None:
+        return derived(record)
+    if column.startswith("eps_"):
+        return getattr(record.point.budget, column)
+    return getattr(record.point, column)
 
 
-def _record_row(record: ScanRecord) -> str:
-    values = [record.scenario.value, fmt(record.distance_km),
-              fmt(record.n_pulses), fmt(record.rate),
-              "1" if record.no_key else "0"]
-    values.extend(fmt(v) for v in _param_values(record))
-    return ",".join(values)
+def _write_table(path, records: Iterable[ScanRecord],
+                 columns: Sequence[str]) -> None:
+    """The key columns and ``columns`` of every record, one row each."""
+    lines = [",".join(_KEY + tuple(columns))]
+    for r in records:
+        lines.append(",".join(
+            [r.scenario.value, fmt(r.distance_km), fmt(r.n_pulses)]
+            + [fmt(_value(r, column)) for column in columns]))
+    _dump(path, lines)
 
 
 def write_records(path, records: Sequence[ScanRecord]) -> None:
-    """One file per scenario column contract; all records must share it."""
+    """One file per scenario column contract; all records must share it.
+
+    A file mixing scenarios (the figure rate files, which mix a finite and
+    an asymptotic key) carries the common columns only.
+    """
     if not records:
         raise ValueError("no records to write")
-    scenarios = {r.scenario for r in records}
-    if len(scenarios) > 1:
-        # mixed finite/infinite figure files: group by scenario blocks with
-        # one unified minimal header
-        _write_mixed(path, records)
-        return
-    scenario = records[0].scenario
-    lines = [",".join(columns_for(scenario))]
-    lines.extend(_record_row(r) for r in records)
-    _dump(path, lines)
-
-
-def _write_mixed(path, records: Sequence[ScanRecord]) -> None:
-    lines = ["scenario,L_km,n_pulses,rate,no_key"]
-    for r in records:
-        lines.append(",".join([
-            r.scenario.value, fmt(r.distance_km), fmt(r.n_pulses),
-            fmt(r.rate), "1" if r.no_key else "0"]))
-    _dump(path, lines)
+    if len({r.scenario for r in records}) > 1:
+        columns = _COMMON
+    else:
+        columns = columns_for(records[0].scenario)
+    _write_table(path, records, columns[len(_KEY):])
 
 
 def write_sampling_fractions(path, records: Iterable[ScanRecord]) -> None:
-    lines = ["scenario,L_km,n_pulses,r_sample"]
-    for r in records:
-        frac = r.sample_fraction
-        if frac is None:
-            continue
-        lines.append(",".join([r.scenario.value, fmt(r.distance_km),
-                               fmt(r.n_pulses), fmt(frac)]))
-    _dump(path, lines)
+    _write_table(path, [r for r in records if r.sample_fraction is not None],
+                 ("r_sample",))
 
 
 def write_mean_photon(path, records: Iterable[ScanRecord]) -> None:
-    lines = ["scenario,L_km,n_pulses,mu,mu_decoy"]
-    for r in records:
-        mu_d = r.mu_decoy if r.mu_decoy is not None else math.nan
-        lines.append(",".join([r.scenario.value, fmt(r.distance_km),
-                               fmt(r.n_pulses), fmt(r.mu), fmt(mu_d)]))
-    _dump(path, lines)
+    _write_table(path, records, ("mu", "mu_decoy"))
 
 
 def write_class_probabilities(path, records: Iterable[ScanRecord]) -> None:
-    lines = ["scenario,L_km,n_pulses,p_s,p_d,p_v"]
-    for r in records:
-        if r.point.p_s is None:
-            continue
-        lines.append(",".join([r.scenario.value, fmt(r.distance_km),
-                               fmt(r.n_pulses), fmt(r.point.p_s),
-                               fmt(r.point.p_d), fmt(r.point.p_v)]))
-    _dump(path, lines)
+    _write_table(path, [r for r in records if r.point.p_s is not None],
+                 ("p_s", "p_d", "p_v"))
 
 
 def write_lmax_rows(path, rows: Iterable[tuple], threshold: float) -> None:

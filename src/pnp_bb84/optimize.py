@@ -61,8 +61,10 @@ import numpy as np
 
 from . import _kernels
 from .params import BoundConventions, PhysicalParams, Scenario
-from .rates import ErrorBudget, ProtocolPoint, RateBreakdown, evaluate_rate
+from .rates import (ErrorBudget, ProtocolPoint, RateBreakdown, budget_fields,
+                    evaluate_rate)
 
+# raw vector length per scenario; the layout is in the `_kernels` docstring
 RAW_DIM = {
     Scenario.NO_DECOY_INFINITE: 2,
     Scenario.NO_DECOY_FINITE: 7,
@@ -98,6 +100,9 @@ class OptimizationProblem:
         # every check is written so that nan fails it
         if self.scenario.finite and not 0.0 < self.n_pulses < math.inf:
             raise ValueError("finite scenarios need a finite positive n_pulses")
+        if not self.scenario.finite and self.n_pulses != math.inf:
+            raise ValueError(f"n_pulses={self.n_pulses!r}: an asymptotic "
+                             "scenario takes no pulse count (n_pulses = inf)")
         if not 0.0 <= self.distance_km < math.inf:
             raise ValueError(f"distance_km={self.distance_km!r} must be finite "
                              "and non-negative")
@@ -135,87 +140,69 @@ def point_from_raw(problem: OptimizationProblem, raw: np.ndarray) -> ProtocolPoi
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != (problem.dim,):
         raise ValueError(f"raw vector must have shape ({problem.dim},)")
-    z = raw.tolist()
     arr = problem.phys.to_array()
-    flags = problem.conventions.to_flags()
     m_a, eta = _kernels.channel_at(problem.distance_km, arr)
+    *lams, delta, finite = _kernel("params", problem)(
+        raw.tolist(), m_a, eta, problem.n_pulses, arr,
+        problem.conventions.to_flags())
+    return _point(problem, lams, delta, finite)
+
+
+def _kernel(kind: str, problem: OptimizationProblem) -> Callable:
+    """``_kernels.<kind>_<scenario>``, looked up per call, not at import, so
+    that a profiler replacing the attribute sees every call."""
+    return getattr(_kernels, f"{kind}_{problem.scenario.value}")
+
+
+def _point(problem: OptimizationProblem, lams: Sequence[float], delta: float,
+           finite: Optional[tuple] = None) -> ProtocolPoint:
+    """The point with transmittances ``lams``, ``(lam,)`` or ``(lam_s,
+    lam_d)``, and a parameter map's ``finite`` tuple (None when asymptotic)."""
     sc = problem.scenario
-    if sc is Scenario.NO_DECOY_INFINITE:
-        lam, delta = _kernels.params_no_decoy_infinite(z, m_a, eta, arr, flags)
-        return ProtocolPoint(scenario=sc, distance_km=problem.distance_km,
-                             lam=lam, delta=delta)
-    if sc is Scenario.NO_DECOY_FINITE:
-        lam, delta, finite = _kernels.params_no_decoy_finite(
-            z, m_a, eta, problem.n_pulses, arr, flags)
-        _, m_e, e_pa, e_bar, e_u, e_e = finite
-        budget = ErrorBudget(eps_pa=e_pa, eps_bar=e_bar, eps_u=e_u, eps_e=e_e)
-        return ProtocolPoint(scenario=sc, distance_km=problem.distance_km,
-                             n_pulses=problem.n_pulses, lam=lam, delta=delta,
-                             m_e=m_e, budget=budget)
-    if sc is Scenario.DECOY_INFINITE:
-        lam_s, lam_d, delta = _kernels.params_decoy_infinite(
-            z, m_a, eta, arr, flags)
-        return ProtocolPoint(scenario=sc, distance_km=problem.distance_km,
-                             lam_s=lam_s, lam_d=lam_d, delta=delta)
-    lam_s, lam_d, delta, finite = _kernels.params_decoy_finite(
-        z, m_a, eta, problem.n_pulses, arr, flags)
-    _, m_e, p_s, p_d, e_pa, e_bar, e_us, e_ud, e_uv, e_es = finite
-    budget = ErrorBudget(eps_pa=e_pa, eps_bar=e_bar, eps_u_s=e_us,
-                         eps_u_d=e_ud, eps_u_v=e_uv, eps_e_s=e_es)
-    return ProtocolPoint(scenario=sc, distance_km=problem.distance_km,
-                         n_pulses=problem.n_pulses, lam_s=lam_s, lam_d=lam_d,
-                         delta=delta, m_e=m_e, p_s=p_s, p_d=p_d,
-                         p_v=1.0 - p_s - p_d, budget=budget)
+    lam = lam_s = lam_d = m_e = p_s = p_d = p_v = budget = None
+    if sc.uses_decoy:
+        lam_s, lam_d = lams
+    else:
+        lam, = lams
+    if sc.finite:
+        _, m_e, *shares = finite
+        if sc.uses_decoy:
+            p_s, p_d, *shares = shares
+            p_v = 1.0 - p_s - p_d
+        budget = ErrorBudget.of(sc, shares)
+    # every field in order: positional, cheaper than keywords per point
+    return ProtocolPoint(sc, problem.distance_km, problem.n_pulses, lam, lam_s,
+                         lam_d, delta, m_e, p_s, p_d, p_v, budget)
 
 
 def raw_from_point(problem: OptimizationProblem, point: ProtocolPoint) -> np.ndarray:
     """Right inverse of :func:`point_from_raw` on the feasible set."""
     if point.scenario is not problem.scenario:
         raise ValueError("point scenario does not match the problem")
+    sc = problem.scenario
     phys = problem.phys
     m_a, eta = _kernels.channel_at(problem.distance_km, phys.to_array())
+    lam_s = point.lam_s if sc.uses_decoy else point.lam
     cap = _kernels.lambda_cap_kernel(point.delta, m_a, phys.q_split)
-    z_delta = _logit_of_logrange(point.delta, *_kernels.DELTA_LOG)
-    sc = problem.scenario
-    budget_total = phys.eps_free
-    if sc is Scenario.NO_DECOY_INFINITE:
-        z_u = _logit_of_logrange(point.lam / cap, *_kernels.U_LOG)
-        return np.array([z_delta, z_u])
-    if sc is Scenario.DECOY_INFINITE:
-        z_u = _logit_of_logrange(point.lam_s / cap, *_kernels.U_LOG)
-        z_r = _logit_of_logrange(point.lam_d / point.lam_s, *_kernels.RATIO_LOG)
-        return np.array([z_delta, z_u, z_r])
-    with_eta = problem.conventions.to_flags()[0]
-    if sc is Scenario.NO_DECOY_FINITE:
-        z_u = _logit_of_logrange(point.lam / cap, *_kernels.U_LOG)
-        mu = m_a * point.lam * phys.q_split
-        q, _ = _kernels.gain_qber_kernel(mu, eta, phys.y0, phys.e_det, phys.e0,
-                                         with_eta)
-        sifted = 0.5 * q * problem.n_pulses
-        z_m = _logit_of_logrange(point.m_e / sifted, *_kernels.MFRAC_LOG)
-        b = point.budget
-        return np.array([z_delta, z_u, z_m,
-                         math.log(b.eps_pa / budget_total),
-                         math.log(b.eps_bar / budget_total),
-                         math.log(b.eps_u / budget_total),
-                         math.log(b.eps_e / budget_total)])
-    z_u = _logit_of_logrange(point.lam_s / cap, *_kernels.U_LOG)
-    z_r = _logit_of_logrange(point.lam_d / point.lam_s, *_kernels.RATIO_LOG)
-    mu_s = m_a * point.lam_s * phys.q_split
-    q_s, _ = _kernels.gain_qber_kernel(mu_s, eta, phys.y0, phys.e_det, phys.e0,
-                                       with_eta)
-    sifted = 0.5 * problem.n_pulses * point.p_s * q_s
-    z_m = _logit_of_logrange(point.m_e / sifted, *_kernels.MFRAC_LOG)
-    b = point.budget
-    return np.array([z_delta, z_u, z_r, z_m,
-                     math.log(point.p_s), math.log(point.p_d),
-                     math.log(point.p_v),
-                     math.log(b.eps_pa / budget_total),
-                     math.log(b.eps_bar / budget_total),
-                     math.log(b.eps_u_s / budget_total),
-                     math.log(b.eps_u_d / budget_total),
-                     math.log(b.eps_u_v / budget_total),
-                     math.log(b.eps_e_s / budget_total)])
+    raw = [_logit_of_logrange(point.delta, *_kernels.DELTA_LOG),
+           _logit_of_logrange(lam_s / cap, *_kernels.U_LOG)]
+    if sc.uses_decoy:
+        raw.append(_logit_of_logrange(point.lam_d / lam_s, *_kernels.RATIO_LOG))
+    if sc.finite:
+        q, _ = _kernels.gain_qber_kernel(
+            m_a * lam_s * phys.q_split, eta, phys.y0, phys.e_det, phys.e0,
+            problem.conventions.to_flags()[0])
+        if sc.uses_decoy:
+            sifted = 0.5 * problem.n_pulses * point.p_s * q
+        else:
+            sifted = 0.5 * q * problem.n_pulses
+        raw.append(_logit_of_logrange(point.m_e / sifted, *_kernels.MFRAC_LOG))
+        if sc.uses_decoy:
+            raw += [math.log(point.p_s), math.log(point.p_d),
+                    math.log(point.p_v)]
+        raw += [math.log(eps / phys.eps_free)
+                for eps in point.budget.values(sc)]
+    return np.array(raw)
 
 
 def _heuristic_raw(problem: OptimizationProblem) -> np.ndarray:
@@ -223,31 +210,32 @@ def _heuristic_raw(problem: OptimizationProblem) -> np.ndarray:
 
     Window wide enough for a ~1e-8 tagged fraction, signal intensity around
     0.35 photons (decoy) or half the channel transmittance (no decoy), a mild
-    decoy ratio, a 10% sampling fraction and flat simplex weights.
+    decoy ratio, a 10% sampling fraction and flat budget weights; with both
+    decoys and a finite key the class weights favour the signal.
     """
+    sc = problem.scenario
     phys = problem.phys
     m_a, eta = _kernels.channel_at(problem.distance_km, phys.to_array())
     a = math.sqrt(m_a * (1.0 - phys.q_split) / 2.0)
     delta = min(max(4.0 / a, _kernels.DELTA_LO * 2), 0.5)
     cap = _kernels.lambda_cap_kernel(delta, m_a, phys.q_split)
-    if problem.scenario.uses_decoy:
+    if sc.uses_decoy:
         mu = 0.35
     else:
         mu = min(0.7 * eta, 0.35)
     lam = min(mu / (m_a * phys.q_split), cap * 0.999)
     u = max(min(lam / cap, 0.99), _kernels.U_LO * 10)
-    raw = np.zeros(problem.dim)
-    raw[0] = _logit_of_logrange(delta, *_kernels.DELTA_LOG)
-    raw[1] = _logit_of_logrange(u, *_kernels.U_LOG)
-    if problem.scenario is Scenario.NO_DECOY_FINITE:
-        raw[2] = _logit_of_logrange(0.1, *_kernels.MFRAC_LOG)
-    elif problem.scenario is Scenario.DECOY_INFINITE:
-        raw[2] = _logit_of_logrange(0.1, *_kernels.RATIO_LOG)
-    elif problem.scenario is Scenario.DECOY_FINITE:
-        raw[2] = _logit_of_logrange(0.15, *_kernels.RATIO_LOG)
-        raw[3] = _logit_of_logrange(0.1, *_kernels.MFRAC_LOG)
-        raw[4:7] = np.log([0.55, 0.35, 0.10])
-    return raw
+    raw = [_logit_of_logrange(delta, *_kernels.DELTA_LOG),
+           _logit_of_logrange(u, *_kernels.U_LOG)]
+    if sc.uses_decoy:
+        ratio = 0.15 if sc.finite else 0.1
+        raw.append(_logit_of_logrange(ratio, *_kernels.RATIO_LOG))
+    if sc.finite:
+        raw.append(_logit_of_logrange(0.1, *_kernels.MFRAC_LOG))
+        if sc.uses_decoy:
+            raw += [math.log(w) for w in (0.55, 0.35, 0.10)]
+        raw += [0.0] * len(budget_fields(sc))
+    return np.array(raw)
 
 
 def _random_starts(dim: int, n: int, seed: int) -> np.ndarray:
@@ -257,23 +245,11 @@ def _random_starts(dim: int, n: int, seed: int) -> np.ndarray:
 
 def _objective_fn(problem: OptimizationProblem
                   ) -> Callable[[list[float]], float]:
-    # the kernel is looked up per call of this function, not at import, so a
-    # profiler that replaces the `_kernels` attribute sees every evaluation
     arr = problem.phys.to_array()
     flags = problem.conventions.to_flags()
     m_a, eta = _kernels.channel_at(problem.distance_km, arr)
-    sc = problem.scenario
     n_pulses = problem.n_pulses
-    if sc is Scenario.NO_DECOY_INFINITE:
-        kern = _kernels.objective_no_decoy_infinite
-        return lambda z: kern(z, m_a, eta, arr, flags)
-    if sc is Scenario.NO_DECOY_FINITE:
-        kern = _kernels.objective_no_decoy_finite
-        return lambda z: kern(z, m_a, eta, n_pulses, arr, flags)
-    if sc is Scenario.DECOY_INFINITE:
-        kern = _kernels.objective_decoy_infinite
-        return lambda z: kern(z, m_a, eta, arr, flags)
-    kern = _kernels.objective_decoy_finite
+    kern = _kernel("objective", problem)
     return lambda z: kern(z, m_a, eta, n_pulses, arr, flags)
 
 
@@ -514,40 +490,30 @@ def grid_oracle(problem: OptimizationProblem, resolution: int) -> OptimizationRe
     Only available for the infinite-key scenarios, whose parameter spaces are
     two- and three-dimensional.
     """
-    if problem.scenario not in (Scenario.NO_DECOY_INFINITE, Scenario.DECOY_INFINITE):
+    if problem.scenario.finite:
         raise ValueError("grid oracle only covers the infinite-key scenarios")
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
     arr = problem.phys.to_array()
     flags = problem.conventions.to_flags()
     m_a, eta = _kernels.channel_at(problem.distance_km, arr)
-    deltas = _grid_axis(_kernels.DELTA_LO, _kernels.DELTA_HI, resolution)
-    us = _grid_axis(_kernels.U_LO, _kernels.U_HI, resolution)
-    if problem.scenario is Scenario.NO_DECOY_INFINITE:
-        best, bi, bj = _kernels.grid_no_decoy_infinite(
-            m_a, eta, deltas, us, arr, flags)
-        if bi < 0:
-            raise InfeasibleProblemError("grid found no feasible point")
-        cap = _kernels.lambda_cap_kernel(deltas[bi], m_a, problem.phys.q_split)
-        point = ProtocolPoint(scenario=problem.scenario,
-                              distance_km=problem.distance_km,
-                              lam=us[bj] * cap, delta=deltas[bi])
-        evals = len(deltas) * len(us)
+    axes = [_grid_axis(_kernels.DELTA_LO, _kernels.DELTA_HI, resolution),
+            _grid_axis(_kernels.U_LO, _kernels.U_HI, resolution)]
+    if problem.scenario.uses_decoy:
+        axes.append(_grid_axis(_kernels.RATIO_LO, _kernels.RATIO_HI,
+                               resolution))
+        grid = _kernels.grid_decoy_infinite
     else:
-        ratios = _grid_axis(_kernels.RATIO_LO, _kernels.RATIO_HI, resolution)
-        best, bi, bj, bk = _kernels.grid_decoy_infinite(
-            m_a, eta, deltas, us, ratios, arr, flags)
-        if bi < 0:
-            raise InfeasibleProblemError("grid found no feasible point")
-        cap = _kernels.lambda_cap_kernel(deltas[bi], m_a, problem.phys.q_split)
-        lam_s = us[bj] * cap
-        point = ProtocolPoint(scenario=problem.scenario,
-                              distance_km=problem.distance_km,
-                              lam_s=lam_s, lam_d=lam_s * ratios[bk],
-                              delta=deltas[bi])
-        evals = len(deltas) * len(us) * len(ratios)
+        grid = _kernels.grid_no_decoy_infinite
+    _, *best_at = grid(m_a, eta, *axes, arr, flags)
+    if best_at[0] < 0:
+        raise InfeasibleProblemError("grid found no feasible point")
+    delta, u, *ratio = [axis[i] for axis, i in zip(axes, best_at)]
+    lam_s = u * _kernels.lambda_cap_kernel(delta, m_a, problem.phys.q_split)
+    point = _point(problem, [lam_s] + [lam_s * r for r in ratio], delta)
     breakdown = evaluate_rate(point, problem.phys, problem.conventions)
     return OptimizationResult(best_rate=breakdown.rate, best_point=point,
                               breakdown=breakdown,
                               best_raw=raw_from_point(problem, point),
-                              evaluations=evals, converged=True)
+                              evaluations=math.prod(map(len, axes)),
+                              converged=True)

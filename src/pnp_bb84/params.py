@@ -8,20 +8,18 @@ from dataclasses import dataclass, field, fields, replace
 
 
 class Scenario(str, enum.Enum):
-    """The four protocol variants covered by the library."""
+    """The four protocol variants: decoy states or none (``uses_decoy``),
+    times a finite or an asymptotic key (``finite``)."""
 
     NO_DECOY_INFINITE = "no_decoy_infinite"
     NO_DECOY_FINITE = "no_decoy_finite"
     DECOY_INFINITE = "decoy_infinite"
     DECOY_FINITE = "decoy_finite"
 
-    @property
-    def uses_decoy(self) -> bool:
-        return self in (Scenario.DECOY_INFINITE, Scenario.DECOY_FINITE)
-
-    @property
-    def finite(self) -> bool:
-        return self in (Scenario.NO_DECOY_FINITE, Scenario.DECOY_FINITE)
+    def __init__(self, value: str) -> None:
+        # plain attributes, not properties: the rate paths read them per call
+        self.uses_decoy = value.startswith("decoy")
+        self.finite = value.endswith("_finite")
 
 
 def _check_range(name: str, value: float, lo: float, hi: float,
@@ -68,6 +66,9 @@ class PhysicalParams:
         _check_range("q_split", self.q_split, 0.0, 1.0, lo_open=True, hi_open=True)
         _check_range("eps_total", self.eps_total, 0.0, 1.0, lo_open=True, hi_open=True)
         _check_range("eps_ec", self.eps_ec, 0.0, self.eps_total, lo_open=True, hi_open=True)
+        # built once: the rate paths ask for it on every evaluation
+        object.__setattr__(self, "_array", tuple(
+            float(getattr(self, f.name)) for f in fields(self)))
 
     @property
     def eps_free(self) -> float:
@@ -75,11 +76,9 @@ class PhysicalParams:
         return self.eps_total - self.eps_ec
 
     def to_array(self) -> tuple[float, ...]:
-        """Flat float layout consumed by the kernels (``_kernels`` ``phys``)."""
-        return (float(self.eta_bob), float(self.loss_coeff), float(self.y0),
-                float(self.e_det), float(self.e0), float(self.e0_vac),
-                float(self.f_ec), float(self.m_bright), float(self.q_split),
-                float(self.eps_total), float(self.eps_ec))
+        """Flat float layout consumed by the kernels (``_kernels`` ``phys``):
+        the fields in their order."""
+        return self._array
 
 
 # --- bound-convention toggles -------------------------------------------------
@@ -139,6 +138,16 @@ class BoundConventions:
             choices = self._CHOICES[f.name]
             if value not in choices:
                 raise ValueError(f"{f.name}={value!r} not one of {choices}")
+        # built once: the rate paths ask for it on every evaluation
+        object.__setattr__(self, "_flags", (
+            1 if self.gain_model == GAIN_WITH_ETA else 0,
+            1 if self.window_coverage == COVERAGE_HALF_INSIDE else 0,
+            1 if self.single_photon_mass == SINGLE_PHOTON_MIXED else 0,
+            1 if self.finite_gain_bound == FINITE_GAIN_DIRECT else 0,
+            {DECOY_EST_PAIRED: 0, DECOY_EST_ALTERNATE: 1,
+             DECOY_EST_STRICT: 2}[self.decoy_estimator],
+            1 if self.sifting_factor == SIFTING_EXACT else 0,
+        ))
 
     @classmethod
     def strict(cls) -> "BoundConventions":
@@ -148,15 +157,7 @@ class BoundConventions:
 
     def to_flags(self) -> tuple[int, ...]:
         """Integer layout consumed by the kernels (``_kernels`` ``flags``)."""
-        return (
-            1 if self.gain_model == GAIN_WITH_ETA else 0,
-            1 if self.window_coverage == COVERAGE_HALF_INSIDE else 0,
-            1 if self.single_photon_mass == SINGLE_PHOTON_MIXED else 0,
-            1 if self.finite_gain_bound == FINITE_GAIN_DIRECT else 0,
-            {DECOY_EST_PAIRED: 0, DECOY_EST_ALTERNATE: 1,
-             DECOY_EST_STRICT: 2}[self.decoy_estimator],
-            1 if self.sifting_factor == SIFTING_EXACT else 0,
-        )
+        return self._flags
 
     def replace(self, **kw) -> "BoundConventions":
         return replace(self, **kw)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from operator import attrgetter
+from typing import Optional, Sequence
 
 from . import _kernels
-from .numerics import check_probability, statistical_deviation
+from .numerics import check_probability
 from .params import BoundConventions, PhysicalParams, Scenario
 
 
@@ -54,6 +55,22 @@ _STATUS_ERRORS = {
 }
 
 
+# The error-budget entries of each source model, keyed on
+# `Scenario.uses_decoy`, in the order the rate kernels' ``finite`` tuple
+# carries them (after n_pulses, m_e and, with decoys, p_s and p_d)
+_BUDGET_FIELDS = {
+    False: ("eps_pa", "eps_bar", "eps_u", "eps_e"),
+    True: ("eps_pa", "eps_bar", "eps_u_s", "eps_u_d", "eps_u_v", "eps_e_s"),
+}
+_BUDGET_VALUES = {decoy: attrgetter(*names)
+                  for decoy, names in _BUDGET_FIELDS.items()}
+
+
+def budget_fields(scenario: Scenario) -> tuple[str, ...]:
+    """The `ErrorBudget` fields a scenario sets, in the kernels' order."""
+    return _BUDGET_FIELDS[scenario.uses_decoy]
+
+
 @dataclass(frozen=True)
 class ErrorBudget:
     """Split of the optimizable part of the security parameter.
@@ -78,37 +95,43 @@ class ErrorBudget:
                                  self.eps_e, self.eps_u_s, self.eps_u_d,
                                  self.eps_u_v, self.eps_e_s) if c is not None)
 
+    def values(self, scenario: Scenario) -> tuple[float, ...]:
+        """The entries of `budget_fields` (None where unset), in its order."""
+        return _BUDGET_VALUES[scenario.uses_decoy](self)
+
     def validate(self, scenario: Scenario, phys: PhysicalParams) -> None:
-        if scenario.uses_decoy:
-            needed = ("eps_u_s", "eps_u_d", "eps_u_v", "eps_e_s")
-            banned = ("eps_u", "eps_e")
-        else:
-            needed = ("eps_u", "eps_e")
-            banned = ("eps_u_s", "eps_u_d", "eps_u_v", "eps_e_s")
-        for name in needed:
-            if getattr(self, name) is None:
+        values = self.values(scenario)
+        for name, value in zip(budget_fields(scenario), values):
+            if value is None:
                 raise ValueError(f"{scenario.value} budget requires {name}")
-        for name in banned:
-            if getattr(self, name) is not None:
-                raise ValueError(f"{scenario.value} budget must not set {name}")
-        for name in ("eps_pa", "eps_bar") + needed:
-            value = getattr(self, name)
             if not 0 < value < 1:
                 raise ValueError(f"{name}={value!r} must lie strictly in (0, 1)")
-        total = sum(self.components())
+        # the entries only the other source model sets
+        for name in _BUDGET_FIELDS[not scenario.uses_decoy][2:]:
+            if getattr(self, name) is not None:
+                raise ValueError(f"{scenario.value} budget must not set {name}")
+        total = sum(values)
         if not math.isclose(total, phys.eps_free, rel_tol=1e-9):
             raise ValueError(
                 f"budget components sum to {total:.6e}, expected "
                 f"{phys.eps_free:.6e} (= eps_total - eps_ec)")
 
     @classmethod
-    def equal_split(cls, scenario: Scenario, phys: PhysicalParams) -> "ErrorBudget":
+    def of(cls, scenario: Scenario, shares: Sequence[float]) -> "ErrorBudget":
+        """The budget with `budget_fields` set to ``shares``, in its order.
+
+        Positional, cheaper than keywords on the per-point path: the no-decoy
+        entries are the first four fields, the decoy ones the first two and
+        the last four.
+        """
         if scenario.uses_decoy:
-            share = phys.eps_free / 6.0
-            return cls(eps_pa=share, eps_bar=share, eps_u_s=share,
-                       eps_u_d=share, eps_u_v=share, eps_e_s=share)
-        share = phys.eps_free / 4.0
-        return cls(eps_pa=share, eps_bar=share, eps_u=share, eps_e=share)
+            return cls(shares[0], shares[1], None, None, *shares[2:])
+        return cls(*shares)
+
+    @classmethod
+    def equal_split(cls, scenario: Scenario, phys: PhysicalParams) -> "ErrorBudget":
+        n = len(budget_fields(scenario))
+        return cls.of(scenario, [phys.eps_free / n] * n)
 
 
 @dataclass(frozen=True)
@@ -153,12 +176,14 @@ class ProtocolPoint:
             if self.budget is None:
                 raise ValueError("finite scenarios require an error budget")
             self.budget.validate(self.scenario, phys)
-        if self.scenario is Scenario.DECOY_FINITE:
-            probs = (self.p_s, self.p_d, self.p_v)
-            if any(p is None or not 0.0 < p <= 1.0 for p in probs):
-                raise ValueError("decoy_finite requires p_s, p_d, p_v in (0, 1]")
-            if not math.isclose(sum(probs), 1.0, rel_tol=0, abs_tol=1e-12):
-                raise ValueError("class probabilities must sum to 1 within 1e-12")
+            if self.scenario.uses_decoy:
+                probs = (self.p_s, self.p_d, self.p_v)
+                if any(p is None or not 0.0 < p <= 1.0 for p in probs):
+                    raise ValueError("decoy_finite requires p_s, p_d, p_v "
+                                     "in (0, 1]")
+                if not math.isclose(sum(probs), 1.0, rel_tol=0, abs_tol=1e-12):
+                    raise ValueError("class probabilities must sum to 1 "
+                                     "within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -275,16 +300,14 @@ def _run_kernel(point: ProtocolPoint, phys: PhysicalParams,
     flags = conventions.to_flags()
     m_a, eta = _kernels.channel_at(point.distance_km, arr)
     sc = point.scenario
-    b = point.budget
+    finite = None
+    if sc.finite:
+        classes = (point.p_s, point.p_d) if sc.uses_decoy else ()
+        finite = (n_pulses, m_e, *classes, *point.budget.values(sc))
     if sc.uses_decoy:
-        finite = None if not sc.finite else (
-            n_pulses, m_e, point.p_s, point.p_d, b.eps_pa, b.eps_bar,
-            b.eps_u_s, b.eps_u_d, b.eps_u_v, b.eps_e_s)
         res = _kernels.rate_decoy(m_a, eta, point.lam_s, point.lam_d,
                                   point.delta, arr, flags, finite)
     else:
-        finite = None if not sc.finite else (
-            n_pulses, m_e, b.eps_pa, b.eps_bar, b.eps_u, b.eps_e)
         res = _kernels.rate_no_decoy(m_a, eta, point.lam, point.delta, arr,
                                      flags, finite)
     if res[0] != _kernels.STATUS_OK:

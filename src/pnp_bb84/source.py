@@ -64,7 +64,8 @@ class SourceConfig:
     @property
     def m_a(self) -> float:
         """Mean photon number per pulse reaching the sender's device."""
-        return self.m_bright * 10.0 ** (-self.loss_coeff * self.distance_km / 10.0)
+        return self.m_bright * _kernels.attenuation(self.loss_coeff,
+                                                    self.distance_km)
 
     @property
     def lambda_prime(self) -> float:

@@ -1,6 +1,7 @@
 """Detection model: transmittance, gain and QBER."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -27,6 +28,21 @@ class TestChannelTransmittance:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             channel_transmittance(0.045, 0.21, -1.0)
+
+    def test_same_floats_as_the_kernels(self):
+        # `_kernels.channel_at` is the one home of the attenuation
+        from pnp_bb84 import SourceConfig, _kernels
+
+        phys = PhysicalParams(eta_bob=0.3, loss_coeff=0.17, m_bright=3.7e5)
+        arr = phys.to_array()
+        rng = random.Random(11)
+        for _ in range(200):
+            dist = rng.uniform(0.0, 300.0)
+            m_a, eta = _kernels.channel_at(dist, arr)
+            assert channel_transmittance(phys.eta_bob, phys.loss_coeff,
+                                         dist) == eta
+            source = SourceConfig.from_params(phys, dist, 0.1, 0.0)
+            assert source.m_a == m_a
 
 
 class TestGainAndQber:

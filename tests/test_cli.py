@@ -83,6 +83,26 @@ class TestCliCommands:
         assert rc == 1
         assert "require" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["scan", "--scenario", "decoy_infinite", "--na", "5e10"],
+        ["lmax", "--scenario", "decoy_infinite", "--na", "1e10,1e12"],
+        ["scan", "--scenario", "no_decoy_infinite", "--na", "inf,5e10"],
+    ], ids=["scan", "lmax", "mixed"])
+    def test_asymptotic_scenario_rejects_finite_na(self, tmp_path, capsys,
+                                                   args):
+        rc = main(args + ["--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "asymptotic" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_asymptotic_scenario_accepts_na_inf(self, tmp_path):
+        rc = main(["scan", "--scenario", "no_decoy_infinite", "--na", "inf",
+                   "--lmin", "0", "--lmax-km", "0", "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "scan_no_decoy_infinite_inf.csv").exists()
+
     def test_empty_distance_range_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["scan", "--scenario", "no_decoy_infinite", "--lmin", "10",
                    "--lmax-km", "0", "--out", str(tmp_path)])

@@ -150,6 +150,20 @@ class TestCsvEmission:
         for line in lines[1:]:
             assert len(line.split(",")) == len(header)
 
+    @pytest.mark.parametrize("scenario,header", [
+        (Scenario.NO_DECOY_INFINITE, "lam,delta,mu"),
+        (Scenario.NO_DECOY_FINITE, "lam,delta,mu,m_e,r_sample,eps_pa,eps_bar,"
+                                   "eps_u,eps_e,n_raw,key_length"),
+        (Scenario.DECOY_INFINITE, "lam_s,lam_d,delta,mu_s,mu_d,p_s"),
+        (Scenario.DECOY_FINITE, "lam_s,lam_d,delta,mu_s,mu_d,p_s,p_d,p_v,m_e,"
+                                "r_sample,eps_pa,eps_bar,eps_u_s,eps_u_d,"
+                                "eps_u_v,eps_e_s,n_raw,key_length"),
+    ], ids=lambda v: v.value if isinstance(v, Scenario) else "")
+    def test_documented_column_contract(self, scenario, header):
+        # the README "CSV columns" list, literally
+        assert ",".join(io_csv.columns_for(scenario)) == (
+            "scenario,L_km,n_pulses,rate,no_key," + header)
+
     def test_seventeen_digit_round_trip(self):
         value = 1.2345678901234567e-5
         assert float(io_csv.fmt(value)) == value

@@ -133,3 +133,79 @@ def test_shared_envelope_terms_match_photon_kernels():
         for n in range(3):
             assert lower[n] == k.photon_lower_kernel(m_a, delta, lam_p, n)
             assert upper[n] == k.photon_upper_kernel(m_a, delta, lam_p, n)
+
+
+# Warm starts: `raw_from_point` maps a recorded point back to raw space and
+# `_heuristic_raw` builds the physics-informed start.  The cold maximize pins
+# above never reach the first, so both are pinned bit for bit at the points
+# of POINTS, and a warm-started scan pins the two together.
+RAW_OF_POINT = {
+    "no_decoy_infinite": [0.39009509545358617, 1.3777106354430375],
+    "no_decoy_finite": [
+        0.39009509545358617, 1.3777106354430375, 1.9754177611499697,
+        -1.3862943611198906, -1.3862943611198906, -1.3862943611198906,
+        -1.3862943611198906],
+    "decoy_infinite": [0.7471407562093093, 3.1119403725112327,
+                       0.3605304004036325],
+    "decoy_finite": [
+        0.7471407562093093, 3.1119403725112327, 1.3562969350826384,
+        1.848776842994103, -0.8915981192837836, -0.5447271754416722,
+        -4.605170185988079, -1.791759469228055, -1.791759469228055,
+        -1.791759469228055, -1.791759469228055, -1.791759469228055,
+        -1.791759469228055],
+}
+
+HEURISTIC_RAW = {
+    "no_decoy_infinite": [0.39891933473566354, 1.4413890209369],
+    "no_decoy_finite": [0.39891933473566354, 1.4413890209369,
+                        1.6116172046215098, 0.0, 0.0, 0.0, 0.0],
+    "decoy_infinite": [0.7685346172773295, 3.075912262315877,
+                       1.0988295138056459],
+    "decoy_finite": [
+        0.7685346172773295, 3.075912262315877, 1.3496104414792913,
+        1.6116172046215098, -0.5978370007556204, -1.0498221244986778,
+        -2.3025850929940455, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+}
+
+
+def _problem_at(point):
+    return OptimizationProblem(scenario=point.scenario,
+                               distance_km=point.distance_km,
+                               n_pulses=point.n_pulses)
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_raw_from_point_matches_golden(name):
+    from pnp_bb84.optimize import raw_from_point
+
+    raw = raw_from_point(_problem_at(POINTS[name]), POINTS[name])
+    assert raw.tolist() == RAW_OF_POINT[name]
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_heuristic_raw_matches_golden(name):
+    from pnp_bb84.optimize import _heuristic_raw
+
+    assert _heuristic_raw(_problem_at(POINTS[name])).tolist() == \
+        HEURISTIC_RAW[name]
+
+
+def test_warm_started_scan_matches_golden(monkeypatch):
+    # the 60 km point starts from the 58 km optimum through raw_from_point
+    from pnp_bb84 import scans
+
+    runs = []
+    inner = scans.maximize
+
+    def counted(problem):
+        result = inner(problem)
+        runs.append((len(problem.warm_starts), result.evaluations))
+        return result
+
+    monkeypatch.setattr(scans, "maximize", counted)
+    records = scans.scan_distance(Scenario.DECOY_FINITE, 5e10, [58.0, 60.0],
+                                  seed=0)
+    assert runs == [(0, 14239), (1, 8578)]
+    for record, rate in zip(records, [7.5369100581217555e-06,
+                                      4.231356752723927e-06]):
+        assert math.isclose(record.rate, rate, rel_tol=1e-12)

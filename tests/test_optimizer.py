@@ -89,6 +89,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=field):
             OptimizationProblem(**kw)
 
+    @pytest.mark.parametrize("value", (5e10, math.nan, 0.0))
+    @pytest.mark.parametrize("scenario", (Scenario.NO_DECOY_INFINITE,
+                                          Scenario.DECOY_INFINITE))
+    def test_asymptotic_scenario_rejects_a_pulse_count(self, scenario, value):
+        # an asymptotic key has N = inf; any other value would be ignored
+        with pytest.raises(ValueError, match="n_pulses"):
+            OptimizationProblem(scenario=scenario, distance_km=20.0,
+                                n_pulses=value)
+
     @pytest.mark.parametrize("field", ("n_starts", "max_evals_per_start"))
     def test_empty_budget_rejected(self, field):
         with pytest.raises(ValueError, match=field):

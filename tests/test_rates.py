@@ -11,6 +11,7 @@ from pnp_bb84 import (BoundConventions, EmptyRawKeyError, ErrorBudget,
                       Scenario, evaluate_rate, evaluate_rate_finite_limit,
                       finite_correction_delta, q1u_lower_no_decoy,
                       untagged_bounds, vacuum_observables, gain_and_qber)
+from pnp_bb84.rates import budget_fields
 
 PHYS = PhysicalParams()
 CONV = BoundConventions()
@@ -296,6 +297,27 @@ class TestPhotonBoundsView:
             assert bounds.lower(n) <= bounds.upper(n) + 1e-15
         assert bounds.upper(23) == 0.0
         assert bounds.lower(19) == 0.0
+
+
+class TestScenarioAxes:
+    @pytest.mark.parametrize("scenario,decoy,finite", [
+        (Scenario.NO_DECOY_INFINITE, False, False),
+        (Scenario.NO_DECOY_FINITE, False, True),
+        (Scenario.DECOY_INFINITE, True, False),
+        (Scenario.DECOY_FINITE, True, True),
+    ])
+    def test_flags(self, scenario, decoy, finite):
+        assert (scenario.uses_decoy, scenario.finite) == (decoy, finite)
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_budget_of_sets_the_budget_fields_in_order(self, scenario):
+        names = budget_fields(scenario)
+        shares = [1e-10 * (i + 1) for i in range(len(names))]
+        budget = ErrorBudget.of(scenario, shares)
+        assert budget.values(scenario) == tuple(shares)
+        assert [getattr(budget, n) for n in names] == shares
+        assert budget.components() == tuple(shares)
+        assert budget == ErrorBudget(**dict(zip(names, shares)))
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
