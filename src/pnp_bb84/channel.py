@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 from . import _kernels
-from .numerics import check_probability
+from .numerics import check_range
 from .params import PhysicalParams
 
 
 def channel_transmittance(eta_bob: float, loss_coeff: float,
                           distance_km: float) -> float:
     """One-way transmittance from the sender's output to a detection."""
-    if distance_km < 0:
-        raise ValueError("distance_km must be non-negative")
+    check_range("eta_bob", eta_bob, 0.0, 1.0, lo_open=True)
+    check_range("loss_coeff", loss_coeff, 0.0, math.inf, hi_open=True)
+    check_range("distance_km", distance_km, 0.0, math.inf, hi_open=True)
     return eta_bob * _kernels.attenuation(loss_coeff, distance_km)
 
 
@@ -23,13 +26,11 @@ def gain_and_qber(mu: float, eta: float, phys: PhysicalParams,
     exponent (the physically consistent form); the variant without it is
     retained for sensitivity analysis only.
     """
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    if not 0 < eta <= 1:
-        raise ValueError("eta must lie in (0, 1]")
+    check_range("mu", mu, 0.0, math.inf, hi_open=True)
+    check_range("eta", eta, 0.0, 1.0, lo_open=True)
     q, e = _kernels.gain_qber_kernel(mu, eta, phys.y0, phys.e_det, phys.e0,
                                      1 if with_eta else 0)
-    return q, check_probability(e, "qber")
+    return q, check_range("qber", e, 0.0, 1.0)
 
 
 def vacuum_observables(phys: PhysicalParams) -> tuple[float, float]:

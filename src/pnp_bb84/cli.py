@@ -8,7 +8,8 @@ import sys
 from pathlib import Path
 
 from . import io_csv, scans
-from .config import ConfigError, RunConfig, apply_overrides, parse_config, parse_na_list
+from .config import (ConfigError, RunConfig, apply_overrides, config_entries,
+                     parse_config, parse_na_list)
 from .optimize import InfeasibleProblemError
 from .params import Scenario
 from .scans import find_lmax, find_na_threshold, figure_datasets, scan_distance
@@ -47,17 +48,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    if args.config is not None:
-        config = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        config = RunConfig()
+def _load_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
+    """The run configuration, and whether a flag or config key set the grid."""
+    text = args.config.read_text(encoding="utf-8") if args.config else ""
     scenario = Scenario(args.scenario) if args.scenario else None
     na_list = parse_na_list(args.na) if args.na else None
-    return apply_overrides(
-        config, scenario=scenario, na_list=na_list, lmin_km=args.lmin_km,
-        lmax_km=args.lmax_km, lstep_km=args.lstep_km,
+    config = apply_overrides(
+        parse_config(text), scenario=scenario, na_list=na_list,
+        lmin_km=args.lmin_km, lmax_km=args.lmax_km, lstep_km=args.lstep_km,
         threshold=args.threshold, seed=args.seed, out_dir=args.out_dir)
+    given = {key for _, key, _ in config_entries(text)}
+    given.update(key for key, value in vars(args).items() if value is not None)
+    return config, not given.isdisjoint(("lmin_km", "lmax_km", "lstep_km"))
 
 
 def _require_scenario(config: RunConfig) -> Scenario:
@@ -82,8 +84,6 @@ def _na_values(config: RunConfig, scenario: Scenario) -> list[float]:
 def _cmd_scan(config: RunConfig) -> int:
     scenario = _require_scenario(config)
     grid = config.l_grid()
-    if not grid:
-        raise ConfigError("empty distance grid")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for na in _na_values(config, scenario):
@@ -122,24 +122,19 @@ def _cmd_nath(config: RunConfig) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"nath_{scenario.value}.csv"
-    lines = ["scenario,threshold,na_threshold",
-             ",".join([scenario.value, io_csv.fmt(config.threshold),
-                       io_csv.fmt(na_th)])]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    io_csv._dump(path, ["scenario,threshold,na_threshold", ",".join(
+        [scenario.value, io_csv.fmt(config.threshold), io_csv.fmt(na_th)])])
     print(f"{scenario.value}: pulse-count threshold = {na_th:.3e}")
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_figure(config: RunConfig, figure_id: str) -> int:
+def _cmd_figure(config: RunConfig, figure_id: str, grid_given: bool) -> int:
     # every figure solves finite-key scenarios at the given pulse counts
     if math.inf in config.na_list:
         raise ConfigError("figures require finite pulse counts in --na")
     na_list = list(config.na_list) if config.na_list else None
-    default = RunConfig()
-    untouched = (config.lmin_km, config.lmax_km, config.lstep_km) == (
-        default.lmin_km, default.lmax_km, default.lstep_km)
-    l_grid = None if untouched else config.l_grid()
+    l_grid = config.l_grid() if grid_given else None
     written = figure_datasets(figure_id, config.out_dir, config.phys,
                               config.conventions, config.seed,
                               l_grid=l_grid, na_list=na_list,
@@ -153,14 +148,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args)
+        config, grid_given = _load_config(args)
         if args.command == "scan":
             return _cmd_scan(config)
         if args.command == "lmax":
             return _cmd_lmax(config)
         if args.command == "nath":
             return _cmd_nath(config)
-        return _cmd_figure(config, args.figure_id)
+        return _cmd_figure(config, args.figure_id, grid_given)
     except (ConfigError, OSError, InfeasibleProblemError,
             scans.NonMonotoneRateError, scans.ThresholdOutsideRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

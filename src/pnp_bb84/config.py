@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Iterator, Optional
 
+from .numerics import check_range
 from .params import BoundConventions, PhysicalParams, Scenario
 
 
@@ -13,12 +14,9 @@ class ConfigError(ValueError):
     """Malformed or out-of-range run configuration."""
 
 
-_PHYS_KEYS = ("eta_bob", "loss_coeff", "y0", "e_det", "e0", "e0_vac", "f_ec",
-              "m_bright", "q_split", "eps_total", "eps_ec")
-_CONVENTION_KEYS = ("gain_model", "window_coverage", "single_photon_mass",
-                    "finite_gain_bound", "decoy_estimator", "sifting_factor")
-_RUN_FLOAT_KEYS = {"lmin_km": "lmin_km", "lmax_km": "lmax_km",
-                   "lstep_km": "lstep_km", "threshold": "threshold"}
+_PHYS_KEYS = tuple(f.name for f in fields(PhysicalParams))
+_CONVENTION_KEYS = tuple(f.name for f in fields(BoundConventions))
+_RUN_FLOAT_KEYS = ("lmin_km", "lmax_km", "lstep_km", "threshold")
 
 
 @dataclass(frozen=True)
@@ -37,19 +35,15 @@ class RunConfig:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        # every check is written so that nan fails it
-        for name in ("lmin_km", "lmax_km", "threshold"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ConfigError(f"{name}={value!r} must be finite and "
-                                  "non-negative")
-        if not 0.0 < self.lstep_km < math.inf:
-            raise ConfigError(f"lstep_km={self.lstep_km!r} must be finite and "
-                              "positive")
-        for value in self.na_list:
-            if not 0.0 < value <= math.inf:
-                raise ConfigError(f"na: pulse count must be positive, got "
-                                  f"{value!r}")
+        try:
+            for name in ("lmin_km", "lmax_km", "threshold"):
+                check_range(name, getattr(self, name), 0.0, math.inf,
+                            hi_open=True)
+            check_range("lstep_km", self.lstep_km, 0.0, math.inf, True, True)
+            for value in self.na_list:
+                check_range("na", value, 0.0, math.inf, lo_open=True)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def l_grid(self) -> list[float]:
         if self.lmax_km < self.lmin_km:
@@ -81,15 +75,8 @@ def parse_na_list(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a flat ``key = value`` document into a RunConfig.
-
-    Lines may carry ``#`` comments; unknown keys are rejected with their line
-    number, and every physical constraint is enforced at parse time.
-    """
-    phys_kw: dict[str, float] = {}
-    conv_kw: dict[str, str] = {}
-    run_kw: dict[str, object] = {}
+def config_entries(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, lower-case key, value) of each ``key = value`` line."""
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -102,6 +89,19 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if not value:
             raise ConfigError(f"line {line_no}: {key}: empty value")
+        yield line_no, key, value
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse a flat ``key = value`` document into a RunConfig.
+
+    Lines may carry ``#`` comments; unknown keys are rejected with their line
+    number, and every physical constraint is enforced at parse time.
+    """
+    phys_kw: dict[str, float] = {}
+    conv_kw: dict[str, str] = {}
+    run_kw: dict[str, object] = {}
+    for line_no, key, value in config_entries(text):
         if key in _PHYS_KEYS:
             phys_kw[key] = _parse_float(key, value, line_no)
         elif key in _CONVENTION_KEYS:
@@ -129,9 +129,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
     try:
         phys = PhysicalParams(**phys_kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
         conventions = BoundConventions(**conv_kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -150,10 +147,8 @@ def serialize_config(config: RunConfig) -> str:
     if config.na_list:
         tokens = ("inf" if math.isinf(v) else f"{v:.17g}" for v in config.na_list)
         lines.append(f"na = {','.join(tokens)}")
-    lines.append(f"lmin_km = {config.lmin_km:.17g}")
-    lines.append(f"lmax_km = {config.lmax_km:.17g}")
-    lines.append(f"lstep_km = {config.lstep_km:.17g}")
-    lines.append(f"threshold = {config.threshold:.17g}")
+    for key in _RUN_FLOAT_KEYS:
+        lines.append(f"{key} = {getattr(config, key):.17g}")
     lines.append(f"seed = {config.seed}")
     lines.append(f"out_dir = {config.out_dir}")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Special functions and statistical-deviation primitives.
+"""Special functions, statistical-deviation primitives and the range check.
 
 Pure, stateless and safe for concurrent use; the arithmetic lives in the
 scalar kernels of ``_kernels`` and these wrappers only add domain validation.
@@ -10,21 +10,39 @@ import math
 
 from . import _kernels
 
-# standard error function / complement, re-exported for the model modules
+# standard error function and its complement, public exports of the package
 erf = math.erf
 erfc = math.erfc
 
 
-def check_probability(value: float, name: str = "value") -> float:
-    """Validate a probability-valued quantity, returning it unchanged."""
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name}={value!r} is not a probability in [0, 1]")
-    return value
+def check_range(name: str, value: float, lo: float, hi: float,
+                lo_open: bool = False, hi_open: bool = False) -> float:
+    """Return ``value`` if it lies between ``lo`` and ``hi``, each end closed
+    unless its ``*_open`` flag is set; else raise ValueError naming ``name``.
+
+    The test only compares, so nan, and anything that does not compare with
+    a number (None, a string), fails every interval, and inf passes only an
+    interval closed at inf: ``hi=math.inf, hi_open=True`` spells "finite".
+    """
+    try:
+        if (lo < value < hi or (value == lo and not lo_open)
+                or (value == hi and not hi_open)):
+            return value
+    except TypeError:
+        pass
+    if lo == hi:
+        domain = f"{lo:g}"
+    elif lo == 0 and hi == math.inf and hi_open:
+        domain = "finite and " + ("positive" if lo_open else "non-negative")
+    else:
+        domain = (f"in {'(' if lo_open else '['}{lo:g}, "
+                  f"{hi:g}{')' if hi_open else ']'}")
+    raise ValueError(f"{name}={value!r} must be {domain}")
 
 
 def binary_entropy(x: float) -> float:
     """Binary Shannon entropy in bits, with the 0*log(0) = 0 convention."""
-    check_probability(x, "x")
+    check_range("x", x, 0.0, 1.0)
     return _kernels.h2_kernel(x)
 
 
@@ -34,10 +52,8 @@ def statistical_deviation(epsilon: float, m: float) -> float:
     Equals sqrt((ln(1/epsilon) + 2 ln(m+1)) / (2m)); decreasing in both
     arguments.  ``m = inf`` returns exactly zero.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon={epsilon!r} must lie strictly in (0, 1)")
-    if not m > 0:
-        raise ValueError(f"m={m!r} must be positive")
+    check_range("epsilon", epsilon, 0.0, 1.0, lo_open=True, hi_open=True)
+    check_range("m", m, 0.0, math.inf, lo_open=True)
     return _kernels.xi_kernel(epsilon, m)
 
 
@@ -47,8 +63,6 @@ def log_binomial_coeff(upper: float, n: int) -> float:
     The generalization through the gamma function keeps the photon-number
     window arithmetic in log space, where exponents of order 1e5 are safe.
     """
-    if upper < 0:
-        raise ValueError(f"upper={upper!r} must be non-negative")
-    if n < 0:
-        raise ValueError(f"n={n!r} must be non-negative")
+    check_range("upper", upper, 0.0, math.inf, hi_open=True)
+    check_range("n", n, 0.0, math.inf, hi_open=True)
     return _kernels.log_choose_kernel(float(upper), float(n))

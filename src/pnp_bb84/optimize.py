@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -60,6 +61,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from .numerics import check_range
 from .params import BoundConventions, PhysicalParams, Scenario
 from .rates import (ErrorBudget, ProtocolPoint, RateBreakdown, budget_fields,
                     evaluate_rate)
@@ -84,6 +86,12 @@ class InfeasibleProblemError(ValueError):
     """No feasible point exists for the requested scenario and geometry."""
 
 
+def _check_count(name: str, value: int) -> None:
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    check_range(name, value, 1, math.inf, hi_open=True)
+
+
 @dataclass(frozen=True)
 class OptimizationProblem:
     scenario: Scenario
@@ -97,19 +105,11 @@ class OptimizationProblem:
     warm_starts: tuple[ProtocolPoint, ...] = ()
 
     def __post_init__(self) -> None:
-        # every check is written so that nan fails it
-        if self.scenario.finite and not 0.0 < self.n_pulses < math.inf:
-            raise ValueError("finite scenarios need a finite positive n_pulses")
-        if not self.scenario.finite and self.n_pulses != math.inf:
-            raise ValueError(f"n_pulses={self.n_pulses!r}: an asymptotic "
-                             "scenario takes no pulse count (n_pulses = inf)")
-        if not 0.0 <= self.distance_km < math.inf:
-            raise ValueError(f"distance_km={self.distance_km!r} must be finite "
-                             "and non-negative")
-        if not self.n_starts >= 1:
-            raise ValueError("n_starts must be at least 1")
-        if not self.max_evals_per_start >= 1:
-            raise ValueError("max_evals_per_start must be at least 1")
+        self.scenario.check_pulse_count(self.n_pulses)
+        check_range("distance_km", self.distance_km, 0.0, math.inf,
+                    hi_open=True)
+        _check_count("n_starts", self.n_starts)
+        _check_count("max_evals_per_start", self.max_evals_per_start)
 
     @property
     def dim(self) -> int:
@@ -179,6 +179,7 @@ def raw_from_point(problem: OptimizationProblem, point: ProtocolPoint) -> np.nda
     """Right inverse of :func:`point_from_raw` on the feasible set."""
     if point.scenario is not problem.scenario:
         raise ValueError("point scenario does not match the problem")
+    point.validate(problem.phys)
     sc = problem.scenario
     phys = problem.phys
     m_a, eta = _kernels.channel_at(problem.distance_km, phys.to_array())
@@ -492,8 +493,7 @@ def grid_oracle(problem: OptimizationProblem, resolution: int) -> OptimizationRe
     """
     if problem.scenario.finite:
         raise ValueError("grid oracle only covers the infinite-key scenarios")
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
+    _check_count("resolution", resolution)
     arr = problem.phys.to_array()
     flags = problem.conventions.to_flags()
     m_a, eta = _kernels.channel_at(problem.distance_km, arr)

@@ -6,6 +6,8 @@ import enum
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from .numerics import check_range
+
 
 class Scenario(str, enum.Enum):
     """The four protocol variants: decoy states or none (``uses_decoy``),
@@ -21,14 +23,11 @@ class Scenario(str, enum.Enum):
         self.uses_decoy = value.startswith("decoy")
         self.finite = value.endswith("_finite")
 
-
-def _check_range(name: str, value: float, lo: float, hi: float,
-                 lo_open: bool = False, hi_open: bool = False) -> None:
-    bad = (value < lo or value > hi
-           or (lo_open and value == lo) or (hi_open and value == hi))
-    if bad or not math.isfinite(value):
-        raise ValueError(f"{name}={value!r} outside valid range "
-                         f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}")
+    def check_pulse_count(self, n_pulses: float) -> float:
+        """0 < N < inf for a finite key; an asymptotic one has N = inf."""
+        if self.finite:
+            return check_range("n_pulses", n_pulses, 0.0, math.inf, True, True)
+        return check_range("n_pulses", n_pulses, math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -55,17 +54,17 @@ class PhysicalParams:
     eps_ec: float = 1e-10         # error-correction failure probability
 
     def __post_init__(self) -> None:
-        _check_range("eta_bob", self.eta_bob, 0.0, 1.0, lo_open=True)
-        _check_range("loss_coeff", self.loss_coeff, 0.0, math.inf)
-        _check_range("y0", self.y0, 0.0, 1.0)
-        _check_range("e_det", self.e_det, 0.0, 1.0)
-        _check_range("e0", self.e0, 0.0, 1.0)
-        _check_range("e0_vac", self.e0_vac, 0.0, 1.0)
-        _check_range("f_ec", self.f_ec, 1.0, math.inf)
-        _check_range("m_bright", self.m_bright, 0.0, math.inf, lo_open=True)
-        _check_range("q_split", self.q_split, 0.0, 1.0, lo_open=True, hi_open=True)
-        _check_range("eps_total", self.eps_total, 0.0, 1.0, lo_open=True, hi_open=True)
-        _check_range("eps_ec", self.eps_ec, 0.0, self.eps_total, lo_open=True, hi_open=True)
+        check_range("eta_bob", self.eta_bob, 0.0, 1.0, lo_open=True)
+        check_range("loss_coeff", self.loss_coeff, 0.0, math.inf, hi_open=True)
+        check_range("y0", self.y0, 0.0, 1.0)
+        check_range("e_det", self.e_det, 0.0, 1.0)
+        check_range("e0", self.e0, 0.0, 1.0)
+        check_range("e0_vac", self.e0_vac, 0.0, 1.0)
+        check_range("f_ec", self.f_ec, 1.0, math.inf, hi_open=True)
+        check_range("m_bright", self.m_bright, 0.0, math.inf, True, True)
+        check_range("q_split", self.q_split, 0.0, 1.0, True, True)
+        check_range("eps_total", self.eps_total, 0.0, 1.0, True, True)
+        check_range("eps_ec", self.eps_ec, 0.0, self.eps_total, True, True)
         # built once: the rate paths ask for it on every evaluation
         object.__setattr__(self, "_array", tuple(
             float(getattr(self, f.name)) for f in fields(self)))
@@ -132,8 +131,6 @@ class BoundConventions:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.name.startswith("_"):
-                continue
             value = getattr(self, f.name)
             choices = self._CHOICES[f.name]
             if value not in choices:

@@ -13,7 +13,7 @@ from operator import attrgetter
 from typing import Optional, Sequence
 
 from . import _kernels
-from .numerics import check_probability
+from .numerics import check_range
 from .params import BoundConventions, PhysicalParams, Scenario
 
 
@@ -102,10 +102,7 @@ class ErrorBudget:
     def validate(self, scenario: Scenario, phys: PhysicalParams) -> None:
         values = self.values(scenario)
         for name, value in zip(budget_fields(scenario), values):
-            if value is None:
-                raise ValueError(f"{scenario.value} budget requires {name}")
-            if not 0 < value < 1:
-                raise ValueError(f"{name}={value!r} must lie strictly in (0, 1)")
+            check_range(name, value, 0.0, 1.0, True, True)
         # the entries only the other source model sets
         for name in _BUDGET_FIELDS[not scenario.uses_decoy][2:]:
             if getattr(self, name) is not None:
@@ -151,39 +148,45 @@ class ProtocolPoint:
     p_v: Optional[float] = None
     budget: Optional[ErrorBudget] = None
 
+    # n_pulses, m_e, p_s, p_d, p_v and budget at their defaults
+    _ASYMPTOTIC_DEFAULTS = (math.inf, None, None, None, None, None)
+
     def validate(self, phys: PhysicalParams) -> None:
-        # every check is written so that nan fails it
-        if not 0.0 <= self.distance_km < math.inf:
-            raise ValueError(f"distance_km={self.distance_km!r} must be finite "
-                             "and non-negative")
+        # the ends are positional: this runs in every `evaluate_rate`
+        sc = self.scenario
+        check_range("distance_km", self.distance_km, 0.0, math.inf, False,
+                    True)
         # the window's lower edge (1 - delta) m_a must stay positive
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta={self.delta!r} must lie strictly in (0, 1)")
-        if self.scenario.uses_decoy:
-            if self.lam_s is None or self.lam_d is None:
-                raise ValueError("decoy scenarios require lam_s and lam_d")
-            if not 0 < self.lam_d < self.lam_s <= 1:
-                raise ValueError("decoy transmittances must satisfy "
-                                 "0 < lam_d < lam_s <= 1")
+        check_range("delta", self.delta, 0.0, 1.0, True, True)
+        if sc.uses_decoy:
+            check_range("lam_s", self.lam_s, 0.0, 1.0, True)
+            check_range("lam_d", self.lam_d, 0.0, 1.0, True)
+            if not self.lam_d < self.lam_s:
+                raise ValueError("decoy scenarios require lam_d < lam_s")
         else:
-            if self.lam is None or not 0 < self.lam <= 1:
-                raise ValueError("no-decoy scenarios require lam in (0, 1]")
-        if self.scenario.finite:
-            if not 0.0 < self.n_pulses < math.inf:
-                raise ValueError("finite scenarios require a finite n_pulses > 0")
-            if self.m_e is None or not 0.0 < self.m_e < math.inf:
-                raise ValueError("finite scenarios require a finite m_e > 0")
-            if self.budget is None:
-                raise ValueError("finite scenarios require an error budget")
-            self.budget.validate(self.scenario, phys)
-            if self.scenario.uses_decoy:
-                probs = (self.p_s, self.p_d, self.p_v)
-                if any(p is None or not 0.0 < p <= 1.0 for p in probs):
-                    raise ValueError("decoy_finite requires p_s, p_d, p_v "
-                                     "in (0, 1]")
-                if not math.isclose(sum(probs), 1.0, rel_tol=0, abs_tol=1e-12):
-                    raise ValueError("class probabilities must sum to 1 "
-                                     "within 1e-12")
+            check_range("lam", self.lam, 0.0, 1.0, True)
+        if not sc.finite:
+            # the pulse-count rule leaves n_pulses at its default, inf, and
+            # no other finite-key field applies: one comparison checks all
+            if (self.n_pulses, self.m_e, self.p_s, self.p_d, self.p_v,
+                    self.budget) != self._ASYMPTOTIC_DEFAULTS:
+                sc.check_pulse_count(self.n_pulses)
+                raise ValueError(f"{sc.value} points take no m_e, p_s, p_d, "
+                                 "p_v or budget")
+            return
+        sc.check_pulse_count(self.n_pulses)
+        check_range("m_e", self.m_e, 0.0, math.inf, True, True)
+        if self.budget is None:
+            raise ValueError("finite scenarios require an error budget")
+        self.budget.validate(sc, phys)
+        if sc.uses_decoy:
+            check_range("p_s", self.p_s, 0.0, 1.0, True)
+            check_range("p_d", self.p_d, 0.0, 1.0, True)
+            check_range("p_v", self.p_v, 0.0, 1.0, True)
+            if not math.isclose(self.p_s + self.p_d + self.p_v, 1.0,
+                                rel_tol=0, abs_tol=1e-12):
+                raise ValueError("class probabilities must sum to 1 "
+                                 "within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -215,9 +218,8 @@ def untagged_bounds(x: float, p_u_lower: float) -> tuple[float, float]:
     ``x`` is the measured whole-ensemble value (gain, or error-weighted
     gain); the tagged fraction is assumed adversarial.
     """
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    check_probability(p_u_lower, "p_u_lower")
+    check_range("x", x, 0.0, 1.0)
+    check_range("p_u_lower", p_u_lower, 0.0, 1.0)
     if p_u_lower == 0:
         raise NoUntaggedPulsesError("no untagged pulses (p_u_lower = 0)")
     upper = x / p_u_lower
@@ -227,18 +229,20 @@ def untagged_bounds(x: float, p_u_lower: float) -> tuple[float, float]:
 
 def q1u_lower_no_decoy(q_u_lower: float, p0: float, p1: float) -> float:
     """Lower bound on the single-photon untagged gain, clamped at zero."""
+    check_range("q_u_lower", q_u_lower, 0.0, 1.0)
+    check_range("p0", p0, 0.0, 1.0)
+    check_range("p1", p1, 0.0, 1.0)
     return max(0.0, q_u_lower + p0 + p1 - 1.0)
 
 
 def finite_correction_delta(n: float, eps_pe: float, eps_bar: float,
                             eps_pa: float) -> float:
     """Finite-key rate penalty; positive, strictly decreasing in n."""
-    if not n > 0:
+    if check_range("n", n, -math.inf, math.inf) <= 0:
         raise EmptyRawKeyError(f"empty raw key (n={n!r})")
-    for name, value in (("eps_pe", eps_pe), ("eps_bar", eps_bar),
-                        ("eps_pa", eps_pa)):
-        if not 0 < value < 1:
-            raise ValueError(f"{name}={value!r} must lie strictly in (0, 1)")
+    check_range("eps_pe", eps_pe, 0.0, 1.0, True, True)
+    check_range("eps_bar", eps_bar, 0.0, 1.0, True, True)
+    check_range("eps_pa", eps_pa, 0.0, 1.0, True, True)
     return _kernels.finite_delta_kernel(n, eps_pe, eps_bar, eps_pa)
 
 
@@ -252,10 +256,10 @@ def q1u_lower_decoy(q_u_s_upper: float, q_u_d_lower: float,
     :class:`BoundUnavailableError` when the estimator denominator closes
     (indistinguishable classes); callers then treat the bound as zero.
     """
-    from .params import (DECOY_EST_ALTERNATE, DECOY_EST_PAIRED,
-                         DECOY_EST_STRICT)
-    code = {DECOY_EST_PAIRED: 0, DECOY_EST_ALTERNATE: 1,
-            DECOY_EST_STRICT: 2}[estimator]
+    code = BoundConventions(decoy_estimator=estimator).to_flags()[4]
+    check_range("q_u_s_upper", q_u_s_upper, 0.0, math.inf, hi_open=True)
+    check_range("q_u_d_lower", q_u_d_lower, 0.0, 1.0)
+    check_range("q_u_v_upper", q_u_v_upper, 0.0, math.inf, hi_open=True)
     s, d = source_signal, source_decoy
     s.require_window()
     q1u, _, den = _kernels._decoy_q1u_e1u(
@@ -271,7 +275,11 @@ def q1u_lower_decoy(q_u_s_upper: float, q_u_d_lower: float,
 def e1u_upper_decoy(eq_u_s_upper: float, p0_s_lower: float,
                     eq_u_v_lower: float, q1u_s_lower: float) -> float:
     """Single-photon untagged QBER upper bound, floored at zero."""
-    if q1u_s_lower <= 0.0:
+    check_range("eq_u_s_upper", eq_u_s_upper, 0.0, math.inf, hi_open=True)
+    check_range("p0_s_lower", p0_s_lower, 0.0, 1.0)
+    check_range("eq_u_v_lower", eq_u_v_lower, 0.0, 1.0)
+    check_range("q1u_s_lower", q1u_s_lower, 0.0, math.inf, hi_open=True)
+    if q1u_s_lower == 0.0:
         raise BoundUnavailableError(
             "bound unavailable: single-photon gain bound is zero")
     return max(0.0, (eq_u_s_upper - p0_s_lower * eq_u_v_lower) / q1u_s_lower)
@@ -338,5 +346,6 @@ def evaluate_rate_finite_limit(point: ProtocolPoint, phys: PhysicalParams,
     """
     if not point.scenario.finite:
         raise ValueError("limit evaluation only applies to finite scenarios")
+    point.validate(phys)
     # n_pulses and m_e both go to infinity so every deviation term vanishes
     return _run_kernel(point, phys, conventions, math.inf, math.inf)

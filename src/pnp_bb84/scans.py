@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from .numerics import check_range
 from .optimize import (DEFAULT_N_STARTS, OptimizationProblem,
                        OptimizationResult, maximize)
 from .params import BoundConventions, PhysicalParams, Scenario
@@ -18,13 +19,6 @@ _L_RESOLUTION_KM = 0.1
 _NA_LOG_RANGE = (6.0, 18.0)  # pulse-count threshold search, log10
 _NA_LOG_RESOLUTION = 0.05
 _MONOTONE_SLACK = 1.02       # optimizer noise allowed before flagging non-monotone
-
-
-def _check_threshold(rate_threshold: float) -> None:
-    # written so that nan fails it
-    if not 0.0 <= rate_threshold < math.inf:
-        raise ValueError(f"rate_threshold={rate_threshold!r} must be finite "
-                         "and non-negative")
 
 
 class NonMonotoneRateError(RuntimeError):
@@ -107,8 +101,8 @@ def scan_distance(scenario: Scenario, n_pulses: float,
     grid = list(l_grid)
     if not grid:
         raise ValueError("l_grid must be non-empty")
-    if not all(0.0 <= dist < math.inf for dist in grid):
-        raise ValueError("l_grid values must be finite and non-negative")
+    for dist in grid:
+        check_range("distance_km", dist, 0.0, math.inf, hi_open=True)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("l_grid must be strictly increasing")
     chain = _WarmChain()
@@ -128,18 +122,16 @@ def solve_lmax_profile(rate_at: Callable[[float], float],
                        rate_threshold: float,
                        l_cap: float = _L_CAP_KM,
                        coarse_step: float = _L_COARSE_STEP_KM,
-                       resolution: float = _L_RESOLUTION_KM,
-                       monotone_guard: bool = True) -> float:
+                       resolution: float = _L_RESOLUTION_KM) -> float:
     """Largest distance with ``rate_at(L) > rate_threshold``.
 
     Assumes a non-increasing profile (verified on the coarse bracketing grid
     up to optimizer noise) and refines by bisection to ``resolution`` km.
     """
-    _check_threshold(rate_threshold)
-    for name, value in (("l_cap", l_cap), ("coarse_step", coarse_step),
-                        ("resolution", resolution)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name}={value!r} must be finite and positive")
+    check_range("rate_threshold", rate_threshold, 0.0, math.inf, hi_open=True)
+    check_range("l_cap", l_cap, 0.0, math.inf, True, True)
+    check_range("coarse_step", coarse_step, 0.0, math.inf, True, True)
+    check_range("resolution", resolution, 0.0, math.inf, True, True)
     r0 = rate_at(0.0)
     if r0 <= rate_threshold:
         return 0.0
@@ -148,7 +140,7 @@ def solve_lmax_profile(rate_at: Callable[[float], float],
     dist = coarse_step
     while dist <= l_cap + 1e-9:
         r = rate_at(dist)
-        if monotone_guard and r > lo_rate * _MONOTONE_SLACK and r > rate_threshold:
+        if r > lo_rate * _MONOTONE_SLACK and r > rate_threshold:
             raise NonMonotoneRateError(
                 f"optimized rate rose from {lo_rate:.3e} at {lo} km to "
                 f"{r:.3e} at {dist} km")
@@ -199,7 +191,7 @@ def find_na_threshold(scenario: Scenario,
     """
     if not scenario.finite:
         raise ValueError("pulse-count threshold applies to finite scenarios only")
-    _check_threshold(rate_threshold)
+    check_range("rate_threshold", rate_threshold, 0.0, math.inf, hi_open=True)
     lo_log, hi_log = _NA_LOG_RANGE
     chain = _WarmChain()
 
@@ -258,6 +250,10 @@ def figure_datasets(figure_id: str, out_dir,
     if figure_id not in _FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of "
                          f"{_FIGURE_IDS}")
+    check_range("threshold", threshold, 0.0, math.inf, hi_open=True)
+    # every figure solves finite-key scenarios at these pulse counts
+    for na in na_list or ():
+        Scenario.NO_DECOY_FINITE.check_pulse_count(na)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, str] = {}

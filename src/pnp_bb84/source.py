@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .numerics import check_probability, statistical_deviation
+from .numerics import check_range, statistical_deviation
 from .params import PhysicalParams
 
 
@@ -38,21 +38,15 @@ class SourceConfig:
     lam: float
 
     def __post_init__(self) -> None:
-        # every check is written so that nan fails it
-        if not 0.0 < self.m_bright < math.inf:
-            raise ValueError("m_bright must be finite and positive")
-        if not 0 < self.q_split < 1:
-            raise ValueError("q_split must lie strictly in (0, 1)")
-        if not (0.0 <= self.loss_coeff < math.inf
-                and 0.0 <= self.distance_km < math.inf):
-            raise ValueError("loss_coeff and distance_km must be finite and "
-                             "non-negative")
-        if not 0.0 <= self.delta < math.inf:
-            raise ValueError("delta must be finite and non-negative")
-        if not 0 <= self.lam <= 1:
-            raise ValueError("lam must lie in [0, 1]")
-        if self.lambda_prime > 1:
-            raise ValueError("effective transmittance lambda' exceeds 1")
+        check_range("m_bright", self.m_bright, 0.0, math.inf, True, True)
+        check_range("q_split", self.q_split, 0.0, 1.0, True, True)
+        check_range("loss_coeff", self.loss_coeff, 0.0, math.inf, hi_open=True)
+        check_range("distance_km", self.distance_km, 0.0, math.inf,
+                    hi_open=True)
+        # the window's lower edge (1 - delta) m_a must not be negative
+        check_range("delta", self.delta, 0.0, 1.0, hi_open=True)
+        check_range("lam", self.lam, 0.0, 1.0)
+        check_range("lambda_prime", self.lambda_prime, 0.0, 1.0)
 
     @classmethod
     def from_params(cls, phys: PhysicalParams, distance_km: float,
@@ -113,20 +107,18 @@ def mean_output_intensity(cfg: SourceConfig) -> float:
 
 def photon_bound_upper(cfg: SourceConfig, n: int) -> float:
     """Upper envelope of the emitted photon-number probability at n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    check_range("n", n, 0.0, math.inf, hi_open=True)
     cfg.require_window()
     value = _kernels.photon_upper_kernel(cfg.m_a, cfg.delta, cfg.lambda_prime, n)
-    return check_probability(value, "photon_bound_upper")
+    return check_range("photon_bound_upper", value, 0.0, 1.0)
 
 
 def photon_bound_lower(cfg: SourceConfig, n: int) -> float:
     """Lower envelope of the emitted photon-number probability at n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    check_range("n", n, 0.0, math.inf, hi_open=True)
     cfg.require_window()
     value = _kernels.photon_lower_kernel(cfg.m_a, cfg.delta, cfg.lambda_prime, n)
-    return check_probability(value, "photon_bound_lower")
+    return check_range("photon_bound_lower", value, 0.0, 1.0)
 
 
 def untagged_probability_infinite(cfg: SourceConfig,
@@ -139,7 +131,7 @@ def untagged_probability_infinite(cfg: SourceConfig,
     """
     value = _kernels.coverage_kernel(cfg.delta, cfg.m_a, cfg.q_split,
                                      1 if half_inside else 0)
-    return check_probability(value, "untagged_probability")
+    return check_range("untagged_probability", value, 0.0, 1.0)
 
 
 def untagged_probability_finite(cfg: SourceConfig, epsilon_u: float,

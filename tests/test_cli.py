@@ -168,3 +168,36 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
+
+
+class TestFigureGrid:
+    """`figure` keeps its own distance grid only when no flag or config key
+    sets an end or the step."""
+
+    def _grid(self, monkeypatch, tmp_path, args, config_text=None):
+        seen = []
+        monkeypatch.setattr(cli, "figure_datasets",
+                            lambda *a, l_grid, **kw: seen.append(l_grid) or {})
+        if config_text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config_text)
+            args = args + ["--config", str(cfg)]
+        assert main(["figure", "fig2"] + args + ["--out", str(tmp_path)]) == 0
+        return seen[0]
+
+    def test_no_grid_given_keeps_the_figure_grid(self, monkeypatch, tmp_path):
+        assert self._grid(monkeypatch, tmp_path, []) is None
+        assert self._grid(monkeypatch, tmp_path, [], "seed = 1\n") is None
+
+    @pytest.mark.parametrize("args", [
+        ["--lmin", "0", "--lmax-km", "130", "--lstep", "2"], ["--lstep", "2"],
+    ])
+    def test_flags_at_the_default_values_are_honoured(self, monkeypatch,
+                                                      tmp_path, args):
+        # these used to fall back to fig2's own 0-44 km grid
+        assert self._grid(monkeypatch, tmp_path, args) == RunConfig().l_grid()
+
+    def test_config_key_at_the_default_value_is_honoured(self, monkeypatch,
+                                                         tmp_path):
+        assert self._grid(monkeypatch, tmp_path, [],
+                          "lmax_km = 130\n") == RunConfig().l_grid()
