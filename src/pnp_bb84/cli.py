@@ -122,8 +122,7 @@ def _cmd_nath(config: RunConfig) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"nath_{scenario.value}.csv"
-    io_csv._dump(path, ["scenario,threshold,na_threshold", ",".join(
-        [scenario.value, io_csv.fmt(config.threshold), io_csv.fmt(na_th)])])
+    io_csv.write_nath_row(path, scenario, config.threshold, na_th)
     print(f"{scenario.value}: pulse-count threshold = {na_th:.3e}")
     print(f"wrote {path}")
     return 0

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Optional
 
-from .numerics import check_range
+from .numerics import check_integer, check_range
 from .params import BoundConventions, PhysicalParams, Scenario
 
 
@@ -42,6 +42,7 @@ class RunConfig:
             check_range("lstep_km", self.lstep_km, 0.0, math.inf, True, True)
             for value in self.na_list:
                 check_range("na", value, 0.0, math.inf, lo_open=True)
+            check_integer("seed", self.seed, 0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -116,6 +116,12 @@ def write_lmax_rows(path, rows: Iterable[tuple], threshold: float) -> None:
     _dump(path, lines)
 
 
+def write_nath_row(path, scenario: Scenario, threshold: float,
+                   na_threshold: float) -> None:
+    _dump(path, ["scenario,threshold,na_threshold", ",".join(
+        [scenario.value, fmt(threshold), fmt(na_threshold)])])
+
+
 def _dump(path, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
                           newline="\n")

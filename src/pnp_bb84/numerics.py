@@ -1,4 +1,4 @@
-"""Special functions, statistical-deviation primitives and the range check.
+"""Special functions, statistical-deviation primitives and range checks.
 
 Pure, stateless and safe for concurrent use; the arithmetic lives in the
 scalar kernels of ``_kernels`` and these wrappers only add domain validation.
@@ -7,6 +7,7 @@ scalar kernels of ``_kernels`` and these wrappers only add domain validation.
 from __future__ import annotations
 
 import math
+import numbers
 
 from . import _kernels
 
@@ -38,6 +39,14 @@ def check_range(name: str, value: float, lo: float, hi: float,
         domain = (f"in {'(' if lo_open else '['}{lo:g}, "
                   f"{hi:g}{')' if hi_open else ']'}")
     raise ValueError(f"{name}={value!r} must be {domain}")
+
+
+def check_integer(name: str, value: int, lo: int) -> int:
+    """Return ``value`` if it is an integer of at least ``lo``, else raise
+    ValueError naming ``name``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    return check_range(name, value, lo, math.inf, hi_open=True)
 
 
 def binary_entropy(x: float) -> float:

@@ -6,13 +6,13 @@ class probabilities and the error-budget split), so every point the search
 visits is feasible by construction.  The local method is Nelder-Mead from
 multiple deterministic starts: the origin, a physics-informed heuristic, any
 caller-provided warm starts, and seeded uniform draws from ``[-3, 3]`` in
-every raw coordinate up to ``n_starts`` (default 4).  Each start gets
-``max_evals_per_start`` evaluations (default 2000).  The best result is then
-polished: Nelder-Mead restarts from it with twice that budget, up to four
-times, until a restart gains less than 1e-6 of the rate.  A 13-dimensional
-simplex can collapse short of the optimum; one restart left the decoy_finite
-rate at 58 km / 5e10 pulses 4e-4 below the best known, a second and third
-close the gap.
+every raw coordinate that fill the starts up to `_N_STARTS` (4).  Each start
+gets `_MAX_EVALS` evaluations (2000).  The best result is then polished:
+Nelder-Mead restarts from it with twice that budget, up to four times,
+until a restart gains less than 1e-6 of the rate.  A 13-dimensional simplex
+can collapse short of the optimum; one restart left the decoy_finite rate at
+58 km / 5e10 pulses 4e-4 below the best known, a second and third close the
+gap.
 
 The initial simplex is ``x0`` plus ``x0 + 0.1 * e_k`` for every raw
 coordinate k (`_INITIAL_STEP`).  scipy's default, 5% of a nonzero coordinate
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -61,7 +60,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .numerics import check_range
+from .numerics import check_integer, check_range
 from .params import BoundConventions, PhysicalParams, Scenario
 from .rates import (ErrorBudget, ProtocolPoint, RateBreakdown, budget_fields,
                     evaluate_rate)
@@ -74,7 +73,8 @@ RAW_DIM = {
     Scenario.DECOY_FINITE: 13,
 }
 
-DEFAULT_N_STARTS = 4   # starts per maximize; random ones fill up to this
+_N_STARTS = 4          # starts per maximize; random ones fill up to this
+_MAX_EVALS = 2000      # evaluations per start; each polish run gets twice this
 _START_SPAN = 3.0      # random starts cover raw coordinates in [-span, span]
 _RATE_TIE_TOL = 1e-12  # ties in rate break toward smaller delta
 _INITIAL_STEP = 0.1    # initial simplex: x0 and x0 + step * e_k for each k
@@ -86,12 +86,6 @@ class InfeasibleProblemError(ValueError):
     """No feasible point exists for the requested scenario and geometry."""
 
 
-def _check_count(name: str, value: int) -> None:
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}={value!r} must be an integer")
-    check_range(name, value, 1, math.inf, hi_open=True)
-
-
 @dataclass(frozen=True)
 class OptimizationProblem:
     scenario: Scenario
@@ -100,16 +94,13 @@ class OptimizationProblem:
     phys: PhysicalParams = field(default_factory=PhysicalParams)
     conventions: BoundConventions = field(default_factory=BoundConventions)
     seed: int = 0
-    n_starts: int = DEFAULT_N_STARTS
-    max_evals_per_start: int = 2000
     warm_starts: tuple[ProtocolPoint, ...] = ()
 
     def __post_init__(self) -> None:
         self.scenario.check_pulse_count(self.n_pulses)
         check_range("distance_km", self.distance_km, 0.0, math.inf,
                     hi_open=True)
-        _check_count("n_starts", self.n_starts)
-        _check_count("max_evals_per_start", self.max_evals_per_start)
+        check_integer("seed", self.seed, 0)
 
     @property
     def dim(self) -> int:
@@ -119,8 +110,8 @@ class OptimizationProblem:
 @dataclass(frozen=True)
 class OptimizationResult:
     best_rate: float
-    best_point: Optional[ProtocolPoint]
-    breakdown: Optional[RateBreakdown]
+    best_point: ProtocolPoint
+    breakdown: RateBreakdown
     best_raw: np.ndarray
     evaluations: int
     converged: bool
@@ -140,10 +131,13 @@ def point_from_raw(problem: OptimizationProblem, raw: np.ndarray) -> ProtocolPoi
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != (problem.dim,):
         raise ValueError(f"raw vector must have shape ({problem.dim},)")
+    values = raw.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"raw vector {values!r} must be finite")
     arr = problem.phys.to_array()
     m_a, eta = _kernels.channel_at(problem.distance_km, arr)
     *lams, delta, finite = _kernel("params", problem)(
-        raw.tolist(), m_a, eta, problem.n_pulses, arr,
+        values, m_a, eta, problem.n_pulses, arr,
         problem.conventions.to_flags())
     return _point(problem, lams, delta, finite)
 
@@ -396,24 +390,18 @@ def _delta_of_raw(raw: Sequence[float]) -> float:
     return _kernels.logrange_kernel(raw[0], *_kernels.DELTA_LOG)
 
 
-def maximize(problem: OptimizationProblem,
-             objective: Optional[Callable[[np.ndarray], float]] = None,
-             ) -> OptimizationResult:
-    """Maximize the scenario rate (or an injected raw-space objective).
+def maximize(problem: OptimizationProblem) -> OptimizationResult:
+    """Maximize the scenario rate over the problem's free parameters.
 
     Deterministic for a fixed problem seed.  Ties in the achieved value are
     broken toward the smaller untagged-window width.
     """
-    if objective is None:
-        fn = _objective_fn(problem)
-    else:
-        fn = lambda z: objective(np.array(z))
+    fn = _objective_fn(problem)
     dim = problem.dim
-    maxfev = problem.max_evals_per_start
     starts: list[np.ndarray] = [np.zeros(dim), _heuristic_raw(problem)]
     for wp in problem.warm_starts:
         starts.append(raw_from_point(problem, wp))
-    n_random = max(0, problem.n_starts - len(starts))
+    n_random = max(0, _N_STARTS - len(starts))
     if n_random:
         starts.extend(_random_starts(dim, n_random, problem.seed))
 
@@ -423,7 +411,7 @@ def maximize(problem: OptimizationProblem,
     best_delta = math.inf
     evaluations = 0
     for x0 in starts:
-        x, fun, nfev, _ = _nelder_mead(neg, x0, maxfev)
+        x, fun, nfev, _ = _nelder_mead(neg, x0, _MAX_EVALS)
         evaluations += nfev
         val = -fun
         d = _delta_of_raw(x)
@@ -433,7 +421,7 @@ def maximize(problem: OptimizationProblem,
 
     # each polish restarts from the best point with a fresh simplex
     for _ in range(_POLISH_ROUNDS):
-        x, fun, nfev, converged = _nelder_mead(neg, best_raw, 2 * maxfev)
+        x, fun, nfev, converged = _nelder_mead(neg, best_raw, 2 * _MAX_EVALS)
         evaluations += nfev
         gain = -fun - best_val
         if not gain > 0.0:
@@ -442,11 +430,6 @@ def maximize(problem: OptimizationProblem,
         if gain <= _POLISH_RTOL * abs(best_val):
             break
     best_raw = np.asarray(best_raw, dtype=np.float64)
-
-    if objective is not None:
-        return OptimizationResult(best_rate=best_val, best_point=None,
-                                  breakdown=None, best_raw=best_raw,
-                                  evaluations=evaluations, converged=converged)
 
     if best_val <= _kernels.PENALTY + 1.0:
         raise InfeasibleProblemError(
@@ -493,7 +476,7 @@ def grid_oracle(problem: OptimizationProblem, resolution: int) -> OptimizationRe
     """
     if problem.scenario.finite:
         raise ValueError("grid oracle only covers the infinite-key scenarios")
-    _check_count("resolution", resolution)
+    check_integer("resolution", resolution, 1)
     arr = problem.phys.to_array()
     flags = problem.conventions.to_flags()
     m_a, eta = _kernels.channel_at(problem.distance_km, arr)

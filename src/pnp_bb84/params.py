@@ -159,6 +159,3 @@ class BoundConventions:
     def replace(self, **kw) -> "BoundConventions":
         return replace(self, **kw)
 
-
-DEFAULT_PHYSICAL = PhysicalParams()
-DEFAULT_CONVENTIONS = BoundConventions()

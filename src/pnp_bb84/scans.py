@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .numerics import check_range
-from .optimize import (DEFAULT_N_STARTS, OptimizationProblem,
-                       OptimizationResult, maximize)
+from .optimize import OptimizationProblem, OptimizationResult, maximize
 from .params import BoundConventions, PhysicalParams, Scenario
 from .rates import ProtocolPoint, RateBreakdown
 
@@ -61,38 +60,48 @@ class ScanRecord:
         return self.rate * self.n_pulses
 
 
-@dataclass
-class _WarmChain:
-    """Keeps the best points found so far, keyed for nearest-neighbour reuse."""
+def _warm_chain(scenario: Scenario, phys: PhysicalParams,
+                conventions: BoundConventions, seed: int
+                ) -> Callable[[float, float, float], OptimizationResult]:
+    """``solve(key, distance_km, n_pulses)``: `maximize` at that point, warm
+    started from the two recorded optima whose keys are nearest ``key``.
 
-    cache: dict[float, ProtocolPoint] = field(default_factory=dict)
+    Each solve records its optimum under ``key``, overwriting any earlier
+    one; ties in ``|k - key|`` go to the key recorded first.
+    """
+    found: dict[float, ProtocolPoint] = {}
 
-    def warm_starts(self, key: float, limit: int = 2) -> tuple[ProtocolPoint, ...]:
-        nearest = sorted(self.cache, key=lambda k: abs(k - key))[:limit]
-        return tuple(self.cache[k] for k in nearest)
+    def solve(key: float, distance_km: float,
+              n_pulses: float) -> OptimizationResult:
+        nearest = sorted(found, key=lambda k: abs(k - key))[:2]
+        result = maximize(OptimizationProblem(
+            scenario=scenario, distance_km=distance_km, n_pulses=n_pulses,
+            phys=phys, conventions=conventions, seed=seed,
+            warm_starts=tuple(found[k] for k in nearest)))
+        found[key] = result.best_point
+        return result
 
-    def record(self, key: float, result: OptimizationResult) -> None:
-        if result.best_point is not None:
-            self.cache[key] = result.best_point
+    return solve
 
 
-def _optimize_at(scenario: Scenario, distance_km: float, n_pulses: float,
-                 phys: PhysicalParams, conventions: BoundConventions,
-                 seed: int, n_starts: int,
-                 warm: tuple[ProtocolPoint, ...]) -> OptimizationResult:
-    problem = OptimizationProblem(
-        scenario=scenario, distance_km=distance_km, n_pulses=n_pulses,
-        phys=phys, conventions=conventions, seed=seed, n_starts=n_starts,
-        warm_starts=warm)
-    return maximize(problem)
+def _bisect(below: Callable[[float], bool], lo: float, hi: float,
+            width: float) -> float:
+    """Midpoint of ``[lo, hi]`` halved until no wider than ``width``;
+    ``below(x)`` says whether the sought point lies below ``x``."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def scan_distance(scenario: Scenario, n_pulses: float,
                   l_grid: Sequence[float],
                   phys: PhysicalParams = PhysicalParams(),
                   conventions: BoundConventions = BoundConventions(),
-                  seed: int = 0, n_starts: int = DEFAULT_N_STARTS
-                  ) -> list[ScanRecord]:
+                  seed: int = 0) -> list[ScanRecord]:
     """Optimize the rate at every grid distance, warm-starting along the scan.
 
     Records with non-positive rate are flagged ``no_key`` but still emitted so
@@ -105,12 +114,10 @@ def scan_distance(scenario: Scenario, n_pulses: float,
         check_range("distance_km", dist, 0.0, math.inf, hi_open=True)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("l_grid must be strictly increasing")
-    chain = _WarmChain()
+    solve = _warm_chain(scenario, phys, conventions, seed)
     records = []
     for dist in grid:
-        result = _optimize_at(scenario, dist, n_pulses, phys, conventions,
-                              seed, n_starts, chain.warm_starts(dist))
-        chain.record(dist, result)
+        result = solve(dist, dist, n_pulses)
         records.append(ScanRecord(
             scenario=scenario, distance_km=dist, n_pulses=n_pulses,
             rate=result.best_rate, no_key=result.best_rate <= 0.0,
@@ -119,70 +126,50 @@ def scan_distance(scenario: Scenario, n_pulses: float,
 
 
 def solve_lmax_profile(rate_at: Callable[[float], float],
-                       rate_threshold: float,
-                       l_cap: float = _L_CAP_KM,
-                       coarse_step: float = _L_COARSE_STEP_KM,
-                       resolution: float = _L_RESOLUTION_KM) -> float:
+                       rate_threshold: float) -> float:
     """Largest distance with ``rate_at(L) > rate_threshold``.
 
-    Assumes a non-increasing profile (verified on the coarse bracketing grid
-    up to optimizer noise) and refines by bisection to ``resolution`` km.
+    Assumes a non-increasing profile: marches from 0 km in `_L_COARSE_STEP_KM`
+    steps up to `_L_CAP_KM` (returned if the rate never drops to the
+    threshold), raising NonMonotoneRateError if a step's rate rises beyond
+    optimizer noise, then bisects the bracket to `_L_RESOLUTION_KM`.
     """
     check_range("rate_threshold", rate_threshold, 0.0, math.inf, hi_open=True)
-    check_range("l_cap", l_cap, 0.0, math.inf, True, True)
-    check_range("coarse_step", coarse_step, 0.0, math.inf, True, True)
-    check_range("resolution", resolution, 0.0, math.inf, True, True)
     r0 = rate_at(0.0)
     if r0 <= rate_threshold:
         return 0.0
     lo, lo_rate = 0.0, r0
-    hi = None
-    dist = coarse_step
-    while dist <= l_cap + 1e-9:
+    dist = _L_COARSE_STEP_KM
+    while dist <= _L_CAP_KM + 1e-9:
         r = rate_at(dist)
         if r > lo_rate * _MONOTONE_SLACK and r > rate_threshold:
             raise NonMonotoneRateError(
                 f"optimized rate rose from {lo_rate:.3e} at {lo} km to "
                 f"{r:.3e} at {dist} km")
         if r <= rate_threshold:
-            hi = dist
-            break
+            return _bisect(lambda mid: rate_at(mid) <= rate_threshold,
+                           lo, dist, _L_RESOLUTION_KM)
         lo, lo_rate = dist, r
-        dist += coarse_step
-    if hi is None:
-        return l_cap
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if rate_at(mid) > rate_threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        dist += _L_COARSE_STEP_KM
+    return _L_CAP_KM
 
 
 def find_lmax(scenario: Scenario, n_pulses: float,
               rate_threshold: float = DEFAULT_THRESHOLD,
               phys: PhysicalParams = PhysicalParams(),
               conventions: BoundConventions = BoundConventions(),
-              seed: int = 0, n_starts: int = DEFAULT_N_STARTS,
-              l_cap: float = _L_CAP_KM) -> float:
+              seed: int = 0) -> float:
     """Maximal secure distance at the given positivity threshold, in km."""
-    chain = _WarmChain()
-
-    def rate_at(dist: float) -> float:
-        result = _optimize_at(scenario, dist, n_pulses, phys, conventions,
-                              seed, n_starts, chain.warm_starts(dist))
-        chain.record(dist, result)
-        return result.best_rate
-
-    return solve_lmax_profile(rate_at, rate_threshold, l_cap=l_cap)
+    solve = _warm_chain(scenario, phys, conventions, seed)
+    return solve_lmax_profile(
+        lambda dist: solve(dist, dist, n_pulses).best_rate, rate_threshold)
 
 
 def find_na_threshold(scenario: Scenario,
                       rate_threshold: float = DEFAULT_THRESHOLD,
                       phys: PhysicalParams = PhysicalParams(),
                       conventions: BoundConventions = BoundConventions(),
-                      seed: int = 0, n_starts: int = DEFAULT_N_STARTS) -> float:
+                      seed: int = 0) -> float:
     """Smallest pulse count with a positive maximal secure distance.
 
     Since the optimized rate is non-increasing in distance, a positive
@@ -193,13 +180,10 @@ def find_na_threshold(scenario: Scenario,
         raise ValueError("pulse-count threshold applies to finite scenarios only")
     check_range("rate_threshold", rate_threshold, 0.0, math.inf, hi_open=True)
     lo_log, hi_log = _NA_LOG_RANGE
-    chain = _WarmChain()
+    solve = _warm_chain(scenario, phys, conventions, seed)
 
     def positive(log_na: float) -> bool:
-        result = _optimize_at(scenario, 0.0, 10.0 ** log_na, phys, conventions,
-                              seed, n_starts, chain.warm_starts(log_na))
-        chain.record(log_na, result)
-        return result.best_rate > rate_threshold
+        return solve(log_na, 0.0, 10.0 ** log_na).best_rate > rate_threshold
 
     if not positive(hi_log):
         raise ThresholdOutsideRangeError(
@@ -207,13 +191,7 @@ def find_na_threshold(scenario: Scenario,
     if positive(lo_log):
         raise ThresholdOutsideRangeError(
             f"threshold below the search floor n_pulses = 1e{lo_log:.0f}")
-    while hi_log - lo_log > _NA_LOG_RESOLUTION:
-        mid = 0.5 * (lo_log + hi_log)
-        if positive(mid):
-            hi_log = mid
-        else:
-            lo_log = mid
-    return 10.0 ** (0.5 * (lo_log + hi_log))
+    return 10.0 ** _bisect(positive, lo_log, hi_log, _NA_LOG_RESOLUTION)
 
 
 # --- figure datasets ------------------------------------------------------------
@@ -234,7 +212,7 @@ def _default_l_grid(scenario: Scenario) -> list[float]:
 def figure_datasets(figure_id: str, out_dir,
                     phys: PhysicalParams = PhysicalParams(),
                     conventions: BoundConventions = BoundConventions(),
-                    seed: int = 0, n_starts: int = DEFAULT_N_STARTS,
+                    seed: int = 0,
                     l_grid: Optional[Sequence[float]] = None,
                     na_list: Optional[Sequence[float]] = None,
                     threshold: float = DEFAULT_THRESHOLD) -> dict[str, str]:
@@ -268,9 +246,9 @@ def figure_datasets(figure_id: str, out_dir,
         all_records: list[ScanRecord] = []
         for na in nas:
             all_records.extend(scan_distance(fin_sc, na, grid, phys,
-                                             conventions, seed, n_starts))
+                                             conventions, seed))
         all_records.extend(scan_distance(inf_sc, math.inf, grid, phys,
-                                         conventions, seed, n_starts))
+                                         conventions, seed))
         rate_path = out / f"{figure_id}_rate.csv"
         io_csv.write_records(rate_path, all_records)
         written["rate"] = str(rate_path)
@@ -300,15 +278,14 @@ def figure_datasets(figure_id: str, out_dir,
     for scenario in (Scenario.NO_DECOY_FINITE, Scenario.DECOY_FINITE):
         for na in nas:
             lmax = find_lmax(scenario, na, threshold, phys, conventions,
-                             seed, n_starts)
+                             seed)
             rows.append((scenario, na, lmax))
     lmax_path = out / "fig3_lmax.csv"
     io_csv.write_lmax_rows(lmax_path, rows, threshold)
     written["lmax"] = str(lmax_path)
 
     asym = [(sc, math.inf,
-             find_lmax(sc, math.inf, threshold, phys, conventions, seed,
-                       n_starts))
+             find_lmax(sc, math.inf, threshold, phys, conventions, seed))
             for sc in (Scenario.NO_DECOY_INFINITE, Scenario.DECOY_INFINITE)]
     asym_path = out / "fig3_asymptotes.csv"
     io_csv.write_lmax_rows(asym_path, asym, threshold)

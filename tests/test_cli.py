@@ -130,6 +130,35 @@ class TestCliCommands:
         assert "L_max" in out
         assert (tmp_path / "lmax_no_decoy_infinite.csv").exists()
 
+    def test_nath_csv_layout(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "find_na_threshold",
+                            lambda *a: seen.append(a) or 947463525.65537536)
+        rc = main(["nath", "--scenario", "no_decoy_finite", "--threshold",
+                   "1e-9", "--out", str(tmp_path)])
+        assert rc == 0
+        assert seen[0][:2] == (Scenario.NO_DECOY_FINITE, 1e-9)
+        assert (tmp_path / "nath_no_decoy_finite.csv").read_text() == (
+            "scenario,threshold,na_threshold\n"
+            "no_decoy_finite,1.0000000000000001e-09,947463525.65537536\n")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_a_one_line_error(self, tmp_path, capsys,
+                                               source):
+        # np.random.default_rng rejects it only once the search has begun
+        args = ["scan", "--scenario", "no_decoy_infinite", "--lmin", "0",
+                "--lmax-km", "0", "--out", str(tmp_path)]
+        if source == "flag":
+            args += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -1\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed=-1 ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
     def _raising(self, exc):
         def solver(*args, **kwargs):
             raise exc

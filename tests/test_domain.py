@@ -18,10 +18,10 @@ from pnp_bb84 import (BoundConventions, ErrorBudget, OptimizationProblem,
                       figure_datasets, find_lmax, find_na_threshold,
                       finite_correction_delta, gain_and_qber, grid_oracle,
                       log_binomial_coeff, photon_bound_lower,
-                      photon_bound_upper, q1u_lower_decoy, q1u_lower_no_decoy,
-                      raw_from_point, scan_distance, solve_lmax_profile,
-                      statistical_deviation, untagged_bounds,
-                      untagged_probability_finite,
+                      photon_bound_upper, point_from_raw, q1u_lower_decoy,
+                      q1u_lower_no_decoy, raw_from_point, scan_distance,
+                      solve_lmax_profile, statistical_deviation,
+                      untagged_bounds, untagged_probability_finite,
                       untagged_probability_infinite)
 from pnp_bb84 import scans
 from pnp_bb84.cli import main
@@ -176,10 +176,7 @@ PYTHON_API = [
            lambda v: problem(distance_km=v), -1.0),
     *cases("OptimizationProblem.n_pulses", lambda v: problem(n_pulses=v),
            0.0),
-    *cases("OptimizationProblem.n_starts", lambda v: problem(n_starts=v),
-           2.5),
-    *cases("OptimizationProblem.max_evals_per_start",
-           lambda v: problem(max_evals_per_start=v), 10.5),
+    *cases("OptimizationProblem.seed", lambda v: problem(seed=v), -1),
     *cases("grid_oracle.resolution",
            lambda v: grid_oracle(problem(ND_INF), v), 0),
     *cases("scan_distance.l_grid",
@@ -188,16 +185,9 @@ PYTHON_API = [
            lambda v: scan_distance(ND_FIN, v, [0.0]), 0.0),
     *cases("solve_lmax_profile.rate_threshold",
            lambda v: solve_lmax_profile(no_rate, v), -1e-9),
-    *cases("solve_lmax_profile.l_cap",
-           lambda v: solve_lmax_profile(no_rate, 1e-9, l_cap=v), 0.0),
-    *cases("solve_lmax_profile.coarse_step",
-           lambda v: solve_lmax_profile(no_rate, 1e-9, coarse_step=v), 0.0),
-    *cases("solve_lmax_profile.resolution",
-           lambda v: solve_lmax_profile(no_rate, 1e-9, resolution=v), 0.0),
     *cases("find_lmax.rate_threshold",
            lambda v: find_lmax(D_INF, INF, rate_threshold=v), -1e-9),
     *cases("find_lmax.n_pulses", lambda v: find_lmax(ND_FIN, v), 0.0),
-    *cases("find_lmax.l_cap", lambda v: find_lmax(D_INF, INF, l_cap=v), 0.0),
     *cases("find_na_threshold.rate_threshold",
            lambda v: find_na_threshold(ND_FIN, rate_threshold=v), -1e-9),
 ]
@@ -234,6 +224,17 @@ def test_figure_datasets_rejects(call, value, no_search, tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("index", [0, 12])
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_point_from_raw_rejects_a_non_finite_coordinate(index, value):
+    # the parameter maps pass nan through to delta; only evaluating the
+    # point would catch it
+    raw = [0.0] * 13
+    raw[index] = value
+    with pytest.raises(ValueError, match="finite"):
+        point_from_raw(problem(D_FIN), raw)
+
+
 RUN_FIELDS = {"lmin_km": -1.0, "lmax_km": -1.0, "lstep_km": 0.0,
               "threshold": -1e-9}
 CONFIG_CASES = [
@@ -242,6 +243,9 @@ CONFIG_CASES = [
                      lambda v, name=name: RunConfig(**{name: v}), bad)],
     *cases("RunConfig.na_list", lambda v: RunConfig(na_list=(v,)), 0.0,
            inf_ok=True),
+    *cases("RunConfig.seed", lambda v: RunConfig(seed=v), -1),
+    *cases("parse_config.seed", lambda v: parse_config(f"seed = {v!r}\n"),
+           -1),
     *[c for key, bad in [*PHYS_FIELDS.items(), *RUN_FIELDS.items()]
       for c in cases(f"parse_config.{key}",
                      lambda v, key=key: parse_config(f"{key} = {v!r}\n"),

@@ -8,7 +8,7 @@ import pytest
 from pnp_bb84 import (PhysicalParams, Scenario, evaluate_rate, figure_datasets,
                       scan_distance, solve_lmax_profile)
 from pnp_bb84.params import BoundConventions
-from pnp_bb84.scans import NonMonotoneRateError
+from pnp_bb84.scans import _L_CAP_KM, NonMonotoneRateError
 from pnp_bb84 import io_csv
 
 PHYS = PhysicalParams()
@@ -26,7 +26,7 @@ class TestLmaxProfileSolver:
         assert solve_lmax_profile(lambda dist: 1e-12, 1e-9) == 0.0
 
     def test_cap_when_never_crossing(self):
-        assert solve_lmax_profile(lambda dist: 1.0, 1e-9, l_cap=50.0) == 50.0
+        assert solve_lmax_profile(lambda dist: 1.0, 1e-9) == _L_CAP_KM
 
     def test_non_monotone_profile_detected(self):
         bumpy = lambda dist: 1e-3 * (1.0 if dist < 15 else 100.0) * 10 ** (-dist / 10)
@@ -36,9 +36,6 @@ class TestLmaxProfileSolver:
     @pytest.mark.parametrize("kwargs", [
         dict(rate_threshold=math.nan), dict(rate_threshold=math.inf),
         dict(rate_threshold=-1e-9),
-        dict(l_cap=math.nan), dict(l_cap=math.inf), dict(l_cap=0.0),
-        dict(coarse_step=math.nan), dict(coarse_step=-10.0),
-        dict(resolution=math.nan), dict(resolution=0.0),
     ])
     def test_bad_arguments_rejected_before_any_rate(self, kwargs):
         calls = []
