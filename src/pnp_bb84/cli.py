@@ -15,6 +15,15 @@ from .params import Scenario
 from .scans import find_lmax, find_na_threshold, figure_datasets, scan_distance
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line with exit code 1, like
+    every other bad input, instead of a usage block and exit code 2.  The
+    subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value configuration file")
@@ -31,7 +40,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pnp-bb84",
         description="Secure key rates for plug-and-play BB84 with an "
                     "untrusted source")
@@ -144,9 +153,8 @@ def _cmd_figure(config: RunConfig, figure_id: str, grid_given: bool) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config, grid_given = _load_config(args)
         if args.command == "scan":
             return _cmd_scan(config)

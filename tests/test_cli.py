@@ -198,6 +198,29 @@ class TestCliCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("args", [
+        ["scan", "--scenario", "no_decoy_infinite", "--seed", "1.5"],
+        ["scan", "--scenario", "no_decoy_infinite", "--lmin", "abc"],
+        ["scan", "--scenario", "no_decoy_infinite", "--bogus", "1"],
+        ["scan", "--scenario", "no_such_scenario"],
+        ["figure", "fig4"],
+        ["--seed", "0"],
+    ], ids=["seed-float", "lmin-text", "unknown-flag", "unknown-scenario",
+            "unknown-figure", "missing-subcommand"])
+    def test_usage_error_is_a_one_line_error(self, tmp_path, capsys, args):
+        rc = main(args + ["--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("args", [["--help"], ["scan", "--help"]])
+    def test_help_exits_zero(self, capsys, args):
+        with pytest.raises(SystemExit) as exit_:
+            main(args)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pnp-bb84")
+
 
 class TestFigureGrid:
     """`figure` keeps its own distance grid only when no flag or config key
