@@ -223,15 +223,18 @@ def decoy_correction_kernel(delta, m_a, lam_p_d, p2s_low):
     return exp(lc)
 
 
-def _no_decoy_q1u(m_a, delta, lam_p, qu_low, mixed):
-    """Single-photon untagged gain from the lower P_0 and the chosen P_1."""
+def _no_decoy_q1u(m_a, delta, lam_p, qu_low, qu_up, mixed):
+    """Single-photon untagged gain from the lower P_0 and the chosen P_1,
+    clamped to [0, qu_up]."""
     p0 = photon_lower_kernel(m_a, delta, lam_p, 0)
     if mixed == 1:
         p1 = photon_upper_kernel(m_a, delta, lam_p, 1)
     else:
         p1 = photon_lower_kernel(m_a, delta, lam_p, 1)
     q1u = qu_low + p0 + p1 - 1.0
-    return 0.0 if q1u < 0.0 else q1u
+    if q1u < 0.0:
+        return 0.0
+    return qu_up if q1u > qu_up else q1u
 
 
 def _decoy_q1u_e1u(m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low, qu_v_up,
@@ -332,7 +335,7 @@ def rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite=None):
             qu_low = (q - (1.0 - p_u)) / p_u
         if qu_low < 0.0:
             qu_low = 0.0
-        q1u = _no_decoy_q1u(m_a, delta, lam_p, qu_low, flags[2])
+        q1u = _no_decoy_q1u(m_a, delta, lam_p, qu_low, qu_up, flags[2])
         if q1u > 0.0:
             e_up = e if finite is None else e + xi_kernel(eps_e, m_e)
             e1u = q * e_up / q1u

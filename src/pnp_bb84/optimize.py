@@ -19,14 +19,11 @@ points with a key); 303 optima stayed bit-identical and one (decoy_infinite
 123 km, seed 8) rose by 2.8e-9 of the rate.  The informed starts are never
 probed: near a finite-key cutoff the heuristic start needs more than 200
 evaluations before its first positive rate.  Where no start finds a key,
-every start runs in full.  The best end is chosen in the order origin,
-heuristic, warm, random, whatever the run order, because the tie rule
-(`_RATE_TIE_TOL`) is not transitive and the no-key plateau is full of ties.
-The best result is then polished: Nelder-Mead restarts from it with twice
-that budget, up to four times, until a restart gains less than 1e-6 of the
-rate.  A 13-dimensional simplex can collapse short of the optimum; one
-restart left the decoy_finite rate at 58 km / 5e10 pulses 4e-4 below the
-best known, a second and third close the gap.
+every start runs in full.  The best result is then polished: Nelder-Mead
+restarts from it with twice that budget, up to four times, until a restart
+gains less than 1e-6 of the rate.  A 13-dimensional simplex can collapse
+short of the optimum; one restart left the decoy_finite rate at 58 km /
+5e10 pulses 4e-4 below the best known, a second and third close the gap.
 
 The initial simplex is ``x0`` plus ``x0 + 0.1 * e_k`` for every raw
 coordinate k (`_INITIAL_STEP`).  scipy's default, 5% of a nonzero coordinate
@@ -41,12 +38,21 @@ no-key plateau just below zero, and whether it does depends on the step.
 At 0.5 it missed the basin 0.1-0.5 km inside the decoy_finite cutoff at
 5e10 pulses on every seed; 0.1-0.15 missed the fewest such points.
 
+Ties are broken by one rule, the same on every CPU.  The simplex is kept in
+stable order of value, nan last: vertices of equal value keep their order,
+and a new vertex goes after the values it ties with.  `maximize` takes the
+end with the largest exact value; ties go to the smaller untagged-window
+width delta, then to the first start in run order.  This order is
+transitive, so the run order of the starts moves no other choice.
+
 `_nelder_mead` is a port of scipy 1.17's ``_minimize_neldermead`` with the
 options used here (standard coefficients, ``initial_simplex`` as above,
 ``xatol=1e-6``, ``fatol=1e-11``, ``maxfev`` given), run on lists of Python
-floats so that no step pays for numpy calls on arrays of 2-13 elements.  It
-does scipy's float operations in scipy's order, so evaluation counts, optima
-and CSV bytes are those of scipy's ``minimize``:
+floats so that no step calls numpy.  It does scipy's float operations in
+scipy's order.  scipy sorts the simplex with ``np.argsort``, whose order
+for tied values comes from a SIMD sort that numpy picks for the CPU; with
+``np.argsort`` made stable (``kind="stable"``) the evaluation counts and
+optima are those of scipy's ``minimize``, float for float:
 
 - the centroid adds the sorted vertices 0..n-1 one after another, then
   divides by n, as numpy's axis-0 reduce does;
@@ -54,10 +60,9 @@ and CSV bytes are those of scipy's ``minimize``:
   ``3*xbar - 2*w``, ``1.5*xbar - 0.5*w`` and ``0.5*xbar + 0.5*w``;
 - an evaluation refused at the budget leaves the simplex as scipy's does,
   and a shrink writes each vertex before its evaluation is refused;
-- when the values tie or include a nan the vertex order comes from
-  ``np.argsort``, whose tie-breaking depends on numpy's SIMD sort for the
-  CPU; otherwise the order is unique and the new vertex is inserted by
-  bisection;
+- the simplex is sorted in full only after a shrink or while a nan is
+  among the kept vertices; otherwise the new vertex is inserted by
+  bisection, after its equals, where a stable sort would put it;
 - a nan value means not converged, and makes the reported minimum nan.
 
 `tests/test_nelder_mead.py` holds the port to scipy's results.
@@ -67,7 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -91,7 +96,6 @@ _N_STARTS = 4          # starts per maximize; random ones fill up to this
 _MAX_EVALS = 2000      # evaluations per start; each polish run gets twice this
 _PROBE_EVALS = 100     # a probed blind start stops here if it found no key
 _START_SPAN = 3.0      # random starts cover raw coordinates in [-span, span]
-_RATE_TIE_TOL = 1e-12  # ties in rate break toward smaller delta
 _INITIAL_STEP = 0.1    # initial simplex: x0 and x0 + step * e_k for each k
 _POLISH_ROUNDS = 4     # at most this many polish runs after the starts...
 _POLISH_RTOL = 1e-6    # ...stopping once one gains less than this, relatively
@@ -116,6 +120,10 @@ class OptimizationProblem:
         check_range("distance_km", self.distance_km, 0.0, math.inf,
                     hi_open=True)
         check_integer("seed", self.seed, 0)
+        if 0.0 in _kernels.channel_at(self.distance_km, self.phys.to_array()):
+            raise InfeasibleProblemError(
+                f"no photon survives L={self.distance_km} km: the channel "
+                f"attenuation underflows to 0")
 
     @property
     def dim(self) -> int:
@@ -273,16 +281,11 @@ class _BudgetSpent(Exception):
     """An evaluation was refused: the budget of `_nelder_mead` is used up."""
 
 
-def _argsorted(sim: list, fsim: list) -> tuple[list, list, bool]:
-    """Reorder the simplex by ``np.argsort`` of its values, as scipy does.
-
-    Also reports whether the values tie or include a nan; only then can the
-    order differ from the one any other sort would give.
-    """
-    order = np.argsort(fsim).tolist()
-    fsim = [fsim[i] for i in order]
-    tied = fsim[-1] != fsim[-1] or any(a == b for a, b in zip(fsim, fsim[1:]))
-    return [sim[i] for i in order], fsim, tied
+def _stable_sorted(sim: list, fsim: list) -> tuple[list, list]:
+    """The simplex in stable order of value, nan last: the tie rule."""
+    order = sorted(range(len(fsim)),
+                   key=lambda i: (fsim[i] != fsim[i], fsim[i]))
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
 @functools.cache
@@ -305,12 +308,14 @@ def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
 
     Returns ``(x, fun, nfev, success)``, where ``success`` means the simplex
     met ``_XATOL``/``_FATOL`` before the budget ran out.  ``f`` receives a
-    list it must not modify.  The steps are those of scipy's
-    ``minimize(method="Nelder-Mead")`` with ``maxfev``, the two
-    tolerances and the `_INITIAL_STEP` simplex set, float for float (see
-    the module docstring).  With ``probe`` set, the run ends as if its
-    budget were spent after ``probe`` evaluations none of which went below
-    zero; once one does, it runs as without a probe.
+    list it must not modify.  The simplex is kept in stable order of value,
+    nan last, each new vertex after its equals.  The steps are those of
+    scipy's ``minimize(method="Nelder-Mead")`` with ``maxfev``, the two
+    tolerances and the `_INITIAL_STEP` simplex set, float for float, once
+    ``np.argsort`` is stable (see the module docstring).  With ``probe``
+    set, the run ends as if its budget were spent after ``probe``
+    evaluations none of which went below zero; once one does, it runs as
+    without a probe.
     """
     n = len(x0)
     nfev = 0
@@ -341,10 +346,8 @@ def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
             fsim[k] = call(sim[k])
     except _BudgetSpent:
         pass
-    # scipy sorts twice before the first step; with ties the second sort
-    # may permute the first one's order
-    sim, fsim, tied = _argsorted(sim, fsim)
-    sim, fsim, tied = _argsorted(sim, fsim)
+    # scipy sorts twice before the first step; a stable sort needs one
+    sim, fsim = _stable_sorted(sim, fsim)
 
     centroid = _centroid_fn(n)
     while nfev < maxfev:
@@ -389,22 +392,17 @@ def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
                         fsim[j] = call(sim[j])
         except _BudgetSpent:
             pass
-        if shrunk or tied:
-            if new is not None:
-                sim[-1], fsim[-1] = new
-            sim, fsim, tied = _argsorted(sim, fsim)
+        if new is not None:
+            sim[-1], fsim[-1] = new
+        if shrunk or (new is not None and fsim[-2] != fsim[-2]):
+            sim, fsim = _stable_sorted(sim, fsim)
         elif new is not None:
-            x, fx = new
-            sim.pop()
-            fsim.pop()
-            pos = bisect_left(fsim, fx)
-            if fx != fx or (pos < n and fsim[pos] == fx):
-                sim.append(x)
-                fsim.append(fx)
-                sim, fsim, tied = _argsorted(sim, fsim)
-            else:
-                sim.insert(pos, x)
-                fsim.insert(pos, fx)
+            # the kept vertices are sorted and hold no nan; a nan fx
+            # compares false and goes last
+            x, fx = sim.pop(), fsim.pop()
+            pos = bisect_right(fsim, fx)
+            sim.insert(pos, x)
+            fsim.insert(pos, fx)
 
     # a nan value sorts last, and makes the minimum nan as in np.min
     fun = fsim[0] if fsim[-1] == fsim[-1] else math.nan
@@ -418,12 +416,13 @@ def _delta_of_raw(raw: Sequence[float]) -> float:
 def maximize(problem: OptimizationProblem) -> OptimizationResult:
     """Maximize the scenario rate over the problem's free parameters.
 
-    Deterministic for a fixed problem seed.  Ties in the achieved value are
-    broken toward the smaller untagged-window width.  The informed starts
-    (heuristic, then warm) run first and in full; once any start has
-    reached a positive rate, each blind start (origin, then random) stops
-    after `_PROBE_EVALS` evaluations that found no key (see the module
-    docstring for why and for the evidence).
+    Deterministic for a fixed problem seed.  The best end has the largest
+    exact value; ties go to the smaller untagged-window width, then to the
+    first start in run order.  The informed starts (heuristic, then warm)
+    run first and in full; once any start has reached a positive rate,
+    each blind start (origin, then random) stops after `_PROBE_EVALS`
+    evaluations that found no key (see the module docstring for why and
+    for the evidence).
     """
     fn = _objective_fn(problem)
     dim = problem.dim
@@ -446,14 +445,10 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
         evaluations += nfev
         ends.append((-fun, x))
 
-    # the choice reads the ends origin first, then heuristic, warm and
-    # random, so that the run order cannot move a tie
-    ends.insert(0, ends.pop(n_informed))
     best_val, best_raw, best_delta = -math.inf, np.zeros(dim), math.inf
     for val, x in ends:
         d = _delta_of_raw(x)
-        if val > best_val + _RATE_TIE_TOL or (
-                abs(val - best_val) <= _RATE_TIE_TOL and d < best_delta):
+        if val > best_val or (val == best_val and d < best_delta):
             best_val, best_raw, best_delta = val, x, d
 
     # each polish restarts from the best point with a fresh simplex

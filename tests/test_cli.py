@@ -182,6 +182,20 @@ class TestCliCommands:
         assert rc == 1
         assert capsys.readouterr().err == "error: no feasible point found\n"
 
+    @pytest.mark.parametrize("scenario", [s.value for s in Scenario])
+    def test_distance_past_attenuation_underflow_is_a_one_line_error(
+            self, tmp_path, capsys, scenario):
+        # at 0.21 dB/km the transmittance is 0.0 beyond about 15,350 km
+        args = ["scan", "--scenario", scenario, "--lmin", "16000",
+                "--lmax-km", "16000", "--out", str(tmp_path)]
+        if Scenario(scenario).finite:
+            args += ["--na", "5e10"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "underflows" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("args", [
         ["lmax", "--scenario", "no_decoy_infinite", "--threshold", "nan"],
         ["scan", "--scenario", "no_decoy_infinite", "--lstep", "nan"],

@@ -11,17 +11,18 @@ import math
 
 import pytest
 
-from pnp_bb84 import (BoundConventions, ErrorBudget, OptimizationProblem,
-                      PhysicalParams, ProtocolPoint, Scenario, SourceConfig,
-                      binary_entropy, channel_transmittance, e1u_upper_decoy,
-                      evaluate_rate, evaluate_rate_finite_limit,
-                      figure_datasets, find_lmax, find_na_threshold,
-                      finite_correction_delta, gain_and_qber, grid_oracle,
-                      log_binomial_coeff, photon_bound_lower,
-                      photon_bound_upper, point_from_raw, q1u_lower_decoy,
-                      q1u_lower_no_decoy, raw_from_point, scan_distance,
-                      solve_lmax_profile, statistical_deviation,
-                      untagged_bounds, untagged_probability_finite,
+from pnp_bb84 import (BoundConventions, ErrorBudget, InfeasibleProblemError,
+                      OptimizationProblem, PhysicalParams, ProtocolPoint,
+                      Scenario, SourceConfig, binary_entropy,
+                      channel_transmittance, e1u_upper_decoy, evaluate_rate,
+                      evaluate_rate_finite_limit, figure_datasets, find_lmax,
+                      find_na_threshold, finite_correction_delta,
+                      gain_and_qber, grid_oracle, log_binomial_coeff,
+                      photon_bound_lower, photon_bound_upper, point_from_raw,
+                      q1u_lower_decoy, q1u_lower_no_decoy, raw_from_point,
+                      scan_distance, solve_lmax_profile,
+                      statistical_deviation, untagged_bounds,
+                      untagged_probability_finite,
                       untagged_probability_infinite)
 from pnp_bb84 import scans
 from pnp_bb84.cli import main
@@ -222,6 +223,15 @@ def test_figure_datasets_rejects(call, value, no_search, tmp_path):
     with pytest.raises(ValueError):
         call(value, tmp_path)
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_problem_past_attenuation_underflow_is_infeasible(scenario):
+    # m_a and eta are 0.0 at 16000 km; the heuristic start and the
+    # parameter maps would divide by them
+    with pytest.raises(InfeasibleProblemError, match="underflows"):
+        problem(scenario, distance_km=16000.0)
+    problem(scenario, distance_km=15000.0)
 
 
 @pytest.mark.parametrize("index", [0, 12])

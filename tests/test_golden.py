@@ -206,9 +206,9 @@ def test_warm_started_scan_matches_golden(monkeypatch):
     monkeypatch.setattr(scans, "maximize", counted)
     records = scans.scan_distance(Scenario.DECOY_FINITE, 5e10, [58.0, 60.0],
                                   seed=0)
-    assert runs == [(0, 8539), (1, 4778)]
-    for record, rate in zip(records, [7.5369100581217555e-06,
-                                      4.231356752723927e-06]):
+    assert runs == [(0, 8823), (1, 4993)]
+    for record, rate in zip(records, [7.536910004601047e-06,
+                                      4.2313567658183105e-06]):
         assert math.isclose(record.rate, rate, rel_tol=1e-12)
 
 

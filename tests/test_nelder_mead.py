@@ -5,11 +5,15 @@
 ``initial_simplex`` built by the port's ``x0[k] + step`` arithmetic, and
 requires the same final vertex, value, evaluation count and success flag,
 compared with ``==``: a single reordered float operation or a different
-vertex order after a tie shows up as a mismatch.
+vertex order after a tie shows up as a mismatch.  scipy runs with
+``np.argsort`` made stable, the port's tie rule; numpy's default sort
+breaks ties by a SIMD path that depends on the CPU.
 """
 
+import functools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,8 +38,12 @@ def initial_simplex(x0):
     return np.array(sim)
 
 
+_STABLE_ARGSORT = functools.partial(np.argsort, kind="stable")
+
+
 def assert_matches_scipy(f, x0, maxfev):
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), \
+            mock.patch.object(np, "argsort", _STABLE_ARGSORT):
         # inf - inf in scipy's convergence test when the budget is tiny
         warnings.simplefilter("ignore", RuntimeWarning)
         want = minimize(f, np.array(x0, dtype=float), method="Nelder-Mead",
@@ -108,6 +116,21 @@ def test_plateau_objective_with_tied_values(n):
         x0 = rng.normal(scale=2.0, size=n).tolist()
         assert_matches_scipy(floored, x0, 600 * n)
         assert_matches_scipy(flat_axis, x0, 600 * n)
+
+
+def test_tie_rule_makes_no_numpy_call():
+    # a quadratic floored to integers: most values the driver sees repeat
+    # one it has seen, so ties decide much of the vertex order, which the
+    # driver must find without numpy's CPU-dependent sort
+    for n in (2, 3, 7, 13):
+        q = quadratic(n, 81)
+        floored = lambda x: math.floor(q(x))
+        seen = []
+        with mock.patch.object(np, "argsort", side_effect=AssertionError):
+            _nelder_mead(lambda z: seen.append(floored(np.array(z))) or
+                         seen[-1], [1.5] * n, 600 * n)
+        assert len(set(seen)) < len(seen) / 2
+        assert_matches_scipy(floored, [1.5] * n, 600 * n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 13])
