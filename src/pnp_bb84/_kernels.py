@@ -50,13 +50,15 @@ set stage by stage, and a failing stage leaves the later ones nan:
     status 2      mu, gain and qber (2-7) and the coverage in slots 8-10
     status 3      as 2, with the deviation subtracted in slots 8-10
     status 4      as 3, plus n_raw and sifted
-    status 0      every slot; e1u_upper stays nan where q1u_lower is 0
+    status 0      every slot; e1u_upper stays nan where q1u_lower is 0,
+                  and qber_decoy where gain_decoy is 0
 
 An asymptotic key sets slots 15-17 to 0, inf, inf whatever the status.
 
 Status codes: 0 ok, 1 window condition violated, 2 no untagged pulses,
 3 fluctuation exceeds untagged probability, 4 empty raw key,
-5 decoy ordering violated.  Statuses 3 and 4 need a finite key.
+5 decoy ordering violated.  Status 3 needs a finite key; status 4 means a
+zero signal gain or, with a finite key, too short a sifted key.
 """
 
 from __future__ import annotations
@@ -196,8 +198,9 @@ def gain_qber_kernel(mu, eta, y0, e_det, e0, with_eta):
     x = mu * eta if with_eta == 1 else mu
     detected = -expm1(-x)  # 1 - exp(-x)
     q = y0 + detected
-    e = (e0 * y0 + e_det * detected) / q
-    return q, e
+    if q == 0.0:  # no click at all, so no error rate (y0 = 0 far out)
+        return q, NAN
+    return q, (e0 * y0 + e_det * detected) / q
 
 
 def finite_delta_kernel(n, eps_pe, eps_bar, eps_pa):
@@ -324,8 +327,8 @@ def rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite=None):
                 n_raw = sifted - m_e
             else:
                 sifted = n_raw = INF
-            if n_raw <= 0.0:
-                status = STATUS_EMPTY_KEY
+    if status == STATUS_OK and (q == 0.0 or n_raw <= 0.0):
+        status = STATUS_EMPTY_KEY
     if status == STATUS_OK:
         qu_up = q / p_u
         if finite is not None and flags[3] == 1:
@@ -392,8 +395,8 @@ def rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite=None):
                 n_raw = sifted - m_e
             else:
                 sifted = n_raw = INF
-            if n_raw <= 0.0:
-                status = STATUS_EMPTY_KEY
+    if status == STATUS_OK and (q_s == 0.0 or n_raw <= 0.0):
+        status = STATUS_EMPTY_KEY
     if status == STATUS_OK:
         q_v, e_v = y0, phys[5]
         qu_s_up = q_s / pu_s

@@ -30,6 +30,9 @@ def gain_and_qber(mu: float, eta: float, phys: PhysicalParams,
     check_range("eta", eta, 0.0, 1.0, lo_open=True)
     q, e = _kernels.gain_qber_kernel(mu, eta, phys.y0, phys.e_det, phys.e0,
                                      1 if with_eta else 0)
+    if q == 0.0:
+        raise ValueError(f"the gain is 0 at mu={mu}, eta={eta}, y0={phys.y0}, "
+                         f"so the qber is undefined")
     return q, check_range("qber", e, 0.0, 1.0)
 
 

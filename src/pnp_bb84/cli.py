@@ -59,7 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
     """The run configuration, and whether a flag or config key set the grid."""
-    text = args.config.read_text(encoding="utf-8") if args.config else ""
+    try:
+        text = args.config.read_text(encoding="utf-8") if args.config else ""
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {args.config} is not UTF-8 text: "
+                          f"{exc.reason} at byte {exc.start}") from None
     scenario = Scenario(args.scenario) if args.scenario else None
     na_list = parse_na_list(args.na) if args.na else None
     config = apply_overrides(

@@ -6,10 +6,10 @@ class probabilities and the error-budget split), so every point the search
 visits is feasible by construction.  The local method is Nelder-Mead from
 multiple deterministic starts.  The informed starts run first: a
 physics-informed heuristic, then any caller-provided warm starts.  The blind
-starts follow: the origin, then seeded uniform draws from ``[-3, 3]`` in
-every raw coordinate that fill the starts up to `_N_STARTS` (4).  Each start
-gets `_MAX_EVALS` evaluations (2000), but once a start has reached a positive
-rate, a blind start is probed: it stops after `_PROBE_EVALS` (100)
+starts follow: the origin, then seeded `random.Random` draws from ``[-3, 3]``
+in every raw coordinate that fill the starts up to `_N_STARTS` (4).  Each
+start gets `_MAX_EVALS` evaluations (2000), but once a start has reached a
+positive rate, a blind start is probed: it stops after `_PROBE_EVALS` (100)
 evaluations if none of them gave a positive rate.  Blind starts mostly end
 on the no-key plateau just below zero, where a negative rate rises toward 0
 as the protocol degenerates.  Over 304 cold maximizes (19 points at seeds
@@ -72,11 +72,11 @@ from __future__ import annotations
 
 import functools
 import math
+import random
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from . import _kernels
 from .numerics import check_integer, check_range
@@ -135,7 +135,7 @@ class OptimizationResult:
     best_rate: float
     best_point: ProtocolPoint
     breakdown: RateBreakdown
-    best_raw: np.ndarray
+    best_raw: tuple[float, ...]
     evaluations: int
     converged: bool
 
@@ -149,14 +149,15 @@ def _logit_of_logrange(x: float, log_lo: float, log_span: float) -> float:
     return math.log(s / (1.0 - s))
 
 
-def point_from_raw(problem: OptimizationProblem, raw: np.ndarray) -> ProtocolPoint:
-    """Map an unconstrained raw vector onto a feasible protocol point."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (problem.dim,):
-        raise ValueError(f"raw vector must have shape ({problem.dim},)")
-    values = raw.tolist()
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"raw vector {values!r} must be finite")
+def point_from_raw(problem: OptimizationProblem, raw: Sequence[float]) -> ProtocolPoint:
+    """Map a raw vector, any sequence of numbers, onto a feasible point."""
+    try:
+        values = array("d", raw).tolist()
+    except TypeError as exc:
+        raise ValueError(f"raw vector must hold numbers: {exc}") from None
+    if len(values) != problem.dim or not all(map(math.isfinite, values)):
+        raise ValueError(f"raw vector {values!r} must hold {problem.dim} "
+                         f"finite numbers")
     arr = problem.phys.to_array()
     m_a, eta = _kernels.channel_at(problem.distance_km, arr)
     *lams, delta, finite = _kernel("params", problem)(
@@ -192,7 +193,8 @@ def _point(problem: OptimizationProblem, lams: Sequence[float], delta: float,
                          lam_d, delta, m_e, p_s, p_d, p_v, budget)
 
 
-def raw_from_point(problem: OptimizationProblem, point: ProtocolPoint) -> np.ndarray:
+def raw_from_point(problem: OptimizationProblem,
+                   point: ProtocolPoint) -> tuple[float, ...]:
     """Right inverse of :func:`point_from_raw` on the feasible set."""
     if point.scenario is not problem.scenario:
         raise ValueError("point scenario does not match the problem")
@@ -214,16 +216,18 @@ def raw_from_point(problem: OptimizationProblem, point: ProtocolPoint) -> np.nda
             sifted = 0.5 * problem.n_pulses * point.p_s * q
         else:
             sifted = 0.5 * q * problem.n_pulses
+        if sifted == 0.0:
+            raise ValueError("the signal gain is 0: no sifted key to sample")
         raw.append(_logit_of_logrange(point.m_e / sifted, *_kernels.MFRAC_LOG))
         if sc.uses_decoy:
             raw += [math.log(point.p_s), math.log(point.p_d),
                     math.log(point.p_v)]
         raw += [math.log(eps / phys.eps_free)
                 for eps in point.budget.values(sc)]
-    return np.array(raw)
+    return tuple(raw)
 
 
-def _heuristic_raw(problem: OptimizationProblem) -> np.ndarray:
+def _heuristic_raw(problem: OptimizationProblem) -> list[float]:
     """A single physics-informed start near the typical optimum basin.
 
     Window wide enough for a ~1e-8 tagged fraction, signal intensity around
@@ -253,12 +257,13 @@ def _heuristic_raw(problem: OptimizationProblem) -> np.ndarray:
         if sc.uses_decoy:
             raw += [math.log(w) for w in (0.55, 0.35, 0.10)]
         raw += [0.0] * len(budget_fields(sc))
-    return np.array(raw)
+    return raw
 
 
-def _random_starts(dim: int, n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-_START_SPAN, _START_SPAN, (n, dim))
+def _random_starts(dim: int, n: int, seed: int) -> list[list[float]]:
+    rng = random.Random(seed)
+    return [[-_START_SPAN + 2.0 * _START_SPAN * rng.random()
+             for _ in range(dim)] for _ in range(n)]
 
 
 def _objective_fn(problem: OptimizationProblem
@@ -416,24 +421,22 @@ def _delta_of_raw(raw: Sequence[float]) -> float:
 def maximize(problem: OptimizationProblem) -> OptimizationResult:
     """Maximize the scenario rate over the problem's free parameters.
 
-    Deterministic for a fixed problem seed.  The best end has the largest
-    exact value; ties go to the smaller untagged-window width, then to the
-    first start in run order.  The informed starts (heuristic, then warm)
-    run first and in full; once any start has reached a positive rate,
-    each blind start (origin, then random) stops after `_PROBE_EVALS`
-    evaluations that found no key (see the module docstring for why and
-    for the evidence).
+    Deterministic for a fixed problem seed, the seed of the random starts'
+    `random.Random` draws.  The best end has the largest exact value; ties
+    go to the smaller untagged-window width, then to the first start in run
+    order.  The informed starts (heuristic, then warm) run first and in
+    full; once any start has reached a positive rate, each blind start
+    (origin, then random) stops after `_PROBE_EVALS` evaluations that found
+    no key (see the module docstring for why and for the evidence).
     """
     fn = _objective_fn(problem)
     dim = problem.dim
-    starts: list[np.ndarray] = [_heuristic_raw(problem)]
+    starts: list[Sequence[float]] = [_heuristic_raw(problem)]
     for wp in problem.warm_starts:
         starts.append(raw_from_point(problem, wp))
     n_informed = len(starts)
-    starts.append(np.zeros(dim))
-    n_random = max(0, _N_STARTS - len(starts))
-    if n_random:
-        starts.extend(_random_starts(dim, n_random, problem.seed))
+    starts.append([0.0] * dim)
+    starts.extend(_random_starts(dim, _N_STARTS - len(starts), problem.seed))
 
     neg = lambda z: -fn(z)
     ends = []
@@ -445,7 +448,7 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
         evaluations += nfev
         ends.append((-fun, x))
 
-    best_val, best_raw, best_delta = -math.inf, np.zeros(dim), math.inf
+    best_val, best_raw, best_delta = -math.inf, [0.0] * dim, math.inf
     for val, x in ends:
         d = _delta_of_raw(x)
         if val > best_val or (val == best_val and d < best_delta):
@@ -461,7 +464,6 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
         best_val, best_raw = -fun, x
         if gain <= _POLISH_RTOL * abs(best_val):
             break
-    best_raw = np.asarray(best_raw, dtype=np.float64)
 
     if best_val <= _kernels.PENALTY + 1.0:
         raise InfeasibleProblemError(
@@ -473,7 +475,7 @@ def maximize(problem: OptimizationProblem) -> OptimizationResult:
         point = _round_sample_count(problem, point)
     breakdown = evaluate_rate(point, problem.phys, problem.conventions)
     return OptimizationResult(best_rate=breakdown.rate, best_point=point,
-                              breakdown=breakdown, best_raw=best_raw,
+                              breakdown=breakdown, best_raw=tuple(best_raw),
                               evaluations=evaluations, converged=converged)
 
 
@@ -490,14 +492,15 @@ def _round_sample_count(problem: OptimizationProblem,
         m_e = math.floor(breakdown.sifted - 1e-9)
         if m_e < 1.0 or m_e >= breakdown.sifted:
             return point
-    from dataclasses import replace
     return replace(point, m_e=m_e)
 
 
 def _grid_axis(lo: float, hi: float, n: int) -> list[float]:
     if n == 1:
         return [math.sqrt(lo * hi)]
-    return np.geomspace(lo, hi, n).tolist()
+    a = math.log10(lo)
+    step = (math.log10(hi) - a) / (n - 1)  # numpy's geomspace steps
+    return [lo, *(10.0 ** (k * step + a) for k in range(1, n - 1)), hi]
 
 
 def grid_oracle(problem: OptimizationProblem, resolution: int) -> OptimizationResult:

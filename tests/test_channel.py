@@ -87,6 +87,12 @@ class TestGainAndQber:
         q_without, _ = gain_and_qber(0.5, 0.045, PHYS, with_eta=False)
         assert q_without > q_with
 
+    def test_zero_gain_is_rejected(self):
+        # a dark-free detector that no photon reaches never clicks: the
+        # qber would be 0/0
+        with pytest.raises(ValueError, match="gain is 0"):
+            gain_and_qber(0.0, 0.5, PhysicalParams(y0=0.0))
+
 
 class TestVacuumObservables:
     def test_defaults(self):

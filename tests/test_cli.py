@@ -145,7 +145,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_is_a_one_line_error(self, tmp_path, capsys,
                                                source):
-        # np.random.default_rng rejects it only once the search has begun
+        # the seed must be rejected before the search: random.Random would
+        # take -1 and seed with its absolute value
         args = ["scan", "--scenario", "no_decoy_infinite", "--lmin", "0",
                 "--lmax-km", "0", "--out", str(tmp_path)]
         if source == "flag":
@@ -194,6 +195,34 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "underflows" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("scenario", [s.value for s in Scenario])
+    def test_zero_gain_is_a_one_line_error(self, tmp_path, capsys, scenario):
+        # with y0 = 0 no detector clicks at 10,000 km, so no key exists
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("y0 = 0\n")
+        args = ["scan", "--config", str(cfg), "--scenario", scenario,
+                "--lmin", "10000", "--lmax-km", "10000", "--out",
+                str(tmp_path)]
+        if Scenario(scenario).finite:
+            args += ["--na", "5e10"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no feasible point") and \
+            err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_config_file_not_utf8_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe y0 = 1\n")
+        rc = main(["scan", "--config", str(cfg), "--scenario",
+                   "no_decoy_infinite", "--lmin", "0", "--lmax-km", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg} ") and \
+            err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("args", [

@@ -9,17 +9,19 @@ the finite-key penalty at n = inf, a pulse count of inf) it stays accepted.
 
 import math
 
+import numpy as np
 import pytest
 
-from pnp_bb84 import (BoundConventions, ErrorBudget, InfeasibleProblemError,
-                      OptimizationProblem, PhysicalParams, ProtocolPoint,
-                      Scenario, SourceConfig, binary_entropy,
-                      channel_transmittance, e1u_upper_decoy, evaluate_rate,
-                      evaluate_rate_finite_limit, figure_datasets, find_lmax,
-                      find_na_threshold, finite_correction_delta,
-                      gain_and_qber, grid_oracle, log_binomial_coeff,
-                      photon_bound_lower, photon_bound_upper, point_from_raw,
-                      q1u_lower_decoy, q1u_lower_no_decoy, raw_from_point,
+from pnp_bb84 import (BoundConventions, EmptyRawKeyError, ErrorBudget,
+                      InfeasibleProblemError, OptimizationProblem,
+                      PhysicalParams, ProtocolPoint, Scenario, SourceConfig,
+                      binary_entropy, channel_transmittance, e1u_upper_decoy,
+                      evaluate_rate, evaluate_rate_finite_limit,
+                      figure_datasets, find_lmax, find_na_threshold,
+                      finite_correction_delta, gain_and_qber, grid_oracle,
+                      log_binomial_coeff, maximize, photon_bound_lower,
+                      photon_bound_upper, point_from_raw, q1u_lower_decoy,
+                      q1u_lower_no_decoy, raw_from_point,
                       scan_distance, solve_lmax_profile,
                       statistical_deviation, untagged_bounds,
                       untagged_probability_finite,
@@ -243,6 +245,45 @@ def test_point_from_raw_rejects_a_non_finite_coordinate(index, value):
     raw[index] = value
     with pytest.raises(ValueError, match="finite"):
         point_from_raw(problem(D_FIN), raw)
+
+
+@pytest.mark.parametrize("raw", [
+    [0.0] * 12, [0.0] * 14, [[0.0]] * 13, [0.0] * 12 + ["0.5"],
+    [0.0] * 12 + [None]],
+    ids=["too-short", "too-long", "nested", "numeric-text", "none"])
+def test_point_from_raw_rejects_a_malformed_vector(raw):
+    with pytest.raises(ValueError, match="raw vector"):
+        point_from_raw(problem(D_FIN), raw)
+
+
+def test_point_from_raw_takes_any_sequence_of_numbers():
+    raw = [0.3, -1.2, 0.7, -0.1, 0.4, 0.2, -2.0, 0.0, 1.0, -1.0, 0.5, 3.0,
+           -0.3]
+    want = point_from_raw(problem(D_FIN), raw)
+    assert point_from_raw(problem(D_FIN), tuple(raw)) == want
+    assert point_from_raw(problem(D_FIN), np.array(raw)) == want
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_zero_gain_is_an_empty_raw_key(scenario):
+    # with y0 = 0 the signal gain underflows to 0 beyond about 7,800 km,
+    # well inside the 15,350 km attenuation underflow
+    # (finite keys are checked at N = inf, where no fluctuation fails first)
+    phys = PhysicalParams(y0=0.0)
+    evaluate = (evaluate_rate_finite_limit if scenario.finite
+                else evaluate_rate)
+    with pytest.raises(EmptyRawKeyError):
+        evaluate(point(scenario, distance_km=10000.0), phys, CONV)
+    with pytest.raises(InfeasibleProblemError, match="no feasible point"):
+        maximize(problem(scenario, distance_km=10000.0, phys=phys))
+
+
+@pytest.mark.parametrize("scenario", [ND_FIN, D_FIN], ids=lambda s: s.value)
+def test_raw_from_point_rejects_a_zero_gain(scenario):
+    phys = PhysicalParams(y0=0.0)
+    with pytest.raises(ValueError, match="gain is 0"):
+        raw_from_point(problem(scenario, distance_km=10000.0, phys=phys),
+                       point(scenario, distance_km=10000.0))
 
 
 RUN_FIELDS = {"lmin_km": -1.0, "lmax_km": -1.0, "lstep_km": 0.0,

@@ -92,11 +92,11 @@ def test_breakdown_matches_golden(name):
 
 # The four maximize pins were recorded with the absolute initial simplex step,
 # the default budget of 4 starts of 2000 evaluations, the repeated polish and
-# the probed blind starts.
+# the probed blind starts, with the random starts drawn by `random.Random`.
 # The test ids name the scenario only, so a re-pin keeps them.
 @pytest.mark.parametrize("scenario,distance,evaluations,best_rate", [
-    (Scenario.NO_DECOY_INFINITE, 20.0, 469, 1.799815007963616e-05),
-    (Scenario.DECOY_INFINITE, 60.0, 610, 4.781475758071307e-05),
+    (Scenario.NO_DECOY_INFINITE, 20.0, 491, 1.7998150203638304e-05),
+    (Scenario.DECOY_INFINITE, 60.0, 743, 4.7814757586097554e-05),
 ], ids=["no_decoy_infinite", "decoy_infinite"])
 def test_maximize_matches_golden(scenario, distance, evaluations, best_rate):
     result = maximize(OptimizationProblem(scenario=scenario,
@@ -180,14 +180,14 @@ def test_raw_from_point_matches_golden(name):
     from pnp_bb84.optimize import raw_from_point
 
     raw = raw_from_point(_problem_at(POINTS[name]), POINTS[name])
-    assert raw.tolist() == RAW_OF_POINT[name]
+    assert list(raw) == RAW_OF_POINT[name]
 
 
 @pytest.mark.parametrize("name", sorted(POINTS))
 def test_heuristic_raw_matches_golden(name):
     from pnp_bb84.optimize import _heuristic_raw
 
-    assert _heuristic_raw(_problem_at(POINTS[name])).tolist() == \
+    assert list(_heuristic_raw(_problem_at(POINTS[name]))) == \
         HEURISTIC_RAW[name]
 
 
