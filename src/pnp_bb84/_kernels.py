@@ -92,7 +92,8 @@ STATUS_ORDERING = 5.0
 
 PENALTY = -1.0e6
 
-# signal share of the asymptotic decoy protocol: random signal/decoy assignment
+# signal share of the asymptotic decoy protocol: each pulse is signal or decoy
+# with probability 1/2
 ASYMPTOTIC_P_S = 0.5
 
 

@@ -35,6 +35,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lmax-km", dest="lmax_km", type=float, default=None)
     parser.add_argument("--lstep", dest="lstep_km", type=float, default=None)
     parser.add_argument("--threshold", type=float, default=None)
+    # no effect; kept because perfbench/workloads.py passes it
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", dest="out_dir", type=str, default=None)
 
@@ -101,7 +102,7 @@ def _cmd_scan(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for na in _na_values(config, scenario):
         records = scan_distance(scenario, na, grid, config.phys,
-                                config.conventions, config.seed)
+                                config.conventions)
         tag = "inf" if math.isinf(na) else f"{na:.0e}".replace("+", "")
         path = out / f"scan_{scenario.value}_{tag}.csv"
         io_csv.write_records(path, records)
@@ -116,7 +117,7 @@ def _cmd_lmax(config: RunConfig) -> int:
     rows = []
     for na in _na_values(config, scenario):
         lmax = find_lmax(scenario, na, config.threshold, config.phys,
-                         config.conventions, config.seed)
+                         config.conventions)
         rows.append((scenario, na, lmax))
         print(f"{scenario.value} n_pulses={na:g}: L_max = {lmax:.1f} km "
               f"(threshold {config.threshold:g})")
@@ -131,7 +132,7 @@ def _cmd_nath(config: RunConfig) -> int:
     if not scenario.finite:
         raise ConfigError("nath applies to the finite-key scenarios")
     na_th = find_na_threshold(scenario, config.threshold, config.phys,
-                              config.conventions, config.seed)
+                              config.conventions)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"nath_{scenario.value}.csv"
@@ -148,9 +149,8 @@ def _cmd_figure(config: RunConfig, figure_id: str, grid_given: bool) -> int:
     na_list = list(config.na_list) if config.na_list else None
     l_grid = config.l_grid() if grid_given else None
     written = figure_datasets(figure_id, config.out_dir, config.phys,
-                              config.conventions, config.seed,
-                              l_grid=l_grid, na_list=na_list,
-                              threshold=config.threshold)
+                              config.conventions, l_grid=l_grid,
+                              na_list=na_list, threshold=config.threshold)
     for name, path in written.items():
         print(f"wrote {name}: {path}")
     return 0

@@ -31,7 +31,7 @@ class RunConfig:
     lmax_km: float = 130.0
     lstep_km: float = 2.0
     threshold: float = 1e-9
-    seed: int = 0
+    seed: int = 0  # no effect; kept because perfbench/workloads.py passes it
     out_dir: str = "."
 
     def __post_init__(self) -> None:
@@ -118,7 +118,7 @@ def parse_config(text: str) -> RunConfig:
                     f"of {[s.value for s in Scenario]}")
         elif key == "na":
             run_kw["na_list"] = parse_na_list(value)
-        elif key == "seed":
+        elif key == "seed":  # no effect; perfbench/workloads.py passes it
             try:
                 run_kw["seed"] = int(value)
             except ValueError:

@@ -15,6 +15,13 @@ from . import _kernels
 erf = math.erf
 erfc = math.erfc
 
+# math.lgamma overflows above about 2.556e305.  Every photon-number window
+# edge (1 + delta) m_a lies below 2 m_bright, so with these caps on the
+# source brightness and on a binomial's upper argument every lgamma the
+# kernels take is finite.
+M_BRIGHT_MAX = 1e305
+BINOMIAL_UPPER_MAX = 2.0 * M_BRIGHT_MAX
+
 
 def check_range(name: str, value: float, lo: float, hi: float,
                 lo_open: bool = False, hi_open: bool = False) -> float:
@@ -72,6 +79,6 @@ def log_binomial_coeff(upper: float, n: int) -> float:
     The generalization through the gamma function keeps the photon-number
     window arithmetic in log space, where exponents of order 1e5 are safe.
     """
-    check_range("upper", upper, 0.0, math.inf, hi_open=True)
+    check_range("upper", upper, 0.0, BINOMIAL_UPPER_MAX)
     check_range("n", n, 0.0, math.inf, hi_open=True)
     return _kernels.log_choose_kernel(float(upper), float(n))

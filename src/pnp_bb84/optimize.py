@@ -4,39 +4,35 @@ The search runs in an unconstrained "raw" space mapped bijectively onto the
 feasible set (log-sigmoid intervals for scalars, softmax simplices for the
 class probabilities and the error-budget split), so every point the search
 visits is feasible by construction.  The local method is Nelder-Mead from
-multiple deterministic starts.  The informed starts run first: a
-physics-informed heuristic, then any caller-provided warm starts.  The blind
-starts follow: the origin, then seeded `random.Random` draws from ``[-3, 3]``
-in every raw coordinate that fill the starts up to `_N_STARTS` (4).  Each
-start gets `_MAX_EVALS` evaluations (2000), but once a start has reached a
-positive rate, a blind start is probed: it stops after `_PROBE_EVALS` (100)
-evaluations if none of them gave a positive rate.  Blind starts mostly end
-on the no-key plateau just below zero, where a negative rate rises toward 0
-as the protocol degenerates.  Over 304 cold maximizes (19 points at seeds
-0-15, from 20 km to past the finite-key cutoffs) the probe cut the
-evaluations by 38%, from 2.31M to 1.43M (by 40-57% at the decoy_finite
-points with a key); 303 optima stayed bit-identical and one (decoy_infinite
-123 km, seed 8) rose by 2.8e-9 of the rate.  The informed starts are never
-probed: near a finite-key cutoff the heuristic start needs more than 200
-evaluations before its first positive rate.  Where no start finds a key,
-every start runs in full.  The best result is then polished: Nelder-Mead
-restarts from it with twice that budget, up to four times, until a restart
-gains less than 1e-6 of the rate.  A 13-dimensional simplex can collapse
-short of the optimum; one restart left the decoy_finite rate at 58 km /
-5e10 pulses 4e-4 below the best known, a second and third close the gap.
+deterministic starts: a physics-informed heuristic, then any caller-provided
+warm starts, each with `_MAX_EVALS` evaluations (2000).  The best end is
+then polished: Nelder-Mead restarts from it with twice that budget, up to
+four times, until a restart gains less than 1e-6 of the rate.  A
+13-dimensional simplex can collapse short of the optimum; one restart left
+the decoy_finite rate at 58 km / 5e10 pulses 4e-4 below the best known, a
+second and third close the gap.
+
+There are no blind starts (the origin, seeded uniform draws from
+``[-3, 3]`` in every raw coordinate).  At 23 points (20 km to past the
+finite-key cutoffs) and seeds 0-15 they gained no key in 368 maximizes
+and 1.99M evaluations, and they mostly end on the no-key plateau just
+below zero, where a negative rate rises toward 0 as the protocol
+degenerates.  Without them the 23 maximizes take 97k evaluations, the
+same at every seed, and every rate with a key is at or above the blind
+starts' worst seed and within 7e-9 relative of their best.
 
 The initial simplex is ``x0`` plus ``x0 + 0.1 * e_k`` for every raw
 coordinate k (`_INITIAL_STEP`).  scipy's default, 5% of a nonzero coordinate
 and 0.00025 for a zero one, never moves the error-budget coordinates, which
-are zero at the origin and heuristic starts, away from the equal split: with
-it the search stopped at 0.973 of the best-known no_decoy_finite rate, even
-with 16 starts of 600 evaluations per dimension.  With any absolute step
-from 0.05 to 0.5, 4 starts of 2000 reach the best-known rates away from the
-cutoff.  Within a few kilometres of a finite-key cutoff the positive-rate
-basin is narrow: only the heuristic start reaches it, the others end on the
+are zero at the heuristic start, away from the equal split: with it the
+search stopped at 0.973 of the best-known no_decoy_finite rate, even with 16
+starts of 600 evaluations per dimension.  With any absolute step from 0.05
+to 0.5, 4 starts of 2000 reached the best-known rates away from the cutoff.
+Within a few kilometres of a finite-key cutoff the positive-rate basin is
+narrow: only the heuristic start reached it, the blind starts ended on the
 no-key plateau just below zero, and whether it does depends on the step.
 At 0.5 it missed the basin 0.1-0.5 km inside the decoy_finite cutoff at
-5e10 pulses on every seed; 0.1-0.15 missed the fewest such points.
+5e10 pulses; 0.1-0.15 missed the fewest such points.
 
 Ties are broken by one rule, the same on every CPU.  The simplex is kept in
 stable order of value, nan last: vertices of equal value keep their order,
@@ -72,7 +68,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -92,10 +87,7 @@ RAW_DIM = {
     Scenario.DECOY_FINITE: 13,
 }
 
-_N_STARTS = 4          # starts per maximize; random ones fill up to this
 _MAX_EVALS = 2000      # evaluations per start; each polish run gets twice this
-_PROBE_EVALS = 100     # a probed blind start stops here if it found no key
-_START_SPAN = 3.0      # random starts cover raw coordinates in [-span, span]
 _INITIAL_STEP = 0.1    # initial simplex: x0 and x0 + step * e_k for each k
 _POLISH_ROUNDS = 4     # at most this many polish runs after the starts...
 _POLISH_RTOL = 1e-6    # ...stopping once one gains less than this, relatively
@@ -112,7 +104,7 @@ class OptimizationProblem:
     n_pulses: float = math.inf
     phys: PhysicalParams = field(default_factory=PhysicalParams)
     conventions: BoundConventions = field(default_factory=BoundConventions)
-    seed: int = 0
+    seed: int = 0  # no effect; kept because perfbench/workloads.py passes it
     warm_starts: tuple[ProtocolPoint, ...] = ()
 
     def __post_init__(self) -> None:
@@ -260,12 +252,6 @@ def _heuristic_raw(problem: OptimizationProblem) -> list[float]:
     return raw
 
 
-def _random_starts(dim: int, n: int, seed: int) -> list[list[float]]:
-    rng = random.Random(seed)
-    return [[-_START_SPAN + 2.0 * _START_SPAN * rng.random()
-             for _ in range(dim)] for _ in range(n)]
-
-
 def _objective_fn(problem: OptimizationProblem
                   ) -> Callable[[list[float]], float]:
     arr = problem.phys.to_array()
@@ -307,8 +293,7 @@ def _centroid_fn(n: int) -> Callable[[list[list[float]]], list[float]]:
 
 
 def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
-                 maxfev: int, probe: int = 0
-                 ) -> tuple[list[float], float, int, bool]:
+                 maxfev: int) -> tuple[list[float], float, int, bool]:
     """Minimize ``f`` from ``x0`` with at most ``maxfev`` evaluations.
 
     Returns ``(x, fun, nfev, success)``, where ``success`` means the simplex
@@ -317,27 +302,17 @@ def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
     nan last, each new vertex after its equals.  The steps are those of
     scipy's ``minimize(method="Nelder-Mead")`` with ``maxfev``, the two
     tolerances and the `_INITIAL_STEP` simplex set, float for float, once
-    ``np.argsort`` is stable (see the module docstring).  With ``probe``
-    set, the run ends as if its budget were spent after ``probe``
-    evaluations none of which went below zero; once one does, it runs as
-    without a probe.
+    ``np.argsort`` is stable (see the module docstring).
     """
     n = len(x0)
     nfev = 0
 
     def call(x):
-        nonlocal nfev, maxfev, probe
+        nonlocal nfev
         if nfev >= maxfev:
             raise _BudgetSpent
         nfev += 1
-        fx = f(x)
-        if probe:
-            if fx < 0.0:
-                probe = 0
-            elif nfev == probe:
-                # lowering the budget also ends the main loop
-                maxfev = nfev
-        return fx
+        return f(x)
 
     x0 = [float(v) for v in x0]
     sim = [x0]
@@ -421,36 +396,22 @@ def _delta_of_raw(raw: Sequence[float]) -> float:
 def maximize(problem: OptimizationProblem) -> OptimizationResult:
     """Maximize the scenario rate over the problem's free parameters.
 
-    Deterministic for a fixed problem seed, the seed of the random starts'
-    `random.Random` draws.  The best end has the largest exact value; ties
-    go to the smaller untagged-window width, then to the first start in run
-    order.  The informed starts (heuristic, then warm) run first and in
-    full; once any start has reached a positive rate, each blind start
-    (origin, then random) stops after `_PROBE_EVALS` evaluations that found
-    no key (see the module docstring for why and for the evidence).
+    Deterministic: the heuristic start, then each warm start, runs in full,
+    and the best end is polished (see the module docstring).  The best end
+    has the largest exact value; ties go to the smaller untagged-window
+    width, then to the first start in run order.
     """
     fn = _objective_fn(problem)
-    dim = problem.dim
-    starts: list[Sequence[float]] = [_heuristic_raw(problem)]
-    for wp in problem.warm_starts:
-        starts.append(raw_from_point(problem, wp))
-    n_informed = len(starts)
-    starts.append([0.0] * dim)
-    starts.extend(_random_starts(dim, _N_STARTS - len(starts), problem.seed))
-
     neg = lambda z: -fn(z)
-    ends = []
-    evaluations = 0
-    for i, x0 in enumerate(starts):
-        key_found = any(val > 0.0 for val, _ in ends)
-        probe = _PROBE_EVALS if i >= n_informed and key_found else 0
-        x, fun, nfev, _ = _nelder_mead(neg, x0, _MAX_EVALS, probe)
-        evaluations += nfev
-        ends.append((-fun, x))
+    starts = [_heuristic_raw(problem)]
+    starts += [raw_from_point(problem, wp) for wp in problem.warm_starts]
 
-    best_val, best_raw, best_delta = -math.inf, [0.0] * dim, math.inf
-    for val, x in ends:
-        d = _delta_of_raw(x)
+    best_val, best_raw, best_delta = -math.inf, starts[0], math.inf
+    evaluations = 0
+    for x0 in starts:
+        x, fun, nfev, _ = _nelder_mead(neg, x0, _MAX_EVALS)
+        evaluations += nfev
+        val, d = -fun, _delta_of_raw(x)
         if val > best_val or (val == best_val and d < best_delta):
             best_val, best_raw, best_delta = val, x, d
 

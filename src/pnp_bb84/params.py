@@ -6,7 +6,7 @@ import enum
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .numerics import check_range
+from .numerics import M_BRIGHT_MAX, check_range
 
 
 class Scenario(str, enum.Enum):
@@ -61,7 +61,7 @@ class PhysicalParams:
         check_range("e0", self.e0, 0.0, 1.0)
         check_range("e0_vac", self.e0_vac, 0.0, 1.0)
         check_range("f_ec", self.f_ec, 1.0, math.inf, hi_open=True)
-        check_range("m_bright", self.m_bright, 0.0, math.inf, True, True)
+        check_range("m_bright", self.m_bright, 0.0, M_BRIGHT_MAX, True)
         check_range("q_split", self.q_split, 0.0, 1.0, True, True)
         check_range("eps_total", self.eps_total, 0.0, 1.0, True, True)
         check_range("eps_ec", self.eps_ec, 0.0, self.eps_total, True, True)

@@ -61,7 +61,7 @@ class ScanRecord:
 
 
 def _warm_chain(scenario: Scenario, phys: PhysicalParams,
-                conventions: BoundConventions, seed: int
+                conventions: BoundConventions
                 ) -> Callable[[float, float, float], OptimizationResult]:
     """``solve(key, distance_km, n_pulses)``: `maximize` at that point, warm
     started from the two recorded optima whose keys are nearest ``key``.
@@ -76,7 +76,7 @@ def _warm_chain(scenario: Scenario, phys: PhysicalParams,
         nearest = sorted(found, key=lambda k: abs(k - key))[:2]
         result = maximize(OptimizationProblem(
             scenario=scenario, distance_km=distance_km, n_pulses=n_pulses,
-            phys=phys, conventions=conventions, seed=seed,
+            phys=phys, conventions=conventions,
             warm_starts=tuple(found[k] for k in nearest)))
         found[key] = result.best_point
         return result
@@ -100,8 +100,8 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float,
 def scan_distance(scenario: Scenario, n_pulses: float,
                   l_grid: Sequence[float],
                   phys: PhysicalParams = PhysicalParams(),
-                  conventions: BoundConventions = BoundConventions(),
-                  seed: int = 0) -> list[ScanRecord]:
+                  conventions: BoundConventions = BoundConventions()
+                  ) -> list[ScanRecord]:
     """Optimize the rate at every grid distance, warm-starting along the scan.
 
     Records with non-positive rate are flagged ``no_key`` but still emitted so
@@ -114,7 +114,7 @@ def scan_distance(scenario: Scenario, n_pulses: float,
         check_range("distance_km", dist, 0.0, math.inf, hi_open=True)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("l_grid must be strictly increasing")
-    solve = _warm_chain(scenario, phys, conventions, seed)
+    solve = _warm_chain(scenario, phys, conventions)
     records = []
     for dist in grid:
         result = solve(dist, dist, n_pulses)
@@ -157,10 +157,9 @@ def solve_lmax_profile(rate_at: Callable[[float], float],
 def find_lmax(scenario: Scenario, n_pulses: float,
               rate_threshold: float = DEFAULT_THRESHOLD,
               phys: PhysicalParams = PhysicalParams(),
-              conventions: BoundConventions = BoundConventions(),
-              seed: int = 0) -> float:
+              conventions: BoundConventions = BoundConventions()) -> float:
     """Maximal secure distance at the given positivity threshold, in km."""
-    solve = _warm_chain(scenario, phys, conventions, seed)
+    solve = _warm_chain(scenario, phys, conventions)
     return solve_lmax_profile(
         lambda dist: solve(dist, dist, n_pulses).best_rate, rate_threshold)
 
@@ -168,8 +167,8 @@ def find_lmax(scenario: Scenario, n_pulses: float,
 def find_na_threshold(scenario: Scenario,
                       rate_threshold: float = DEFAULT_THRESHOLD,
                       phys: PhysicalParams = PhysicalParams(),
-                      conventions: BoundConventions = BoundConventions(),
-                      seed: int = 0) -> float:
+                      conventions: BoundConventions = BoundConventions()
+                      ) -> float:
     """Smallest pulse count with a positive maximal secure distance.
 
     Since the optimized rate is non-increasing in distance, a positive
@@ -180,7 +179,7 @@ def find_na_threshold(scenario: Scenario,
         raise ValueError("pulse-count threshold applies to finite scenarios only")
     check_range("rate_threshold", rate_threshold, 0.0, math.inf, hi_open=True)
     lo_log, hi_log = _NA_LOG_RANGE
-    solve = _warm_chain(scenario, phys, conventions, seed)
+    solve = _warm_chain(scenario, phys, conventions)
 
     def positive(log_na: float) -> bool:
         return solve(log_na, 0.0, 10.0 ** log_na).best_rate > rate_threshold
@@ -212,7 +211,6 @@ def _default_l_grid(scenario: Scenario) -> list[float]:
 def figure_datasets(figure_id: str, out_dir,
                     phys: PhysicalParams = PhysicalParams(),
                     conventions: BoundConventions = BoundConventions(),
-                    seed: int = 0,
                     l_grid: Optional[Sequence[float]] = None,
                     na_list: Optional[Sequence[float]] = None,
                     threshold: float = DEFAULT_THRESHOLD) -> dict[str, str]:
@@ -246,9 +244,9 @@ def figure_datasets(figure_id: str, out_dir,
         all_records: list[ScanRecord] = []
         for na in nas:
             all_records.extend(scan_distance(fin_sc, na, grid, phys,
-                                             conventions, seed))
+                                             conventions))
         all_records.extend(scan_distance(inf_sc, math.inf, grid, phys,
-                                         conventions, seed))
+                                         conventions))
         rate_path = out / f"{figure_id}_rate.csv"
         io_csv.write_records(rate_path, all_records)
         written["rate"] = str(rate_path)
@@ -277,15 +275,14 @@ def figure_datasets(figure_id: str, out_dir,
     rows = []
     for scenario in (Scenario.NO_DECOY_FINITE, Scenario.DECOY_FINITE):
         for na in nas:
-            lmax = find_lmax(scenario, na, threshold, phys, conventions,
-                             seed)
+            lmax = find_lmax(scenario, na, threshold, phys, conventions)
             rows.append((scenario, na, lmax))
     lmax_path = out / "fig3_lmax.csv"
     io_csv.write_lmax_rows(lmax_path, rows, threshold)
     written["lmax"] = str(lmax_path)
 
     asym = [(sc, math.inf,
-             find_lmax(sc, math.inf, threshold, phys, conventions, seed))
+             find_lmax(sc, math.inf, threshold, phys, conventions))
             for sc in (Scenario.NO_DECOY_INFINITE, Scenario.DECOY_INFINITE)]
     asym_path = out / "fig3_asymptotes.csv"
     io_csv.write_lmax_rows(asym_path, asym, threshold)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .numerics import check_range, statistical_deviation
+from .numerics import M_BRIGHT_MAX, check_range, statistical_deviation
 from .params import PhysicalParams
 
 
@@ -38,7 +38,7 @@ class SourceConfig:
     lam: float
 
     def __post_init__(self) -> None:
-        check_range("m_bright", self.m_bright, 0.0, math.inf, True, True)
+        check_range("m_bright", self.m_bright, 0.0, M_BRIGHT_MAX, True)
         check_range("q_split", self.q_split, 0.0, 1.0, True, True)
         check_range("loss_coeff", self.loss_coeff, 0.0, math.inf, hi_open=True)
         check_range("distance_km", self.distance_km, 0.0, math.inf,

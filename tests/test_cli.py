@@ -145,8 +145,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_is_a_one_line_error(self, tmp_path, capsys,
                                                source):
-        # the seed must be rejected before the search: random.Random would
-        # take -1 and seed with its absolute value
+        # the seed changes no result, but a bad one is still refused, as
+        # every other malformed input is
         args = ["scan", "--scenario", "no_decoy_infinite", "--lmin", "0",
                 "--lmax-km", "0", "--out", str(tmp_path)]
         if source == "flag":
@@ -222,6 +222,21 @@ class TestCliCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {cfg} ") and \
+            err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_source_too_bright_for_lgamma_is_a_one_line_error(self, tmp_path,
+                                                              capsys):
+        # the photon-number windows reach 2 m_bright; math.lgamma overflows
+        # above about 2.556e305
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("m_bright = 1e307\n")
+        rc = main(["scan", "--config", str(cfg), "--scenario",
+                   "no_decoy_infinite", "--lmin", "0", "--lmax-km", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: m_bright=1e+307 ") and \
             err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
 

@@ -29,6 +29,7 @@ from pnp_bb84 import (BoundConventions, EmptyRawKeyError, ErrorBudget,
 from pnp_bb84 import scans
 from pnp_bb84.cli import main
 from pnp_bb84.config import ConfigError, RunConfig, parse_config
+from pnp_bb84.numerics import BINOMIAL_UPPER_MAX, M_BRIGHT_MAX
 from pnp_bb84.rates import budget_fields
 
 NAN, INF = math.nan, math.inf
@@ -72,17 +73,21 @@ def no_rate(distance_km):
 
 
 def cases(name, call, out_of_range, inf_ok=False):
-    """nan, -inf, ``out_of_range`` and, unless inf is a documented limit,
-    +inf, each passed to ``call``."""
-    values = [NAN, -INF, out_of_range] + ([] if inf_ok else [INF])
+    """nan, -inf, ``out_of_range`` (one value or a tuple of them) and,
+    unless inf is a documented limit, +inf, each passed to ``call``."""
+    if not isinstance(out_of_range, tuple):
+        out_of_range = (out_of_range,)
+    values = [NAN, -INF, *out_of_range] + ([] if inf_ok else [INF])
     return [pytest.param(call, value, id=f"{name}={value!r}")
             for value in values]
 
 
 PHYS_FIELDS = {"eta_bob": 0.0, "loss_coeff": -0.1, "y0": 1.5, "e_det": -0.1,
-               "e0": 1.5, "e0_vac": 1.5, "f_ec": 0.9, "m_bright": 0.0,
+               "e0": 1.5, "e0_vac": 1.5, "f_ec": 0.9,
+               # above about 2.556e305 math.lgamma overflows
+               "m_bright": (0.0, 1e307),
                "q_split": 1.0, "eps_total": 1.0, "eps_ec": 1e-9}
-SOURCE_FIELDS = {"m_bright": 0.0, "q_split": 0.0, "loss_coeff": -0.1,
+SOURCE_FIELDS = {"m_bright": (0.0, 1e307), "q_split": 0.0, "loss_coeff": -0.1,
                  "distance_km": -1.0, "delta": 2.0, "lam": 1.5}
 POINT_FIELDS = [(ND_INF, "distance_km", -1.0), (ND_INF, "delta", 1.0),
                 (ND_INF, "lam", 0.0), (D_INF, "lam_s", 1.5),
@@ -101,7 +106,7 @@ PYTHON_API = [
     *cases("statistical_deviation.m",
            lambda v: statistical_deviation(1e-9, v), 0.0, inf_ok=True),
     *cases("log_binomial_coeff.upper", lambda v: log_binomial_coeff(v, 1),
-           -1.0),
+           (-1.0, 1e308)),
     *cases("log_binomial_coeff.n", lambda v: log_binomial_coeff(5.0, v),
            -1.0),
     *cases("channel_transmittance.eta_bob",
@@ -276,6 +281,22 @@ def test_zero_gain_is_an_empty_raw_key(scenario):
         evaluate(point(scenario, distance_km=10000.0), phys, CONV)
     with pytest.raises(InfeasibleProblemError, match="no feasible point"):
         maximize(problem(scenario, distance_km=10000.0, phys=phys))
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_brightest_accepted_source_is_searched_without_overflow(scenario):
+    # every window edge (1 + delta) m_a lies below 2 m_bright, where
+    # math.lgamma is still finite: it overflows above about 2.556e305
+    phys = PhysicalParams(m_bright=M_BRIGHT_MAX)
+    result = maximize(problem(scenario, distance_km=0.0, phys=phys))
+    assert math.isfinite(result.best_rate)
+
+
+def test_brightness_caps_stay_accepted():
+    cfg = source(m_bright=M_BRIGHT_MAX, distance_km=0.0, delta=0.5,
+                 lam=1e-310)
+    assert 0.0 <= photon_bound_upper(cfg, 1) <= 1.0
+    assert math.isfinite(log_binomial_coeff(BINOMIAL_UPPER_MAX, 1))
 
 
 @pytest.mark.parametrize("scenario", [ND_FIN, D_FIN], ids=lambda s: s.value)

@@ -130,7 +130,7 @@ class TestCsvEmission:
         paths = []
         for run in ("a", "b"):
             records = scan_distance(Scenario.NO_DECOY_FINITE, 5e10,
-                                    [10.0, 15.0], PHYS, CONV, seed=123)
+                                    [10.0, 15.0], PHYS, CONV)
             path = tmp_path / f"scan_{run}.csv"
             io_csv.write_records(path, records)
             paths.append(path)

@@ -91,29 +91,29 @@ def test_breakdown_matches_golden(name):
 
 
 # The four maximize pins were recorded with the absolute initial simplex step,
-# the default budget of 4 starts of 2000 evaluations, the repeated polish and
-# the probed blind starts, with the random starts drawn by `random.Random`.
-# The test ids name the scenario only, so a re-pin keeps them.
+# the heuristic start alone (no warm starts) with 2000 evaluations and the
+# repeated polish.  The search has no blind starts and uses no seed.  The
+# test ids name the scenario only, so a re-pin keeps them.
 @pytest.mark.parametrize("scenario,distance,evaluations,best_rate", [
-    (Scenario.NO_DECOY_INFINITE, 20.0, 491, 1.7998150203638304e-05),
-    (Scenario.DECOY_INFINITE, 60.0, 743, 4.7814757586097554e-05),
+    (Scenario.NO_DECOY_INFINITE, 20.0, 169, 1.799815007963616e-05),
+    (Scenario.DECOY_INFINITE, 60.0, 310, 4.781475758071307e-05),
 ], ids=["no_decoy_infinite", "decoy_infinite"])
 def test_maximize_matches_golden(scenario, distance, evaluations, best_rate):
     result = maximize(OptimizationProblem(scenario=scenario,
-                                          distance_km=distance, seed=0))
+                                          distance_km=distance))
     assert result.evaluations == evaluations
     assert math.isclose(result.best_rate, best_rate, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("scenario,distance,evaluations,best_rate", [
-    (Scenario.NO_DECOY_FINITE, 20.0, 1607, 1.9493524711330676e-06),
-    (Scenario.DECOY_FINITE, 60.0, 4406, 4.231356701679911e-06),
+    (Scenario.NO_DECOY_FINITE, 20.0, 1307, 1.9493524711330676e-06),
+    (Scenario.DECOY_FINITE, 60.0, 4106, 4.231356701679911e-06),
 ], ids=["no_decoy_finite", "decoy_finite"])
 def test_maximize_finite_matches_golden(scenario, distance, evaluations,
                                         best_rate):
     # the counts pin every simplex step
     result = maximize(OptimizationProblem(
-        scenario=scenario, distance_km=distance, n_pulses=5e10, seed=0))
+        scenario=scenario, distance_km=distance, n_pulses=5e10))
     assert result.evaluations == evaluations
     assert math.isclose(result.best_rate, best_rate, rel_tol=1e-12)
 
@@ -204,15 +204,14 @@ def test_warm_started_scan_matches_golden(monkeypatch):
         return result
 
     monkeypatch.setattr(scans, "maximize", counted)
-    records = scans.scan_distance(Scenario.DECOY_FINITE, 5e10, [58.0, 60.0],
-                                  seed=0)
-    assert runs == [(0, 8823), (1, 4993)]
+    records = scans.scan_distance(Scenario.DECOY_FINITE, 5e10, [58.0, 60.0])
+    assert runs == [(0, 8523), (1, 4793)]
     for record, rate in zip(records, [7.536910004601047e-06,
                                       4.2313567658183105e-06]):
         assert math.isclose(record.rate, rate, rel_tol=1e-12)
 
 
-# The solver answers at seed 0, as the CSVs write them (17 significant
+# The solver answers, as the CSVs write them (17 significant
 # digits).  Any change to the search that moves a bisection decision shows
 # up here.
 def test_find_lmax_matches_golden():

@@ -20,8 +20,7 @@ import pytest
 from scipy.optimize import minimize
 
 from pnp_bb84 import OptimizationProblem, Scenario
-from pnp_bb84.optimize import (_INITIAL_STEP, _PROBE_EVALS, _nelder_mead,
-                               _objective_fn)
+from pnp_bb84.optimize import _INITIAL_STEP, _nelder_mead, _objective_fn
 
 
 def _same(a, b):
@@ -172,35 +171,3 @@ def test_rate_objective_with_penalty_plateaus(scenario, n_pulses):
     for _ in range(3):
         x0 = rng.uniform(-3.0, 3.0, size=problem.dim).tolist()
         assert_matches_scipy(neg, x0, 300 * problem.dim)
-
-
-@pytest.mark.parametrize("n", [2, 3, 7, 13])
-def test_probe_stops_an_objective_that_never_goes_below_zero(n):
-    # a blind start on the no-key plateau: the run ends as if its budget
-    # were spent after the probe
-    q = quadratic(n, 61)
-    calls = []
-    plateau = lambda x: calls.append(1) or 1.0 + q(np.array(x))
-    x, fun, nfev, success = _nelder_mead(plateau, [1.5] * n, 2000,
-                                         probe=_PROBE_EVALS)
-    assert nfev == len(calls) == _PROBE_EVALS
-    assert not success
-    assert (x, fun, nfev, success) == _nelder_mead(plateau, [1.5] * n,
-                                                   _PROBE_EVALS)
-
-
-@pytest.mark.parametrize("n", [2, 3, 7, 13])
-def test_probe_lets_a_run_that_goes_below_zero_finish(n):
-    # below zero once the start's value has fallen by a fifth: after the
-    # initial simplex, within the probe
-    q = quadratic(n, 71)
-    level = 0.8 * q(np.array([1.5] * n))
-    shifted = lambda x: q(np.array(x)) - level
-    seen = []
-    _nelder_mead(lambda x: seen.append(shifted(x)) or seen[-1], [1.5] * n,
-                 2000)
-    first_below = next(i for i, v in enumerate(seen) if v < 0.0) + 1
-    assert n + 1 < first_below <= _PROBE_EVALS
-    assert len(seen) > _PROBE_EVALS
-    assert _nelder_mead(shifted, [1.5] * n, 2000, probe=_PROBE_EVALS) == \
-        _nelder_mead(shifted, [1.5] * n, 2000)

@@ -1,5 +1,6 @@
 """Reparameterization, multi-start search, grid oracle."""
 
+import functools
 import math
 
 import numpy as np
@@ -99,6 +100,11 @@ class TestProblemValidation:
                                 n_pulses=value)
 
 
+@functools.cache
+def _maximize_at(scenario, dist, seed):
+    return maximize(problem_for(scenario, 5e10, dist=dist, seed=seed))
+
+
 class TestMaximize:
     def test_seeded_determinism(self):
         a = maximize(problem_for(Scenario.DECOY_FINITE, 5e10, dist=30.0))
@@ -127,7 +133,7 @@ class TestMaximize:
             warm_starts=(base.best_point,)))
         assert warmed.best_rate > 0
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
     @pytest.mark.parametrize("scenario,dist,best_known", [
         (Scenario.NO_DECOY_FINITE, 20.0, 1.949353e-6),
         (Scenario.DECOY_FINITE, 60.0, 4.231357e-6),
@@ -140,9 +146,20 @@ class TestMaximize:
         # 0.973 and 0.985 of them.  The third, half a kilometre inside the
         # cutoff, is what 16 starts of 600 evaluations per dimension reach on
         # every seed; with an initial step of 0.5 every start ends on the
-        # no-key plateau near -1.9e-9 instead.
-        result = maximize(problem_for(scenario, 5e10, dist=dist, seed=seed))
+        # no-key plateau near -1.9e-9 instead.  The seed changes nothing:
+        # at no_decoy_finite 20 km, seed 5, a seeded random start once won
+        # and, polished, stopped 4e-5 below the first optimum.
+        result = _maximize_at(scenario, dist, seed)
         assert result.best_rate >= 0.9999 * best_known
+        seed_0 = _maximize_at(scenario, dist, 0)
+        assert (result.best_rate, result.best_raw, result.evaluations) == \
+            (seed_0.best_rate, seed_0.best_raw, seed_0.evaluations)
+
+    def test_reaches_the_heuristic_basin_optimum_at_0km(self):
+        # a random start once won here and stopped 4.8e-7 below it
+        result = maximize(problem_for(Scenario.NO_DECOY_FINITE, 1e12,
+                                      dist=0.0))
+        assert result.best_rate >= 1.3778008856743935e-04 * (1 - 1e-12)
 
     def test_signal_probability_dominates_for_huge_pulse_counts(self):
         # with quasi-infinite statistics almost every pulse should be signal
