@@ -103,10 +103,7 @@ def _cmd_scan(config: RunConfig) -> int:
     for na in _na_values(config, scenario):
         records = scan_distance(scenario, na, grid, config.phys,
                                 config.conventions)
-        tag = "inf" if math.isinf(na) else f"{na:.0e}".replace("+", "")
-        path = out / f"scan_{scenario.value}_{tag}.csv"
-        io_csv.write_records(path, records)
-        print(f"wrote {path}")
+        print(f"wrote {io_csv.write_scan(out, records)}")
     return 0
 
 
@@ -118,11 +115,10 @@ def _cmd_lmax(config: RunConfig) -> int:
     for na in _na_values(config, scenario):
         lmax = find_lmax(scenario, na, config.threshold, config.phys,
                          config.conventions)
-        rows.append((scenario, na, lmax))
+        rows.append((na, lmax))
         print(f"{scenario.value} n_pulses={na:g}: L_max = {lmax:.1f} km "
               f"(threshold {config.threshold:g})")
-    path = out / f"lmax_{scenario.value}.csv"
-    io_csv.write_lmax_rows(path, rows, config.threshold)
+    path = io_csv.write_lmax(out, scenario, rows, config.threshold)
     print(f"wrote {path}")
     return 0
 
@@ -135,8 +131,7 @@ def _cmd_nath(config: RunConfig) -> int:
                               config.conventions)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"nath_{scenario.value}.csv"
-    io_csv.write_nath_row(path, scenario, config.threshold, na_th)
+    path = io_csv.write_nath(out, scenario, config.threshold, na_th)
     print(f"{scenario.value}: pulse-count threshold = {na_th:.3e}")
     print(f"wrote {path}")
     return 0
@@ -148,11 +143,10 @@ def _cmd_figure(config: RunConfig, figure_id: str, grid_given: bool) -> int:
         raise ConfigError("figures require finite pulse counts in --na")
     na_list = list(config.na_list) if config.na_list else None
     l_grid = config.l_grid() if grid_given else None
-    written = figure_datasets(figure_id, config.out_dir, config.phys,
-                              config.conventions, l_grid=l_grid,
-                              na_list=na_list, threshold=config.threshold)
-    for name, path in written.items():
-        print(f"wrote {name}: {path}")
+    for path in figure_datasets(figure_id, config.out_dir, config.phys,
+                                config.conventions, l_grid=l_grid,
+                                na_list=na_list, threshold=config.threshold):
+        print(f"wrote {path}")
     return 0
 
 

@@ -17,6 +17,8 @@ class ConfigError(ValueError):
 _PHYS_KEYS = tuple(f.name for f in fields(PhysicalParams))
 _CONVENTION_KEYS = tuple(f.name for f in fields(BoundConventions))
 _RUN_FLOAT_KEYS = ("lmin_km", "lmax_km", "lstep_km", "threshold")
+# at 0.05 s or more per solve, a grid this long already takes over 14 h
+_MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,13 @@ class RunConfig:
     def l_grid(self) -> list[float]:
         if self.lmax_km < self.lmin_km:
             raise ConfigError("lmax_km must be at least lmin_km")
-        n = int(math.floor((self.lmax_km - self.lmin_km) / self.lstep_km + 1e-9))
+        steps = (self.lmax_km - self.lmin_km) / self.lstep_km + 1e-9
+        # counted before the list is built: a huge grid would exhaust memory
+        if not steps < _MAX_GRID_POINTS:
+            raise ConfigError(f"the distance grid has more than "
+                              f"{_MAX_GRID_POINTS} points; raise lstep_km or "
+                              f"narrow the range")
+        n = int(math.floor(steps))
         return [self.lmin_km + i * self.lstep_km for i in range(n + 1)]
 
 

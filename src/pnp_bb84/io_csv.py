@@ -1,8 +1,14 @@
-"""Bit-stable CSV emission for scan records.
+"""Every output file: its name and its bit-stable CSV layout.
 
-Floats are serialized with 17 significant digits so recorded parameters
-re-evaluate to the recorded rate exactly; identical inputs produce
-byte-identical files.
+`write_scan`, `write_lmax` and `write_nath` write
+``scan_<scenario>_<tag>.csv``, ``lmax_<scenario>.csv`` and
+``nath_<scenario>.csv`` into a directory and return the path; the commands
+and the figure datasets write through them.  Floats are serialized with 17
+significant digits so recorded parameters re-evaluate to the recorded rate
+exactly; identical inputs produce byte-identical files.
+
+Records are `scans.ScanRecord`s, named only in annotations: `scans` imports
+this module.
 """
 
 from __future__ import annotations
@@ -14,10 +20,9 @@ from typing import Iterable, Sequence
 from . import _kernels
 from .params import Scenario
 from .rates import budget_fields
-from .scans import ScanRecord
 
-# fixed, documented column orders (README: "CSV columns"); every file starts
-# with the key columns, a scan file continues with the common ones
+# fixed, documented column orders (README: "CSV columns"); every scan file
+# starts with the common columns, the key columns first
 _KEY = ("scenario", "L_km", "n_pulses")
 _COMMON = _KEY + ("rate", "no_key")
 
@@ -28,8 +33,6 @@ _DERIVED = {
     "mu": lambda r: r.mu,
     "mu_s": lambda r: r.mu,
     "mu_d": lambda r: r.mu_decoy,
-    # the mean-photon file keeps its column for the no-decoy scenarios
-    "mu_decoy": lambda r: math.nan if r.mu_decoy is None else r.mu_decoy,
     # the asymptotic protocol fixes p_s, the finite one optimizes it
     "p_s": lambda r: (r.point.p_s if r.scenario.finite
                       else _kernels.ASYMPTOTIC_P_S),
@@ -67,10 +70,16 @@ def _value(record: ScanRecord, column: str) -> float:
     return getattr(record.point, column)
 
 
-def _write_table(path, records: Iterable[ScanRecord],
-                 columns: Sequence[str]) -> None:
-    """The key columns and ``columns`` of every record, one row each."""
-    lines = [",".join(_KEY + tuple(columns))]
+def write_records(path, records: Sequence[ScanRecord]) -> None:
+    """The scenario's columns (`columns_for`) of every record, one row each;
+    all records must share one scenario."""
+    if not records:
+        raise ValueError("no records to write")
+    scenarios = {r.scenario.value for r in records}
+    if len(scenarios) > 1:
+        raise ValueError(f"a file holds one scenario, got {sorted(scenarios)}")
+    columns = columns_for(records[0].scenario)[len(_KEY):]
+    lines = [",".join(_KEY + columns)]
     for r in records:
         lines.append(",".join(
             [r.scenario.value, fmt(r.distance_km), fmt(r.n_pulses)]
@@ -78,48 +87,40 @@ def _write_table(path, records: Iterable[ScanRecord],
     _dump(path, lines)
 
 
-def write_records(path, records: Sequence[ScanRecord]) -> None:
-    """One file per scenario column contract; all records must share it.
-
-    A file mixing scenarios (the figure rate files, which mix a finite and
-    an asymptotic key) carries the common columns only.
-    """
-    if not records:
-        raise ValueError("no records to write")
-    if len({r.scenario for r in records}) > 1:
-        columns = _COMMON
-    else:
-        columns = columns_for(records[0].scenario)
-    _write_table(path, records, columns[len(_KEY):])
-
-
-def write_sampling_fractions(path, records: Iterable[ScanRecord]) -> None:
-    _write_table(path, [r for r in records if r.sample_fraction is not None],
-                 ("r_sample",))
+def write_scan(out_dir, records: Sequence[ScanRecord]) -> Path:
+    """``scan_<scenario>_<tag>.csv``: one scan at one pulse count, tagged
+    ``inf`` or like ``5e10``."""
+    pulse_counts = {r.n_pulses for r in records}
+    if len(pulse_counts) != 1:
+        raise ValueError(f"a scan file holds one pulse count, got "
+                         f"{sorted(pulse_counts)}")
+    na = pulse_counts.pop()
+    tag = "inf" if math.isinf(na) else f"{na:.0e}".replace("+", "")
+    path = Path(out_dir) / f"scan_{records[0].scenario.value}_{tag}.csv"
+    write_records(path, records)
+    return path
 
 
-def write_mean_photon(path, records: Iterable[ScanRecord]) -> None:
-    _write_table(path, records, ("mu", "mu_decoy"))
-
-
-def write_class_probabilities(path, records: Iterable[ScanRecord]) -> None:
-    _write_table(path, [r for r in records if r.point.p_s is not None],
-                 ("p_s", "p_d", "p_v"))
-
-
-def write_lmax_rows(path, rows: Iterable[tuple], threshold: float) -> None:
+def write_lmax(out_dir, scenario: Scenario,
+               rows: Iterable[tuple[float, float]], threshold: float) -> Path:
+    """``lmax_<scenario>.csv``: one ``(n_pulses, lmax_km)`` row each."""
     lines = ["scenario,n_pulses,log10_n_pulses,threshold,lmax_km"]
-    for scenario, na, lmax in rows:
+    for na, lmax in rows:
         log_na = math.log10(na) if math.isfinite(na) else math.inf
         lines.append(",".join([scenario.value, fmt(na), fmt(log_na),
                                fmt(threshold), fmt(lmax)]))
+    path = Path(out_dir) / f"lmax_{scenario.value}.csv"
     _dump(path, lines)
+    return path
 
 
-def write_nath_row(path, scenario: Scenario, threshold: float,
-                   na_threshold: float) -> None:
+def write_nath(out_dir, scenario: Scenario, threshold: float,
+               na_threshold: float) -> Path:
+    """``nath_<scenario>.csv``: the pulse-count threshold."""
+    path = Path(out_dir) / f"nath_{scenario.value}.csv"
     _dump(path, ["scenario,threshold,na_threshold", ",".join(
         [scenario.value, fmt(threshold), fmt(na_threshold)])])
+    return path
 
 
 def _dump(path, lines: list[str]) -> None:

@@ -1,11 +1,17 @@
-"""Distance scans and threshold solvers reproducing the headline results."""
+"""Distance scans and threshold solvers reproducing the headline results.
+
+`figure_datasets` composes them into the files behind the summary figures:
+each is the `io_csv` scan or lmax file of one scenario.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from . import io_csv
 from .numerics import check_range
 from .optimize import OptimizationProblem, OptimizationResult, maximize
 from .params import BoundConventions, PhysicalParams, Scenario
@@ -213,26 +219,28 @@ def figure_datasets(figure_id: str, out_dir,
                     conventions: BoundConventions = BoundConventions(),
                     l_grid: Optional[Sequence[float]] = None,
                     na_list: Optional[Sequence[float]] = None,
-                    threshold: float = DEFAULT_THRESHOLD) -> dict[str, str]:
-    """Write the CSV series behind one of the summary figures.
+                    threshold: float = DEFAULT_THRESHOLD) -> list[Path]:
+    """Write the `scan` or `lmax` files behind one of the summary figures.
 
-    Returns a mapping from dataset name to the file path written.  The
-    default grids cover the full benchmark curves and take a while; pass
-    ``l_grid``/``na_list`` to restrict them.
+    fig2 (no decoy) and fig5 (decoy) scan the finite-key scenario at each
+    pulse count and the asymptotic scenario once; fig3 writes the maximal
+    distance of both finite-key scenarios over the pulse counts and of both
+    asymptotic ones.  Each file is the one `scan` or `lmax` writes for the
+    same inputs.  Returns the paths written.  The default grids cover the
+    full benchmark curves and take a while; pass ``l_grid``/``na_list`` to
+    restrict them.
     """
-    from . import io_csv
-    from pathlib import Path
-
     if figure_id not in _FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of "
                          f"{_FIGURE_IDS}")
     check_range("threshold", threshold, 0.0, math.inf, hi_open=True)
+    if na_list is not None and not na_list:
+        raise ValueError("na_list must be non-empty")
     # every figure solves finite-key scenarios at these pulse counts
     for na in na_list or ():
         Scenario.NO_DECOY_FINITE.check_pulse_count(na)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: dict[str, str] = {}
 
     if figure_id in ("fig2", "fig5"):
         decoy = figure_id == "fig5"
@@ -241,50 +249,18 @@ def figure_datasets(figure_id: str, out_dir,
         nas = list(na_list if na_list is not None
                    else (FIG5_NA if decoy else FIG2_NA))
         grid = list(l_grid if l_grid is not None else _default_l_grid(fin_sc))
-        all_records: list[ScanRecord] = []
-        for na in nas:
-            all_records.extend(scan_distance(fin_sc, na, grid, phys,
-                                             conventions))
-        all_records.extend(scan_distance(inf_sc, math.inf, grid, phys,
-                                         conventions))
-        rate_path = out / f"{figure_id}_rate.csv"
-        io_csv.write_records(rate_path, all_records)
-        written["rate"] = str(rate_path)
-
-        finite_records = [r for r in all_records if r.scenario is fin_sc]
-        frac_path = out / f"{figure_id}_sampling_fraction.csv"
-        io_csv.write_sampling_fractions(frac_path, finite_records)
-        written["sampling_fraction"] = str(frac_path)
-
-        mu_path = out / f"{figure_id}_mean_photon.csv"
-        mu_records = [r for r in all_records
-                      if r.scenario is inf_sc or r.n_pulses == nas[0]]
-        io_csv.write_mean_photon(mu_path, mu_records)
-        written["mean_photon"] = str(mu_path)
-
-        if decoy:
-            prob_path = out / f"{figure_id}_class_probabilities.csv"
-            io_csv.write_class_probabilities(prob_path, finite_records)
-            written["class_probabilities"] = str(prob_path)
-        return written
+        runs = [(fin_sc, na) for na in nas] + [(inf_sc, math.inf)]
+        return [io_csv.write_scan(out, scan_distance(sc, na, grid, phys,
+                                                     conventions))
+                for sc, na in runs]
 
     # fig3: maximal distance vs log pulse count, plus the asymptotes
     nas = list(na_list) if na_list is not None else [
         10.0 ** (8.0 + FIG3_LOG_NA_STEP * i)
         for i in range(int((16.0 - 8.0) / FIG3_LOG_NA_STEP) + 1)]
-    rows = []
-    for scenario in (Scenario.NO_DECOY_FINITE, Scenario.DECOY_FINITE):
-        for na in nas:
-            lmax = find_lmax(scenario, na, threshold, phys, conventions)
-            rows.append((scenario, na, lmax))
-    lmax_path = out / "fig3_lmax.csv"
-    io_csv.write_lmax_rows(lmax_path, rows, threshold)
-    written["lmax"] = str(lmax_path)
-
-    asym = [(sc, math.inf,
-             find_lmax(sc, math.inf, threshold, phys, conventions))
-            for sc in (Scenario.NO_DECOY_INFINITE, Scenario.DECOY_INFINITE)]
-    asym_path = out / "fig3_asymptotes.csv"
-    io_csv.write_lmax_rows(asym_path, asym, threshold)
-    written["asymptotes"] = str(asym_path)
+    written = []
+    for sc in Scenario:
+        rows = [(na, find_lmax(sc, na, threshold, phys, conventions))
+                for na in (nas if sc.finite else [math.inf])]
+        written.append(io_csv.write_lmax(out, sc, rows, threshold))
     return written

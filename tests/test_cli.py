@@ -109,6 +109,21 @@ class TestCliCommands:
         assert rc == 1
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("lmax_km,lstep", [
+        ("1e308", "1e-300"), ("2000000", "1"),
+    ], ids=["count-overflows", "count-over-a-million"])
+    def test_huge_distance_grid_is_a_one_line_error(self, tmp_path, capsys,
+                                                    lmax_km, lstep):
+        # the points are counted, never built
+        rc = main(["scan", "--scenario", "decoy_infinite", "--lmin", "0",
+                   "--lmax-km", lmax_km, "--lstep", lstep,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "distance grid" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_nath_rejects_infinite_scenario(self, tmp_path, capsys):
         rc = main(["nath", "--scenario", "decoy_infinite",
                    "--out", str(tmp_path)])
@@ -311,3 +326,39 @@ class TestFigureGrid:
                                                          tmp_path):
         assert self._grid(monkeypatch, tmp_path, [],
                           "lmax_km = 130\n") == RunConfig().l_grid()
+
+
+class TestFigureFiles:
+    """`figure` writes the files that `scan` and `lmax` write for the same
+    inputs, byte for byte."""
+
+    def _same_files(self, tmp_path, figure_args, command_args):
+        fig_dir, cmd_dir = tmp_path / "figure", tmp_path / "commands"
+        assert main(figure_args + ["--out", str(fig_dir)]) == 0
+        for args in command_args:
+            assert main(args + ["--out", str(cmd_dir)]) == 0
+        names = sorted(p.name for p in fig_dir.iterdir())
+        assert names == sorted(p.name for p in cmd_dir.iterdir())
+        for name in names:
+            assert ((fig_dir / name).read_bytes()
+                    == (cmd_dir / name).read_bytes()), name
+        return names
+
+    def test_fig5_writes_the_scan_files(self, tmp_path):
+        grid = ["--lmin", "0", "--lmax-km", "8", "--lstep", "4"]
+        na = ["--na", "5e10,1e12"]
+        names = self._same_files(tmp_path, ["figure", "fig5"] + na + grid, [
+            ["scan", "--scenario", "decoy_finite"] + na + grid,
+            ["scan", "--scenario", "decoy_infinite"] + grid])
+        assert names == ["scan_decoy_finite_1e12.csv",
+                         "scan_decoy_finite_5e10.csv",
+                         "scan_decoy_infinite_inf.csv"]
+
+    def test_fig3_writes_the_lmax_files(self, tmp_path):
+        # a high threshold keeps every march short
+        na, threshold = ["--na", "1e10"], ["--threshold", "1e-4"]
+        names = self._same_files(
+            tmp_path, ["figure", "fig3"] + na + threshold,
+            [["lmax", "--scenario", sc.value]
+             + (na if sc.finite else []) + threshold for sc in Scenario])
+        assert names == sorted(f"lmax_{sc.value}.csv" for sc in Scenario)

@@ -208,6 +208,9 @@ FIGURE_CASES = [
         "fig5", out, na_list=[5e10, v], l_grid=[0.0]), 0.0),
     *cases("l_grid", lambda v, out: figure_datasets(
         "fig2", out, na_list=[5e10], l_grid=[0.0, v]), -1.0),
+    pytest.param(lambda v, out: figure_datasets("fig5", out, na_list=v,
+                                                l_grid=[0.0]),
+                 [], id="na_list=[]"),
 ]
 
 

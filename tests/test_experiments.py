@@ -1,7 +1,7 @@
 """Scans, threshold solvers and figure dataset emission."""
 
+import csv
 import math
-from pathlib import Path
 
 import pytest
 
@@ -13,6 +13,11 @@ from pnp_bb84 import io_csv
 
 PHYS = PhysicalParams()
 CONV = BoundConventions()
+
+
+def _csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 class TestLmaxProfileSolver:
@@ -161,6 +166,22 @@ class TestCsvEmission:
         assert ",".join(io_csv.columns_for(scenario)) == (
             "scenario,L_km,n_pulses,rate,no_key," + header)
 
+    def test_one_scenario_per_file(self, tmp_path):
+        records = (scan_distance(Scenario.NO_DECOY_INFINITE, math.inf,
+                                 [10.0], PHYS, CONV)
+                   + scan_distance(Scenario.DECOY_INFINITE, math.inf,
+                                   [10.0], PHYS, CONV))
+        with pytest.raises(ValueError, match="one scenario"):
+            io_csv.write_records(tmp_path / "mixed.csv", records)
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_one_pulse_count_per_scan_file(self, tmp_path):
+        records = [r for na in (5e10, 1e12) for r in scan_distance(
+            Scenario.NO_DECOY_FINITE, na, [10.0], PHYS, CONV)]
+        with pytest.raises(ValueError, match="one pulse count"):
+            io_csv.write_scan(tmp_path, records)
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_seventeen_digit_round_trip(self):
         value = 1.2345678901234567e-5
         assert float(io_csv.fmt(value)) == value
@@ -170,27 +191,23 @@ class TestFigureDatasets:
     def test_fig2_smoke(self, tmp_path):
         written = figure_datasets("fig2", tmp_path, PHYS, CONV,
                                   l_grid=[0.0, 10.0], na_list=[5e10])
-        assert set(written) == {"rate", "sampling_fraction", "mean_photon"}
-        for path in written.values():
-            lines = Path(path).read_text().strip().split("\n")
-            assert len(lines) >= 2
+        assert [p.name for p in written] == [
+            "scan_no_decoy_finite_5e10.csv", "scan_no_decoy_infinite_inf.csv"]
+        for path in written:
+            lines = path.read_text().strip().split("\n")
+            assert len(lines) == 3
 
     def test_fig5_smoke(self, tmp_path):
         written = figure_datasets("fig5", tmp_path, PHYS, CONV,
                                   l_grid=[10.0, 20.0], na_list=[5e10])
-        assert "class_probabilities" in written
-        prob_lines = Path(written["class_probabilities"]).read_text()
-        assert prob_lines.startswith("scenario,L_km,n_pulses,p_s,p_d,p_v")
+        finite, asymptotic = written
+        assert finite.name == "scan_decoy_finite_5e10.csv"
+        assert asymptotic.name == "scan_decoy_infinite_inf.csv"
         # decoy resources grow with distance; intensities stay ordered
-        prob_rows = [line.split(",") for line in
-                     prob_lines.strip().split("\n")[1:]]
-        assert float(prob_rows[1][4]) >= float(prob_rows[0][4])  # p_d up
-        mu_rows = [line.split(",") for line in
-                   Path(written["mean_photon"]).read_text()
-                   .strip().split("\n")[1:]]
-        for row in mu_rows:
-            mu_s, mu_d = float(row[3]), float(row[4])
-            assert 0.0 <= mu_d < mu_s
+        rows = _csv_rows(finite)
+        assert float(rows[1]["p_d"]) >= float(rows[0]["p_d"])
+        for row in rows + _csv_rows(asymptotic):
+            assert 0.0 <= float(row["mu_d"]) < float(row["mu_s"])
 
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(ValueError):
