@@ -24,20 +24,34 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="key = value configuration file")
-    parser.add_argument("--scenario", type=str, default=None,
-                        choices=[s.value for s in Scenario])
-    parser.add_argument("--na", type=str, default=None,
-                        help="comma-separated pulse counts; 'inf' allowed")
-    parser.add_argument("--lmin", dest="lmin_km", type=float, default=None)
-    parser.add_argument("--lmax-km", dest="lmax_km", type=float, default=None)
-    parser.add_argument("--lstep", dest="lstep_km", type=float, default=None)
-    parser.add_argument("--threshold", type=float, default=None)
+# every flag, with its add_argument keywords
+_FLAGS = {
+    "--config": dict(type=Path, help="key = value configuration file"),
+    "--scenario": dict(type=str, choices=[s.value for s in Scenario]),
+    "--na": dict(type=str, help="comma-separated pulse counts; 'inf' allowed"),
+    "--lmin": dict(dest="lmin_km", type=float),
+    "--lmax-km": dict(dest="lmax_km", type=float),
+    "--lstep": dict(dest="lstep_km", type=float),
+    "--threshold": dict(type=float),
     # no effect; kept because perfbench/workloads.py passes it
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", dest="out_dir", type=str, default=None)
+    "--seed": dict(type=int),
+    "--out": dict(dest="out_dir", type=str),
+}
+
+# each subcommand's help and the flags it reads; any other is a usage error
+_COMMANDS = {
+    "scan": ("optimized rate over a distance grid",
+             ("--config", "--scenario", "--na", "--lmin", "--lmax-km",
+              "--lstep", "--seed", "--out")),
+    "lmax": ("maximal secure distance",
+             ("--config", "--scenario", "--na", "--threshold", "--seed",
+              "--out")),
+    "nath": ("pulse-count threshold for a positive secure distance",
+             ("--config", "--scenario", "--threshold", "--seed", "--out")),
+    "figure": ("write the datasets behind one of the summary figures",
+               ("--config", "--na", "--lmin", "--lmax-km", "--lstep",
+                "--threshold", "--seed", "--out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,15 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Secure key rates for plug-and-play BB84 with an "
                     "untrusted source")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_scan = sub.add_parser("scan", help="optimized rate over a distance grid")
-    p_lmax = sub.add_parser("lmax", help="maximal secure distance")
-    p_nath = sub.add_parser("nath", help="pulse-count threshold for a "
-                                         "positive secure distance")
-    p_fig = sub.add_parser("figure", help="write the datasets behind one of "
-                                          "the summary figures")
-    p_fig.add_argument("figure_id", choices=("fig2", "fig3", "fig5"))
-    for p in (p_scan, p_lmax, p_nath, p_fig):
-        _add_common(p)
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "figure":
+            p.add_argument("figure_id", choices=("fig2", "fig3", "fig5"))
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -65,14 +76,16 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {args.config} is not UTF-8 text: "
                           f"{exc.reason} at byte {exc.start}") from None
-    scenario = Scenario(args.scenario) if args.scenario else None
-    na_list = parse_na_list(args.na) if args.na else None
+    # a subcommand's namespace holds only the flags it takes
+    flags = vars(args)
+    scenario = Scenario(flags["scenario"]) if flags.get("scenario") else None
+    na_list = parse_na_list(flags["na"]) if flags.get("na") else None
     config = apply_overrides(
         parse_config(text), scenario=scenario, na_list=na_list,
-        lmin_km=args.lmin_km, lmax_km=args.lmax_km, lstep_km=args.lstep_km,
-        threshold=args.threshold, seed=args.seed, out_dir=args.out_dir)
+        **{key: flags.get(key) for key in ("lmin_km", "lmax_km", "lstep_km",
+                                           "threshold", "seed", "out_dir")})
     given = {key for _, key, _ in config_entries(text)}
-    given.update(key for key, value in vars(args).items() if value is not None)
+    given.update(key for key, value in flags.items() if value is not None)
     return config, not given.isdisjoint(("lmin_km", "lmax_km", "lstep_km"))
 
 
@@ -98,9 +111,11 @@ def _na_values(config: RunConfig, scenario: Scenario) -> list[float]:
 def _cmd_scan(config: RunConfig) -> int:
     scenario = _require_scenario(config)
     grid = config.l_grid()
+    pulse_counts = _na_values(config, scenario)
+    io_csv.check_scan_names(scenario, pulse_counts)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for na in _na_values(config, scenario):
+    for na in pulse_counts:
         records = scan_distance(scenario, na, grid, config.phys,
                                 config.conventions)
         print(f"wrote {io_csv.write_scan(out, records)}")
@@ -162,7 +177,8 @@ def main(argv=None) -> int:
             return _cmd_nath(config)
         return _cmd_figure(config, args.figure_id, grid_given)
     except (ConfigError, OSError, InfeasibleProblemError,
-            scans.NonMonotoneRateError, scans.ThresholdOutsideRangeError) as exc:
+            io_csv.ScanNameCollisionError, scans.NonMonotoneRateError,
+            scans.ThresholdOutsideRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,9 +3,11 @@
 `write_scan`, `write_lmax` and `write_nath` write
 ``scan_<scenario>_<tag>.csv``, ``lmax_<scenario>.csv`` and
 ``nath_<scenario>.csv`` into a directory and return the path; the commands
-and the figure datasets write through them.  Floats are serialized with 17
-significant digits so recorded parameters re-evaluate to the recorded rate
-exactly; identical inputs produce byte-identical files.
+and the figure datasets write through them.  A scan's tag reads back as its
+pulse count (`scan_tag`), so two scans share a file name only when they
+share the pulse count, which `check_scan_names` refuses.  Floats are
+serialized with 17 significant digits so recorded parameters re-evaluate to
+the recorded rate exactly; identical inputs produce byte-identical files.
 
 Records are `scans.ScanRecord`s, named only in annotations: `scans` imports
 this module.
@@ -87,16 +89,47 @@ def write_records(path, records: Sequence[ScanRecord]) -> None:
     _dump(path, lines)
 
 
+class ScanNameCollisionError(ValueError):
+    """Two scans of one run would write the same file."""
+
+
+def scan_tag(n_pulses: float) -> str:
+    """``inf``, or the shortest ``5e10``-style tag that reads back as
+    ``n_pulses``: ``5e10`` for 5e10, ``5.4e10`` for 5.4e10."""
+    if math.isinf(n_pulses):
+        return "inf"
+    digits = 0
+    while float(tag := f"{n_pulses:.{digits}e}".replace("+", "")) != n_pulses:
+        digits += 1
+    return tag
+
+
+def _scan_name(scenario: Scenario, n_pulses: float) -> str:
+    return f"scan_{scenario.value}_{scan_tag(n_pulses)}.csv"
+
+
+def check_scan_names(scenario: Scenario,
+                     pulse_counts: Iterable[float]) -> None:
+    """Raise `ScanNameCollisionError` if two of the scans would write one
+    file, before any of them runs."""
+    seen = set()
+    for na in pulse_counts:
+        name = _scan_name(scenario, na)
+        if name in seen:
+            raise ScanNameCollisionError(
+                f"pulse count {scan_tag(na)} is given twice: both scans "
+                f"would write {name}")
+        seen.add(name)
+
+
 def write_scan(out_dir, records: Sequence[ScanRecord]) -> Path:
-    """``scan_<scenario>_<tag>.csv``: one scan at one pulse count, tagged
-    ``inf`` or like ``5e10``."""
+    """``scan_<scenario>_<tag>.csv``: one scan at one pulse count, tagged by
+    `scan_tag`."""
     pulse_counts = {r.n_pulses for r in records}
     if len(pulse_counts) != 1:
         raise ValueError(f"a scan file holds one pulse count, got "
                          f"{sorted(pulse_counts)}")
-    na = pulse_counts.pop()
-    tag = "inf" if math.isinf(na) else f"{na:.0e}".replace("+", "")
-    path = Path(out_dir) / f"scan_{records[0].scenario.value}_{tag}.csv"
+    path = Path(out_dir) / _scan_name(records[0].scenario, pulse_counts.pop())
     write_records(path, records)
     return path
 

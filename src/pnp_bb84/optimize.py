@@ -41,6 +41,14 @@ end with the largest exact value; ties go to the smaller untagged-window
 width delta, then to the first start in run order.  This order is
 transitive, so the run order of the starts moves no other choice.
 
+A threshold solver only asks whether the optimum exceeds a rate, and one
+feasible point above it proves that it does.  So `maximize` takes an
+optional ``target``: the search then stops at the first evaluation whose
+reported point (m_e rounded as in every result) has a rate above it, and
+returns that point unpolished, with ``converged=False``.  A search that
+never gets there runs in full and returns what it returns without a target,
+float for float.  Without a target the objective is not wrapped at all.
+
 `_nelder_mead` is a port of scipy 1.17's ``_minimize_neldermead`` with the
 options used here (standard coefficients, ``initial_simplex`` as above,
 ``xatol=1e-6``, ``fatol=1e-11``, ``maxfev`` given), run on lists of Python
@@ -393,50 +401,94 @@ def _delta_of_raw(raw: Sequence[float]) -> float:
     return _kernels.logrange_kernel(raw[0], *_kernels.DELTA_LOG)
 
 
-def maximize(problem: OptimizationProblem) -> OptimizationResult:
+class _TargetMet(Exception):
+    """An evaluation proved a rate above the target; the one argument is
+    the `OptimizationResult` that reports it."""
+
+
+def _stopping_at(problem: OptimizationProblem,
+                 fn: Callable[[list[float]], float],
+                 target: float) -> Callable[[list[float]], float]:
+    """``-fn``, raising `_TargetMet` at the first evaluation whose reported
+    point has a rate above ``target``."""
+    evaluations = 0
+
+    def neg(z):
+        nonlocal evaluations
+        evaluations += 1
+        val = fn(z)
+        if val > target:
+            result = _result(problem, z, evaluations, converged=False)
+            if result.best_rate > target:
+                raise _TargetMet(result)
+        return -val
+
+    return neg
+
+
+def maximize(problem: OptimizationProblem,
+             target: Optional[float] = None) -> OptimizationResult:
     """Maximize the scenario rate over the problem's free parameters.
 
     Deterministic: the heuristic start, then each warm start, runs in full,
     and the best end is polished (see the module docstring).  The best end
     has the largest exact value; ties go to the smaller untagged-window
     width, then to the first start in run order.
+
+    With a ``target``, the search stops at the first evaluation whose
+    reported point, m_e rounded, has a rate above ``target``: that point,
+    never polished, is the result, with ``converged=False``.  It proves the
+    optimum exceeds ``target`` and says nothing more about it.  A search
+    that never gets there returns what it returns without a target.
     """
     fn = _objective_fn(problem)
-    neg = lambda z: -fn(z)
+    if target is None:
+        neg = lambda z: -fn(z)
+    else:
+        neg = _stopping_at(problem, fn, target)
     starts = [_heuristic_raw(problem)]
     starts += [raw_from_point(problem, wp) for wp in problem.warm_starts]
 
     best_val, best_raw, best_delta = -math.inf, starts[0], math.inf
     evaluations = 0
-    for x0 in starts:
-        x, fun, nfev, _ = _nelder_mead(neg, x0, _MAX_EVALS)
-        evaluations += nfev
-        val, d = -fun, _delta_of_raw(x)
-        if val > best_val or (val == best_val and d < best_delta):
-            best_val, best_raw, best_delta = val, x, d
+    try:
+        for x0 in starts:
+            x, fun, nfev, _ = _nelder_mead(neg, x0, _MAX_EVALS)
+            evaluations += nfev
+            val, d = -fun, _delta_of_raw(x)
+            if val > best_val or (val == best_val and d < best_delta):
+                best_val, best_raw, best_delta = val, x, d
 
-    # each polish restarts from the best point with a fresh simplex
-    for _ in range(_POLISH_ROUNDS):
-        x, fun, nfev, converged = _nelder_mead(neg, best_raw, 2 * _MAX_EVALS)
-        evaluations += nfev
-        gain = -fun - best_val
-        if not gain > 0.0:
-            break
-        best_val, best_raw = -fun, x
-        if gain <= _POLISH_RTOL * abs(best_val):
-            break
+        # each polish restarts from the best point with a fresh simplex
+        for _ in range(_POLISH_ROUNDS):
+            x, fun, nfev, converged = _nelder_mead(neg, best_raw,
+                                                   2 * _MAX_EVALS)
+            evaluations += nfev
+            gain = -fun - best_val
+            if not gain > 0.0:
+                break
+            best_val, best_raw = -fun, x
+            if gain <= _POLISH_RTOL * abs(best_val):
+                break
+    except _TargetMet as met:
+        return met.args[0]
 
     if best_val <= _kernels.PENALTY + 1.0:
         raise InfeasibleProblemError(
             f"no feasible point found for {problem.scenario.value} at "
             f"L={problem.distance_km} km, n_pulses={problem.n_pulses}")
+    return _result(problem, best_raw, evaluations, converged)
 
-    point = point_from_raw(problem, best_raw)
+
+def _result(problem: OptimizationProblem, raw: Sequence[float],
+            evaluations: int, converged: bool) -> OptimizationResult:
+    """The reported result at ``raw``: its point, m_e rounded, and rate."""
+    point = point_from_raw(problem, raw)
     if problem.scenario.finite:
         point = _round_sample_count(problem, point)
     breakdown = evaluate_rate(point, problem.phys, problem.conventions)
     return OptimizationResult(best_rate=breakdown.rate, best_point=point,
-                              breakdown=breakdown, best_raw=tuple(best_raw),
+                              breakdown=breakdown, best_raw=tuple(raw),
                               evaluations=evaluations, converged=converged)
 
 

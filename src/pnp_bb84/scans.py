@@ -68,22 +68,24 @@ class ScanRecord:
 
 def _warm_chain(scenario: Scenario, phys: PhysicalParams,
                 conventions: BoundConventions
-                ) -> Callable[[float, float, float], OptimizationResult]:
-    """``solve(key, distance_km, n_pulses)``: `maximize` at that point, warm
-    started from the two recorded optima whose keys are nearest ``key``.
+                ) -> Callable[..., OptimizationResult]:
+    """``solve(key, distance_km, n_pulses, target=None)``: `maximize` at that
+    point, warm started from the two recorded optima whose keys are nearest
+    ``key``, stopping early once a rate above ``target`` is proven.
 
-    Each solve records its optimum under ``key``, overwriting any earlier
-    one; ties in ``|k - key|`` go to the key recorded first.
+    Each solve records its result's point under ``key``, an early-stopped
+    one too, overwriting any earlier one; ties in ``|k - key|`` go to the key
+    recorded first.
     """
     found: dict[float, ProtocolPoint] = {}
 
-    def solve(key: float, distance_km: float,
-              n_pulses: float) -> OptimizationResult:
+    def solve(key: float, distance_km: float, n_pulses: float,
+              target: Optional[float] = None) -> OptimizationResult:
         nearest = sorted(found, key=lambda k: abs(k - key))[:2]
         result = maximize(OptimizationProblem(
             scenario=scenario, distance_km=distance_km, n_pulses=n_pulses,
             phys=phys, conventions=conventions,
-            warm_starts=tuple(found[k] for k in nearest)))
+            warm_starts=tuple(found[k] for k in nearest)), target=target)
         found[key] = result.best_point
         return result
 
@@ -131,7 +133,7 @@ def scan_distance(scenario: Scenario, n_pulses: float,
     return records
 
 
-def solve_lmax_profile(rate_at: Callable[[float], float],
+def solve_lmax_profile(rate_at: Callable[..., float],
                        rate_threshold: float) -> float:
     """Largest distance with ``rate_at(L) > rate_threshold``.
 
@@ -139,6 +141,12 @@ def solve_lmax_profile(rate_at: Callable[[float], float],
     steps up to `_L_CAP_KM` (returned if the rate never drops to the
     threshold), raising NonMonotoneRateError if a step's rate rises beyond
     optimizer noise, then bisects the bracket to `_L_RESOLUTION_KM`.
+
+    The march calls ``rate_at(L)`` and needs the optimized rate: the
+    monotonicity check compares one step's rate with the next.  A bisection
+    step only compares the rate with the threshold, so it calls
+    ``rate_at(L, rate_threshold)``, which may return any proven rate above
+    the threshold instead of the optimum (`maximize`'s ``target``).
     """
     check_range("rate_threshold", rate_threshold, 0.0, math.inf, hi_open=True)
     r0 = rate_at(0.0)
@@ -153,7 +161,8 @@ def solve_lmax_profile(rate_at: Callable[[float], float],
                 f"optimized rate rose from {lo_rate:.3e} at {lo} km to "
                 f"{r:.3e} at {dist} km")
         if r <= rate_threshold:
-            return _bisect(lambda mid: rate_at(mid) <= rate_threshold,
+            return _bisect(lambda mid: (rate_at(mid, rate_threshold)
+                                        <= rate_threshold),
                            lo, dist, _L_RESOLUTION_KM)
         lo, lo_rate = dist, r
         dist += _L_COARSE_STEP_KM
@@ -167,7 +176,9 @@ def find_lmax(scenario: Scenario, n_pulses: float,
     """Maximal secure distance at the given positivity threshold, in km."""
     solve = _warm_chain(scenario, phys, conventions)
     return solve_lmax_profile(
-        lambda dist: solve(dist, dist, n_pulses).best_rate, rate_threshold)
+        lambda dist, target=None: solve(dist, dist, n_pulses,
+                                        target).best_rate,
+        rate_threshold)
 
 
 def find_na_threshold(scenario: Scenario,
@@ -180,6 +191,8 @@ def find_na_threshold(scenario: Scenario,
     Since the optimized rate is non-increasing in distance, a positive
     maximal distance is equivalent to the optimized rate at L = 0 exceeding
     the threshold; the search bisects that condition in log pulse count.
+    Each probe only asks that question, so each `maximize` stops at the first
+    rate it proves above the threshold.
     """
     if not scenario.finite:
         raise ValueError("pulse-count threshold applies to finite scenarios only")
@@ -188,7 +201,8 @@ def find_na_threshold(scenario: Scenario,
     solve = _warm_chain(scenario, phys, conventions)
 
     def positive(log_na: float) -> bool:
-        return solve(log_na, 0.0, 10.0 ** log_na).best_rate > rate_threshold
+        return solve(log_na, 0.0, 10.0 ** log_na,
+                     rate_threshold).best_rate > rate_threshold
 
     if not positive(hi_log):
         raise ThresholdOutsideRangeError(
@@ -248,6 +262,7 @@ def figure_datasets(figure_id: str, out_dir,
         inf_sc = Scenario.DECOY_INFINITE if decoy else Scenario.NO_DECOY_INFINITE
         nas = list(na_list if na_list is not None
                    else (FIG5_NA if decoy else FIG2_NA))
+        io_csv.check_scan_names(fin_sc, nas)
         grid = list(l_grid if l_grid is not None else _default_l_grid(fin_sc))
         runs = [(fin_sc, na) for na in nas] + [(inf_sc, math.inf)]
         return [io_csv.write_scan(out, scan_distance(sc, na, grid, phys,

@@ -287,6 +287,53 @@ class TestCliCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("args", [
+        ["nath", "--scenario", "no_decoy_finite", "--na", "5e10"],
+        ["nath", "--scenario", "no_decoy_finite", "--lmin", "3"],
+        ["lmax", "--scenario", "decoy_infinite", "--lmin", "3"],
+        ["scan", "--scenario", "no_decoy_infinite", "--lmin", "0",
+         "--lmax-km", "0", "--threshold", "1e-9"],
+        ["figure", "fig2", "--scenario", "decoy_finite", "--na", "5e10",
+         "--lmin", "0", "--lmax-km", "0"],
+    ], ids=["nath-na", "nath-lmin", "lmax-lmin", "scan-threshold",
+            "figure-scenario"])
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(
+            self, tmp_path, capsys, args):
+        # these used to be accepted and ignored
+        rc = main(args + ["--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: ") and \
+            err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_pulse_counts_with_one_short_tag_write_two_scan_files(
+            self, tmp_path, capsys):
+        # "5e10" and "5.4e10" both used to be tagged 5e10, so the second
+        # scan overwrote the first
+        rc = main(["scan", "--scenario", "no_decoy_finite", "--na",
+                   "5e10,5.4e10", "--lmin", "0", "--lmax-km", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        for tag, na in (("5e10", 5e10), ("5.4e10", 5.4e10)):
+            rows = (tmp_path / f"scan_no_decoy_finite_{tag}.csv"
+                    ).read_text().splitlines()[1:]
+            assert [float(row.split(",")[2]) for row in rows] == [na]
+
+    @pytest.mark.parametrize("args", [
+        ["scan", "--scenario", "no_decoy_finite", "--na", "5e10,50000000000"],
+        ["figure", "fig2", "--na", "5e10,5e10"],
+    ], ids=["scan", "figure"])
+    def test_two_scans_with_one_file_name_are_a_one_line_error(
+            self, tmp_path, capsys, args):
+        rc = main(args + ["--lmin", "0", "--lmax-km", "0",
+                          "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: pulse count 5e10 is given twice: both scans would write "
+            "scan_no_decoy_finite_5e10.csv\n")
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("args", [["--help"], ["scan", "--help"]])
     def test_help_exits_zero(self, capsys, args):
         with pytest.raises(SystemExit) as exit_:

@@ -217,7 +217,7 @@ FIGURE_CASES = [
 @pytest.fixture
 def no_search(monkeypatch):
     """Fail any test that reaches the optimizer."""
-    def refuse(problem):
+    def refuse(problem, target=None):
         raise AssertionError("the range check must come before any search")
     monkeypatch.setattr(scans, "maximize", refuse)
 

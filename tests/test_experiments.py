@@ -23,7 +23,7 @@ def _csv_rows(path):
 class TestLmaxProfileSolver:
     def test_analytic_exponential_profile(self):
         # 1e-3 * 10^(-L/10) crosses 1e-9 at exactly 60 km
-        profile = lambda dist: 1e-3 * 10 ** (-dist / 10)
+        profile = lambda dist, target=None: 1e-3 * 10 ** (-dist / 10)
         lmax = solve_lmax_profile(profile, 1e-9)
         assert lmax == pytest.approx(60.0, abs=0.1)
 
@@ -60,12 +60,53 @@ def test_solvers_reject_threshold_before_optimizing(monkeypatch, threshold):
     from pnp_bb84 import find_lmax, find_na_threshold, scans
 
     calls = []
-    monkeypatch.setattr(scans, "maximize", lambda problem: calls.append(problem))
+    monkeypatch.setattr(scans, "maximize",
+                        lambda problem, target=None: calls.append(problem))
     with pytest.raises(ValueError, match="rate_threshold"):
         find_lmax(Scenario.DECOY_INFINITE, math.inf, rate_threshold=threshold)
     with pytest.raises(ValueError, match="rate_threshold"):
         find_na_threshold(Scenario.NO_DECOY_FINITE, rate_threshold=threshold)
     assert calls == []
+
+
+def _recording_maximize(monkeypatch):
+    """Record ``(distance_km, target, rate)`` of every solver `maximize`."""
+    from pnp_bb84 import scans
+
+    calls, inner = [], scans.maximize
+
+    def recorded(problem, target=None):
+        result = inner(problem, target=target)
+        calls.append((problem.distance_km, target, result.best_rate))
+        return result
+
+    monkeypatch.setattr(scans, "maximize", recorded)
+    return calls
+
+
+def test_lmax_march_is_untargeted_and_bisection_targeted(monkeypatch):
+    # the march's monotonicity check reads optimized rates; a bisection
+    # step only asks whether the rate is above the threshold
+    from pnp_bb84 import find_lmax
+
+    calls = _recording_maximize(monkeypatch)
+    assert find_lmax(Scenario.DECOY_INFINITE, math.inf, 1e-9) == 123.3203125
+    march = next(i for i, (_, _, rate) in enumerate(calls)
+                 if rate <= 1e-9) + 1
+    assert [dist for dist, _, _ in calls[:march]] == \
+        [10.0 * i for i in range(march)]
+    assert {target for _, target, _ in calls[:march]} == {None}
+    assert len(calls) > march
+    assert {target for _, target, _ in calls[march:]} == {1e-9}
+
+
+def test_every_pulse_count_probe_is_targeted(monkeypatch):
+    from pnp_bb84 import find_na_threshold
+
+    calls = _recording_maximize(monkeypatch)
+    assert find_na_threshold(Scenario.NO_DECOY_FINITE, 1e-9) == \
+        947463525.65537536
+    assert calls and {target for _, target, _ in calls} == {1e-9}
 
 
 class TestScanDistance:
@@ -123,7 +164,7 @@ class TestScanDistance:
 
         calls = []
         monkeypatch.setattr(scans, "maximize",
-                            lambda problem: calls.append(problem))
+                            lambda problem, target=None: calls.append(problem))
         with pytest.raises(ValueError, match="finite and non-negative"):
             scan_distance(Scenario.NO_DECOY_INFINITE, math.inf, grid, PHYS,
                           CONV)
@@ -181,6 +222,18 @@ class TestCsvEmission:
         with pytest.raises(ValueError, match="one pulse count"):
             io_csv.write_scan(tmp_path, records)
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_scan_tag_reads_back_as_the_pulse_count(self):
+        from pnp_bb84.scans import FIG2_NA, FIG3_LOG_NA_STEP, FIG5_NA
+
+        fig3 = [10.0 ** (8.0 + FIG3_LOG_NA_STEP * i) for i in range(33)]
+        for na in (*FIG2_NA, *FIG5_NA, *fig3, 1e10):
+            tag = io_csv.scan_tag(na)
+            assert float(tag) == na
+            if float(f"{na:.0e}") == na:  # the one-digit tag stays
+                assert tag == f"{na:.0e}".replace("+", "")
+        assert io_csv.scan_tag(5.4e10) == "5.4e10"
+        assert io_csv.scan_tag(math.inf) == "inf"
 
     def test_seventeen_digit_round_trip(self):
         value = 1.2345678901234567e-5

@@ -198,8 +198,8 @@ def test_warm_started_scan_matches_golden(monkeypatch):
     runs = []
     inner = scans.maximize
 
-    def counted(problem):
-        result = inner(problem)
+    def counted(problem, target=None):
+        result = inner(problem, target=target)
         runs.append((len(problem.warm_starts), result.evaluations))
         return result
 

@@ -179,6 +179,54 @@ class TestMaximize:
         assert 5e-6 < result.best_rate < 1e-4
 
 
+class TestTarget:
+    """`maximize(problem, target=t)` stops at the first reported point with a
+    rate above ``t``; a search that never gets there is the untargeted one."""
+
+    def test_no_key_point_runs_the_full_search(self):
+        problem = problem_for(Scenario.DECOY_FINITE, 5e10, dist=70.0)
+        full = maximize(problem)
+        targeted = maximize(problem, target=1e-9)
+        assert full.best_rate <= 0.0
+        assert (targeted.best_raw, targeted.best_rate, targeted.evaluations,
+                targeted.converged) == (full.best_raw, full.best_rate,
+                                        full.evaluations, full.converged)
+
+    def test_unreachable_target_runs_the_full_search(self):
+        problem = problem_for(Scenario.NO_DECOY_INFINITE, math.inf)
+        full = maximize(problem)
+        targeted = maximize(problem, target=1.0)
+        assert (targeted.best_raw, targeted.best_rate, targeted.evaluations,
+                targeted.best_point) == (full.best_raw, full.best_rate,
+                                         full.evaluations, full.best_point)
+
+    @pytest.mark.parametrize("scenario,dist,n_pulses,target", [
+        (Scenario.NO_DECOY_INFINITE, 20.0, math.inf, 1e-9),
+        (Scenario.NO_DECOY_FINITE, 20.0, 5e10, 1e-9),
+        (Scenario.DECOY_INFINITE, 60.0, math.inf, 1e-9),
+        (Scenario.DECOY_FINITE, 60.0, 5e10, 1e-9),
+        # just below the optimum, 2.549e-7, half a kilometre inside the cutoff
+        (Scenario.DECOY_FINITE, 64.0, 5e10, 2.5e-7),
+    ])
+    def test_key_point_stops_at_a_reported_rate_above_the_target(
+            self, scenario, dist, n_pulses, target):
+        from pnp_bb84 import evaluate_rate
+
+        problem = problem_for(scenario, n_pulses, dist=dist)
+        full = maximize(problem)
+        targeted = maximize(problem, target=target)
+        assert targeted.best_rate > target
+        assert not targeted.converged
+        assert targeted.evaluations < full.evaluations
+        # the rate is that of the reported point, m_e rounded
+        if scenario.finite:
+            assert targeted.best_point.m_e == round(targeted.best_point.m_e)
+        assert evaluate_rate(targeted.best_point, PHYS,
+                             problem.conventions).rate == targeted.best_rate
+        assert point_from_raw(problem, targeted.best_raw).delta == \
+            targeted.best_point.delta
+
+
 class TestGridOracle:
     def test_resolution_one_is_the_midpoint(self):
         problem = problem_for(Scenario.NO_DECOY_INFINITE, math.inf)
