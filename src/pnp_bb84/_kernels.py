@@ -2,12 +2,12 @@
 
 Plain Python on Python floats, with the ``math`` module only.  The layouts
 below arrive as tuples (`PhysicalParams.to_array`, `BoundConventions.to_flags`)
-and raw optimizer vectors as lists, so no intermediate is a boxed numpy
-scalar.  The channel attenuation is hoisted out of the kernels: each takes the
-mean photon number ``m_a`` reaching the sender and the overall transmittance
-``eta`` from `channel_at`, computed once per problem or per call.  The
-Python-facing layers (`rates`, `optimize`, `scans`) wrap these kernels in
-dataclasses and validation; nothing outside this module does heavy arithmetic.
+and raw optimizer vectors as lists.  The channel attenuation is hoisted out
+of the kernels: each takes the mean photon number ``m_a`` reaching the
+sender and the overall transmittance ``eta`` from `channel_at`, computed
+once per problem or per call.  The Python-facing layers (`rates`,
+`optimize`, `scans`) wrap these kernels in dataclasses and validation;
+nothing outside this module does heavy arithmetic.
 
 Layouts shared with the wrappers:
 
@@ -29,14 +29,17 @@ The asymptotic key is the limit N -> inf of the finite one: the fluctuation,
 empty-key, Delta and sifting stages are skipped, and the decoy kernel fixes
 p_s to `ASYMPTOTIC_P_S`.
 
-The parameter maps and objectives, one per scenario, share one signature,
-``params_<scenario>(raw, m_a, eta, n_pulses, phys, flags)`` and likewise
-``objective_<scenario>``; the asymptotic ones ignore ``n_pulses``.  A map
-returns the rest of its rate kernel's arguments, ``(lam, delta, finite)`` or
-``(lam_s, lam_d, delta, finite)``.  Raw layout: ``delta``, ``u`` (lam or
-lam_s over its cap), with decoys the decoy ratio, then with a finite key
-the sample fraction, with decoys the three class weights, and one weight
-per budget entry.
+The parameter maps and objectives are one per source model, as the rate
+kernels are, with one signature: ``params_<model>(raw, m_a, eta, n_pulses,
+phys, flags)`` and likewise ``objective_<model>``.  A map returns the rest
+of its rate kernel's arguments, ``(lam, delta, finite)`` or ``(lam_s, lam_d,
+delta, finite)``.  Raw layout: ``delta``, ``u`` (lam or lam_s over its cap),
+with decoys the decoy ratio, then with a finite key the sample fraction,
+with decoys the three class weights, and one weight per budget entry.  The
+asymptotic key, ``n_pulses`` = inf, reads only the prefix up to the decoy
+ratio and gets ``finite`` None.  The per-scenario names (``rate_``,
+``params_`` or ``objective_`` and the scenario) are aliases, kept only
+because `optimize._kernel` and perfbench/tracing.py look kernels up by them.
 
 Breakdown tuple (18 float slots):
     0 status, 1 rate, 2 mu_signal, 3 mu_decoy, 4 gain_signal, 5 qber_signal,
@@ -428,12 +431,6 @@ def rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite=None):
             qu_d_low, qu_s_up, q1u, e1u, corr, n_raw, sifted)
 
 
-# The per-scenario names under which perfbench/tracing.py looks the rate
-# kernels up; nothing in the package calls them.
-rate_no_decoy_infinite = rate_no_decoy_finite = rate_no_decoy
-rate_decoy_infinite = rate_decoy_finite = rate_decoy
-
-
 # --- unconstrained-to-feasible maps (used by the optimizer) --------------------
 
 def logrange_kernel(z, log_lo, log_span):
@@ -458,16 +455,12 @@ def lambda_cap_kernel(delta, m_a, q_split):
     return cap if cap < 1.0 else 1.0
 
 
-def params_no_decoy_infinite(raw, m_a, eta, n_pulses, phys, flags):
-    delta = logrange_kernel(raw[0], *DELTA_LOG)
-    u = logrange_kernel(raw[1], *U_LOG)
-    return u * lambda_cap_kernel(delta, m_a, phys[8]), delta, None
-
-
-def params_no_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
+def params_no_decoy(raw, m_a, eta, n_pulses, phys, flags):
     delta = logrange_kernel(raw[0], *DELTA_LOG)
     u = logrange_kernel(raw[1], *U_LOG)
     lam = u * lambda_cap_kernel(delta, m_a, phys[8])
+    if n_pulses == INF:
+        return lam, delta, None
     mfrac = logrange_kernel(raw[2], *MFRAC_LOG)
     q, _ = gain_qber_kernel(m_a * lam * phys[8], eta, phys[2], phys[3],
                             phys[4], flags[0])
@@ -479,18 +472,13 @@ def params_no_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
                         budget * w2 / tot, budget * w3 / tot)
 
 
-def params_decoy_infinite(raw, m_a, eta, n_pulses, phys, flags):
-    delta = logrange_kernel(raw[0], *DELTA_LOG)
-    u = logrange_kernel(raw[1], *U_LOG)
-    lam_s = u * lambda_cap_kernel(delta, m_a, phys[8])
-    return lam_s, lam_s * logrange_kernel(raw[2], *RATIO_LOG), delta, None
-
-
-def params_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
+def params_decoy(raw, m_a, eta, n_pulses, phys, flags):
     delta = logrange_kernel(raw[0], *DELTA_LOG)
     u = logrange_kernel(raw[1], *U_LOG)
     lam_s = u * lambda_cap_kernel(delta, m_a, phys[8])
     lam_d = lam_s * logrange_kernel(raw[2], *RATIO_LOG)
+    if n_pulses == INF:
+        return lam_s, lam_d, delta, None
     mfrac = logrange_kernel(raw[3], *MFRAC_LOG)
     ws, wd, wv = _weight(raw[4]), _weight(raw[5]), _weight(raw[6])
     wt = ws + wd + wv
@@ -509,6 +497,8 @@ def params_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
 
 
 # --- objectives: rate at a raw vector, PENALTY (plus a guide) when infeasible ---
+# The status rule stays inline in each objective, since a shared helper
+# costs a call per evaluation; status 3 needs a finite key.
 
 def _fluctuation_guide(res):
     # smallest untagged probability, so the search climbs out of status 3
@@ -516,36 +506,30 @@ def _fluctuation_guide(res):
     return PENALTY + (guide if guide == guide else -1.0)
 
 
-def objective_no_decoy_infinite(raw, m_a, eta, n_pulses, phys, flags):
-    lam, delta, _ = params_no_decoy_infinite(raw, m_a, eta, n_pulses, phys,
-                                             flags)
-    res = rate_no_decoy(m_a, eta, lam, delta, phys, flags)
-    return res[1] if res[0] == STATUS_OK else PENALTY
-
-
-def objective_no_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
-    lam, delta, finite = params_no_decoy_finite(raw, m_a, eta, n_pulses,
-                                                phys, flags)
+def objective_no_decoy(raw, m_a, eta, n_pulses, phys, flags):
+    lam, delta, finite = params_no_decoy(raw, m_a, eta, n_pulses, phys, flags)
     res = rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite)
     if res[0] == STATUS_OK:
         return res[1]
     return _fluctuation_guide(res) if res[0] == STATUS_FLUCTUATION else PENALTY
 
 
-def objective_decoy_infinite(raw, m_a, eta, n_pulses, phys, flags):
-    lam_s, lam_d, delta, _ = params_decoy_infinite(raw, m_a, eta, n_pulses,
-                                                   phys, flags)
-    res = rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags)
-    return res[1] if res[0] == STATUS_OK else PENALTY
-
-
-def objective_decoy_finite(raw, m_a, eta, n_pulses, phys, flags):
-    lam_s, lam_d, delta, finite = params_decoy_finite(raw, m_a, eta, n_pulses,
-                                                      phys, flags)
+def objective_decoy(raw, m_a, eta, n_pulses, phys, flags):
+    lam_s, lam_d, delta, finite = params_decoy(raw, m_a, eta, n_pulses, phys,
+                                               flags)
     res = rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite)
     if res[0] == STATUS_OK:
         return res[1]
     return _fluctuation_guide(res) if res[0] == STATUS_FLUCTUATION else PENALTY
+
+
+# per-scenario aliases, for lookups by scenario name (module docstring)
+rate_no_decoy_infinite = rate_no_decoy_finite = rate_no_decoy
+rate_decoy_infinite = rate_decoy_finite = rate_decoy
+params_no_decoy_infinite = params_no_decoy_finite = params_no_decoy
+params_decoy_infinite = params_decoy_finite = params_decoy
+objective_no_decoy_infinite = objective_no_decoy_finite = objective_no_decoy
+objective_decoy_infinite = objective_decoy_finite = objective_decoy
 
 
 # --- dense grid evaluation (brute-force oracle) --------------------------------

@@ -440,11 +440,14 @@ def maximize(problem: OptimizationProblem,
     never polished, is the result, with ``converged=False``.  It proves the
     optimum exceeds ``target`` and says nothing more about it.  A search
     that never gets there returns what it returns without a target.
+    ``target`` must be finite and >= 0: below `_kernels.PENALTY` an
+    infeasible point's penalty would pass for a proof.
     """
     fn = _objective_fn(problem)
     if target is None:
         neg = lambda z: -fn(z)
     else:
+        check_range("target", target, 0.0, math.inf, hi_open=True)
         neg = _stopping_at(problem, fn, target)
     starts = [_heuristic_raw(problem)]
     starts += [raw_from_point(problem, wp) for wp in problem.warm_starts]

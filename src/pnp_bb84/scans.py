@@ -146,22 +146,30 @@ def solve_lmax_profile(rate_at: Callable[..., float],
     monotonicity check compares one step's rate with the next.  A bisection
     step only compares the rate with the threshold, so it calls
     ``rate_at(L, rate_threshold)``, which may return any proven rate above
-    the threshold instead of the optimum (`maximize`'s ``target``).
+    the threshold instead of the optimum (`maximize`'s ``target``).  A rate
+    that is not finite raises ValueError (nan would pass for a key).
     """
     check_range("rate_threshold", rate_threshold, 0.0, math.inf, hi_open=True)
-    r0 = rate_at(0.0)
+
+    def rate(dist, *target):
+        r = rate_at(dist, *target)
+        if math.isfinite(r):
+            return r
+        raise ValueError(f"rate_at({dist} km) = {r!r} is not finite")
+
+    r0 = rate(0.0)
     if r0 <= rate_threshold:
         return 0.0
     lo, lo_rate = 0.0, r0
     dist = _L_COARSE_STEP_KM
     while dist <= _L_CAP_KM + 1e-9:
-        r = rate_at(dist)
+        r = rate(dist)
         if r > lo_rate * _MONOTONE_SLACK and r > rate_threshold:
             raise NonMonotoneRateError(
                 f"optimized rate rose from {lo_rate:.3e} at {lo} km to "
                 f"{r:.3e} at {dist} km")
         if r <= rate_threshold:
-            return _bisect(lambda mid: (rate_at(mid, rate_threshold)
+            return _bisect(lambda mid: (rate(mid, rate_threshold)
                                         <= rate_threshold),
                            lo, dist, _L_RESOLUTION_KM)
         lo, lo_rate = dist, r

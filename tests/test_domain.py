@@ -185,6 +185,8 @@ PYTHON_API = [
     *cases("OptimizationProblem.n_pulses", lambda v: problem(n_pulses=v),
            0.0),
     *cases("OptimizationProblem.seed", lambda v: problem(seed=v), -1),
+    *cases("maximize.target", lambda v: maximize(problem(), target=v),
+           -2e6),
     *cases("grid_oracle.resolution",
            lambda v: grid_oracle(problem(ND_INF), v), 0),
     *cases("scan_distance.l_grid",

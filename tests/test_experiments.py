@@ -38,6 +38,17 @@ class TestLmaxProfileSolver:
         with pytest.raises(NonMonotoneRateError):
             solve_lmax_profile(bumpy, 1e-9)
 
+    @pytest.mark.parametrize("nan_from_km,named_km", [(0.0, 0.0),
+                                                     (55.0, 60.0)])
+    def test_nan_rate_is_refused(self, nan_from_km, named_km):
+        # nan fails every comparison: unchecked, the march reads it as a key
+        # all the way to the cap
+        def profile(dist, target=None):
+            return math.nan if dist >= nan_from_km else 1e-3 * 10 ** (-dist / 10)
+
+        with pytest.raises(ValueError, match=rf"rate_at\({named_km} km\)"):
+            solve_lmax_profile(profile, 1e-9)
+
     @pytest.mark.parametrize("kwargs", [
         dict(rate_threshold=math.nan), dict(rate_threshold=math.inf),
         dict(rate_threshold=-1e-9),

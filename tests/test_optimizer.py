@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from pnp_bb84 import (OptimizationProblem, PhysicalParams, Scenario,
-                      grid_oracle, maximize, point_from_raw, raw_from_point)
+from pnp_bb84 import (BoundConventions, OptimizationProblem, PhysicalParams,
+                      Scenario, _kernels, grid_oracle, maximize,
+                      point_from_raw, raw_from_point)
+from pnp_bb84.optimize import RAW_DIM
 
 PHYS = PhysicalParams()
 
@@ -57,6 +59,26 @@ class TestReparameterization:
                 for c_a, c_b in zip(point.budget.components(),
                                     again.budget.components()):
                     assert c_b == pytest.approx(c_a, rel=1e-10)
+
+    @pytest.mark.parametrize("asymptotic,finite", [
+        (Scenario.NO_DECOY_INFINITE, Scenario.NO_DECOY_FINITE),
+        (Scenario.DECOY_INFINITE, Scenario.DECOY_FINITE),
+    ], ids=["no_decoy", "decoy"])
+    def test_asymptotic_map_reads_the_layout_prefix(self, asymptotic, finite):
+        # one map per source model: at N = inf it reads the head of the
+        # finite layout and gives the same floats, with no finite tail
+        params = (_kernels.params_decoy if finite.uses_decoy
+                  else _kernels.params_no_decoy)
+        arr, flags = PHYS.to_array(), BoundConventions().to_flags()
+        m_a, eta = _kernels.channel_at(20.0, arr)
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            raw = rng.normal(scale=3.0, size=RAW_DIM[finite]).tolist()
+            *head, none = params(raw[:RAW_DIM[asymptotic]], m_a, eta,
+                                 math.inf, arr, flags)
+            *full, tail = params(raw, m_a, eta, 5e10, arr, flags)
+            assert none is None and tail is not None
+            assert head == full
 
     def test_zero_vector_is_the_interior_default(self):
         problem = problem_for(Scenario.DECOY_FINITE, 5e10)
