@@ -84,8 +84,8 @@ from typing import Callable, Optional, Sequence
 from . import _kernels
 from .numerics import check_integer, check_range
 from .params import BoundConventions, PhysicalParams, Scenario
-from .rates import (ErrorBudget, ProtocolPoint, RateBreakdown, budget_fields,
-                    evaluate_rate)
+from .rates import (ErrorBudget, ProtocolPoint, RateBreakdown, _record,
+                    budget_fields, evaluate_rate)
 
 # raw vector length per scenario; the layout is in the `_kernels` docstring
 RAW_DIM = {
@@ -99,6 +99,7 @@ _MAX_EVALS = 2000      # evaluations per start; each polish run gets twice this
 _INITIAL_STEP = 0.1    # initial simplex: x0 and x0 + step * e_k for each k
 _POLISH_ROUNDS = 4     # at most this many polish runs after the starts...
 _POLISH_RTOL = 1e-6    # ...stopping once one gains less than this, relatively
+_GRID_CELLS_MAX = 10**8  # largest grid `grid_oracle` evaluates
 
 
 class InfeasibleProblemError(ValueError):
@@ -166,10 +167,15 @@ def point_from_raw(problem: OptimizationProblem, raw: Sequence[float]) -> Protoc
     return _point(problem, lams, delta, finite)
 
 
+# the ``_kernels`` attribute of each kernel kind and scenario
+_KERNEL_NAMES = {kind: {sc: f"{kind}_{sc.value}" for sc in Scenario}
+                 for kind in ("params", "objective")}
+
+
 def _kernel(kind: str, problem: OptimizationProblem) -> Callable:
     """``_kernels.<kind>_<scenario>``, looked up per call, not at import, so
     that a profiler replacing the attribute sees every call."""
-    return getattr(_kernels, f"{kind}_{problem.scenario.value}")
+    return getattr(_kernels, _KERNEL_NAMES[kind][problem.scenario])
 
 
 def _point(problem: OptimizationProblem, lams: Sequence[float], delta: float,
@@ -183,14 +189,14 @@ def _point(problem: OptimizationProblem, lams: Sequence[float], delta: float,
     else:
         lam, = lams
     if sc.finite:
-        _, m_e, *shares = finite
+        m_e = finite[1]
         if sc.uses_decoy:
-            p_s, p_d, *shares = shares
+            p_s, p_d = finite[2:4]
             p_v = 1.0 - p_s - p_d
-        budget = ErrorBudget.of(sc, shares)
-    # every field in order: positional, cheaper than keywords per point
-    return ProtocolPoint(sc, problem.distance_km, problem.n_pulses, lam, lam_s,
-                         lam_d, delta, m_e, p_s, p_d, p_v, budget)
+        budget = ErrorBudget.of(sc, finite[4 if sc.uses_decoy else 2:])
+    return _record(ProtocolPoint, (sc, problem.distance_km, problem.n_pulses,
+                                   lam, lam_s, lam_d, delta, m_e, p_s, p_d,
+                                   p_v, budget))
 
 
 def raw_from_point(problem: OptimizationProblem,
@@ -523,11 +529,16 @@ def grid_oracle(problem: OptimizationProblem, resolution: int) -> OptimizationRe
     """Exhaustive log-spaced grid search; brute-force oracle for `maximize`.
 
     Only available for the infinite-key scenarios, whose parameter spaces are
-    two- and three-dimensional.
+    two- and three-dimensional.  At most `_GRID_CELLS_MAX` (10**8) cells:
+    ``resolution`` up to 10000 without decoys, 464 with them.
     """
     if problem.scenario.finite:
         raise ValueError("grid oracle only covers the infinite-key scenarios")
     check_integer("resolution", resolution, 1)
+    cells = int(resolution) ** problem.dim
+    if cells > _GRID_CELLS_MAX:
+        raise ValueError(f"resolution={resolution} gives {cells} grid cells, "
+                         f"more than {_GRID_CELLS_MAX}")
     arr = problem.phys.to_array()
     flags = problem.conventions.to_flags()
     m_a, eta = _kernels.channel_at(problem.distance_km, arr)

@@ -1,6 +1,7 @@
 """Reparameterization, multi-start search, grid oracle."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from pnp_bb84 import (BoundConventions, OptimizationProblem, PhysicalParams,
                       Scenario, _kernels, grid_oracle, maximize,
                       point_from_raw, raw_from_point)
+from pnp_bb84 import optimize
 from pnp_bb84.optimize import RAW_DIM
 
 PHYS = PhysicalParams()
@@ -282,3 +284,92 @@ class TestGridOracle:
     def test_only_infinite_scenarios(self):
         with pytest.raises(ValueError):
             grid_oracle(problem_for(Scenario.NO_DECOY_FINITE, 5e10), 10)
+
+    @pytest.mark.parametrize("scenario,largest", [
+        (Scenario.NO_DECOY_INFINITE, 10000), (Scenario.DECOY_INFINITE, 464)])
+    def test_cell_count_is_capped_before_any_axis(self, monkeypatch,
+                                                  scenario, largest):
+        # no grid is built: reaching an axis proves the cap let it through
+        class AxisBuilt(Exception):
+            pass
+
+        def axis(*args):
+            raise AxisBuilt
+
+        monkeypatch.setattr(optimize, "_grid_axis", axis)
+        problem = problem_for(scenario, math.inf)
+        with pytest.raises(ValueError, match="cells, more than 100000000"):
+            grid_oracle(problem, largest + 1)
+        with pytest.raises(AxisBuilt):
+            grid_oracle(problem, largest)
+
+
+def _brute_force_best(rate_at, axes):
+    """Best status-ok rate over every cell of ``axes``, and the first cell
+    (row-major) that attains it, found by listing the whole grid."""
+    ok = []
+    for cell in itertools.product(*(range(len(axis)) for axis in axes)):
+        res = rate_at(*(axis[i] for axis, i in zip(axes, cell)))
+        if res[0] == _kernels.STATUS_OK:
+            ok.append((cell, res[1]))
+    best = max(rate for _, rate in ok)
+    return best, next(cell for cell, rate in ok if rate == best)
+
+
+GRID_KM = (0.0, 20.0, 60.0, 150.0)
+# every flag the asymptotic kernels read, at both or all three settings
+NO_DECOY_CONVENTIONS = [
+    BoundConventions(gain_model=g, window_coverage=w, single_photon_mass=s)
+    for g in ("with_eta", "without_eta")
+    for w in ("half_inside", "half_outside")
+    for s in ("mixed", "strict")]
+DECOY_CONVENTIONS = [
+    BoundConventions(gain_model=g, window_coverage=w, decoy_estimator=d)
+    for g in ("with_eta", "without_eta")
+    for w in ("half_inside", "half_outside")
+    for d in ("paired", "alternate", "strict")]
+
+
+class TestGridKernels:
+    """The grid kernels behind `grid_oracle` against a brute-force maximum
+    over the rate kernels on the same axes (axes of unequal length, so a
+    swapped index shows)."""
+
+    @staticmethod
+    def _channel(dist):
+        arr = PHYS.to_array()
+        return (*_kernels.channel_at(dist, arr), arr)
+
+    @pytest.mark.parametrize("conventions", NO_DECOY_CONVENTIONS)
+    @pytest.mark.parametrize("dist", GRID_KM)
+    def test_no_decoy_grid_is_the_brute_force_best(self, dist, conventions):
+        m_a, eta, arr = self._channel(dist)
+        flags = conventions.to_flags()
+        axes = [optimize._grid_axis(_kernels.DELTA_LO, _kernels.DELTA_HI, 14),
+                optimize._grid_axis(_kernels.U_LO, _kernels.U_HI, 12)]
+
+        def rate_at(delta, u):
+            lam = u * _kernels.lambda_cap_kernel(delta, m_a, PHYS.q_split)
+            return _kernels.rate_no_decoy(m_a, eta, lam, delta, arr, flags)
+
+        best, *cell = _kernels.grid_no_decoy_infinite(m_a, eta, *axes, arr,
+                                                      flags)
+        assert (best, tuple(cell)) == _brute_force_best(rate_at, axes)
+
+    @pytest.mark.parametrize("conventions", DECOY_CONVENTIONS)
+    @pytest.mark.parametrize("dist", GRID_KM)
+    def test_decoy_grid_is_the_brute_force_best(self, dist, conventions):
+        m_a, eta, arr = self._channel(dist)
+        flags = conventions.to_flags()
+        axes = [optimize._grid_axis(_kernels.DELTA_LO, _kernels.DELTA_HI, 14),
+                optimize._grid_axis(_kernels.U_LO, _kernels.U_HI, 12),
+                optimize._grid_axis(_kernels.RATIO_LO, _kernels.RATIO_HI, 10)]
+
+        def rate_at(delta, u, ratio):
+            lam_s = u * _kernels.lambda_cap_kernel(delta, m_a, PHYS.q_split)
+            return _kernels.rate_decoy(m_a, eta, lam_s, lam_s * ratio, delta,
+                                       arr, flags)
+
+        best, *cell = _kernels.grid_decoy_infinite(m_a, eta, *axes, arr,
+                                                   flags)
+        assert (best, tuple(cell)) == _brute_force_best(rate_at, axes)

@@ -1,7 +1,7 @@
 """Rate evaluators: bound arithmetic, finite-key corrections, invariants."""
 
 import math
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,9 @@ from pnp_bb84 import (BoundConventions, EmptyRawKeyError, ErrorBudget,
                       Scenario, evaluate_rate, evaluate_rate_finite_limit,
                       finite_correction_delta, q1u_lower_no_decoy,
                       untagged_bounds, vacuum_observables, gain_and_qber)
-from pnp_bb84.rates import budget_fields
+from pnp_bb84 import _kernels, rates
+from pnp_bb84.optimize import OptimizationProblem, point_from_raw
+from pnp_bb84.rates import RateBreakdown, budget_fields
 
 PHYS = PhysicalParams()
 CONV = BoundConventions()
@@ -366,6 +368,93 @@ class TestNonFiniteInputsRejected:
             point.validate(PHYS)
         with pytest.raises(ValueError, match="delta"):
             evaluate_rate(point, PHYS, CONV)
+
+
+def _public_copy(record):
+    """``record`` rebuilt through its class's generated ``__init__``, keyword
+    by keyword, from the same field values (a budget rebuilt likewise)."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    if values.get("budget") is not None:
+        values["budget"] = _public_copy(values["budget"])
+    return type(record)(**values)
+
+
+# the error `evaluate_rate` raises for each non-ok kernel status
+STATUS_ERRORS = [
+    (1.0, rates.WindowViolationError, "window condition violated"),
+    (2.0, rates.NoUntaggedPulsesError, "no untagged pulses"),
+    (3.0, rates.FluctuationTooLargeError,
+     "fluctuation exceeds untagged probability"),
+    (4.0, EmptyRawKeyError, "empty raw key"),
+    (5.0, rates.DecoyOrderingError,
+     "decoy ordering violated (lambda_d must be below lambda_s)"),
+]
+
+
+class TestRecordsBuiltInOneStep:
+    """`point_from_raw` and `evaluate_rate` build their frozen records
+    without the generated ``__init__``; each must be indistinguishable from
+    the record the public constructor builds from the same values."""
+
+    @staticmethod
+    def _records(scenario, n_pulses):
+        problem = OptimizationProblem(scenario=scenario, distance_km=20.0,
+                                      n_pulses=n_pulses, phys=PHYS)
+        point = point_from_raw(problem, [0.1 * (k + 1) for k in
+                                         range(problem.dim)])
+        return point, evaluate_rate(point, PHYS, CONV)
+
+    def test_no_record_has_a_post_init_hook(self):
+        # the one-step build skips __post_init__
+        for cls in (ErrorBudget, ProtocolPoint, RateBreakdown):
+            assert not hasattr(cls, "__post_init__")
+
+    @pytest.mark.parametrize("scenario,n_pulses", [
+        (Scenario.NO_DECOY_INFINITE, math.inf),
+        (Scenario.NO_DECOY_FINITE, 5e10),
+        (Scenario.DECOY_INFINITE, math.inf),
+        (Scenario.DECOY_FINITE, 5e10)])
+    def test_fast_records_equal_public_ones(self, scenario, n_pulses):
+        point, breakdown = self._records(scenario, n_pulses)
+        records = [point, breakdown]
+        if scenario.finite:
+            records.append(point.budget)
+        assert evaluate_rate(_public_copy(point), PHYS, CONV) == breakdown
+        for fast in records:
+            public = _public_copy(fast)
+            assert type(fast) is type(public)
+            assert asdict(fast) == asdict(public)
+            assert fast == public and not fast != public
+            assert hash(fast) == hash(public)
+            assert repr(fast) == repr(public)
+            assert list(vars(fast).items()) == list(vars(public).items())
+            first = fields(fast)[0].name
+            other = {first: "changed"}
+            assert replace(fast, **other) == replace(public, **other)
+            assert replace(fast) == public
+            with pytest.raises(FrozenInstanceError):
+                setattr(fast, first, getattr(public, first))
+            with pytest.raises(FrozenInstanceError):
+                delattr(fast, first)
+
+    @pytest.mark.parametrize("status,error,message", STATUS_ERRORS)
+    @pytest.mark.parametrize("scenario,n_pulses", [
+        (Scenario.NO_DECOY_INFINITE, math.inf),
+        (Scenario.NO_DECOY_FINITE, 5e10),
+        (Scenario.DECOY_INFINITE, math.inf),
+        (Scenario.DECOY_FINITE, 5e10)])
+    def test_same_error_for_each_kernel_status(self, monkeypatch, scenario,
+                                               n_pulses, status, error,
+                                               message):
+        point, _ = self._records(scenario, n_pulses)
+        failing = (status,) + (math.nan,) * 17
+        for name in ("rate_no_decoy", "rate_decoy"):
+            monkeypatch.setattr(_kernels, name, lambda *args: failing)
+        for built in (point, _public_copy(point)):
+            with pytest.raises(error) as raised:
+                evaluate_rate(built, PHYS, CONV)
+            assert type(raised.value) is error
+            assert str(raised.value) == message
 
 
 def _h2(x):
