@@ -15,7 +15,7 @@ from .rates import (BoundUnavailableError, EmptyRawKeyError, ErrorBudget,
                     q1u_lower_decoy, q1u_lower_no_decoy, untagged_bounds)
 from .scans import (ScanRecord, figure_datasets, find_lmax, find_na_threshold,
                     scan_distance, solve_lmax_profile)
-from .source import (PhotonBounds, SourceConfig, WindowConditionError,
+from .source import (SourceConfig, WindowConditionError,
                      mean_output_intensity, photon_bound_lower,
                      photon_bound_upper, untagged_probability_finite,
                      untagged_probability_infinite)
@@ -26,7 +26,7 @@ __all__ = [
     "BoundConventions", "BoundUnavailableError", "EmptyRawKeyError",
     "ErrorBudget", "FluctuationTooLargeError", "InfeasibleProblemError",
     "NoUntaggedPulsesError", "OptimizationProblem", "OptimizationResult",
-    "PhotonBounds", "PhysicalParams", "ProtocolPoint", "RateBreakdown",
+    "PhysicalParams", "ProtocolPoint", "RateBreakdown",
     "RateEvaluationError", "ScanRecord", "Scenario", "SourceConfig",
     "WindowConditionError", "WindowViolationError", "binary_entropy",
     "channel_transmittance", "e1u_upper_decoy", "erf", "erfc",

@@ -6,8 +6,15 @@ and raw optimizer vectors as lists.  The channel attenuation is hoisted out
 of the kernels: each takes the mean photon number ``m_a`` reaching the
 sender and the overall transmittance ``eta`` from `channel_at`, computed
 once per problem or per call.  The Python-facing layers (`rates`,
-`optimize`, `scans`) wrap these kernels in dataclasses and validation;
-nothing outside this module does heavy arithmetic.
+`optimize`, `scans`) wrap these kernels in dataclasses and validation.
+
+Each formula has one home here, called by the rate kernels and by the public
+helpers of `numerics`, `source` and `rates`, which only add domain validation:
+lambda' = lam q/(1 - q) in `lambda_prime_kernel`, the window condition
+(1 + delta) m_a lambda' < 1 in `window_violated`, the mean output intensity
+m_a lam q in `mu_kernel`, and `attenuation`, `photon_kernel`, `_decoy_q1u_e1u`,
+`untagged_lower_kernel`, `direct_lower_kernel`, `q1u_no_decoy_kernel`,
+`e1u_decoy_kernel`, `h2_kernel`, `xi_kernel` and `finite_delta_kernel`.
 
 Layouts shared with the wrappers:
 
@@ -113,6 +120,18 @@ def channel_at(dist, phys):
     return phys[7] * att, phys[0] * att
 
 
+def lambda_prime_kernel(lam, q_split):
+    return lam * q_split / (1.0 - q_split)
+
+
+def window_violated(m_a, delta, lam_p):
+    return (1.0 + delta) * m_a * lam_p >= 1.0 or lam_p > 1.0
+
+
+def mu_kernel(m_a, lam, q_split):
+    return m_a * lam * q_split
+
+
 def h2_kernel(x):
     if x <= 0.0 or x >= 1.0:
         return 0.0
@@ -133,38 +152,34 @@ def log_choose_kernel(upper, n):
     return lgamma(upper + 1.0) - lgamma(n + 1.0) - lgamma(upper - n + 1.0)
 
 
-def photon_upper_kernel(m_a, delta, lam_p, n):
-    # upper envelope of the emitted photon-number distribution, window (1+-delta)m_a
+def photon_kernel(m_a, delta, lam_p, n, upper):
+    # upper (upper = 1) or lower photon-number envelope, window (1+-delta)m_a
     if lam_p <= 0.0:
         return 1.0 if n == 0 else 0.0
     hi = (1.0 + delta) * m_a
     lo = (1.0 - delta) * m_a
+    bound, zero_bound = (hi, lo) if upper == 1 else (lo, hi)
     if n == 0:
-        return exp(lo * log1p(-lam_p))
-    if n > hi:
+        return exp(zero_bound * log1p(-lam_p))
+    if n > bound:
         return 0.0
-    return exp(log_choose_kernel(hi, n) + n * log(lam_p)
-               + (hi - n) * log1p(-lam_p))
+    return exp(log_choose_kernel(bound, n) + n * log(lam_p)
+               + (bound - n) * log1p(-lam_p))
+
+
+def photon_upper_kernel(m_a, delta, lam_p, n):
+    return photon_kernel(m_a, delta, lam_p, n, 1)
 
 
 def photon_lower_kernel(m_a, delta, lam_p, n):
-    if lam_p <= 0.0:
-        return 1.0 if n == 0 else 0.0
-    hi = (1.0 + delta) * m_a
-    lo = (1.0 - delta) * m_a
-    if n == 0:
-        return exp(hi * log1p(-lam_p))
-    if n > lo:
-        return 0.0
-    return exp(log_choose_kernel(lo, n) + n * log(lam_p)
-               + (lo - n) * log1p(-lam_p))
+    return photon_kernel(m_a, delta, lam_p, n, 0)
 
 
 def _log_binomials(bound):
     """ln C(bound, 1) and ln C(bound, 2), sharing ln Gamma(bound + 1).
 
     A value is nan where its envelope term vanishes (n > bound); callers
-    test that condition themselves, as `photon_upper_kernel` does.
+    test that condition themselves, as `photon_kernel` does.
     """
     if 1 > bound:
         return NAN, NAN
@@ -176,7 +191,7 @@ def _log_binomials(bound):
 
 
 def _envelope(lam_p, zero_bound, bound, c1, c2):
-    """P_0, P_1, P_2 of one photon-number envelope, as the photon kernels give.
+    """P_0, P_1, P_2 of one photon-number envelope, as `photon_kernel` gives.
 
     The lower envelope has ``zero_bound`` = hi and ``bound`` = lo, the upper
     one lo and hi; ``c1``, ``c2`` come from `_log_binomials(bound)`.
@@ -230,18 +245,29 @@ def decoy_correction_kernel(delta, m_a, lam_p_d, p2s_low):
     return exp(lc)
 
 
-def _no_decoy_q1u(m_a, delta, lam_p, qu_low, qu_up, mixed):
-    """Single-photon untagged gain from the lower P_0 and the chosen P_1,
-    clamped to [0, qu_up]."""
-    p0 = photon_lower_kernel(m_a, delta, lam_p, 0)
-    if mixed == 1:
-        p1 = photon_upper_kernel(m_a, delta, lam_p, 1)
-    else:
-        p1 = photon_lower_kernel(m_a, delta, lam_p, 1)
+def untagged_lower_kernel(x, p_u):
+    # lower bound on the untagged part of x, the tagged share adversarial
+    low = (x - (1.0 - p_u)) / p_u
+    return 0.0 if low < 0.0 else low
+
+
+def direct_lower_kernel(x, p_u_inf, xi):
+    # the same with the deviation xi subtracted in both slots (finite key)
+    denom = 1.0 - p_u_inf - xi
+    low = 0.0 if denom <= 0.0 else (x - p_u_inf - xi) / denom
+    return 0.0 if low < 0.0 else low
+
+
+def q1u_no_decoy_kernel(qu_low, p0, p1):
+    # single-photon untagged gain: what P_0 and P_1 leave of qu_low, or 0
     q1u = qu_low + p0 + p1 - 1.0
-    if q1u < 0.0:
-        return 0.0
-    return qu_up if q1u > qu_up else q1u
+    return 0.0 if q1u < 0.0 else q1u
+
+
+def e1u_decoy_kernel(eq_s_up, p0s_low, eq_v_low, q1u):
+    # single-photon untagged error rate, vacuum errors removed, floored at 0
+    e1u = (eq_s_up - p0s_low * eq_v_low) / q1u
+    return 0.0 if e1u < 0.0 else e1u
 
 
 def _decoy_q1u_e1u(m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low, qu_v_up,
@@ -282,10 +308,7 @@ def _decoy_q1u_e1u(m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low, qu_v_up,
             q1u = qu_s_up
     if q1u <= 0.0:
         return 0.0, NAN, den
-    e1u = (eq_s_up - p0s_l * eq_v_low) / q1u
-    if e1u < 0.0:
-        e1u = 0.0
-    return q1u, e1u, den
+    return q1u, e1u_decoy_kernel(eq_s_up, p0s_l, eq_v_low, q1u), den
 
 
 def _privacy(q1u, e1u, p_u=1.0):
@@ -304,7 +327,7 @@ def _privacy(q1u, e1u, p_u=1.0):
 
 def rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite=None):
     q_split = phys[8]
-    lam_p = lam * q_split / (1.0 - q_split)
+    lam_p = lambda_prime_kernel(lam, q_split)
     rate = mu = q = e = p_u = qu_low = qu_up = q1u = e1u = NAN
     if finite is None:
         corr, n_raw, sifted = 0.0, INF, INF
@@ -312,10 +335,10 @@ def rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite=None):
         n_pulses, m_e, eps_pa, eps_bar, eps_u, eps_e = finite
         corr = n_raw = sifted = NAN
     status = STATUS_OK
-    if (1.0 + delta) * m_a * lam_p >= 1.0 or lam_p > 1.0:
+    if window_violated(m_a, delta, lam_p):
         status = STATUS_WINDOW
     else:
-        mu = m_a * lam * q_split
+        mu = mu_kernel(m_a, lam, q_split)
         q, e = gain_qber_kernel(mu, eta, phys[2], phys[3], phys[4], flags[0])
         p_u = p_u_inf = coverage_kernel(delta, m_a, q_split, flags[1])
         if p_u <= 0.0:
@@ -336,13 +359,14 @@ def rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite=None):
     if status == STATUS_OK:
         qu_up = q / p_u
         if finite is not None and flags[3] == 1:
-            denom = 1.0 - p_u_inf - xi_u
-            qu_low = 0.0 if denom <= 0.0 else (q - p_u_inf - xi_u) / denom
+            qu_low = direct_lower_kernel(q, p_u_inf, xi_u)
         else:
-            qu_low = (q - (1.0 - p_u)) / p_u
-        if qu_low < 0.0:
-            qu_low = 0.0
-        q1u = _no_decoy_q1u(m_a, delta, lam_p, qu_low, qu_up, flags[2])
+            qu_low = untagged_lower_kernel(q, p_u)
+        # lower P_0; P_1 of the upper (mixed) or lower envelope; at most qu_up
+        q1u = q1u_no_decoy_kernel(qu_low, photon_kernel(m_a, delta, lam_p, 0, 0),
+                                  photon_kernel(m_a, delta, lam_p, 1, flags[2]))
+        if q1u > qu_up:
+            q1u = qu_up
         if q1u > 0.0:
             e_up = e if finite is None else e + xi_kernel(eps_e, m_e)
             e1u = q * e_up / q1u
@@ -358,8 +382,8 @@ def rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite=None):
 
 def rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite=None):
     q_split = phys[8]
-    lam_p_s = lam_s * q_split / (1.0 - q_split)
-    lam_p_d = lam_d * q_split / (1.0 - q_split)
+    lam_p_s = lambda_prime_kernel(lam_s, q_split)
+    lam_p_d = lambda_prime_kernel(lam_d, q_split)
     rate = mu_s = mu_d = q_s = e_s = q_d = e_d = pu_s = pu_d = pu_v = NAN
     qu_d_low = qu_s_up = q1u = e1u = NAN
     if finite is None:
@@ -375,12 +399,12 @@ def rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite=None):
     status = STATUS_OK
     if lam_d >= lam_s or lam_d <= 0.0 or unordered:
         status = STATUS_ORDERING
-    elif (1.0 + delta) * m_a * lam_p_s >= 1.0 or lam_p_s > 1.0:
+    elif window_violated(m_a, delta, lam_p_s):
         status = STATUS_WINDOW
     else:
         y0, e_det, e0 = phys[2], phys[3], phys[4]
-        mu_s = m_a * lam_s * q_split
-        mu_d = m_a * lam_d * q_split
+        mu_s = mu_kernel(m_a, lam_s, q_split)
+        mu_d = mu_kernel(m_a, lam_d, q_split)
         q_s, e_s = gain_qber_kernel(mu_s, eta, y0, e_det, e0, flags[0])
         q_d, e_d = gain_qber_kernel(mu_d, eta, y0, e_det, e0, flags[0])
         pu_s = pu_d = pu_v = p_u_inf = coverage_kernel(delta, m_a, q_split,
@@ -405,16 +429,10 @@ def rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite=None):
         q_v, e_v = y0, phys[5]
         qu_s_up = q_s / pu_s
         if finite is not None and flags[3] == 1:
-            denom = 1.0 - p_u_inf - (p_u_inf - pu_d)
-            qu_d_low = (0.0 if denom <= 0.0
-                        else (q_d - p_u_inf - (p_u_inf - pu_d)) / denom)
+            qu_d_low = direct_lower_kernel(q_d, p_u_inf, p_u_inf - pu_d)
         else:
-            qu_d_low = (q_d - (1.0 - pu_d)) / pu_d
-        if qu_d_low < 0.0:
-            qu_d_low = 0.0
-        eq_v_low = (e_v * q_v - (1.0 - pu_v)) / pu_v
-        if eq_v_low < 0.0:
-            eq_v_low = 0.0
+            qu_d_low = untagged_lower_kernel(q_d, pu_d)
+        eq_v_low = untagged_lower_kernel(e_v * q_v, pu_v)
         e_s_up = e_s if finite is None else e_s + xi_kernel(eps_es, m_e)
         q1u, e1u, _ = _decoy_q1u_e1u(
             m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low, q_v / pu_v,
@@ -462,8 +480,8 @@ def params_no_decoy(raw, m_a, eta, n_pulses, phys, flags):
     if n_pulses == INF:
         return lam, delta, None
     mfrac = logrange_kernel(raw[2], *MFRAC_LOG)
-    q, _ = gain_qber_kernel(m_a * lam * phys[8], eta, phys[2], phys[3],
-                            phys[4], flags[0])
+    q, _ = gain_qber_kernel(mu_kernel(m_a, lam, phys[8]), eta, phys[2],
+                            phys[3], phys[4], flags[0])
     m_e = mfrac * 0.5 * q * n_pulses
     budget = phys[9] - phys[10]
     w0, w1, w2, w3 = _weight(raw[3]), _weight(raw[4]), _weight(raw[5]), _weight(raw[6])
@@ -483,8 +501,8 @@ def params_decoy(raw, m_a, eta, n_pulses, phys, flags):
     ws, wd, wv = _weight(raw[4]), _weight(raw[5]), _weight(raw[6])
     wt = ws + wd + wv
     p_s, p_d = ws / wt, wd / wt
-    q_s, _ = gain_qber_kernel(m_a * lam_s * phys[8], eta, phys[2], phys[3],
-                              phys[4], flags[0])
+    q_s, _ = gain_qber_kernel(mu_kernel(m_a, lam_s, phys[8]), eta, phys[2],
+                              phys[3], phys[4], flags[0])
     m_e = mfrac * 0.5 * n_pulses * p_s * q_s
     budget = phys[9] - phys[10]
     b0, b1, b2 = _weight(raw[7]), _weight(raw[8]), _weight(raw[9])

@@ -216,8 +216,8 @@ def raw_from_point(problem: OptimizationProblem,
         raw.append(_logit_of_logrange(point.lam_d / lam_s, *_kernels.RATIO_LOG))
     if sc.finite:
         q, _ = _kernels.gain_qber_kernel(
-            m_a * lam_s * phys.q_split, eta, phys.y0, phys.e_det, phys.e0,
-            problem.conventions.to_flags()[0])
+            _kernels.mu_kernel(m_a, lam_s, phys.q_split), eta, phys.y0,
+            phys.e_det, phys.e0, problem.conventions.to_flags()[0])
         if sc.uses_decoy:
             sifted = 0.5 * problem.n_pulses * point.p_s * q
         else:

@@ -2,7 +2,8 @@
 
 ``evaluate_rate`` is a pure function of a :class:`ProtocolPoint`; concurrent
 evaluation over many points is the expected usage.  Negative rates are
-returned as computed — callers decide what "no key" means.
+returned as computed — callers decide what "no key" means.  The bound
+helpers are range checks around the rate kernels' `_kernels` formulas.
 
 One ``evaluate_rate(point_from_raw(problem, raw))`` builds its records in one
 step (`_record`), not field by field through their generated ``__init__``.
@@ -16,7 +17,7 @@ CPU µs per point (Python 3.11, x86-64) for no_decoy_infinite / decoy_infinite
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
@@ -240,12 +241,9 @@ def untagged_bounds(x: float, p_u_lower: float) -> tuple[float, float]:
     gain); the tagged fraction is assumed adversarial.
     """
     check_range("x", x, 0.0, 1.0)
-    check_range("p_u_lower", p_u_lower, 0.0, 1.0)
-    if p_u_lower == 0:
+    if check_range("p_u_lower", p_u_lower, 0.0, 1.0) == 0:
         raise NoUntaggedPulsesError("no untagged pulses (p_u_lower = 0)")
-    upper = x / p_u_lower
-    lower = max(0.0, (x - (1.0 - p_u_lower)) / p_u_lower)
-    return upper, lower
+    return x / p_u_lower, _kernels.untagged_lower_kernel(x, p_u_lower)
 
 
 def q1u_lower_no_decoy(q_u_lower: float, p0: float, p1: float) -> float:
@@ -253,7 +251,7 @@ def q1u_lower_no_decoy(q_u_lower: float, p0: float, p1: float) -> float:
     check_range("q_u_lower", q_u_lower, 0.0, 1.0)
     check_range("p0", p0, 0.0, 1.0)
     check_range("p1", p1, 0.0, 1.0)
-    return max(0.0, q_u_lower + p0 + p1 - 1.0)
+    return _kernels.q1u_no_decoy_kernel(q_u_lower, p0, p1)
 
 
 def finite_correction_delta(n: float, eps_pe: float, eps_bar: float,
@@ -273,15 +271,17 @@ def q1u_lower_decoy(q_u_s_upper: float, q_u_d_lower: float,
     """Single-photon untagged gain lower bound from the two-decoy estimator.
 
     ``source_signal``/``source_decoy`` are the :class:`~pnp_bb84.source.SourceConfig`
-    of the two non-vacuum classes (sharing window and geometry).  Raises
-    :class:`BoundUnavailableError` when the estimator denominator closes
-    (indistinguishable classes); callers then treat the bound as zero.
+    of the two non-vacuum classes, equal but in ``lam`` (else ValueError).
+    Raises :class:`BoundUnavailableError` when the estimator denominator
+    closes (indistinguishable classes); callers then treat the bound as zero.
     """
     code = BoundConventions(decoy_estimator=estimator).to_flags()[4]
     check_range("q_u_s_upper", q_u_s_upper, 0.0, math.inf, hi_open=True)
     check_range("q_u_d_lower", q_u_d_lower, 0.0, 1.0)
     check_range("q_u_v_upper", q_u_v_upper, 0.0, math.inf, hi_open=True)
     s, d = source_signal, source_decoy
+    if replace(d, lam=s.lam) != s:
+        raise ValueError("source_decoy must match source_signal but in lam")
     s.require_window()
     q1u, _, den = _kernels._decoy_q1u_e1u(
         s.m_a, s.delta, s.lambda_prime, d.lambda_prime, q_u_s_upper,
@@ -299,11 +299,12 @@ def e1u_upper_decoy(eq_u_s_upper: float, p0_s_lower: float,
     check_range("eq_u_s_upper", eq_u_s_upper, 0.0, math.inf, hi_open=True)
     check_range("p0_s_lower", p0_s_lower, 0.0, 1.0)
     check_range("eq_u_v_lower", eq_u_v_lower, 0.0, 1.0)
-    check_range("q1u_s_lower", q1u_s_lower, 0.0, math.inf, hi_open=True)
-    if q1u_s_lower == 0.0:
+    if check_range("q1u_s_lower", q1u_s_lower, 0.0, math.inf,
+                   hi_open=True) == 0.0:
         raise BoundUnavailableError(
             "bound unavailable: single-photon gain bound is zero")
-    return max(0.0, (eq_u_s_upper - p0_s_lower * eq_u_v_lower) / q1u_s_lower)
+    return _kernels.e1u_decoy_kernel(eq_u_s_upper, p0_s_lower, eq_u_v_lower,
+                                     q1u_s_lower)
 
 
 # the breakdown-tuple slot (`_kernels` docstring) of each `RateBreakdown`

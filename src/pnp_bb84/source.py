@@ -5,7 +5,8 @@ her device, but pulses whose monitored photon number falls inside the window
 ``[(1-delta) m_a, (1+delta) m_a]`` ("untagged") admit binomial envelopes on
 the photon number they leave with.  The passive beam-splitter arrangement is
 analysed through its equivalent active one, which substitutes the effective
-transmittance ``lambda' = lambda q/(1-q)`` into those envelopes.
+transmittance ``lambda' = lambda q/(1-q)`` into those envelopes.  The
+formulas live in `_kernels`; this module checks their arguments.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .numerics import M_BRIGHT_MAX, check_range, statistical_deviation
+from .numerics import (M_BRIGHT_MAX, check_integer, check_range,
+                       statistical_deviation)
 from .params import PhysicalParams
 
 
@@ -64,58 +66,37 @@ class SourceConfig:
     @property
     def lambda_prime(self) -> float:
         """Transmittance of the equivalent active arrangement."""
-        return self.lam * self.q_split / (1.0 - self.q_split)
+        return _kernels.lambda_prime_kernel(self.lam, self.q_split)
 
     @property
     def window_valid(self) -> bool:
         """Whether the envelopes of `photon_bound_*` apply at this point."""
-        return (1.0 + self.delta) * self.m_a * self.lambda_prime < 1.0
+        return not _kernels.window_violated(self.m_a, self.delta,
+                                            self.lambda_prime)
 
     def require_window(self) -> None:
         if not self.window_valid:
             raise WindowConditionError(
-                f"window condition violated: (1+delta) m_a lambda' = "
-                f"{(1 + self.delta) * self.m_a * self.lambda_prime:.6g} >= 1")
-
-
-@dataclass(frozen=True)
-class PhotonBounds:
-    """Upper/lower photon-number probability envelopes of one pulse class."""
-
-    config: SourceConfig
-
-    def __post_init__(self) -> None:
-        self.config.require_window()
-
-    @property
-    def window(self) -> tuple[float, float]:
-        m_a = self.config.m_a
-        return ((1.0 - self.config.delta) * m_a,
-                (1.0 + self.config.delta) * m_a)
-
-    def upper(self, n: int) -> float:
-        return photon_bound_upper(self.config, n)
-
-    def lower(self, n: int) -> float:
-        return photon_bound_lower(self.config, n)
+                f"window condition violated at delta={self.delta:.6g}, "
+                f"m_a={self.m_a:.6g}, lambda'={self.lambda_prime:.6g}")
 
 
 def mean_output_intensity(cfg: SourceConfig) -> float:
     """Mean photon number of the pulses returned to the receiver."""
-    return cfg.m_a * cfg.lam * cfg.q_split
+    return _kernels.mu_kernel(cfg.m_a, cfg.lam, cfg.q_split)
 
 
 def photon_bound_upper(cfg: SourceConfig, n: int) -> float:
-    """Upper envelope of the emitted photon-number probability at n."""
-    check_range("n", n, 0.0, math.inf, hi_open=True)
+    """Upper envelope of the emitted photon-number probability at integer n."""
+    check_integer("n", n, 0)
     cfg.require_window()
     value = _kernels.photon_upper_kernel(cfg.m_a, cfg.delta, cfg.lambda_prime, n)
     return check_range("photon_bound_upper", value, 0.0, 1.0)
 
 
 def photon_bound_lower(cfg: SourceConfig, n: int) -> float:
-    """Lower envelope of the emitted photon-number probability at n."""
-    check_range("n", n, 0.0, math.inf, hi_open=True)
+    """Lower envelope of the emitted photon-number probability at integer n."""
+    check_integer("n", n, 0)
     cfg.require_window()
     value = _kernels.photon_lower_kernel(cfg.m_a, cfg.delta, cfg.lambda_prime, n)
     return check_range("photon_bound_lower", value, 0.0, 1.0)

@@ -156,9 +156,9 @@ PYTHON_API = [
       for c in cases(f"SourceConfig.{name}",
                      lambda v, name=name: source(**{name: v}), bad)],
     *cases("photon_bound_upper.n", lambda v: photon_bound_upper(source(), v),
-           -1.0),
+           (-1.0, 0.5, 1e-300)),
     *cases("photon_bound_lower.n", lambda v: photon_bound_lower(source(), v),
-           -1.0),
+           (-1.0, 0.5, 1e-300)),
     *cases("untagged_probability_finite.epsilon_u",
            lambda v: untagged_probability_finite(source(), v, 1e10), 1.0),
     *cases("untagged_probability_finite.n_pulses",

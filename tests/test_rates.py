@@ -278,7 +278,16 @@ class TestDecoyEstimatorOps:
         _, q_u_d_low = untagged_bounds(bd.gain_decoy, bd.p_untagged)
         q_u_v_up, _ = untagged_bounds(PHYS.y0, bd.p_untagged)
         value = q1u_lower_decoy(q_u_s_up, q_u_d_low, q_u_v_up, s, d)
-        assert value == pytest.approx(bd.q1u_lower, rel=1e-12)
+        assert value == bd.q1u_lower
+
+    @pytest.mark.parametrize("field,value", [
+        ("distance_km", 80.0), ("delta", 0.5), ("q_split", 0.02),
+        ("m_bright", 2e6), ("loss_coeff", 0.2)])
+    def test_decoy_source_must_match_signal_but_in_lam(self, field, value):
+        from pnp_bb84 import q1u_lower_decoy
+        s, d = self._sources()
+        with pytest.raises(ValueError, match="source_decoy"):
+            q1u_lower_decoy(1e-3, 1e-4, 1e-6, s, replace(d, **{field: value}))
 
     def test_error_bound_clamps_and_identity(self):
         from pnp_bb84 import BoundUnavailableError, e1u_upper_decoy
@@ -288,17 +297,36 @@ class TestDecoyEstimatorOps:
             e1u_upper_decoy(0.05, 0.5, 0.0, 0.0)
 
 
-class TestPhotonBoundsView:
-    def test_window_and_envelopes(self):
-        from pnp_bb84 import PhotonBounds, SourceConfig
-        cfg = SourceConfig(m_bright=20, q_split=0.5, loss_coeff=0.21,
-                           distance_km=0.0, delta=0.1, lam=0.02)
-        bounds = PhotonBounds(cfg)
-        assert bounds.window == (18.0, 22.0)
-        for n in range(0, 25):
-            assert bounds.lower(n) <= bounds.upper(n) + 1e-15
-        assert bounds.upper(23) == 0.0
-        assert bounds.lower(19) == 0.0
+class TestHelpersReproduceThePipeline:
+    """The public bound helpers call the formulas the rate kernels use, so
+    they give a breakdown's fields exactly, not approximately."""
+
+    def test_no_decoy_bounds(self):
+        from pnp_bb84 import (SourceConfig, mean_output_intensity,
+                              photon_bound_lower, photon_bound_upper)
+        point = nd_inf_point()
+        bd = evaluate_rate(point, PHYS, CONV)
+        cfg = SourceConfig.from_params(PHYS, point.distance_km, point.delta,
+                                       point.lam)
+        assert untagged_bounds(bd.gain, bd.p_untagged) == (bd.q_u_upper,
+                                                           bd.q_u_lower)
+        assert 0.0 < bd.q1u_lower < bd.q_u_upper  # no clamp binds
+        assert q1u_lower_no_decoy(bd.q_u_lower, photon_bound_lower(cfg, 0),
+                                  photon_bound_upper(cfg, 1)) == bd.q1u_lower
+        assert mean_output_intensity(cfg) == bd.mu
+
+    def test_decoy_error_bound(self):
+        from pnp_bb84 import SourceConfig, e1u_upper_decoy, photon_bound_lower
+        point = decoy_inf_point(lam_d=1.0e-4)
+        bd = evaluate_rate(point, PHYS, CONV)
+        cfg = SourceConfig.from_params(PHYS, point.distance_km, point.delta,
+                                       point.lam_s)
+        _, eq_v_low = untagged_bounds(PHYS.e0_vac * PHYS.y0,
+                                      bd.p_untagged_vacuum)
+        value = e1u_upper_decoy(bd.gain * bd.qber / bd.p_untagged,
+                                photon_bound_lower(cfg, 0), eq_v_low,
+                                bd.q1u_lower)
+        assert value == bd.e1u_upper > 0.0
 
 
 class TestScenarioAxes:

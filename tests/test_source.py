@@ -109,10 +109,13 @@ class TestPhotonBounds:
         assert photon_bound_upper(c, 1) == pytest.approx(expected, rel=1e-10)
 
     def test_cutoffs_beyond_window(self):
+        # window [18, 22]: each envelope vanishes just past its edge
         c = cfg_from_lambda_prime(20, 0.1, 0.02)
         assert photon_bound_upper(c, 23) == 0.0   # above (1+delta) m_a
         assert photon_bound_lower(c, 19) == 0.0   # above (1-delta) m_a
         assert photon_bound_upper(c, 21) > 0.0
+        assert photon_bound_upper(c, 22) > 0.0
+        assert photon_bound_lower(c, 18) > 0.0
 
     @pytest.mark.parametrize("m_a", [3, 7, 20, 50])
     @pytest.mark.parametrize("lam_p", [0.001, 0.005, 0.015])
@@ -129,8 +132,10 @@ class TestPhotonBounds:
                 assert photon_bound_lower(c, n) <= exact * (1 + slack) + 1e-300
                 assert exact <= photon_bound_upper(c, n) * (1 + slack) + 1e-300
 
-    def test_lower_below_upper(self):
-        c = cfg_from_lambda_prime(30, 0.15, 0.01)
+    @pytest.mark.parametrize("m_a,delta,lam_p", [(30, 0.15, 0.01),
+                                                 (20, 0.1, 0.02)])
+    def test_lower_below_upper(self, m_a, delta, lam_p):
+        c = cfg_from_lambda_prime(m_a, delta, lam_p)
         for n in range(0, 40):
             assert photon_bound_lower(c, n) <= photon_bound_upper(c, n) + 1e-15
 
