@@ -13,8 +13,8 @@ helpers of `numerics`, `source` and `rates`, which only add domain validation:
 lambda' = lam q/(1 - q) in `lambda_prime_kernel`, the window condition
 (1 + delta) m_a lambda' < 1 in `window_violated`, the mean output intensity
 m_a lam q in `mu_kernel`, and `attenuation`, `photon_kernel`, `_decoy_q1u_e1u`,
-`untagged_lower_kernel`, `direct_lower_kernel`, `q1u_no_decoy_kernel`,
-`e1u_decoy_kernel`, `h2_kernel`, `xi_kernel` and `finite_delta_kernel`.
+`untagged_lower_kernel`, `q1u_no_decoy_kernel`, `e1u_decoy_kernel`,
+`h2_kernel`, `xi_kernel` and `finite_delta_kernel`.
 
 Layouts shared with the wrappers:
 
@@ -22,10 +22,9 @@ Layouts shared with the wrappers:
     eta_bob, loss_coeff, y0, e_det, e0, e0_vac, f_ec, m_bright, q_split,
     eps_total, eps_ec
 
-``flags`` (6 ints):
+``flags`` (5 ints):
     gain_with_eta, coverage_half_inside, single_photon_mixed,
-    finite_gain_direct, decoy_estimator (0 paired / 1 alternate / 2 strict),
-    sifting_exact
+    decoy_estimator (0 paired / 1 alternate / 2 strict), sifting_exact
 
 Finite-key arguments (``finite``, the optional last argument of a rate
 kernel; None for an asymptotic key), budget entries as `rates.budget_fields`:
@@ -251,13 +250,6 @@ def untagged_lower_kernel(x, p_u):
     return 0.0 if low < 0.0 else low
 
 
-def direct_lower_kernel(x, p_u_inf, xi):
-    # the same with the deviation xi subtracted in both slots (finite key)
-    denom = 1.0 - p_u_inf - xi
-    low = 0.0 if denom <= 0.0 else (x - p_u_inf - xi) / denom
-    return 0.0 if low < 0.0 else low
-
-
 def q1u_no_decoy_kernel(qu_low, p0, p1):
     # single-photon untagged gain: what P_0 and P_1 leave of qu_low, or 0
     q1u = qu_low + p0 + p1 - 1.0
@@ -340,12 +332,11 @@ def rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite=None):
     else:
         mu = mu_kernel(m_a, lam, q_split)
         q, e = gain_qber_kernel(mu, eta, phys[2], phys[3], phys[4], flags[0])
-        p_u = p_u_inf = coverage_kernel(delta, m_a, q_split, flags[1])
+        p_u = coverage_kernel(delta, m_a, q_split, flags[1])
         if p_u <= 0.0:
             status = STATUS_NO_UNTAGGED
     if finite is not None and status == STATUS_OK:
-        xi_u = xi_kernel(eps_u, n_pulses)
-        p_u = p_u_inf - xi_u
+        p_u -= xi_kernel(eps_u, n_pulses)
         if p_u <= 0.0:
             status = STATUS_FLUCTUATION
         else:
@@ -358,10 +349,7 @@ def rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite=None):
         status = STATUS_EMPTY_KEY
     if status == STATUS_OK:
         qu_up = q / p_u
-        if finite is not None and flags[3] == 1:
-            qu_low = direct_lower_kernel(q, p_u_inf, xi_u)
-        else:
-            qu_low = untagged_lower_kernel(q, p_u)
+        qu_low = untagged_lower_kernel(q, p_u)
         # lower P_0; P_1 of the upper (mixed) or lower envelope; at most qu_up
         q1u = q1u_no_decoy_kernel(qu_low, photon_kernel(m_a, delta, lam_p, 0, 0),
                                   photon_kernel(m_a, delta, lam_p, 1, flags[2]))
@@ -374,7 +362,7 @@ def rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite=None):
         if finite is not None:
             corr = finite_delta_kernel(n_raw, min(eps_u, eps_e), eps_bar, eps_pa)
             rate -= 0.5 * q * corr
-            if flags[5] == 1 and isfinite(sifted):
+            if flags[4] == 1 and isfinite(sifted):
                 rate *= 1.0 - m_e / sifted
     return (status, rate, mu, NAN, q, e, NAN, NAN, p_u, NAN, NAN,
             qu_low, qu_up, q1u, e1u, corr, n_raw, sifted)
@@ -428,22 +416,19 @@ def rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite=None):
     if status == STATUS_OK:
         q_v, e_v = y0, phys[5]
         qu_s_up = q_s / pu_s
-        if finite is not None and flags[3] == 1:
-            qu_d_low = direct_lower_kernel(q_d, p_u_inf, p_u_inf - pu_d)
-        else:
-            qu_d_low = untagged_lower_kernel(q_d, pu_d)
+        qu_d_low = untagged_lower_kernel(q_d, pu_d)
         eq_v_low = untagged_lower_kernel(e_v * q_v, pu_v)
         e_s_up = e_s if finite is None else e_s + xi_kernel(eps_es, m_e)
         q1u, e1u, _ = _decoy_q1u_e1u(
             m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low, q_v / pu_v,
-            q_s * e_s_up / pu_s, eq_v_low, flags[4])
+            q_s * e_s_up / pu_s, eq_v_low, flags[3])
         rate = 0.5 * p_s * (-q_s * phys[6] * h2_kernel(e_s)
                             + _privacy(q1u, e1u, pu_s))
         if finite is not None:
             corr = finite_delta_kernel(n_raw, min(eps_us, eps_ud, eps_uv, eps_es),
                                        eps_bar, eps_pa)
             rate -= 0.5 * p_s * q_s * corr
-            if flags[5] == 1 and isfinite(sifted):
+            if flags[4] == 1 and isfinite(sifted):
                 rate *= 1.0 - m_e / sifted
     return (status, rate, mu_s, mu_d, q_s, e_s, q_d, e_d, pu_s, pu_d, pu_v,
             qu_d_low, qu_s_up, q1u, e1u, corr, n_raw, sifted)

@@ -38,20 +38,30 @@ _FLAGS = {
     "--out": dict(dest="out_dir", type=str),
 }
 
-# each subcommand's help and the flags it reads; any other is a usage error
+_SCAN_FLAGS = ("--na", "--lmin", "--lmax-km", "--lstep")
+
+# each subcommand's help and the flags it reads, and likewise each figure's
+# under `figure`; any other flag is a usage error
 _COMMANDS = {
     "scan": ("optimized rate over a distance grid",
-             ("--config", "--scenario", "--na", "--lmin", "--lmax-km",
-              "--lstep", "--seed", "--out")),
-    "lmax": ("maximal secure distance",
-             ("--config", "--scenario", "--na", "--threshold", "--seed",
-              "--out")),
+             ("--scenario",) + _SCAN_FLAGS),
+    "lmax": ("maximal secure distance", ("--scenario", "--na", "--threshold")),
     "nath": ("pulse-count threshold for a positive secure distance",
-             ("--config", "--scenario", "--threshold", "--seed", "--out")),
-    "figure": ("write the datasets behind one of the summary figures",
-               ("--config", "--na", "--lmin", "--lmax-km", "--lstep",
-                "--threshold", "--seed", "--out")),
+             ("--scenario", "--threshold")),
 }
+_FIGURES = {
+    "fig2": ("no-decoy rate scans, finite and asymptotic key", _SCAN_FLAGS),
+    "fig3": ("maximal secure distance over the pulse count, all scenarios",
+             ("--na", "--threshold")),
+    "fig5": ("decoy rate scans, finite and asymptotic key", _SCAN_FLAGS),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser,
+               flags: tuple[str, ...]) -> None:
+    # every command and figure also reads --config, --seed and --out
+    for flag in ("--config", *flags, "--seed", "--out"):
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,11 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "untrusted source")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        if command == "figure":
-            p.add_argument("figure_id", choices=("fig2", "fig3", "fig5"))
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+        _add_flags(sub.add_parser(command, help=help_text), flags)
+    figures = sub.add_parser(
+        "figure", help="write the datasets behind one of the summary figures"
+    ).add_subparsers(dest="figure_id", required=True)
+    for figure_id, (help_text, flags) in _FIGURES.items():
+        _add_flags(figures.add_parser(figure_id, help=help_text), flags)
     return parser
 
 

@@ -95,7 +95,9 @@ class ScanNameCollisionError(ValueError):
 
 def scan_tag(n_pulses: float) -> str:
     """``inf``, or the shortest ``5e10``-style tag that reads back as
-    ``n_pulses``: ``5e10`` for 5e10, ``5.4e10`` for 5.4e10."""
+    ``float(n_pulses)``, the value the file holds: ``5e10`` for 5e10,
+    ``5.4e10`` for 5.4e10, ``1e17`` for the int 10**17 + 1."""
+    n_pulses = float(n_pulses)
     if math.isinf(n_pulses):
         return "inf"
     digits = 0

@@ -31,12 +31,15 @@ def check_range(name: str, value: float, lo: float, hi: float,
     The test only compares, so nan, and anything that does not compare with
     a number (None, a string), fails every interval, and inf passes only an
     interval closed at inf: ``hi=math.inf, hi_open=True`` spells "finite".
+    A number no float can hold, such as the int 10**400, fails every
+    interval too, since the kernels' float arithmetic would overflow on it.
     """
     try:
         if (lo < value < hi or (value == lo and not lo_open)
                 or (value == hi and not hi_open)):
+            float(value)
             return value
-    except TypeError:
+    except (TypeError, OverflowError):
         pass
     if lo == hi:
         domain = f"{lo:g}"

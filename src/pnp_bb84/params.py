@@ -97,9 +97,6 @@ COVERAGE_HALF_OUTSIDE = "half_outside"  # erf(delta*sqrt(M(1-q))/2)
 SINGLE_PHOTON_MIXED = "mixed"         # Q1u from lower P0 + upper P1
 SINGLE_PHOTON_STRICT = "strict"       # both lower bounds (never looser)
 
-FINITE_GAIN_COMPOSED = "composed"     # deviation folded into P_u first
-FINITE_GAIN_DIRECT = "direct"         # deviation subtracted in both slots
-
 DECOY_EST_PAIRED = "paired"           # one bound per (class, n), reused everywhere
 DECOY_EST_ALTERNATE = "alternate"     # zero-photon-weighted vacuum subtraction
 DECOY_EST_STRICT = "strict"           # every slot bounded in the safe direction
@@ -115,7 +112,6 @@ class BoundConventions:
     gain_model: str = GAIN_WITH_ETA
     window_coverage: str = COVERAGE_HALF_INSIDE
     single_photon_mass: str = SINGLE_PHOTON_MIXED
-    finite_gain_bound: str = FINITE_GAIN_COMPOSED
     decoy_estimator: str = DECOY_EST_PAIRED
     sifting_factor: str = SIFTING_EXACT
 
@@ -123,7 +119,6 @@ class BoundConventions:
         "gain_model": (GAIN_WITH_ETA, GAIN_WITHOUT_ETA),
         "window_coverage": (COVERAGE_HALF_INSIDE, COVERAGE_HALF_OUTSIDE),
         "single_photon_mass": (SINGLE_PHOTON_MIXED, SINGLE_PHOTON_STRICT),
-        "finite_gain_bound": (FINITE_GAIN_COMPOSED, FINITE_GAIN_DIRECT),
         "decoy_estimator": (DECOY_EST_PAIRED, DECOY_EST_ALTERNATE,
                             DECOY_EST_STRICT),
         "sifting_factor": (SIFTING_EXACT, SIFTING_HALF),
@@ -140,7 +135,6 @@ class BoundConventions:
             1 if self.gain_model == GAIN_WITH_ETA else 0,
             1 if self.window_coverage == COVERAGE_HALF_INSIDE else 0,
             1 if self.single_photon_mass == SINGLE_PHOTON_MIXED else 0,
-            1 if self.finite_gain_bound == FINITE_GAIN_DIRECT else 0,
             {DECOY_EST_PAIRED: 0, DECOY_EST_ALTERNATE: 1,
              DECOY_EST_STRICT: 2}[self.decoy_estimator],
             1 if self.sifting_factor == SIFTING_EXACT else 0,

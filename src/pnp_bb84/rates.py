@@ -275,7 +275,7 @@ def q1u_lower_decoy(q_u_s_upper: float, q_u_d_lower: float,
     Raises :class:`BoundUnavailableError` when the estimator denominator
     closes (indistinguishable classes); callers then treat the bound as zero.
     """
-    code = BoundConventions(decoy_estimator=estimator).to_flags()[4]
+    code = BoundConventions(decoy_estimator=estimator).to_flags()[3]
     check_range("q_u_s_upper", q_u_s_upper, 0.0, math.inf, hi_open=True)
     check_range("q_u_d_lower", q_u_d_lower, 0.0, 1.0)
     check_range("q_u_v_upper", q_u_v_upper, 0.0, math.inf, hi_open=True)

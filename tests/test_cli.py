@@ -295,8 +295,15 @@ class TestCliCommands:
          "--lmax-km", "0", "--threshold", "1e-9"],
         ["figure", "fig2", "--scenario", "decoy_finite", "--na", "5e10",
          "--lmin", "0", "--lmax-km", "0"],
+        ["figure", "fig3", "--na", "1e10", "--lmin", "5", "--lmax-km", "9",
+         "--lstep", "2"],
+        ["figure", "fig2", "--na", "5e10", "--lmin", "0", "--lmax-km", "0",
+         "--threshold", "1e-9"],
+        ["figure", "fig5", "--na", "5e10", "--lmin", "0", "--lmax-km", "0",
+         "--threshold", "1e-9"],
     ], ids=["nath-na", "nath-lmin", "lmax-lmin", "scan-threshold",
-            "figure-scenario"])
+            "figure-scenario", "fig3-grid", "fig2-threshold",
+            "fig5-threshold"])
     def test_flag_the_subcommand_does_not_read_is_a_usage_error(
             self, tmp_path, capsys, args):
         # these used to be accepted and ignored
@@ -373,6 +380,40 @@ class TestFigureGrid:
                                                          tmp_path):
         assert self._grid(monkeypatch, tmp_path, [],
                           "lmax_km = 130\n") == RunConfig().l_grid()
+
+
+class TestFigureFlags:
+    """A figure takes only the flags it reads, but a config file may set any
+    key: a serialized config holds every one."""
+
+    @pytest.mark.parametrize("figure_id,config_text", [
+        ("fig3", "lmin_km = 5\nlmax_km = 9\nlstep_km = 2\n"),
+        ("fig2", "threshold = 1e-4\n"),
+        ("fig5", "threshold = 1e-4\n"),
+    ], ids=["fig3-grid", "fig2-threshold", "fig5-threshold"])
+    def test_config_keys_the_figure_does_not_read_are_allowed(
+            self, monkeypatch, tmp_path, figure_id, config_text):
+        seen = []
+        monkeypatch.setattr(cli, "figure_datasets",
+                            lambda figure_id, *a, **kw: seen.append(
+                                figure_id) or [])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        assert main(["figure", figure_id, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        assert seen == [figure_id]
+
+    @pytest.mark.parametrize("figure_id,flags", [
+        ("fig2", "--lmin --lmax-km --lstep"), ("fig3", "--threshold"),
+        ("fig5", "--lmin --lmax-km --lstep")], ids=["fig2", "fig3", "fig5"])
+    def test_help_lists_the_flags_the_figure_reads(self, capsys, figure_id,
+                                                   flags):
+        with pytest.raises(SystemExit) as exit_:
+            main(["figure", figure_id, "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: pnp-bb84 figure {figure_id}")
+        assert all(flag in out for flag in flags.split())
 
 
 class TestFigureFiles:

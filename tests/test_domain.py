@@ -33,6 +33,7 @@ from pnp_bb84.numerics import BINOMIAL_UPPER_MAX, M_BRIGHT_MAX
 from pnp_bb84.rates import budget_fields
 
 NAN, INF = math.nan, math.inf
+HUGE = 10**400  # an int no float holds: the float arithmetic overflows on it
 PHYS = PhysicalParams()
 CONV = BoundConventions()
 ND_INF, ND_FIN = Scenario.NO_DECOY_INFINITE, Scenario.NO_DECOY_FINITE
@@ -78,7 +79,8 @@ def cases(name, call, out_of_range, inf_ok=False):
     if not isinstance(out_of_range, tuple):
         out_of_range = (out_of_range,)
     values = [NAN, -INF, *out_of_range] + ([] if inf_ok else [INF])
-    return [pytest.param(call, value, id=f"{name}={value!r}")
+    return [pytest.param(call, value, id=f"{name}="
+                         + ("10**400" if value == HUGE else repr(value)))
             for value in values]
 
 
@@ -89,10 +91,11 @@ PHYS_FIELDS = {"eta_bob": 0.0, "loss_coeff": -0.1, "y0": 1.5, "e_det": -0.1,
                "q_split": 1.0, "eps_total": 1.0, "eps_ec": 1e-9}
 SOURCE_FIELDS = {"m_bright": (0.0, 1e307), "q_split": 0.0, "loss_coeff": -0.1,
                  "distance_km": -1.0, "delta": 2.0, "lam": 1.5}
-POINT_FIELDS = [(ND_INF, "distance_km", -1.0), (ND_INF, "delta", 1.0),
-                (ND_INF, "lam", 0.0), (D_INF, "lam_s", 1.5),
-                (D_INF, "lam_d", 0.0), (ND_FIN, "n_pulses", 0.0),
-                (ND_FIN, "m_e", 0.0), (D_FIN, "p_s", 0.0),
+POINT_FIELDS = [(ND_INF, "distance_km", (-1.0, HUGE)),
+                (ND_INF, "delta", 1.0), (ND_INF, "lam", 0.0),
+                (D_INF, "lam_s", 1.5), (D_INF, "lam_d", 0.0),
+                (ND_FIN, "n_pulses", (0.0, HUGE)),
+                (ND_FIN, "m_e", (0.0, HUGE)), (D_FIN, "p_s", 0.0),
                 (D_FIN, "p_d", 1.5), (D_FIN, "p_v", 0.0)]
 BUDGET_FIELDS = [(ND_FIN, "eps_pa"), (ND_FIN, "eps_u"), (ND_FIN, "eps_e"),
                  (D_FIN, "eps_bar"), (D_FIN, "eps_u_s"), (D_FIN, "eps_u_d"),
@@ -181,23 +184,24 @@ PYTHON_API = [
     *cases("raw_from_point.delta",
            lambda v: raw_from_point(problem(), point(ND_FIN, delta=v)), 0.0),
     *cases("OptimizationProblem.distance_km",
-           lambda v: problem(distance_km=v), -1.0),
+           lambda v: problem(distance_km=v), (-1.0, HUGE)),
     *cases("OptimizationProblem.n_pulses", lambda v: problem(n_pulses=v),
-           0.0),
+           (0.0, HUGE)),
     *cases("OptimizationProblem.seed", lambda v: problem(seed=v), -1),
     *cases("maximize.target", lambda v: maximize(problem(), target=v),
            -2e6),
     *cases("grid_oracle.resolution",
            lambda v: grid_oracle(problem(ND_INF), v), 0),
     *cases("scan_distance.l_grid",
-           lambda v: scan_distance(ND_INF, INF, [0.0, v]), -1.0),
+           lambda v: scan_distance(ND_INF, INF, [0.0, v]), (-1.0, HUGE)),
     *cases("scan_distance.n_pulses",
-           lambda v: scan_distance(ND_FIN, v, [0.0]), 0.0),
+           lambda v: scan_distance(ND_FIN, v, [0.0]), (0.0, HUGE)),
     *cases("solve_lmax_profile.rate_threshold",
            lambda v: solve_lmax_profile(no_rate, v), -1e-9),
     *cases("find_lmax.rate_threshold",
            lambda v: find_lmax(D_INF, INF, rate_threshold=v), -1e-9),
-    *cases("find_lmax.n_pulses", lambda v: find_lmax(ND_FIN, v), 0.0),
+    *cases("find_lmax.n_pulses", lambda v: find_lmax(ND_FIN, v),
+           (0.0, HUGE)),
     *cases("find_na_threshold.rate_threshold",
            lambda v: find_na_threshold(ND_FIN, rate_threshold=v), -1e-9),
 ]
@@ -207,7 +211,7 @@ FIGURE_CASES = [
     *cases("threshold", lambda v, out: figure_datasets(
         "fig5", out, na_list=[5e10], l_grid=[0.0], threshold=v), -1e-9),
     *cases("na_list", lambda v, out: figure_datasets(
-        "fig5", out, na_list=[5e10, v], l_grid=[0.0]), 0.0),
+        "fig5", out, na_list=[5e10, v], l_grid=[0.0]), (0.0, HUGE)),
     *cases("l_grid", lambda v, out: figure_datasets(
         "fig2", out, na_list=[5e10], l_grid=[0.0, v]), -1.0),
     pytest.param(lambda v, out: figure_datasets("fig5", out, na_list=v,

@@ -1,7 +1,9 @@
 """Scans, threshold solvers and figure dataset emission."""
 
+import contextlib
 import csv
 import math
+import signal
 
 import pytest
 
@@ -13,6 +15,21 @@ from pnp_bb84 import io_csv
 
 PHYS = PhysicalParams()
 CONV = BoundConventions()
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds``, so a loop that
+    never ends fails the test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _csv_rows(path):
@@ -245,6 +262,20 @@ class TestCsvEmission:
                 assert tag == f"{na:.0e}".replace("+", "")
         assert io_csv.scan_tag(5.4e10) == "5.4e10"
         assert io_csv.scan_tag(math.inf) == "inf"
+
+    def test_int_pulse_count_no_float_equals_is_tagged_as_its_float(
+            self, tmp_path):
+        # no float equals 10**17 + 1, so the tag search used to loop forever
+        na = 10**17 + 1
+        with _deadline(5):
+            assert io_csv.scan_tag(na) == "1e17"
+            with pytest.raises(io_csv.ScanNameCollisionError):
+                io_csv.check_scan_names(Scenario.NO_DECOY_FINITE,
+                                        [10**17, na])
+            path = io_csv.write_scan(tmp_path, scan_distance(
+                Scenario.NO_DECOY_FINITE, na, [0.0], PHYS, CONV))
+        assert path.name == "scan_no_decoy_finite_1e17.csv"
+        assert [float(row["n_pulses"]) for row in _csv_rows(path)] == [1e17]
 
     def test_seventeen_digit_round_trip(self):
         value = 1.2345678901234567e-5

@@ -19,7 +19,10 @@ from pnp_bb84.optimize import RAW_DIM
 CONVENTIONS = {
     "default": BoundConventions(),
     "strict": BoundConventions.strict(),
-    "direct": BoundConventions(finite_gain_bound="direct"),
+    "variants": BoundConventions(gain_model="without_eta",
+                                 window_coverage="half_outside",
+                                 decoy_estimator="alternate",
+                                 sifting_factor="half"),
 }
 
 def draws(scenario):
