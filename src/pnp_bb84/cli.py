@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
-    """The run configuration, and whether a flag or config key set the grid."""
+def _load_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
+    """The run configuration, and the keys a flag or config line set."""
     try:
         text = args.config.read_text(encoding="utf-8") if args.config else ""
     except UnicodeDecodeError as exc:
@@ -97,7 +97,7 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, bool]:
                                            "threshold", "seed", "out_dir")})
     given = {key for _, key, _ in config_entries(text)}
     given.update(key for key, value in flags.items() if value is not None)
-    return config, not given.isdisjoint(("lmin_km", "lmax_km", "lstep_km"))
+    return config, given
 
 
 def _require_scenario(config: RunConfig) -> Scenario:
@@ -163,15 +163,32 @@ def _cmd_nath(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_figure(config: RunConfig, figure_id: str, grid_given: bool) -> int:
+def _dest(flag: str) -> str:
+    """The config key a flag sets."""
+    return _FLAGS[flag].get("dest", flag.lstrip("-"))
+
+
+def _cmd_figure(config: RunConfig, figure_id: str, given: set[str]) -> int:
+    # argparse refuses the flags a figure does not read; this refuses the
+    # config keys that would set them
+    read = {_dest(flag) for flag in ("--config", *_FIGURES[figure_id][1],
+                                     "--seed", "--out")}
+    unread = sorted(given & ({_dest(flag) for flag in _FLAGS} - read))
+    if unread:
+        raise ConfigError(f"the config sets {', '.join(unread)}, which "
+                          f"figure {figure_id} does not read")
     # every figure solves finite-key scenarios at the given pulse counts
     if math.inf in config.na_list:
         raise ConfigError("figures require finite pulse counts in --na")
-    na_list = list(config.na_list) if config.na_list else None
-    l_grid = config.l_grid() if grid_given else None
+    kwargs = {}
+    if config.na_list:
+        kwargs["na_list"] = list(config.na_list)
+    if not given.isdisjoint(("lmin_km", "lmax_km", "lstep_km")):
+        kwargs["l_grid"] = config.l_grid()
+    if "threshold" in given:
+        kwargs["threshold"] = config.threshold
     for path in figure_datasets(figure_id, config.out_dir, config.phys,
-                                config.conventions, l_grid=l_grid,
-                                na_list=na_list, threshold=config.threshold):
+                                config.conventions, **kwargs):
         print(f"wrote {path}")
     return 0
 
@@ -179,14 +196,14 @@ def _cmd_figure(config: RunConfig, figure_id: str, grid_given: bool) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config, grid_given = _load_config(args)
+        config, given = _load_config(args)
         if args.command == "scan":
             return _cmd_scan(config)
         if args.command == "lmax":
             return _cmd_lmax(config)
         if args.command == "nath":
             return _cmd_nath(config)
-        return _cmd_figure(config, args.figure_id, grid_given)
+        return _cmd_figure(config, args.figure_id, given)
     except (ConfigError, OSError, InfeasibleProblemError,
             io_csv.ScanNameCollisionError, scans.NonMonotoneRateError,
             scans.ThresholdOutsideRangeError) as exc:

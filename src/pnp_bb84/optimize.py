@@ -5,12 +5,22 @@ feasible set (log-sigmoid intervals for scalars, softmax simplices for the
 class probabilities and the error-budget split), so every point the search
 visits is feasible by construction.  The local method is Nelder-Mead from
 deterministic starts: a physics-informed heuristic, then any caller-provided
-warm starts, each with `_MAX_EVALS` evaluations (2000).  The best end is
-then polished: Nelder-Mead restarts from it with twice that budget, up to
-four times, until a restart gains less than 1e-6 of the rate.  A
-13-dimensional simplex can collapse short of the optimum; one restart left
-the decoy_finite rate at 58 km / 5e10 pulses 4e-4 below the best known, a
-second and third close the gap.
+warm starts, each with `_MAX_EVALS` evaluations (2000).  A best end with a
+key (rate above 0) is then polished: Nelder-Mead restarts from it with
+twice that budget, up to four times, until a restart gains less than 1e-6
+of the rate.  A 13-dimensional simplex can collapse short of the optimum;
+one restart left the decoy_finite rate at 58 km / 5e10 pulses 4e-4 below
+the best known, a second and third close the gap.
+
+A best end without a key is returned as it is, with its start's own
+``converged`` flag.  Its polish would climb the no-key plateau, where a
+negative rate rises toward 0 as the protocol degenerates, and the relative
+stopping rule compares plateau values: at decoy_finite 70 km / 5e10 pulses
+the four restarts took 15,919 of 17,919 evaluations and ended below zero.
+Over the default fig2, fig3 and fig5 datasets such polish proved a key at
+no point (`BENCH_no_key_polish.json`).  The rule reads the end's value,
+never ``target``.  An infeasible end (an objective penalty) has no key
+either, so it raises `InfeasibleProblemError` without a polish.
 
 There are no blind starts (the origin, seeded uniform draws from
 ``[-3, 3]`` in every raw coordinate).  At 23 points (20 km to past the
@@ -152,8 +162,11 @@ def _logit_of_logrange(x: float, log_lo: float, log_span: float) -> float:
 
 def point_from_raw(problem: OptimizationProblem, raw: Sequence[float]) -> ProtocolPoint:
     """Map a raw vector, any sequence of numbers, onto a feasible point."""
+    # a numpy array's own tolist() gives Python floats at once; array("d")
+    # would fetch its entries one numpy scalar at a time
+    tolist = getattr(raw, "tolist", None)
     try:
-        values = array("d", raw).tolist()
+        values = array("d", raw if tolist is None else tolist()).tolist()
     except TypeError as exc:
         raise ValueError(f"raw vector must hold numbers: {exc}") from None
     if len(values) != problem.dim or not all(map(math.isfinite, values)):
@@ -437,9 +450,10 @@ def maximize(problem: OptimizationProblem,
     """Maximize the scenario rate over the problem's free parameters.
 
     Deterministic: the heuristic start, then each warm start, runs in full,
-    and the best end is polished (see the module docstring).  The best end
-    has the largest exact value; ties go to the smaller untagged-window
-    width, then to the first start in run order.
+    and the best end is polished if it has a key (see the module
+    docstring); without one it is the result, and ``converged`` is its
+    start's.  The best end has the largest exact value; ties go to the
+    smaller untagged-window width, then to the first start in run order.
 
     With a ``target``, the search stops at the first evaluation whose
     reported point, m_e rounded, has a rate above ``target``: that point,
@@ -462,14 +476,17 @@ def maximize(problem: OptimizationProblem,
     evaluations = 0
     try:
         for x0 in starts:
-            x, fun, nfev, _ = _nelder_mead(neg, x0, _MAX_EVALS)
+            x, fun, nfev, success = _nelder_mead(neg, x0, _MAX_EVALS)
             evaluations += nfev
             val, d = -fun, _delta_of_raw(x)
             if val > best_val or (val == best_val and d < best_delta):
                 best_val, best_raw, best_delta = val, x, d
+                converged = success
 
-        # each polish restarts from the best point with a fresh simplex
-        for _ in range(_POLISH_ROUNDS):
+        # each polish restarts from the best point with a fresh simplex; an
+        # end without a key is returned as it is (see the module docstring)
+        polish_rounds = _POLISH_ROUNDS if best_val > 0.0 else 0
+        for _ in range(polish_rounds):
             x, fun, nfev, converged = _nelder_mead(neg, best_raw,
                                                    2 * _MAX_EVALS)
             evaluations += nfev

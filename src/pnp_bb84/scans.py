@@ -241,7 +241,7 @@ def figure_datasets(figure_id: str, out_dir,
                     conventions: BoundConventions = BoundConventions(),
                     l_grid: Optional[Sequence[float]] = None,
                     na_list: Optional[Sequence[float]] = None,
-                    threshold: float = DEFAULT_THRESHOLD) -> list[Path]:
+                    threshold: Optional[float] = None) -> list[Path]:
     """Write the `scan` or `lmax` files behind one of the summary figures.
 
     fig2 (no decoy) and fig5 (decoy) scan the finite-key scenario at each
@@ -250,11 +250,20 @@ def figure_datasets(figure_id: str, out_dir,
     asymptotic ones.  Each file is the one `scan` or `lmax` writes for the
     same inputs.  Returns the paths written.  The default grids cover the
     full benchmark curves and take a while; pass ``l_grid``/``na_list`` to
-    restrict them.
+    restrict them.  Only fig2 and fig5 read ``l_grid``, and only fig3 reads
+    ``threshold`` (None is `DEFAULT_THRESHOLD`); passing either to a figure
+    that does not read it raises ValueError.
     """
     if figure_id not in _FIGURE_IDS:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of "
                          f"{_FIGURE_IDS}")
+    if figure_id == "fig3" and l_grid is not None:
+        raise ValueError("fig3 takes no l_grid: its solvers choose the "
+                         "distances")
+    if figure_id != "fig3" and threshold is not None:
+        raise ValueError(f"{figure_id} takes no threshold: it scans rates")
+    if threshold is None:
+        threshold = DEFAULT_THRESHOLD
     check_range("threshold", threshold, 0.0, math.inf, hi_open=True)
     if na_list is not None and not na_list:
         raise ValueError("na_list must be non-empty")

@@ -355,8 +355,9 @@ class TestFigureGrid:
 
     def _grid(self, monkeypatch, tmp_path, args, config_text=None):
         seen = []
-        monkeypatch.setattr(cli, "figure_datasets",
-                            lambda *a, l_grid, **kw: seen.append(l_grid) or {})
+        monkeypatch.setattr(
+            cli, "figure_datasets",
+            lambda *a, l_grid=None, **kw: seen.append(l_grid) or [])
         if config_text is not None:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(config_text)
@@ -383,25 +384,65 @@ class TestFigureGrid:
 
 
 class TestFigureFlags:
-    """A figure takes only the flags it reads, but a config file may set any
-    key: a serialized config holds every one."""
+    """A figure takes only the flags it reads, and a config file may set
+    only the keys it reads, besides the physical parameters and
+    conventions."""
 
-    @pytest.mark.parametrize("figure_id,config_text", [
-        ("fig3", "lmin_km = 5\nlmax_km = 9\nlstep_km = 2\n"),
-        ("fig2", "threshold = 1e-4\n"),
-        ("fig5", "threshold = 1e-4\n"),
-    ], ids=["fig3-grid", "fig2-threshold", "fig5-threshold"])
-    def test_config_keys_the_figure_does_not_read_are_allowed(
-            self, monkeypatch, tmp_path, figure_id, config_text):
+    def _run(self, monkeypatch, tmp_path, args, config_text=None):
         seen = []
         monkeypatch.setattr(cli, "figure_datasets",
-                            lambda figure_id, *a, **kw: seen.append(
-                                figure_id) or [])
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(config_text)
-        assert main(["figure", figure_id, "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 0
-        assert seen == [figure_id]
+                            lambda *a, **kw: seen.append(kw) or [])
+        if config_text is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config_text)
+            args = args + ["--config", str(cfg)]
+        return main(args + ["--out", str(tmp_path)]), seen
+
+    @pytest.mark.parametrize("figure_id,config_text,keys", [
+        ("fig3", "lmin_km = 5\nlmax_km = 9\nlstep_km = 2\n",
+         "lmax_km, lmin_km, lstep_km"),
+        ("fig3", "lstep_km = 2\n", "lstep_km"),
+        ("fig2", "threshold = 1e-4\n", "threshold"),
+        ("fig5", "threshold = 1e-4\n", "threshold"),
+        ("fig5", "scenario = decoy_finite\n", "scenario"),
+    ], ids=["fig3-grid", "fig3-lstep", "fig2-threshold", "fig5-threshold",
+            "fig5-scenario"])
+    def test_config_keys_the_figure_does_not_read_are_refused(
+            self, monkeypatch, tmp_path, capsys, figure_id, config_text,
+            keys):
+        rc, seen = self._run(monkeypatch, tmp_path, ["figure", figure_id],
+                             config_text)
+        assert rc == 1
+        assert seen == []
+        assert capsys.readouterr().err == (
+            f"error: the config sets {keys}, which figure {figure_id} does "
+            f"not read\n")
+
+    @pytest.mark.parametrize("figure_id,config_text", [
+        ("fig3", "eta_bob = 0.045\nseed = 1\nna = 1e10\nthreshold = 1e-4\n"),
+        ("fig2", "decoy_estimator = alternate\nlmax_km = 4\n"),
+    ], ids=["fig3", "fig2"])
+    def test_config_keys_the_figure_reads_are_allowed(
+            self, monkeypatch, tmp_path, figure_id, config_text):
+        rc, seen = self._run(monkeypatch, tmp_path, ["figure", figure_id],
+                             config_text)
+        assert rc == 0
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("figure_id,args,kwargs", [
+        ("fig3", [], {}),
+        ("fig3", ["--na", "1e10", "--threshold", "1e-4"],
+         {"na_list": [1e10], "threshold": 1e-4}),
+        ("fig2", [], {}),
+        ("fig2", ["--na", "5e10", "--lstep", "65"],
+         {"na_list": [5e10], "l_grid": [0.0, 65.0, 130.0]}),
+    ], ids=["fig3-defaults", "fig3-given", "fig2-defaults", "fig2-given"])
+    def test_only_the_given_keys_are_passed(self, monkeypatch, tmp_path,
+                                            figure_id, args, kwargs):
+        rc, seen = self._run(monkeypatch, tmp_path,
+                             ["figure", figure_id] + args)
+        assert rc == 0
+        assert seen == [kwargs]
 
     @pytest.mark.parametrize("figure_id,flags", [
         ("fig2", "--lmin --lmax-km --lstep"), ("fig3", "--threshold"),

@@ -209,7 +209,7 @@ PYTHON_API = [
 # figure_datasets, which also needs a directory to write to
 FIGURE_CASES = [
     *cases("threshold", lambda v, out: figure_datasets(
-        "fig5", out, na_list=[5e10], l_grid=[0.0], threshold=v), -1e-9),
+        "fig3", out, na_list=[5e10], threshold=v), -1e-9),
     *cases("na_list", lambda v, out: figure_datasets(
         "fig5", out, na_list=[5e10, v], l_grid=[0.0]), (0.0, HUGE)),
     *cases("l_grid", lambda v, out: figure_datasets(
@@ -217,6 +217,13 @@ FIGURE_CASES = [
     pytest.param(lambda v, out: figure_datasets("fig5", out, na_list=v,
                                                 l_grid=[0.0]),
                  [], id="na_list=[]"),
+    # arguments the figure does not read, at values it would accept
+    *(pytest.param(lambda v, out, fig=fig: figure_datasets(
+        fig, out, na_list=[5e10], l_grid=[0.0], threshold=v),
+        1e-9, id=f"{fig}-threshold") for fig in ("fig2", "fig5")),
+    pytest.param(lambda v, out: figure_datasets("fig3", out, na_list=[5e10],
+                                                l_grid=v),
+                 [0.0], id="fig3-l_grid"),
 ]
 
 

@@ -220,6 +220,18 @@ def test_find_lmax_matches_golden():
     assert find_lmax(Scenario.DECOY_INFINITE, math.inf) == 123.3203125
 
 
+# Each bisection near a finite-key cutoff runs no-key maximizes warm started
+# from the probes before it, so a change to the work a no-key search does can
+# move these answers: recording only full results in the warm chain moved
+# the 1e12 answer to 88.5546875.
+@pytest.mark.parametrize("n_pulses,lmax", [
+    (5e10, 64.4921875), (1e12, 88.6328125)], ids=["5e10", "1e12"])
+def test_find_lmax_decoy_finite_matches_golden(n_pulses, lmax):
+    from pnp_bb84.scans import find_lmax
+
+    assert find_lmax(Scenario.DECOY_FINITE, n_pulses) == lmax
+
+
 def test_find_na_threshold_matches_golden():
     from pnp_bb84.scans import find_na_threshold
 

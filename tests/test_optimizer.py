@@ -251,6 +251,52 @@ class TestTarget:
             targeted.best_point.delta
 
 
+class TestNoKeyPolish:
+    """Only a best end with a key is polished; without one the result is
+    the best start's end, with that start's own ``converged`` flag."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Every `_nelder_mead` call's budget and return value."""
+        runs = []
+        real = optimize._nelder_mead
+
+        def spy(f, x0, maxfev):
+            out = real(f, x0, maxfev)
+            runs.append((maxfev, out))
+            return out
+
+        monkeypatch.setattr(optimize, "_nelder_mead", spy)
+        return runs
+
+    @pytest.mark.parametrize("warm_km", [None, 64.0], ids=["cold", "warm"])
+    def test_no_key_point_runs_only_its_starts(self, runs, warm_km):
+        # 70 km lies past the 5e10 cutoff (64.49 km); the warm start is the
+        # optimum inside it, with a key, as in a bisection of find_lmax
+        warm = () if warm_km is None else (maximize(problem_for(
+            Scenario.DECOY_FINITE, 5e10, dist=warm_km)).best_point,)
+        runs.clear()
+        result = maximize(problem_for(Scenario.DECOY_FINITE, 5e10, dist=70.0,
+                                      warm_starts=warm))
+        assert result.best_rate <= 0.0
+        assert len(runs) == 1 + len(warm)
+        assert all(maxfev == optimize._MAX_EVALS for maxfev, _ in runs)
+        assert result.evaluations == sum(out[2] for _, out in runs)
+        # the result is the winning start's end, with its flag
+        winner, = [out for _, out in runs
+                   if tuple(out[0]) == result.best_raw]
+        assert result.converged is winner[3]
+
+    def test_key_point_is_polished(self, runs):
+        result = maximize(problem_for(Scenario.DECOY_FINITE, 5e10, dist=60.0))
+        assert result.best_rate > 0.0
+        polish = [out for maxfev, out in runs
+                  if maxfev == 2 * optimize._MAX_EVALS]
+        assert len(runs) == 1 + len(polish) and polish
+        assert result.evaluations == sum(out[2] for _, out in runs)
+        assert result.converged is polish[-1][3]
+
+
 class TestGridOracle:
     def test_resolution_one_is_the_midpoint(self):
         problem = problem_for(Scenario.NO_DECOY_INFINITE, math.inf)
