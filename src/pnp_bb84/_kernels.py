@@ -166,14 +166,6 @@ def photon_kernel(m_a, delta, lam_p, n, upper):
                + (bound - n) * log1p(-lam_p))
 
 
-def photon_upper_kernel(m_a, delta, lam_p, n):
-    return photon_kernel(m_a, delta, lam_p, n, 1)
-
-
-def photon_lower_kernel(m_a, delta, lam_p, n):
-    return photon_kernel(m_a, delta, lam_p, n, 0)
-
-
 def _log_binomials(bound):
     """ln C(bound, 1) and ln C(bound, 2), sharing ln Gamma(bound + 1).
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import io_csv, scans
-from .config import (ConfigError, RunConfig, apply_overrides, config_entries,
-                     parse_config, parse_na_list)
+from .config import ConfigError, RunConfig, parse_config, parse_na_list
 from .optimize import InfeasibleProblemError
 from .params import Scenario
 from .scans import find_lmax, find_na_threshold, figure_datasets, scan_distance
@@ -80,24 +80,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
-    """The run configuration, and the keys a flag or config line set."""
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The config file with the flags over it; it sets no unread run key."""
     try:
         text = args.config.read_text(encoding="utf-8") if args.config else ""
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {args.config} is not UTF-8 text: "
                           f"{exc.reason} at byte {exc.start}") from None
-    # a subcommand's namespace holds only the flags it takes
+    # a subcommand's namespace holds only the flags it reads
     flags = vars(args)
-    scenario = Scenario(flags["scenario"]) if flags.get("scenario") else None
-    na_list = parse_na_list(flags["na"]) if flags.get("na") else None
-    config = apply_overrides(
-        parse_config(text), scenario=scenario, na_list=na_list,
-        **{key: flags.get(key) for key in ("lmin_km", "lmax_km", "lstep_km",
-                                           "threshold", "seed", "out_dir")})
-    given = {key for _, key, _ in config_entries(text)}
-    given.update(key for key, value in flags.items() if value is not None)
-    return config, given
+    overrides = {key: flags[key] for key in ("lmin_km", "lmax_km", "lstep_km",
+                                             "threshold", "seed", "out_dir")
+                 if flags.get(key) is not None}
+    if flags.get("scenario") is not None:
+        overrides["scenario"] = Scenario(flags["scenario"])
+    if flags.get("na") is not None:
+        overrides["na_list"] = parse_na_list(flags["na"])
+    config = replace(parse_config(text), **overrides)
+    unread = sorted(set(config.run_keys()) - flags.keys())
+    if unread:
+        name = " ".join(filter(None, (args.command, flags.get("figure_id"))))
+        raise ConfigError(f"the config sets {', '.join(unread)}, which "
+                          f"{name} does not read")
+    return config
 
 
 def _require_scenario(config: RunConfig) -> Scenario:
@@ -108,7 +113,7 @@ def _require_scenario(config: RunConfig) -> Scenario:
 
 def _na_values(config: RunConfig, scenario: Scenario) -> list[float]:
     if not scenario.finite:
-        if any(na != math.inf for na in config.na_list):
+        if any(na != math.inf for na in config.na_list or ()):
             raise ConfigError("asymptotic scenarios take no pulse count: "
                               "drop --na (config key na) or set it to inf")
         return [math.inf]
@@ -137,14 +142,16 @@ def _cmd_lmax(config: RunConfig) -> int:
     scenario = _require_scenario(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    threshold = (scans.DEFAULT_THRESHOLD if config.threshold is None
+                 else config.threshold)
     rows = []
     for na in _na_values(config, scenario):
-        lmax = find_lmax(scenario, na, config.threshold, config.phys,
+        lmax = find_lmax(scenario, na, threshold, config.phys,
                          config.conventions)
         rows.append((na, lmax))
         print(f"{scenario.value} n_pulses={na:g}: L_max = {lmax:.1f} km "
-              f"(threshold {config.threshold:g})")
-    path = io_csv.write_lmax(out, scenario, rows, config.threshold)
+              f"(threshold {threshold:g})")
+    path = io_csv.write_lmax(out, scenario, rows, threshold)
     print(f"wrote {path}")
     return 0
 
@@ -153,39 +160,28 @@ def _cmd_nath(config: RunConfig) -> int:
     scenario = _require_scenario(config)
     if not scenario.finite:
         raise ConfigError("nath applies to the finite-key scenarios")
-    na_th = find_na_threshold(scenario, config.threshold, config.phys,
+    threshold = (scans.DEFAULT_THRESHOLD if config.threshold is None
+                 else config.threshold)
+    na_th = find_na_threshold(scenario, threshold, config.phys,
                               config.conventions)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = io_csv.write_nath(out, scenario, config.threshold, na_th)
+    path = io_csv.write_nath(out, scenario, threshold, na_th)
     print(f"{scenario.value}: pulse-count threshold = {na_th:.3e}")
     print(f"wrote {path}")
     return 0
 
 
-def _dest(flag: str) -> str:
-    """The config key a flag sets."""
-    return _FLAGS[flag].get("dest", flag.lstrip("-"))
-
-
-def _cmd_figure(config: RunConfig, figure_id: str, given: set[str]) -> int:
-    # argparse refuses the flags a figure does not read; this refuses the
-    # config keys that would set them
-    read = {_dest(flag) for flag in ("--config", *_FIGURES[figure_id][1],
-                                     "--seed", "--out")}
-    unread = sorted(given & ({_dest(flag) for flag in _FLAGS} - read))
-    if unread:
-        raise ConfigError(f"the config sets {', '.join(unread)}, which "
-                          f"figure {figure_id} does not read")
-    # every figure solves finite-key scenarios at the given pulse counts
-    if math.inf in config.na_list:
-        raise ConfigError("figures require finite pulse counts in --na")
+def _cmd_figure(config: RunConfig, figure_id: str) -> int:
     kwargs = {}
-    if config.na_list:
+    if config.na_list is not None:
+        # every figure solves finite-key scenarios at the given pulse counts
+        if math.inf in config.na_list:
+            raise ConfigError("figures require finite pulse counts in --na")
         kwargs["na_list"] = list(config.na_list)
-    if not given.isdisjoint(("lmin_km", "lmax_km", "lstep_km")):
+    if (config.lmin_km, config.lmax_km, config.lstep_km) != (None,) * 3:
         kwargs["l_grid"] = config.l_grid()
-    if "threshold" in given:
+    if config.threshold is not None:
         kwargs["threshold"] = config.threshold
     for path in figure_datasets(figure_id, config.out_dir, config.phys,
                                 config.conventions, **kwargs):
@@ -196,14 +192,14 @@ def _cmd_figure(config: RunConfig, figure_id: str, given: set[str]) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config, given = _load_config(args)
+        config = _load_config(args)
         if args.command == "scan":
             return _cmd_scan(config)
         if args.command == "lmax":
             return _cmd_lmax(config)
         if args.command == "nath":
             return _cmd_nath(config)
-        return _cmd_figure(config, args.figure_id, given)
+        return _cmd_figure(config, args.figure_id)
     except (ConfigError, OSError, InfeasibleProblemError,
             io_csv.ScanNameCollisionError, scans.NonMonotoneRateError,
             scans.ThresholdOutsideRangeError) as exc:

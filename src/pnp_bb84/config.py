@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterator, Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 from .numerics import check_integer, check_range
 from .params import BoundConventions, PhysicalParams, Scenario
@@ -23,42 +23,56 @@ _MAX_GRID_POINTS = 10**6
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI run needs; unspecified fields keep library defaults."""
+    """Everything a CLI run needs.  A run key left None was set by no flag
+    or config line; the command that reads it supplies the default."""
 
     phys: PhysicalParams = field(default_factory=PhysicalParams)
     conventions: BoundConventions = field(default_factory=BoundConventions)
     scenario: Optional[Scenario] = None
-    na_list: tuple[float, ...] = ()
-    lmin_km: float = 0.0
-    lmax_km: float = 130.0
-    lstep_km: float = 2.0
-    threshold: float = 1e-9
+    na_list: Optional[tuple[float, ...]] = None
+    lmin_km: Optional[float] = None
+    lmax_km: Optional[float] = None
+    lstep_km: Optional[float] = None
+    threshold: Optional[float] = None
     seed: int = 0  # no effect; kept because perfbench/workloads.py passes it
     out_dir: str = "."
 
     def __post_init__(self) -> None:
         try:
-            for name in ("lmin_km", "lmax_km", "threshold"):
-                check_range(name, getattr(self, name), 0.0, math.inf,
-                            hi_open=True)
-            check_range("lstep_km", self.lstep_km, 0.0, math.inf, True, True)
-            for value in self.na_list:
+            for name in _RUN_FLOAT_KEYS:
+                if getattr(self, name) is not None:
+                    check_range(name, getattr(self, name), 0.0, math.inf,
+                                lo_open=name == "lstep_km", hi_open=True)
+            if self.na_list == ():
+                raise ValueError("na: no pulse count given")
+            for value in self.na_list or ():
                 check_range("na", value, 0.0, math.inf, lo_open=True)
             check_integer("seed", self.seed, 0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
+    def run_keys(self) -> list[str]:
+        """The run keys that a flag or config line set."""
+        values = {"scenario": self.scenario, "na": self.na_list,
+                  **{key: getattr(self, key) for key in _RUN_FLOAT_KEYS}}
+        return [key for key, value in values.items() if value is not None]
+
     def l_grid(self) -> list[float]:
-        if self.lmax_km < self.lmin_km:
+        # an unset end or step takes the default: 0-130 km in 2-km steps
+        lmin, lmax, lstep = (default if value is None else value
+                             for value, default in ((self.lmin_km, 0.0),
+                                                    (self.lmax_km, 130.0),
+                                                    (self.lstep_km, 2.0)))
+        if lmax < lmin:
             raise ConfigError("lmax_km must be at least lmin_km")
-        steps = (self.lmax_km - self.lmin_km) / self.lstep_km + 1e-9
+        steps = (lmax - lmin) / lstep + 1e-9
         # counted before the list is built: a huge grid would exhaust memory
         if not steps < _MAX_GRID_POINTS:
             raise ConfigError(f"the distance grid has more than "
                               f"{_MAX_GRID_POINTS} points; raise lstep_km or "
                               f"narrow the range")
         n = int(math.floor(steps))
-        return [self.lmin_km + i * self.lstep_km for i in range(n + 1)]
+        return [lmin + i * lstep for i in range(n + 1)]
 
 
 def _parse_float(key: str, text: str, line_no: int) -> float:
@@ -84,8 +98,15 @@ def parse_na_list(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def config_entries(text: str) -> Iterator[tuple[int, str, str]]:
-    """(line number, lower-case key, value) of each ``key = value`` line."""
+def parse_config(text: str) -> RunConfig:
+    """Parse a flat ``key = value`` document into a RunConfig.
+
+    Lines may carry ``#`` comments; unknown keys are rejected with their line
+    number, and every physical constraint is enforced at parse time.
+    """
+    phys_kw: dict[str, float] = {}
+    conv_kw: dict[str, str] = {}
+    run_kw: dict[str, object] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -98,19 +119,6 @@ def config_entries(text: str) -> Iterator[tuple[int, str, str]]:
         value = value.strip()
         if not value:
             raise ConfigError(f"line {line_no}: {key}: empty value")
-        yield line_no, key, value
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse a flat ``key = value`` document into a RunConfig.
-
-    Lines may carry ``#`` comments; unknown keys are rejected with their line
-    number, and every physical constraint is enforced at parse time.
-    """
-    phys_kw: dict[str, float] = {}
-    conv_kw: dict[str, str] = {}
-    run_kw: dict[str, object] = {}
-    for line_no, key, value in config_entries(text):
         if key in _PHYS_KEYS:
             phys_kw[key] = _parse_float(key, value, line_no)
         elif key in _CONVENTION_KEYS:
@@ -153,17 +161,11 @@ def serialize_config(config: RunConfig) -> str:
         lines.append(f"{key} = {getattr(config.conventions, key)}")
     if config.scenario is not None:
         lines.append(f"scenario = {config.scenario.value}")
-    if config.na_list:
+    if config.na_list is not None:
         tokens = ("inf" if math.isinf(v) else f"{v:.17g}" for v in config.na_list)
         lines.append(f"na = {','.join(tokens)}")
-    for key in _RUN_FLOAT_KEYS:
-        lines.append(f"{key} = {getattr(config, key):.17g}")
+    lines += [f"{key} = {getattr(config, key):.17g}" for key in _RUN_FLOAT_KEYS
+              if getattr(config, key) is not None]
     lines.append(f"seed = {config.seed}")
     lines.append(f"out_dir = {config.out_dir}")
     return "\n".join(lines) + "\n"
-
-
-def apply_overrides(config: RunConfig, **overrides) -> RunConfig:
-    """Overlay non-None CLI flag values onto a parsed configuration."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    return replace(config, **updates)

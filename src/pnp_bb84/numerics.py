@@ -53,8 +53,8 @@ def check_range(name: str, value: float, lo: float, hi: float,
 
 def check_integer(name: str, value: int, lo: int) -> int:
     """Return ``value`` if it is an integer of at least ``lo``, else raise
-    ValueError naming ``name``."""
-    if not isinstance(value, numbers.Integral):
+    ValueError naming ``name``.  A bool is not taken for an integer."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name}={value!r} must be an integer")
     return check_range(name, value, lo, math.inf, hi_open=True)
 

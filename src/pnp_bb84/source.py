@@ -90,7 +90,7 @@ def photon_bound_upper(cfg: SourceConfig, n: int) -> float:
     """Upper envelope of the emitted photon-number probability at integer n."""
     check_integer("n", n, 0)
     cfg.require_window()
-    value = _kernels.photon_upper_kernel(cfg.m_a, cfg.delta, cfg.lambda_prime, n)
+    value = _kernels.photon_kernel(cfg.m_a, cfg.delta, cfg.lambda_prime, n, 1)
     return check_range("photon_bound_upper", value, 0.0, 1.0)
 
 
@@ -98,7 +98,7 @@ def photon_bound_lower(cfg: SourceConfig, n: int) -> float:
     """Lower envelope of the emitted photon-number probability at integer n."""
     check_integer("n", n, 0)
     cfg.require_window()
-    value = _kernels.photon_lower_kernel(cfg.m_a, cfg.delta, cfg.lambda_prime, n)
+    value = _kernels.photon_kernel(cfg.m_a, cfg.delta, cfg.lambda_prime, n, 0)
     return check_range("photon_bound_lower", value, 0.0, 1.0)
 
 

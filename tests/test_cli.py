@@ -55,6 +55,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="must be"):
             parse_config(line + "\n")
 
+    @pytest.mark.parametrize("call", [
+        lambda: parse_config("na = ,\n"), lambda: RunConfig(na_list=())])
+    def test_empty_pulse_count_list_rejected(self, call):
+        # an empty list would serialize to a line that does not parse back
+        with pytest.raises(ConfigError, match="no pulse count"):
+            call()
+
     def test_convention_toggles(self):
         config = parse_config("decoy_estimator = strict\n"
                               "sifting_factor = half\n")
@@ -278,8 +285,9 @@ class TestCliCommands:
         ["scan", "--scenario", "no_such_scenario"],
         ["figure", "fig4"],
         ["--seed", "0"],
+        ["figure", "fig2", "--na", ","],
     ], ids=["seed-float", "lmin-text", "unknown-flag", "unknown-scenario",
-            "unknown-figure", "missing-subcommand"])
+            "unknown-figure", "missing-subcommand", "figure-na-empty"])
     def test_usage_error_is_a_one_line_error(self, tmp_path, capsys, args):
         rc = main(args + ["--out", str(tmp_path)])
         assert rc == 1
@@ -347,6 +355,97 @@ class TestCliCommands:
             main(args)
         assert exit_.value.code == 0
         assert capsys.readouterr().out.startswith("usage: pnp-bb84")
+
+
+class TestRunKeys:
+    """A run key is set or None.  Every command and figure refuses a set key
+    that it does not read, and a serialized configuration replays into the
+    command that read it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # the threshold solvers and the figures are stubbed; a scan runs
+        seen = []
+        monkeypatch.setattr(cli, "find_lmax",
+                            lambda *a: seen.append(("lmax", a)) or 64.5)
+        monkeypatch.setattr(cli, "find_na_threshold",
+                            lambda *a: seen.append(("nath", a)) or 9.5e8)
+        monkeypatch.setattr(cli, "figure_datasets",
+                            lambda *a, **kw: seen.append(("figure", a, kw))
+                            or [])
+        return seen
+
+    @pytest.mark.parametrize("args,config_text,keys", [
+        (["scan", "--scenario", "no_decoy_infinite", "--lmin", "0",
+          "--lmax-km", "0"], "threshold = 1e-4\n", "threshold"),
+        (["lmax", "--scenario", "decoy_infinite"], "lmin_km = 5\n",
+         "lmin_km"),
+        (["nath", "--scenario", "no_decoy_finite"], "na = 5e10\n", "na"),
+        (["nath", "--scenario", "no_decoy_finite"], "lstep_km = 2\n",
+         "lstep_km"),
+        (["nath", "--scenario", "no_decoy_finite"],
+         "na = 5e10\nlstep_km = 2\n", "lstep_km, na"),
+    ], ids=["scan-threshold", "lmax-lmin", "nath-na", "nath-lstep",
+            "nath-both"])
+    def test_config_key_the_command_does_not_read_is_refused(
+            self, tmp_path, capsys, calls, args, config_text, keys):
+        # these used to run and ignore the key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        rc = main(args + ["--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: the config sets {keys}, which {args[0]} does not read\n")
+        assert calls == []
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("args", [
+        ["scan", "--scenario", "no_decoy_finite", "--na", "5e10",
+         "--lmin", "20", "--lmax-km", "20"],
+        ["lmax", "--scenario", "decoy_finite", "--na", "1e10,1e12",
+         "--threshold", "1e-4"],
+        ["nath", "--scenario", "no_decoy_finite"],
+        ["figure", "fig2", "--na", "5e10", "--lstep", "65"],
+        ["figure", "fig3", "--na", "1e10", "--threshold", "1e-4"],
+    ], ids=["scan", "lmax", "nath", "fig2", "fig3"])
+    def test_serialized_config_replays(self, tmp_path, capsys, calls, args):
+        n_words = 2 if args[0] == "figure" else 1
+        args = args + ["--seed", "3", "--out", str(tmp_path / "out")]
+        config = cli._load_config(cli.build_parser().parse_args(args))
+        text = serialize_config(config)
+        assert parse_config(text) == config
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        runs = []
+        for argv in (args, args[:n_words] + ["--config", str(cfg)]):
+            assert main(argv) == 0
+            files = {p.name: p.read_bytes()
+                     for p in (tmp_path / "out").glob("*.csv")}
+            runs.append((capsys.readouterr().out, files, calls[:]))
+            calls.clear()
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("figure_id", ["fig2", "fig3", "fig5"])
+    def test_serialized_default_config_runs_every_figure(
+            self, tmp_path, calls, figure_id):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(serialize_config(RunConfig()))
+        rc = main(["figure", figure_id, "--config", str(cfg)])
+        assert rc == 0
+        assert len(calls) == 1 and calls[0][2] == {}
+
+    def test_unset_threshold_is_the_default_threshold(self, tmp_path, capsys,
+                                                      calls):
+        assert main(["lmax", "--scenario", "decoy_infinite",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["nath", "--scenario", "no_decoy_finite",
+                     "--out", str(tmp_path)]) == 0
+        (_, lmax_args), (_, nath_args) = calls
+        assert lmax_args[2] == nath_args[1] == 1e-9
+        assert "(threshold 1e-09)" in capsys.readouterr().out
+        for name in ("lmax_decoy_infinite.csv", "nath_no_decoy_finite.csv"):
+            row = (tmp_path / name).read_text().splitlines()[1]
+            assert "1.0000000000000001e-09" in row.split(",")
 
 
 class TestFigureGrid:

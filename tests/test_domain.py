@@ -159,7 +159,7 @@ PYTHON_API = [
       for c in cases(f"SourceConfig.{name}",
                      lambda v, name=name: source(**{name: v}), bad)],
     *cases("photon_bound_upper.n", lambda v: photon_bound_upper(source(), v),
-           (-1.0, 0.5, 1e-300)),
+           (-1.0, 0.5, 1e-300, True)),
     *cases("photon_bound_lower.n", lambda v: photon_bound_lower(source(), v),
            (-1.0, 0.5, 1e-300)),
     *cases("untagged_probability_finite.epsilon_u",
@@ -187,11 +187,11 @@ PYTHON_API = [
            lambda v: problem(distance_km=v), (-1.0, HUGE)),
     *cases("OptimizationProblem.n_pulses", lambda v: problem(n_pulses=v),
            (0.0, HUGE)),
-    *cases("OptimizationProblem.seed", lambda v: problem(seed=v), -1),
+    *cases("OptimizationProblem.seed", lambda v: problem(seed=v), (-1, True)),
     *cases("maximize.target", lambda v: maximize(problem(), target=v),
            -2e6),
     *cases("grid_oracle.resolution",
-           lambda v: grid_oracle(problem(ND_INF), v), 0),
+           lambda v: grid_oracle(problem(ND_INF), v), (0, True)),
     *cases("scan_distance.l_grid",
            lambda v: scan_distance(ND_INF, INF, [0.0, v]), (-1.0, HUGE)),
     *cases("scan_distance.n_pulses",

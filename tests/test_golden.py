@@ -132,8 +132,8 @@ def test_shared_envelope_terms_match_photon_kernels():
         lower = k._envelope(lam_p, hi, lo, *k._log_binomials(lo))
         upper = k._envelope(lam_p, lo, hi, *k._log_binomials(hi))
         for n in range(3):
-            assert lower[n] == k.photon_lower_kernel(m_a, delta, lam_p, n)
-            assert upper[n] == k.photon_upper_kernel(m_a, delta, lam_p, n)
+            assert lower[n] == k.photon_kernel(m_a, delta, lam_p, n, 0)
+            assert upper[n] == k.photon_kernel(m_a, delta, lam_p, n, 1)
 
 
 # Warm starts: `raw_from_point` maps a recorded point back to raw space and
