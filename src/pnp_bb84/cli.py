@@ -201,8 +201,8 @@ def main(argv=None) -> int:
             return _cmd_nath(config)
         return _cmd_figure(config, args.figure_id)
     except (ConfigError, OSError, InfeasibleProblemError,
-            io_csv.ScanNameCollisionError, scans.NonMonotoneRateError,
-            scans.ThresholdOutsideRangeError) as exc:
+            io_csv.ScanNameCollisionError, scans.ThresholdOutsideRangeError
+            ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

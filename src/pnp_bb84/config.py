@@ -153,7 +153,14 @@ def parse_config(text: str) -> RunConfig:
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Emit a document that parses back to the same configuration."""
+    """Emit a document that parses back to the same configuration; an
+    ``out_dir`` that no config line holds (empty, or with a ``#``, a line
+    break or surrounding whitespace) raises ConfigError."""
+    out_dir = config.out_dir
+    if "#" in out_dir or out_dir.strip().splitlines() != [out_dir]:
+        raise ConfigError(f"out_dir {out_dir!r} does not fit on a config "
+                          f"line, which holds no empty value, '#', line "
+                          f"break or surrounding whitespace")
     lines = []
     for key in _PHYS_KEYS:
         lines.append(f"{key} = {getattr(config.phys, key):.17g}")
@@ -167,5 +174,5 @@ def serialize_config(config: RunConfig) -> str:
     lines += [f"{key} = {getattr(config, key):.17g}" for key in _RUN_FLOAT_KEYS
               if getattr(config, key) is not None]
     lines.append(f"seed = {config.seed}")
-    lines.append(f"out_dir = {config.out_dir}")
+    lines.append(f"out_dir = {out_dir}")
     return "\n".join(lines) + "\n"

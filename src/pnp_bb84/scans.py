@@ -23,11 +23,6 @@ _L_COARSE_STEP_KM = 10.0
 _L_RESOLUTION_KM = 0.1
 _NA_LOG_RANGE = (6.0, 18.0)  # pulse-count threshold search, log10
 _NA_LOG_RESOLUTION = 0.05
-_MONOTONE_SLACK = 1.02       # optimizer noise allowed before flagging non-monotone
-
-
-class NonMonotoneRateError(RuntimeError):
-    """The optimized rate increased with distance beyond optimizer noise."""
 
 
 class ThresholdOutsideRangeError(RuntimeError):
@@ -138,16 +133,17 @@ def solve_lmax_profile(rate_at: Callable[..., float],
     """Largest distance with ``rate_at(L) > rate_threshold``.
 
     Assumes a non-increasing profile: marches from 0 km in `_L_COARSE_STEP_KM`
-    steps up to `_L_CAP_KM` (returned if the rate never drops to the
-    threshold), raising NonMonotoneRateError if a step's rate rises beyond
-    optimizer noise, then bisects the bracket to `_L_RESOLUTION_KM`.
+    steps up to `_L_CAP_KM` (returned if every step has a key), then bisects
+    the bracket between the last step with a key and the first without one to
+    `_L_RESOLUTION_KM`.
 
-    The march calls ``rate_at(L)`` and needs the optimized rate: the
-    monotonicity check compares one step's rate with the next.  A bisection
-    step only compares the rate with the threshold, so it calls
-    ``rate_at(L, rate_threshold)``, which may return any proven rate above
-    the threshold instead of the optimum (`maximize`'s ``target``).  A rate
-    that is not finite raises ValueError (nan would pass for a key).
+    Every march and bisection step only asks whether the rate is above the
+    threshold, so it calls ``rate_at(L, rate_threshold)``, which may return
+    any proven rate above the threshold instead of the optimum (`maximize`'s
+    ``target``).  Once the bracket is known, one untargeted ``rate_at(lo)``
+    at its key end solves that distance in full, so that the bisection
+    starts from an optimum rather than from the first key proven there.  A
+    rate that is not finite raises ValueError (nan would pass for a key).
     """
     check_range("rate_threshold", rate_threshold, 0.0, math.inf, hi_open=True)
 
@@ -157,22 +153,17 @@ def solve_lmax_profile(rate_at: Callable[..., float],
             return r
         raise ValueError(f"rate_at({dist} km) = {r!r} is not finite")
 
-    r0 = rate(0.0)
-    if r0 <= rate_threshold:
+    def no_key(dist):
+        return rate(dist, rate_threshold) <= rate_threshold
+
+    if no_key(0.0):
         return 0.0
-    lo, lo_rate = 0.0, r0
-    dist = _L_COARSE_STEP_KM
+    lo, dist = 0.0, _L_COARSE_STEP_KM
     while dist <= _L_CAP_KM + 1e-9:
-        r = rate(dist)
-        if r > lo_rate * _MONOTONE_SLACK and r > rate_threshold:
-            raise NonMonotoneRateError(
-                f"optimized rate rose from {lo_rate:.3e} at {lo} km to "
-                f"{r:.3e} at {dist} km")
-        if r <= rate_threshold:
-            return _bisect(lambda mid: (rate(mid, rate_threshold)
-                                        <= rate_threshold),
-                           lo, dist, _L_RESOLUTION_KM)
-        lo, lo_rate = dist, r
+        if no_key(dist):
+            rate(lo)
+            return _bisect(no_key, lo, dist, _L_RESOLUTION_KM)
+        lo = dist
         dist += _L_COARSE_STEP_KM
     return _L_CAP_KM
 

@@ -10,7 +10,7 @@ from pnp_bb84.config import (ConfigError, RunConfig, parse_config,
                              serialize_config)
 from pnp_bb84.optimize import InfeasibleProblemError
 from pnp_bb84.params import Scenario
-from pnp_bb84.scans import NonMonotoneRateError
+from pnp_bb84.scans import ThresholdOutsideRangeError
 
 
 class TestParseConfig:
@@ -27,6 +27,17 @@ class TestParseConfig:
         again = parse_config(serialize_config(config))
         assert again.phys == config.phys
         assert again.conventions == config.conventions
+
+    def test_out_dir_round_trip(self):
+        config = RunConfig(out_dir="runs/1")
+        assert parse_config(serialize_config(config)) == config
+
+    @pytest.mark.parametrize("out_dir", ["runs/#1", "runs/\n1", " runs/1",
+                                         "runs/1 ", ""])
+    def test_out_dir_no_config_line_holds_is_refused(self, out_dir):
+        # parse_config reads "runs/#1" back as "runs/" (the rest is a comment)
+        with pytest.raises(ConfigError, match="out_dir"):
+            serialize_config(RunConfig(out_dir=out_dir))
 
     def test_comments_and_blank_lines(self):
         config = parse_config("# comment\n\nf_ec = 1.1  # inline\n")
@@ -187,14 +198,17 @@ class TestCliCommands:
             raise exc
         return solver
 
-    def test_non_monotone_rate_is_a_one_line_error(self, tmp_path, capsys,
-                                                    monkeypatch):
-        monkeypatch.setattr(cli, "find_lmax", self._raising(
-            NonMonotoneRateError("optimized rate rose")))
-        rc = main(["lmax", "--scenario", "decoy_infinite",
+    def test_threshold_outside_range_is_a_one_line_error(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "find_na_threshold", self._raising(
+            ThresholdOutsideRangeError(
+                "no positive rate up to n_pulses = 1e18")))
+        rc = main(["nath", "--scenario", "no_decoy_finite",
                    "--out", str(tmp_path)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: optimized rate rose\n"
+        assert capsys.readouterr().err == \
+            "error: no positive rate up to n_pulses = 1e18\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_infeasible_problem_is_a_one_line_error(self, tmp_path, capsys,
                                                     monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from pnp_bb84 import (PhysicalParams, Scenario, evaluate_rate, figure_datasets,
                       scan_distance, solve_lmax_profile)
 from pnp_bb84.params import BoundConventions
-from pnp_bb84.scans import _L_CAP_KM, NonMonotoneRateError
+from pnp_bb84.scans import _L_CAP_KM
 from pnp_bb84 import io_csv
 
 PHYS = PhysicalParams()
@@ -45,15 +45,28 @@ class TestLmaxProfileSolver:
         assert lmax == pytest.approx(60.0, abs=0.1)
 
     def test_zero_when_dead_at_origin(self):
-        assert solve_lmax_profile(lambda dist: 1e-12, 1e-9) == 0.0
+        assert solve_lmax_profile(lambda dist, target=None: 1e-12,
+                                  1e-9) == 0.0
 
     def test_cap_when_never_crossing(self):
-        assert solve_lmax_profile(lambda dist: 1.0, 1e-9) == _L_CAP_KM
+        assert solve_lmax_profile(lambda dist, target=None: 1.0,
+                                  1e-9) == _L_CAP_KM
 
-    def test_non_monotone_profile_detected(self):
-        bumpy = lambda dist: 1e-3 * (1.0 if dist < 15 else 100.0) * 10 ** (-dist / 10)
-        with pytest.raises(NonMonotoneRateError):
-            solve_lmax_profile(bumpy, 1e-9)
+    def test_yes_no_answers_pin_the_bracket_and_midpoints(self):
+        # a key up to 37 km and none beyond; the rates with a key rise with
+        # distance, which no step compares, so only the yes/no answers and
+        # the one untargeted solve at the bracket's key end (30 km) appear
+        calls = []
+
+        def profile(dist, target=None):
+            calls.append((dist, target))
+            return 1e-6 * (1.0 + dist) if dist <= 37.0 else -1e-10
+
+        assert solve_lmax_profile(profile, 1e-9) == 36.9921875
+        march = [(10.0 * i, 1e-9) for i in range(5)]
+        midpoints = [(mid, 1e-9) for mid in (35.0, 37.5, 36.25, 36.875,
+                                             37.1875, 37.03125, 36.953125)]
+        assert calls == march + [(30.0, None)] + midpoints
 
     @pytest.mark.parametrize("nan_from_km,named_km", [(0.0, 0.0),
                                                      (55.0, 60.0)])
@@ -73,7 +86,7 @@ class TestLmaxProfileSolver:
     def test_bad_arguments_rejected_before_any_rate(self, kwargs):
         calls = []
 
-        def rate_at(dist):
+        def rate_at(dist, target=None):
             calls.append(dist)
             return 1e-3 * 10 ** (-dist / 10)
 
@@ -112,20 +125,26 @@ def _recording_maximize(monkeypatch):
     return calls
 
 
-def test_lmax_march_is_untargeted_and_bisection_targeted(monkeypatch):
-    # the march's monotonicity check reads optimized rates; a bisection
-    # step only asks whether the rate is above the threshold
+def test_lmax_solves_in_full_only_at_the_bracket_key_end(monkeypatch):
+    # every march and bisection step only asks whether the rate is above the
+    # threshold; the one full solve, at the bracket's key end, warm starts
+    # the bisection from an optimum
     from pnp_bb84 import find_lmax
 
     calls = _recording_maximize(monkeypatch)
     assert find_lmax(Scenario.DECOY_INFINITE, math.inf, 1e-9) == 123.3203125
-    march = next(i for i, (_, _, rate) in enumerate(calls)
-                 if rate <= 1e-9) + 1
-    assert [dist for dist, _, _ in calls[:march]] == \
-        [10.0 * i for i in range(march)]
-    assert {target for _, target, _ in calls[:march]} == {None}
-    assert len(calls) > march
-    assert {target for _, target, _ in calls[march:]} == {1e-9}
+    full = [i for i, (_, target, _) in enumerate(calls) if target is None]
+    assert len(full) == 1
+    march = calls[:full[0]]
+    assert [dist for dist, _, _ in march] == \
+        [10.0 * i for i in range(len(march))]
+    assert [rate > 1e-9 for _, _, rate in march] == \
+        [True] * (len(march) - 1) + [False]
+    lo, hi = march[-2][0], march[-1][0]
+    assert calls[full[0]][0] == lo
+    assert calls[full[0] + 1][0] == 0.5 * (lo + hi)
+    assert {target for i, (_, target, _) in enumerate(calls)
+            if i != full[0]} == {1e-9}
 
 
 def test_every_pulse_count_probe_is_targeted(monkeypatch):

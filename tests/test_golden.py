@@ -223,9 +223,13 @@ def test_find_lmax_matches_golden():
 # Each bisection near a finite-key cutoff runs no-key maximizes warm started
 # from the probes before it, so a change to the work a no-key search does can
 # move these answers: recording only full results in the warm chain moved
-# the 1e12 answer to 88.5546875.
+# the 1e12 answer to 88.5546875.  The 1e13 cutoff lies in a narrow basin
+# that the bisection finds only from the full solve at the bracket's key
+# end: without it, warm started from the march's early stops, the answer
+# falls to 101.2109375.
 @pytest.mark.parametrize("n_pulses,lmax", [
-    (5e10, 64.4921875), (1e12, 88.6328125)], ids=["5e10", "1e12"])
+    (5e10, 64.4921875), (1e12, 88.6328125), (1e13, 101.3671875)],
+    ids=["5e10", "1e12", "1e13"])
 def test_find_lmax_decoy_finite_matches_golden(n_pulses, lmax):
     from pnp_bb84.scans import find_lmax
 
