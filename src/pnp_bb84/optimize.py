@@ -131,10 +131,15 @@ class OptimizationProblem:
         check_range("distance_km", self.distance_km, 0.0, math.inf,
                     hi_open=True)
         check_integer("seed", self.seed, 0)
-        if 0.0 in _kernels.channel_at(self.distance_km, self.phys.to_array()):
+        m_a, eta = _kernels.channel_at(self.distance_km, self.phys.to_array())
+        if 0.0 in (m_a, eta):
             raise InfeasibleProblemError(
                 f"no photon survives L={self.distance_km} km: the channel "
                 f"attenuation underflows to 0")
+        if self.phys.q_split * m_a == 0.0:
+            # the encoder's transmittance cap divides by this product
+            raise InfeasibleProblemError(
+                f"q_split * m_a underflows to 0 at L={self.distance_km} km")
 
     @property
     def dim(self) -> int:

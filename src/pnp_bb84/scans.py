@@ -23,6 +23,8 @@ _L_COARSE_STEP_KM = 10.0
 _L_RESOLUTION_KM = 0.1
 _NA_LOG_RANGE = (6.0, 18.0)  # pulse-count threshold search, log10
 _NA_LOG_RESOLUTION = 0.05
+# threshold searches probe this fraction of the open cells from the key end
+_KEY_END_SPLIT = 0.25
 
 
 class ThresholdOutsideRangeError(RuntimeError):
@@ -87,17 +89,34 @@ def _warm_chain(scenario: Scenario, phys: PhysicalParams,
     return solve
 
 
-def _bisect(below: Callable[[float], bool], lo: float, hi: float,
-            width: float) -> float:
-    """Midpoint of ``[lo, hi]`` halved until no wider than ``width``;
-    ``below(x)`` says whether the sought point lies below ``x``."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            hi = mid
+def _key_end_search(has_key: Callable[[float], bool], key_end: float,
+                    far_end: float, width: float) -> tuple[float, bool]:
+    """Midpoint of the grid cell where ``has_key`` flips, and whether that
+    cell is the one next to ``far_end``.
+
+    ``has_key`` is true at ``key_end`` and taken to be false at ``far_end``;
+    neither end is asked.  The grid splits ``[key_end, far_end]`` into the
+    fewest 2^K cells no wider than ``width``, as many as halving the bracket
+    down to ``width`` makes, and every probe is a grid point.  A probe goes
+    `_KEY_END_SPLIT` of the open cells (at least one) from the known key
+    end: a "yes" may stop at its first proven key while a "no" searches in
+    full, so most probes are cheap "yes" answers and a "no" leaves a quarter
+    of the bracket.  The midpoint ``key_end + (k + 0.5) * step`` of the last
+    cell is the float the halving loop returns for the same cell whenever
+    the grid points are exact, as they are for the solvers' brackets.
+    """
+    cells = 1
+    while abs(far_end - key_end) / cells > width:
+        cells *= 2
+    step = (far_end - key_end) / cells
+    yes, no = 0, cells  # grid indices from the key end
+    while no - yes > 1:
+        probe = yes + max(1, int((no - yes) * _KEY_END_SPLIT))
+        if has_key(key_end + probe * step):
+            yes = probe
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            no = probe
+    return key_end + (yes + 0.5) * step, no == cells
 
 
 def scan_distance(scenario: Scenario, n_pulses: float,
@@ -133,17 +152,21 @@ def solve_lmax_profile(rate_at: Callable[..., float],
     """Largest distance with ``rate_at(L) > rate_threshold``.
 
     Assumes a non-increasing profile: marches from 0 km in `_L_COARSE_STEP_KM`
-    steps up to `_L_CAP_KM` (returned if every step has a key), then bisects
-    the bracket between the last step with a key and the first without one to
-    `_L_RESOLUTION_KM`.
+    steps up to `_L_CAP_KM` (returned if every step has a key), then searches
+    the bracket between the last step with a key and the first without one
+    with `_key_end_search` on its 128-cell grid (0.078125 km cells, the
+    finest halving of 10 km no wider than `_L_RESOLUTION_KM`), probing a
+    quarter of the open cells from the bracket's key end.
 
-    Every march and bisection step only asks whether the rate is above the
+    Every march and search step only asks whether the rate is above the
     threshold, so it calls ``rate_at(L, rate_threshold)``, which may return
     any proven rate above the threshold instead of the optimum (`maximize`'s
-    ``target``).  Once the bracket is known, one untargeted ``rate_at(lo)``
-    at its key end solves that distance in full, so that the bisection
-    starts from an optimum rather than from the first key proven there.  A
-    rate that is not finite raises ValueError (nan would pass for a key).
+    ``target``).  A "yes" thus stops at its first proven key and a "no"
+    solves in full, which is why the search probes near the key end.  Once
+    the bracket is known, one untargeted ``rate_at(lo)`` at its key end
+    solves that distance in full, so that the search starts from an optimum
+    rather than from the first key proven there.  A rate that is not finite
+    raises ValueError (nan would pass for a key).
     """
     check_range("rate_threshold", rate_threshold, 0.0, math.inf, hi_open=True)
 
@@ -162,7 +185,8 @@ def solve_lmax_profile(rate_at: Callable[..., float],
     while dist <= _L_CAP_KM + 1e-9:
         if no_key(dist):
             rate(lo)
-            return _bisect(no_key, lo, dist, _L_RESOLUTION_KM)
+            return _key_end_search(lambda d: not no_key(d), lo, dist,
+                                   _L_RESOLUTION_KM)[0]
         lo = dist
         dist += _L_COARSE_STEP_KM
     return _L_CAP_KM
@@ -189,9 +213,15 @@ def find_na_threshold(scenario: Scenario,
 
     Since the optimized rate is non-increasing in distance, a positive
     maximal distance is equivalent to the optimized rate at L = 0 exceeding
-    the threshold; the search bisects that condition in log pulse count.
-    Each probe only asks that question, so each `maximize` stops at the first
-    rate it proves above the threshold.
+    the threshold.  Each probe only asks that question, so each `maximize`
+    stops at the first rate it proves above the threshold, while a "no"
+    runs every start in full.  After checking the top of `_NA_LOG_RANGE`,
+    `_key_end_search` searches its 256-cell grid in log pulse count
+    (0.046875 decades, the finest halving of 12 decades no wider than
+    `_NA_LOG_RESOLUTION`), probing a quarter of the open cells down from the
+    top, where the answers are cheap "yes"es.  The floor of the range is
+    asked only when the search ends in its lowest cell; a key there raises
+    ThresholdOutsideRangeError, as does no key at the top.
     """
     if not scenario.finite:
         raise ValueError("pulse-count threshold applies to finite scenarios only")
@@ -206,10 +236,12 @@ def find_na_threshold(scenario: Scenario,
     if not positive(hi_log):
         raise ThresholdOutsideRangeError(
             f"no positive rate up to n_pulses = 1e{hi_log:.0f}")
-    if positive(lo_log):
+    log_na, floor_cell = _key_end_search(positive, hi_log, lo_log,
+                                         _NA_LOG_RESOLUTION)
+    if floor_cell and positive(lo_log):
         raise ThresholdOutsideRangeError(
             f"threshold below the search floor n_pulses = 1e{lo_log:.0f}")
-    return 10.0 ** _bisect(positive, lo_log, hi_log, _NA_LOG_RESOLUTION)
+    return 10.0 ** log_na
 
 
 # --- figure datasets ------------------------------------------------------------

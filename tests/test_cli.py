@@ -249,6 +249,20 @@ class TestCliCommands:
             err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_q_split_times_m_a_underflow_is_a_one_line_error(self, tmp_path,
+                                                             capsys):
+        # m_a is not 0 at 3150 km, but q_split * m_a is
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m_bright = 1e-3\nq_split = 1e-9\nloss_coeff = 1.0\n")
+        rc = main(["scan", "--config", str(cfg), "--scenario",
+                   "decoy_infinite", "--lmin", "3150", "--lmax-km", "3150",
+                   "--lstep", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: q_split * m_a underflows") and \
+            err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_config_file_not_utf8_is_a_one_line_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"\xff\xfe y0 = 1\n")

@@ -257,6 +257,15 @@ def test_problem_past_attenuation_underflow_is_infeasible(scenario):
     problem(scenario, distance_km=15000.0)
 
 
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_problem_where_q_split_times_m_a_underflows_is_infeasible(scenario):
+    # m_a is about 1e-318 at 3150 km here, not 0, but q_split * m_a rounds
+    # to 0.0 and the encoder's transmittance cap divides by it
+    phys = PhysicalParams(m_bright=1e-3, q_split=1e-9, loss_coeff=1.0)
+    with pytest.raises(InfeasibleProblemError, match="q_split"):
+        problem(scenario, distance_km=3150.0, phys=phys)
+
+
 @pytest.mark.parametrize("index", [0, 12])
 @pytest.mark.parametrize("value", [NAN, INF, -INF])
 def test_point_from_raw_rejects_a_non_finite_coordinate(index, value):

@@ -55,7 +55,9 @@ class TestLmaxProfileSolver:
     def test_yes_no_answers_pin_the_bracket_and_midpoints(self):
         # a key up to 37 km and none beyond; the rates with a key rise with
         # distance, which no step compares, so only the yes/no answers and
-        # the one untargeted solve at the bracket's key end (30 km) appear
+        # the one untargeted solve at the bracket's key end (30 km) appear.
+        # Each probe sits a quarter of the open 0.078125-km cells above the
+        # last "yes" (cells 32, 56, 74, 87, 97, 89, 91, 90 of [30, 40])
         calls = []
 
         def profile(dist, target=None):
@@ -64,9 +66,10 @@ class TestLmaxProfileSolver:
 
         assert solve_lmax_profile(profile, 1e-9) == 36.9921875
         march = [(10.0 * i, 1e-9) for i in range(5)]
-        midpoints = [(mid, 1e-9) for mid in (35.0, 37.5, 36.25, 36.875,
-                                             37.1875, 37.03125, 36.953125)]
-        assert calls == march + [(30.0, None)] + midpoints
+        probes = [(mid, 1e-9) for mid in (32.5, 34.375, 35.78125, 36.796875,
+                                          37.578125, 36.953125, 37.109375,
+                                          37.03125)]
+        assert calls == march + [(30.0, None)] + probes
 
     @pytest.mark.parametrize("nan_from_km,named_km", [(0.0, 0.0),
                                                      (55.0, 60.0)])
@@ -126,9 +129,10 @@ def _recording_maximize(monkeypatch):
 
 
 def test_lmax_solves_in_full_only_at_the_bracket_key_end(monkeypatch):
-    # every march and bisection step only asks whether the rate is above the
+    # every march and search step only asks whether the rate is above the
     # threshold; the one full solve, at the bracket's key end, warm starts
-    # the bisection from an optimum
+    # the search from an optimum, and the first probe is a quarter of the
+    # bracket above it
     from pnp_bb84 import find_lmax
 
     calls = _recording_maximize(monkeypatch)
@@ -142,7 +146,7 @@ def test_lmax_solves_in_full_only_at_the_bracket_key_end(monkeypatch):
         [True] * (len(march) - 1) + [False]
     lo, hi = march[-2][0], march[-1][0]
     assert calls[full[0]][0] == lo
-    assert calls[full[0] + 1][0] == 0.5 * (lo + hi)
+    assert calls[full[0] + 1][0] == lo + 0.25 * (hi - lo)
     assert {target for i, (_, target, _) in enumerate(calls)
             if i != full[0]} == {1e-9}
 
@@ -154,6 +158,116 @@ def test_every_pulse_count_probe_is_targeted(monkeypatch):
     assert find_na_threshold(Scenario.NO_DECOY_FINITE, 1e-9) == \
         947463525.65537536
     assert calls and {target for _, target, _ in calls} == {1e-9}
+
+
+def _halving(below, lo, hi, width):
+    """The plain bisection the threshold solvers used before their key-end
+    search: the midpoint of ``[lo, hi]`` halved until no wider than
+    ``width``, with ``below(x)`` saying whether the flip lies below x."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _step_maximize(monkeypatch, has_key):
+    """Stub `scans.maximize` with rate 1.0 where ``has_key(problem)`` and
+    0.0 elsewhere; returns the list of probed pulse counts."""
+    from types import SimpleNamespace
+
+    from pnp_bb84 import scans
+
+    probed = []
+
+    def maximize(problem, target=None):
+        probed.append(problem.n_pulses)
+        return SimpleNamespace(best_rate=1.0 if has_key(problem) else 0.0,
+                               best_point=None)
+
+    monkeypatch.setattr(scans, "maximize", maximize)
+    return probed
+
+
+class TestKeyEndSearch:
+    """The key-end search returns the float the halving loop returns, for
+    every bracket the solvers form and every cell the flip can lie in, and
+    probes only its grid."""
+
+    @pytest.mark.parametrize("lo", [10.0 * k for k in range(20)])
+    def test_lmax_matches_halving_in_every_cell(self, lo):
+        step = 10.0 / 128
+        for cell in range(128):
+            flip = lo + (cell + 0.5) * step
+            calls = []
+
+            def profile(dist, target=None):
+                calls.append((dist, target))
+                return 1.0 if dist < flip else 0.0
+
+            assert solve_lmax_profile(profile, 1e-9) == \
+                _halving(lambda x: x > flip, lo, lo + 10.0, 0.1)
+            full = [i for i, (_, target) in enumerate(calls) if target is None]
+            assert calls[full[0]] == (lo, None) and len(full) == 1
+            for dist, _ in calls[full[0] + 1:]:
+                index = (dist - lo) / step
+                assert index == int(index) and 0 < index < 128
+
+    def test_nath_matches_halving_in_every_cell(self, monkeypatch):
+        from pnp_bb84 import find_na_threshold
+
+        step = 12.0 / 256
+        grid = {10.0 ** (18.0 - j * step) for j in range(257)}
+        for cell in range(256):
+            flip = 6.0 + (cell + 0.5) * step
+            probed = _step_maximize(
+                monkeypatch, lambda problem: problem.n_pulses > 10.0 ** flip)
+            assert find_na_threshold(Scenario.NO_DECOY_FINITE) == \
+                10.0 ** _halving(lambda x: x > flip, 6.0, 18.0, 0.05)
+            assert set(probed) <= grid
+            # the floor is asked only when the flip is in the lowest cell
+            assert (1e6 in probed) == (cell == 0)
+
+
+class TestPulseCountRange:
+    def test_no_key_at_the_top_of_the_range(self, monkeypatch):
+        from pnp_bb84 import find_na_threshold
+        from pnp_bb84.scans import ThresholdOutsideRangeError
+
+        probed = _step_maximize(monkeypatch, lambda problem: False)
+        with pytest.raises(ThresholdOutsideRangeError,
+                           match="no positive rate up to n_pulses = 1e18"):
+            find_na_threshold(Scenario.DECOY_FINITE)
+        assert probed == [1e18]
+
+    def test_key_at_the_floor_of_the_range(self, monkeypatch):
+        from pnp_bb84 import find_na_threshold
+        from pnp_bb84.scans import ThresholdOutsideRangeError
+
+        probed = _step_maximize(monkeypatch, lambda problem: True)
+        with pytest.raises(ThresholdOutsideRangeError,
+                           match="threshold below the search floor "
+                                 "n_pulses = 1e6"):
+            find_na_threshold(Scenario.NO_DECOY_FINITE)
+        assert probed[0] == 1e18 and probed[-1] == 1e6
+        assert probed[-2] == 10.0 ** (6.0 + 12.0 / 256)
+
+    def test_golden_run_never_probes_the_floor(self, monkeypatch):
+        # the search ends far above the floor, so 1e6 pulses are never asked
+        from pnp_bb84 import find_na_threshold, scans
+
+        probed, inner = [], scans.maximize
+
+        def recorded(problem, target=None):
+            probed.append(problem.n_pulses)
+            return inner(problem, target=target)
+
+        monkeypatch.setattr(scans, "maximize", recorded)
+        assert find_na_threshold(Scenario.NO_DECOY_FINITE, 1e-9) == \
+            947463525.65537536
+        assert probed[0] == 1e18 and 1e6 not in probed
 
 
 class TestScanDistance:
