@@ -13,7 +13,7 @@ from .rates import (BoundUnavailableError, EmptyRawKeyError, ErrorBudget,
                     WindowViolationError, e1u_upper_decoy, evaluate_rate,
                     evaluate_rate_finite_limit, finite_correction_delta,
                     q1u_lower_decoy, q1u_lower_no_decoy, untagged_bounds)
-from .scans import (ScanRecord, figure_datasets, find_lmax, find_na_threshold,
+from .scans import (figure_datasets, find_lmax, find_na_threshold,
                     scan_distance, solve_lmax_profile)
 from .source import (SourceConfig, WindowConditionError,
                      mean_output_intensity, photon_bound_lower,
@@ -27,7 +27,7 @@ __all__ = [
     "ErrorBudget", "FluctuationTooLargeError", "InfeasibleProblemError",
     "NoUntaggedPulsesError", "OptimizationProblem", "OptimizationResult",
     "PhysicalParams", "ProtocolPoint", "RateBreakdown",
-    "RateEvaluationError", "ScanRecord", "Scenario", "SourceConfig",
+    "RateEvaluationError", "Scenario", "SourceConfig",
     "WindowConditionError", "WindowViolationError", "binary_entropy",
     "channel_transmittance", "e1u_upper_decoy", "erf", "erfc",
     "evaluate_rate", "evaluate_rate_finite_limit", "figure_datasets",

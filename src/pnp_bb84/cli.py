@@ -160,12 +160,12 @@ def _cmd_nath(config: RunConfig) -> int:
     scenario = _require_scenario(config)
     if not scenario.finite:
         raise ConfigError("nath applies to the finite-key scenarios")
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     threshold = (scans.DEFAULT_THRESHOLD if config.threshold is None
                  else config.threshold)
     na_th = find_na_threshold(scenario, threshold, config.phys,
                               config.conventions)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = io_csv.write_nath(out, scenario, threshold, na_th)
     print(f"{scenario.value}: pulse-count threshold = {na_th:.3e}")
     print(f"wrote {path}")

@@ -8,9 +8,8 @@ pulse count (`scan_tag`), so two scans share a file name only when they
 share the pulse count, which `check_scan_names` refuses.  Floats are
 serialized with 17 significant digits so recorded parameters re-evaluate to
 the recorded rate exactly; identical inputs produce byte-identical files.
-
-Records are `scans.ScanRecord`s, named only in annotations: `scans` imports
-this module.
+A scan row is one `OptimizationResult`, as `scans.scan_distance` returns
+them: its key columns come from the best point.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import _kernels
+from .optimize import OptimizationResult
 from .params import Scenario
 from .rates import budget_fields
 
@@ -28,19 +28,20 @@ from .rates import budget_fields
 _KEY = ("scenario", "L_km", "n_pulses")
 _COMMON = _KEY + ("rate", "no_key")
 
-# the columns not read from the point, or its budget, by their own name
+# the columns not read from the best point, or its budget, by their own name
 _DERIVED = {
-    "rate": lambda r: r.rate,
-    "no_key": lambda r: r.no_key,
-    "mu": lambda r: r.mu,
-    "mu_s": lambda r: r.mu,
-    "mu_d": lambda r: r.mu_decoy,
+    "rate": lambda r: r.best_rate,
+    "no_key": lambda r: r.best_rate <= 0.0,
+    "mu": lambda r: r.breakdown.mu,
+    "mu_s": lambda r: r.breakdown.mu,
+    "mu_d": lambda r: r.breakdown.mu_decoy,
     # the asymptotic protocol fixes p_s, the finite one optimizes it
-    "p_s": lambda r: (r.point.p_s if r.scenario.finite
+    "p_s": lambda r: (r.best_point.p_s if r.best_point.scenario.finite
                       else _kernels.ASYMPTOTIC_P_S),
-    "r_sample": lambda r: r.sample_fraction,
+    # the sifted key's share sacrificed to error estimation
+    "r_sample": lambda r: r.best_point.m_e / r.breakdown.sifted,
     "n_raw": lambda r: r.breakdown.n_raw,
-    "key_length": lambda r: r.key_length,
+    "key_length": lambda r: r.best_rate * r.best_point.n_pulses,
 }
 
 
@@ -63,28 +64,29 @@ def columns_for(scenario: Scenario) -> tuple[str, ...]:
     return _COMMON + block
 
 
-def _value(record: ScanRecord, column: str) -> float:
+def _value(record: OptimizationResult, column: str) -> float:
     derived = _DERIVED.get(column)
     if derived is not None:
         return derived(record)
     if column.startswith("eps_"):
-        return getattr(record.point.budget, column)
-    return getattr(record.point, column)
+        return getattr(record.best_point.budget, column)
+    return getattr(record.best_point, column)
 
 
-def write_records(path, records: Sequence[ScanRecord]) -> None:
-    """The scenario's columns (`columns_for`) of every record, one row each;
-    all records must share one scenario."""
+def write_records(path, records: Sequence[OptimizationResult]) -> None:
+    """The scenario's columns (`columns_for`) of every optimizer result, one
+    row each, keyed by its best point; all must share one scenario."""
     if not records:
         raise ValueError("no records to write")
-    scenarios = {r.scenario.value for r in records}
+    scenarios = {r.best_point.scenario.value for r in records}
     if len(scenarios) > 1:
         raise ValueError(f"a file holds one scenario, got {sorted(scenarios)}")
-    columns = columns_for(records[0].scenario)[len(_KEY):]
+    columns = columns_for(records[0].best_point.scenario)[len(_KEY):]
     lines = [",".join(_KEY + columns)]
     for r in records:
+        p = r.best_point
         lines.append(",".join(
-            [r.scenario.value, fmt(r.distance_km), fmt(r.n_pulses)]
+            [p.scenario.value, fmt(p.distance_km), fmt(p.n_pulses)]
             + [fmt(_value(r, column)) for column in columns]))
     _dump(path, lines)
 
@@ -124,14 +126,15 @@ def check_scan_names(scenario: Scenario,
         seen.add(name)
 
 
-def write_scan(out_dir, records: Sequence[ScanRecord]) -> Path:
-    """``scan_<scenario>_<tag>.csv``: one scan at one pulse count, tagged by
-    `scan_tag`."""
-    pulse_counts = {r.n_pulses for r in records}
+def write_scan(out_dir, records: Sequence[OptimizationResult]) -> Path:
+    """``scan_<scenario>_<tag>.csv``: one `scans.scan_distance` at one pulse
+    count, tagged by `scan_tag`."""
+    pulse_counts = {r.best_point.n_pulses for r in records}
     if len(pulse_counts) != 1:
         raise ValueError(f"a scan file holds one pulse count, got "
                          f"{sorted(pulse_counts)}")
-    path = Path(out_dir) / _scan_name(records[0].scenario, pulse_counts.pop())
+    path = Path(out_dir) / _scan_name(records[0].best_point.scenario,
+                                      pulse_counts.pop())
     write_records(path, records)
     return path
 

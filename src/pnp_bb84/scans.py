@@ -7,7 +7,6 @@ each is the `io_csv` scan or lmax file of one scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -15,7 +14,7 @@ from . import io_csv
 from .numerics import check_range
 from .optimize import OptimizationProblem, OptimizationResult, maximize
 from .params import BoundConventions, PhysicalParams, Scenario
-from .rates import ProtocolPoint, RateBreakdown
+from .rates import ProtocolPoint
 
 DEFAULT_THRESHOLD = 1e-9     # positivity convention for the maximal distance
 _L_CAP_KM = 200.0            # coarse-march ceiling for the distance solver
@@ -29,38 +28,6 @@ _KEY_END_SPLIT = 0.25
 
 class ThresholdOutsideRangeError(RuntimeError):
     """No pulse-count threshold inside the search range."""
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    """One row of a distance or pulse-count scan."""
-
-    scenario: Scenario
-    distance_km: float
-    n_pulses: float
-    rate: float
-    no_key: bool
-    point: ProtocolPoint
-    breakdown: RateBreakdown
-
-    @property
-    def mu(self) -> float:
-        return self.breakdown.mu
-
-    @property
-    def mu_decoy(self) -> Optional[float]:
-        return self.breakdown.mu_decoy
-
-    @property
-    def sample_fraction(self) -> Optional[float]:
-        """Sacrificed fraction of the sifted key used for error estimation."""
-        if self.point.m_e is None:
-            return None
-        return self.point.m_e / self.breakdown.sifted
-
-    @property
-    def key_length(self) -> float:
-        return self.rate * self.n_pulses
 
 
 def _warm_chain(scenario: Scenario, phys: PhysicalParams,
@@ -123,10 +90,12 @@ def scan_distance(scenario: Scenario, n_pulses: float,
                   l_grid: Sequence[float],
                   phys: PhysicalParams = PhysicalParams(),
                   conventions: BoundConventions = BoundConventions()
-                  ) -> list[ScanRecord]:
-    """Optimize the rate at every grid distance, warm-starting along the scan.
+                  ) -> list[OptimizationResult]:
+    """`maximize`'s result at every grid distance, warm-starting along the
+    scan: one `OptimizationResult` per distance, with its evaluations and
+    whether it converged.
 
-    Records with non-positive rate are flagged ``no_key`` but still emitted so
+    A row with ``best_rate <= 0`` has no key; it is still returned, so
     cutoff behaviour stays visible.
     """
     grid = list(l_grid)
@@ -137,14 +106,7 @@ def scan_distance(scenario: Scenario, n_pulses: float,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("l_grid must be strictly increasing")
     solve = _warm_chain(scenario, phys, conventions)
-    records = []
-    for dist in grid:
-        result = solve(dist, dist, n_pulses)
-        records.append(ScanRecord(
-            scenario=scenario, distance_km=dist, n_pulses=n_pulses,
-            rate=result.best_rate, no_key=result.best_rate <= 0.0,
-            point=result.best_point, breakdown=result.breakdown))
-    return records
+    return [solve(dist, dist, n_pulses) for dist in grid]
 
 
 def solve_lmax_profile(rate_at: Callable[..., float],

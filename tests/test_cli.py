@@ -210,6 +210,22 @@ class TestCliCommands:
             "error: no positive rate up to n_pulses = 1e18\n"
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_nath_unusable_out_fails_before_the_search(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # --out names a directory under a regular file: mkdir fails, and
+        # the threshold search must not have run first
+        calls = []
+        monkeypatch.setattr(cli, "find_na_threshold",
+                            lambda *a: calls.append(a) or 9.5e8)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["nath", "--scenario", "no_decoy_finite",
+                   "--out", str(blocker / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert calls == []
+
     def test_infeasible_problem_is_a_one_line_error(self, tmp_path, capsys,
                                                     monkeypatch):
         monkeypatch.setattr(cli, "scan_distance", self._raising(

@@ -206,9 +206,10 @@ def test_warm_started_scan_matches_golden(monkeypatch):
     monkeypatch.setattr(scans, "maximize", counted)
     records = scans.scan_distance(Scenario.DECOY_FINITE, 5e10, [58.0, 60.0])
     assert runs == [(0, 8523), (1, 4793)]
+    assert [r.evaluations for r in records] == [8523, 4793]
     for record, rate in zip(records, [7.536910004601047e-06,
                                       4.2313567658183105e-06]):
-        assert math.isclose(record.rate, rate, rel_tol=1e-12)
+        assert math.isclose(record.best_rate, rate, rel_tol=1e-12)
 
 
 # The solver answers, as the CSVs write them (17 significant
