@@ -13,8 +13,8 @@ from .rates import (BoundUnavailableError, EmptyRawKeyError, ErrorBudget,
                     WindowViolationError, e1u_upper_decoy, evaluate_rate,
                     evaluate_rate_finite_limit, finite_correction_delta,
                     q1u_lower_decoy, q1u_lower_no_decoy, untagged_bounds)
-from .scans import (figure_datasets, find_lmax, find_na_threshold,
-                    scan_distance, solve_lmax_profile)
+from .scans import (find_lmax, find_na_threshold, scan_distance,
+                    solve_lmax_profile)
 from .source import (SourceConfig, WindowConditionError,
                      mean_output_intensity, photon_bound_lower,
                      photon_bound_upper, untagged_probability_finite,
@@ -30,9 +30,9 @@ __all__ = [
     "RateEvaluationError", "Scenario", "SourceConfig",
     "WindowConditionError", "WindowViolationError", "binary_entropy",
     "channel_transmittance", "e1u_upper_decoy", "erf", "erfc",
-    "evaluate_rate", "evaluate_rate_finite_limit", "figure_datasets",
-    "find_lmax", "find_na_threshold", "finite_correction_delta",
-    "gain_and_qber", "grid_oracle", "log_binomial_coeff", "maximize",
+    "evaluate_rate", "evaluate_rate_finite_limit", "find_lmax",
+    "find_na_threshold", "finite_correction_delta", "gain_and_qber",
+    "grid_oracle", "log_binomial_coeff", "maximize",
     "mean_output_intensity", "photon_bound_lower", "photon_bound_upper",
     "point_from_raw", "q1u_lower_decoy", "q1u_lower_no_decoy",
     "raw_from_point", "scan_distance", "solve_lmax_profile",

@@ -7,12 +7,13 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 from . import io_csv, scans
 from .config import ConfigError, RunConfig, parse_config, parse_na_list
 from .optimize import InfeasibleProblemError
 from .params import Scenario
-from .scans import find_lmax, find_na_threshold, figure_datasets, scan_distance
+from .scans import find_lmax, find_na_threshold, scan_distance
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,8 +41,8 @@ _FLAGS = {
 
 _SCAN_FLAGS = ("--na", "--lmin", "--lmax-km", "--lstep")
 
-# each subcommand's help and the flags it reads, and likewise each figure's
-# under `figure`; any other flag is a usage error
+# each subcommand's help and the flags it reads; any other flag is a usage
+# error
 _COMMANDS = {
     "scan": ("optimized rate over a distance grid",
              ("--scenario",) + _SCAN_FLAGS),
@@ -49,11 +50,32 @@ _COMMANDS = {
     "nath": ("pulse-count threshold for a positive secure distance",
              ("--scenario", "--threshold")),
 }
+
+
+class _Figure(NamedTuple):
+    """A summary figure: its ``command`` run once per scenario, in order."""
+
+    help: str
+    flags: tuple[str, ...]  # as under _COMMANDS
+    command: str            # "scan" or "lmax"
+    scenarios: tuple[Scenario, ...]
+    pulse_counts: tuple[float, ...]  # the finite-key runs' default --na
+    l_top: Optional[float] = None    # a scan figure's top if no grid key
+
+
 _FIGURES = {
-    "fig2": ("no-decoy rate scans, finite and asymptotic key", _SCAN_FLAGS),
-    "fig3": ("maximal secure distance over the pulse count, all scenarios",
-             ("--na", "--threshold")),
-    "fig5": ("decoy rate scans, finite and asymptotic key", _SCAN_FLAGS),
+    "fig2": _Figure("no-decoy rate scans, finite and asymptotic key",
+                    _SCAN_FLAGS, "scan",
+                    (Scenario.NO_DECOY_FINITE, Scenario.NO_DECOY_INFINITE),
+                    (5e10, 1e11, 1e12, 1e14), 44.0),
+    "fig3": _Figure("maximal secure distance over the pulse count, all "
+                    "scenarios", ("--na", "--threshold"), "lmax",
+                    tuple(Scenario),
+                    tuple(10.0 ** (8.0 + 0.25 * i) for i in range(33))),
+    "fig5": _Figure("decoy rate scans, finite and asymptotic key",
+                    _SCAN_FLAGS, "scan",
+                    (Scenario.DECOY_FINITE, Scenario.DECOY_INFINITE),
+                    (5e10, 1e11, 1e12, 1e14, 1e16), 130.0),
 }
 
 
@@ -75,8 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser(
         "figure", help="write the datasets behind one of the summary figures"
     ).add_subparsers(dest="figure_id", required=True)
-    for figure_id, (help_text, flags) in _FIGURES.items():
-        _add_flags(figures.add_parser(figure_id, help=help_text), flags)
+    for figure_id, figure in _FIGURES.items():
+        _add_flags(figures.add_parser(figure_id, help=figure.help),
+                   figure.flags)
     return parser
 
 
@@ -173,19 +196,21 @@ def _cmd_nath(config: RunConfig) -> int:
 
 
 def _cmd_figure(config: RunConfig, figure_id: str) -> int:
-    kwargs = {}
-    if config.na_list is not None:
-        # every figure solves finite-key scenarios at the given pulse counts
-        if math.inf in config.na_list:
-            raise ConfigError("figures require finite pulse counts in --na")
-        kwargs["na_list"] = list(config.na_list)
-    if (config.lmin_km, config.lmax_km, config.lstep_km) != (None,) * 3:
-        kwargs["l_grid"] = config.l_grid()
-    if config.threshold is not None:
-        kwargs["threshold"] = config.threshold
-    for path in figure_datasets(figure_id, config.out_dir, config.phys,
-                                config.conventions, **kwargs):
-        print(f"wrote {path}")
+    """The figure's `scan` or `lmax` runs, each writing its own file: a
+    finite-key scenario at the given or the figure's pulse counts, an
+    asymptotic one at none, and a scan from 0 km to the figure's top in
+    2-km steps unless a key sets the grid."""
+    figure = _FIGURES[figure_id]
+    na_list = config.na_list or figure.pulse_counts
+    # checked before the first run, which may be an asymptote's
+    if math.inf in na_list:
+        raise ConfigError("figures require finite pulse counts in --na")
+    if (config.lmin_km, config.lmax_km, config.lstep_km) == (None,) * 3:
+        config = replace(config, lmax_km=figure.l_top)
+    run = _cmd_scan if figure.command == "scan" else _cmd_lmax
+    for scenario in figure.scenarios:
+        run(replace(config, scenario=scenario,
+                    na_list=na_list if scenario.finite else None))
     return 0
 
 

@@ -2,14 +2,15 @@
 
 `write_scan`, `write_lmax` and `write_nath` write
 ``scan_<scenario>_<tag>.csv``, ``lmax_<scenario>.csv`` and
-``nath_<scenario>.csv`` into a directory and return the path; the commands
-and the figure datasets write through them.  A scan's tag reads back as its
-pulse count (`scan_tag`), so two scans share a file name only when they
-share the pulse count, which `check_scan_names` refuses.  Floats are
-serialized with 17 significant digits so recorded parameters re-evaluate to
-the recorded rate exactly; identical inputs produce byte-identical files.
-A scan row is one `OptimizationResult`, as `scans.scan_distance` returns
-them: its key columns come from the best point.
+``nath_<scenario>.csv`` into a directory and return the path; the `scan`,
+`lmax` and `nath` commands write through them, and each figure runs those
+commands.  A scan's tag reads back as its pulse count (`scan_tag`), so two
+scans share a file name only when they share the pulse count, which
+`check_scan_names` refuses.  Floats are serialized with 17 significant
+digits so recorded parameters re-evaluate to the recorded rate exactly;
+identical inputs produce byte-identical files.  A scan row is one
+`OptimizationResult`, as `scans.scan_distance` returns them: its key
+columns come from the best point.
 """
 
 from __future__ import annotations
@@ -73,24 +74,6 @@ def _value(record: OptimizationResult, column: str) -> float:
     return getattr(record.best_point, column)
 
 
-def write_records(path, records: Sequence[OptimizationResult]) -> None:
-    """The scenario's columns (`columns_for`) of every optimizer result, one
-    row each, keyed by its best point; all must share one scenario."""
-    if not records:
-        raise ValueError("no records to write")
-    scenarios = {r.best_point.scenario.value for r in records}
-    if len(scenarios) > 1:
-        raise ValueError(f"a file holds one scenario, got {sorted(scenarios)}")
-    columns = columns_for(records[0].best_point.scenario)[len(_KEY):]
-    lines = [",".join(_KEY + columns)]
-    for r in records:
-        p = r.best_point
-        lines.append(",".join(
-            [p.scenario.value, fmt(p.distance_km), fmt(p.n_pulses)]
-            + [fmt(_value(r, column)) for column in columns]))
-    _dump(path, lines)
-
-
 class ScanNameCollisionError(ValueError):
     """Two scans of one run would write the same file."""
 
@@ -128,14 +111,26 @@ def check_scan_names(scenario: Scenario,
 
 def write_scan(out_dir, records: Sequence[OptimizationResult]) -> Path:
     """``scan_<scenario>_<tag>.csv``: one `scans.scan_distance` at one pulse
-    count, tagged by `scan_tag`."""
+    count, tagged by `scan_tag`.  Each optimizer result is one row of the
+    scenario's columns (`columns_for`), keyed by its best point; all share
+    one scenario."""
     pulse_counts = {r.best_point.n_pulses for r in records}
     if len(pulse_counts) != 1:
         raise ValueError(f"a scan file holds one pulse count, got "
                          f"{sorted(pulse_counts)}")
-    path = Path(out_dir) / _scan_name(records[0].best_point.scenario,
-                                      pulse_counts.pop())
-    write_records(path, records)
+    scenarios = {r.best_point.scenario.value for r in records}
+    if len(scenarios) > 1:
+        raise ValueError(f"a file holds one scenario, got {sorted(scenarios)}")
+    scenario = records[0].best_point.scenario
+    columns = columns_for(scenario)[len(_KEY):]
+    lines = [",".join(_KEY + columns)]
+    for r in records:
+        p = r.best_point
+        lines.append(",".join(
+            [p.scenario.value, fmt(p.distance_km), fmt(p.n_pulses)]
+            + [fmt(_value(r, column)) for column in columns]))
+    path = Path(out_dir) / _scan_name(scenario, pulse_counts.pop())
+    _dump(path, lines)
     return path
 
 

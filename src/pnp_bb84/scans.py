@@ -1,16 +1,14 @@
 """Distance scans and threshold solvers reproducing the headline results.
 
-`figure_datasets` composes them into the files behind the summary figures:
-each is the `io_csv` scan or lmax file of one scenario.
+The CLI's ``figure`` command composes them into the files behind the summary
+figures: each is the file one `scan` or `lmax` run writes.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from . import io_csv
 from .numerics import check_range
 from .optimize import OptimizationProblem, OptimizationResult, maximize
 from .params import BoundConventions, PhysicalParams, Scenario
@@ -205,79 +203,3 @@ def find_na_threshold(scenario: Scenario,
             f"threshold below the search floor n_pulses = 1e{lo_log:.0f}")
     return 10.0 ** log_na
 
-
-# --- figure datasets ------------------------------------------------------------
-
-FIG2_NA = (5e10, 1e11, 1e12, 1e14)
-FIG5_NA = (5e10, 1e11, 1e12, 1e14, 1e16)
-FIG3_LOG_NA_STEP = 0.25
-
-_FIGURE_IDS = ("fig2", "fig3", "fig5")
-
-
-def _default_l_grid(scenario: Scenario) -> list[float]:
-    top = 44.0 if not scenario.uses_decoy else 130.0
-    steps = int(round(top / 2.0))
-    return [2.0 * i for i in range(steps + 1)]
-
-
-def figure_datasets(figure_id: str, out_dir,
-                    phys: PhysicalParams = PhysicalParams(),
-                    conventions: BoundConventions = BoundConventions(),
-                    l_grid: Optional[Sequence[float]] = None,
-                    na_list: Optional[Sequence[float]] = None,
-                    threshold: Optional[float] = None) -> list[Path]:
-    """Write the `scan` or `lmax` files behind one of the summary figures.
-
-    fig2 (no decoy) and fig5 (decoy) scan the finite-key scenario at each
-    pulse count and the asymptotic scenario once; fig3 writes the maximal
-    distance of both finite-key scenarios over the pulse counts and of both
-    asymptotic ones.  Each file is the one `scan` or `lmax` writes for the
-    same inputs.  Returns the paths written.  The default grids cover the
-    full benchmark curves and take a while; pass ``l_grid``/``na_list`` to
-    restrict them.  Only fig2 and fig5 read ``l_grid``, and only fig3 reads
-    ``threshold`` (None is `DEFAULT_THRESHOLD`); passing either to a figure
-    that does not read it raises ValueError.
-    """
-    if figure_id not in _FIGURE_IDS:
-        raise ValueError(f"unknown figure id {figure_id!r}; expected one of "
-                         f"{_FIGURE_IDS}")
-    if figure_id == "fig3" and l_grid is not None:
-        raise ValueError("fig3 takes no l_grid: its solvers choose the "
-                         "distances")
-    if figure_id != "fig3" and threshold is not None:
-        raise ValueError(f"{figure_id} takes no threshold: it scans rates")
-    if threshold is None:
-        threshold = DEFAULT_THRESHOLD
-    check_range("threshold", threshold, 0.0, math.inf, hi_open=True)
-    if na_list is not None and not na_list:
-        raise ValueError("na_list must be non-empty")
-    # every figure solves finite-key scenarios at these pulse counts
-    for na in na_list or ():
-        Scenario.NO_DECOY_FINITE.check_pulse_count(na)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    if figure_id in ("fig2", "fig5"):
-        decoy = figure_id == "fig5"
-        fin_sc = Scenario.DECOY_FINITE if decoy else Scenario.NO_DECOY_FINITE
-        inf_sc = Scenario.DECOY_INFINITE if decoy else Scenario.NO_DECOY_INFINITE
-        nas = list(na_list if na_list is not None
-                   else (FIG5_NA if decoy else FIG2_NA))
-        io_csv.check_scan_names(fin_sc, nas)
-        grid = list(l_grid if l_grid is not None else _default_l_grid(fin_sc))
-        runs = [(fin_sc, na) for na in nas] + [(inf_sc, math.inf)]
-        return [io_csv.write_scan(out, scan_distance(sc, na, grid, phys,
-                                                     conventions))
-                for sc, na in runs]
-
-    # fig3: maximal distance vs log pulse count, plus the asymptotes
-    nas = list(na_list) if na_list is not None else [
-        10.0 ** (8.0 + FIG3_LOG_NA_STEP * i)
-        for i in range(int((16.0 - 8.0) / FIG3_LOG_NA_STEP) + 1)]
-    written = []
-    for sc in Scenario:
-        rows = [(na, find_lmax(sc, na, threshold, phys, conventions))
-                for na in (nas if sc.finite else [math.inf])]
-        written.append(io_csv.write_lmax(out, sc, rows, threshold))
-    return written

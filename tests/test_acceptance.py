@@ -211,9 +211,8 @@ def test_criterion_8_property_suite(tmp_path):
     for tag in ("x", "y"):
         records = scan_distance(Scenario.NO_DECOY_FINITE, 5e10, [10.0, 15.0],
                                 PHYS, CONV)
-        path = tmp_path / f"{tag}.csv"
-        io_csv.write_records(path, records)
-        paths.append(path.read_bytes())
+        (tmp_path / tag).mkdir()
+        paths.append(io_csv.write_scan(tmp_path / tag, records).read_bytes())
     assert paths[0] == paths[1]
 
     # deviation and finite-correction monotonicity grids

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pnp_bb84 import cli
+from pnp_bb84 import cli, io_csv
 from pnp_bb84.cli import main
 from pnp_bb84.config import (ConfigError, RunConfig, parse_config,
                              serialize_config)
@@ -401,23 +401,58 @@ class TestCliCommands:
         assert capsys.readouterr().out.startswith("usage: pnp-bb84")
 
 
+ND_INF, ND_FIN = Scenario.NO_DECOY_INFINITE, Scenario.NO_DECOY_FINITE
+D_INF, D_FIN = Scenario.DECOY_INFINITE, Scenario.DECOY_FINITE
+
+
+def _scans(finite, asymptotic, pulse_counts, grid):
+    """A scan figure's runs: the finite key at each pulse count, then the
+    asymptotic one."""
+    return ([("scan", finite, na, grid) for na in pulse_counts]
+            + [("scan", asymptotic, math.inf, grid)])
+
+
+def _lmaxes(pulse_counts, threshold):
+    """fig3's runs: every scenario in order, a finite key at each count."""
+    return [("lmax", sc, na, threshold) for sc in Scenario
+            for na in (pulse_counts if sc.finite else [math.inf])]
+
+
+# each figure's runs with no run key set: the paper's pulse counts and grids
+FIGURE_DEFAULT_RUNS = {
+    "fig2": _scans(ND_FIN, ND_INF, [5e10, 1e11, 1e12, 1e14],
+                   [2.0 * i for i in range(23)]),
+    "fig3": _lmaxes([10.0 ** (8.0 + 0.25 * i) for i in range(33)], 1e-9),
+    "fig5": _scans(D_FIN, D_INF, [5e10, 1e11, 1e12, 1e14, 1e16],
+                   [2.0 * i for i in range(66)]),
+}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The solvers stubbed, each call recorded as ``(command, args)``; a
+    stubbed scan has no rows, so the scan writer is stubbed too."""
+    seen = []
+    monkeypatch.setattr(cli, "scan_distance",
+                        lambda *a: seen.append(("scan", a)) or [])
+    monkeypatch.setattr(io_csv, "write_scan", lambda out_dir, records: out_dir)
+    monkeypatch.setattr(cli, "find_lmax",
+                        lambda *a: seen.append(("lmax", a)) or 64.5)
+    monkeypatch.setattr(cli, "find_na_threshold",
+                        lambda *a: seen.append(("nath", a)) or 9.5e8)
+    return seen
+
+
+def _runs(calls):
+    """Each recorded scan or lmax as ``(command, scenario, n_pulses, grid or
+    threshold)``."""
+    return [(command, *args[:3]) for command, args in calls]
+
+
 class TestRunKeys:
     """A run key is set or None.  Every command and figure refuses a set key
     that it does not read, and a serialized configuration replays into the
     command that read it."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        # the threshold solvers and the figures are stubbed; a scan runs
-        seen = []
-        monkeypatch.setattr(cli, "find_lmax",
-                            lambda *a: seen.append(("lmax", a)) or 64.5)
-        monkeypatch.setattr(cli, "find_na_threshold",
-                            lambda *a: seen.append(("nath", a)) or 9.5e8)
-        monkeypatch.setattr(cli, "figure_datasets",
-                            lambda *a, **kw: seen.append(("figure", a, kw))
-                            or [])
-        return seen
 
     @pytest.mark.parametrize("args,config_text,keys", [
         (["scan", "--scenario", "no_decoy_infinite", "--lmin", "0",
@@ -474,9 +509,10 @@ class TestRunKeys:
             self, tmp_path, calls, figure_id):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(serialize_config(RunConfig()))
-        rc = main(["figure", figure_id, "--config", str(cfg)])
+        rc = main(["figure", figure_id, "--config", str(cfg),
+                   "--out", str(tmp_path)])
         assert rc == 0
-        assert len(calls) == 1 and calls[0][2] == {}
+        assert _runs(calls) == FIGURE_DEFAULT_RUNS[figure_id]
 
     def test_unset_threshold_is_the_default_threshold(self, tmp_path, capsys,
                                                       calls):
@@ -496,50 +532,47 @@ class TestFigureGrid:
     """`figure` keeps its own distance grid only when no flag or config key
     sets an end or the step."""
 
-    def _grid(self, monkeypatch, tmp_path, args, config_text=None):
-        seen = []
-        monkeypatch.setattr(
-            cli, "figure_datasets",
-            lambda *a, l_grid=None, **kw: seen.append(l_grid) or [])
+    def _grid(self, calls, tmp_path, args, config_text=None):
         if config_text is not None:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(config_text)
             args = args + ["--config", str(cfg)]
         assert main(["figure", "fig2"] + args + ["--out", str(tmp_path)]) == 0
-        return seen[0]
+        grids = [grid for _, _, _, grid in _runs(calls)]
+        calls.clear()
+        assert len(grids) == 5 and grids.count(grids[0]) == 5
+        return grids[0]
 
-    def test_no_grid_given_keeps_the_figure_grid(self, monkeypatch, tmp_path):
-        assert self._grid(monkeypatch, tmp_path, []) is None
-        assert self._grid(monkeypatch, tmp_path, [], "seed = 1\n") is None
+    def test_no_grid_given_keeps_the_figure_grid(self, calls, tmp_path):
+        fig2_grid = [2.0 * i for i in range(23)]
+        assert self._grid(calls, tmp_path, []) == fig2_grid
+        assert self._grid(calls, tmp_path, [], "seed = 1\n") == fig2_grid
 
     @pytest.mark.parametrize("args", [
         ["--lmin", "0", "--lmax-km", "130", "--lstep", "2"], ["--lstep", "2"],
     ])
-    def test_flags_at_the_default_values_are_honoured(self, monkeypatch,
-                                                      tmp_path, args):
+    def test_flags_at_the_default_values_are_honoured(self, calls, tmp_path,
+                                                      args):
         # these used to fall back to fig2's own 0-44 km grid
-        assert self._grid(monkeypatch, tmp_path, args) == RunConfig().l_grid()
+        assert self._grid(calls, tmp_path, args) == RunConfig().l_grid()
 
-    def test_config_key_at_the_default_value_is_honoured(self, monkeypatch,
+    def test_config_key_at_the_default_value_is_honoured(self, calls,
                                                          tmp_path):
-        assert self._grid(monkeypatch, tmp_path, [],
+        assert self._grid(calls, tmp_path, [],
                           "lmax_km = 130\n") == RunConfig().l_grid()
 
 
 class TestFigureFlags:
     """A figure takes only the flags it reads, and a config file may set
     only the keys it reads, besides the physical parameters and
-    conventions."""
+    conventions.  It runs `scan` or `lmax` once per scenario."""
 
-    def _run(self, monkeypatch, tmp_path, args, config_text=None):
-        seen = []
-        monkeypatch.setattr(cli, "figure_datasets",
-                            lambda *a, **kw: seen.append(kw) or [])
+    def _run(self, tmp_path, args, config_text=None):
         if config_text is not None:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(config_text)
             args = args + ["--config", str(cfg)]
-        return main(args + ["--out", str(tmp_path)]), seen
+        return main(args + ["--out", str(tmp_path)])
 
     @pytest.mark.parametrize("figure_id,config_text,keys", [
         ("fig3", "lmin_km = 5\nlmax_km = 9\nlstep_km = 2\n",
@@ -551,41 +584,58 @@ class TestFigureFlags:
     ], ids=["fig3-grid", "fig3-lstep", "fig2-threshold", "fig5-threshold",
             "fig5-scenario"])
     def test_config_keys_the_figure_does_not_read_are_refused(
-            self, monkeypatch, tmp_path, capsys, figure_id, config_text,
-            keys):
-        rc, seen = self._run(monkeypatch, tmp_path, ["figure", figure_id],
-                             config_text)
+            self, calls, tmp_path, capsys, figure_id, config_text, keys):
+        rc = self._run(tmp_path, ["figure", figure_id], config_text)
         assert rc == 1
-        assert seen == []
+        assert calls == []
         assert capsys.readouterr().err == (
             f"error: the config sets {keys}, which figure {figure_id} does "
             f"not read\n")
 
-    @pytest.mark.parametrize("figure_id,config_text", [
-        ("fig3", "eta_bob = 0.045\nseed = 1\nna = 1e10\nthreshold = 1e-4\n"),
-        ("fig2", "decoy_estimator = alternate\nlmax_km = 4\n"),
+    @pytest.mark.parametrize("figure_id,config_text,runs", [
+        ("fig3", "eta_bob = 0.045\nseed = 1\nna = 1e10\nthreshold = 1e-4\n",
+         _lmaxes([1e10], 1e-4)),
+        ("fig2", "decoy_estimator = alternate\nlmax_km = 4\n",
+         _scans(ND_FIN, ND_INF, [5e10, 1e11, 1e12, 1e14], [0.0, 2.0, 4.0])),
     ], ids=["fig3", "fig2"])
     def test_config_keys_the_figure_reads_are_allowed(
-            self, monkeypatch, tmp_path, figure_id, config_text):
-        rc, seen = self._run(monkeypatch, tmp_path, ["figure", figure_id],
-                             config_text)
+            self, calls, tmp_path, figure_id, config_text, runs):
+        rc = self._run(tmp_path, ["figure", figure_id], config_text)
         assert rc == 0
-        assert len(seen) == 1
+        assert _runs(calls) == runs
+        config = parse_config(config_text)
+        # every run gets the physical parameters and conventions
+        assert all(args[-2:] == (config.phys, config.conventions)
+                   for _, args in calls)
 
-    @pytest.mark.parametrize("figure_id,args,kwargs", [
-        ("fig3", [], {}),
+    @pytest.mark.parametrize("figure_id,args,runs", [
+        ("fig3", [], FIGURE_DEFAULT_RUNS["fig3"]),
         ("fig3", ["--na", "1e10", "--threshold", "1e-4"],
-         {"na_list": [1e10], "threshold": 1e-4}),
-        ("fig2", [], {}),
+         _lmaxes([1e10], 1e-4)),
+        ("fig2", [], FIGURE_DEFAULT_RUNS["fig2"]),
         ("fig2", ["--na", "5e10", "--lstep", "65"],
-         {"na_list": [5e10], "l_grid": [0.0, 65.0, 130.0]}),
-    ], ids=["fig3-defaults", "fig3-given", "fig2-defaults", "fig2-given"])
-    def test_only_the_given_keys_are_passed(self, monkeypatch, tmp_path,
-                                            figure_id, args, kwargs):
-        rc, seen = self._run(monkeypatch, tmp_path,
-                             ["figure", figure_id] + args)
-        assert rc == 0
-        assert seen == [kwargs]
+         _scans(ND_FIN, ND_INF, [5e10], [0.0, 65.0, 130.0])),
+        ("fig5", [], FIGURE_DEFAULT_RUNS["fig5"]),
+        ("fig5", ["--na", "1e12,5e10", "--lmin", "10", "--lmax-km", "20",
+                  "--lstep", "5"],
+         _scans(D_FIN, D_INF, [1e12, 5e10], [10.0, 15.0, 20.0])),
+    ], ids=["fig3-defaults", "fig3-given", "fig2-defaults", "fig2-given",
+            "fig5-defaults", "fig5-given"])
+    def test_only_the_given_keys_are_passed(self, calls, tmp_path,
+                                            figure_id, args, runs):
+        # a key left unset takes the figure's own pulse counts and grid
+        assert self._run(tmp_path, ["figure", figure_id] + args) == 0
+        assert _runs(calls) == runs
+
+    def test_fig3_prints_each_maximal_distance_it_finds(self, calls,
+                                                        tmp_path, capsys):
+        # the figure used to print only the files it wrote
+        assert self._run(tmp_path, ["figure", "fig3", "--na", "1e10",
+                                    "--threshold", "1e-4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # both asymptotes, and both finite keys at one pulse count
+        assert sum("L_max = 64.5 km" in line for line in lines) == 2 + 2 * 1
+        assert sum(line.startswith("wrote ") for line in lines) == 4
 
     @pytest.mark.parametrize("figure_id,flags", [
         ("fig2", "--lmin --lmax-km --lstep"), ("fig3", "--threshold"),

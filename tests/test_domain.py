@@ -16,13 +16,12 @@ from pnp_bb84 import (BoundConventions, EmptyRawKeyError, ErrorBudget,
                       InfeasibleProblemError, OptimizationProblem,
                       PhysicalParams, ProtocolPoint, Scenario, SourceConfig,
                       binary_entropy, channel_transmittance, e1u_upper_decoy,
-                      evaluate_rate, evaluate_rate_finite_limit,
-                      figure_datasets, find_lmax, find_na_threshold,
-                      finite_correction_delta, gain_and_qber, grid_oracle,
-                      log_binomial_coeff, maximize, photon_bound_lower,
-                      photon_bound_upper, point_from_raw, q1u_lower_decoy,
-                      q1u_lower_no_decoy, raw_from_point,
-                      scan_distance, solve_lmax_profile,
+                      evaluate_rate, evaluate_rate_finite_limit, find_lmax,
+                      find_na_threshold, finite_correction_delta,
+                      gain_and_qber, grid_oracle, log_binomial_coeff,
+                      maximize, photon_bound_lower, photon_bound_upper,
+                      point_from_raw, q1u_lower_decoy, q1u_lower_no_decoy,
+                      raw_from_point, scan_distance, solve_lmax_profile,
                       statistical_deviation, untagged_bounds,
                       untagged_probability_finite,
                       untagged_probability_infinite)
@@ -206,27 +205,6 @@ PYTHON_API = [
            lambda v: find_na_threshold(ND_FIN, rate_threshold=v), -1e-9),
 ]
 
-# figure_datasets, which also needs a directory to write to
-FIGURE_CASES = [
-    *cases("threshold", lambda v, out: figure_datasets(
-        "fig3", out, na_list=[5e10], threshold=v), -1e-9),
-    *cases("na_list", lambda v, out: figure_datasets(
-        "fig5", out, na_list=[5e10, v], l_grid=[0.0]), (0.0, HUGE)),
-    *cases("l_grid", lambda v, out: figure_datasets(
-        "fig2", out, na_list=[5e10], l_grid=[0.0, v]), -1.0),
-    pytest.param(lambda v, out: figure_datasets("fig5", out, na_list=v,
-                                                l_grid=[0.0]),
-                 [], id="na_list=[]"),
-    # arguments the figure does not read, at values it would accept
-    *(pytest.param(lambda v, out, fig=fig: figure_datasets(
-        fig, out, na_list=[5e10], l_grid=[0.0], threshold=v),
-        1e-9, id=f"{fig}-threshold") for fig in ("fig2", "fig5")),
-    pytest.param(lambda v, out: figure_datasets("fig3", out, na_list=[5e10],
-                                                l_grid=v),
-                 [0.0], id="fig3-l_grid"),
-]
-
-
 @pytest.fixture
 def no_search(monkeypatch):
     """Fail any test that reaches the optimizer."""
@@ -239,13 +217,6 @@ def no_search(monkeypatch):
 def test_python_entry_point_rejects(call, value, no_search):
     with pytest.raises(ValueError):
         call(value)
-
-
-@pytest.mark.parametrize("call,value", FIGURE_CASES)
-def test_figure_datasets_rejects(call, value, no_search, tmp_path):
-    with pytest.raises(ValueError):
-        call(value, tmp_path)
-    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)

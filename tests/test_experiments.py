@@ -1,4 +1,4 @@
-"""Scans, threshold solvers and figure dataset emission."""
+"""Scans, threshold solvers and the files they write."""
 
 import contextlib
 import csv
@@ -7,8 +7,9 @@ import signal
 
 import pytest
 
-from pnp_bb84 import (PhysicalParams, Scenario, evaluate_rate, figure_datasets,
-                      scan_distance, solve_lmax_profile)
+from pnp_bb84 import (PhysicalParams, Scenario, evaluate_rate, scan_distance,
+                      solve_lmax_profile)
+from pnp_bb84.cli import main
 from pnp_bb84.params import BoundConventions
 from pnp_bb84.scans import _L_CAP_KM
 from pnp_bb84 import io_csv
@@ -337,16 +338,14 @@ class TestCsvEmission:
         for run in ("a", "b"):
             records = scan_distance(Scenario.NO_DECOY_FINITE, 5e10,
                                     [10.0, 15.0], PHYS, CONV)
-            path = tmp_path / f"scan_{run}.csv"
-            io_csv.write_records(path, records)
-            paths.append(path)
+            (tmp_path / run).mkdir()
+            paths.append(io_csv.write_scan(tmp_path / run, records))
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_header_and_row_arity(self, tmp_path):
         records = scan_distance(Scenario.DECOY_FINITE, 5e10, [20.0],
                                 PHYS, CONV)
-        path = tmp_path / "scan.csv"
-        io_csv.write_records(path, records)
+        path = io_csv.write_scan(tmp_path, records)
         lines = path.read_text().strip().split("\n")
         header = lines[0].split(",")
         assert header == list(io_csv.columns_for(Scenario.DECOY_FINITE))
@@ -373,7 +372,7 @@ class TestCsvEmission:
                    + scan_distance(Scenario.DECOY_INFINITE, math.inf,
                                    [10.0], PHYS, CONV))
         with pytest.raises(ValueError, match="one scenario"):
-            io_csv.write_records(tmp_path / "mixed.csv", records)
+            io_csv.write_scan(tmp_path, records)
         assert not list(tmp_path.glob("*.csv"))
 
     def test_one_pulse_count_per_scan_file(self, tmp_path):
@@ -384,10 +383,11 @@ class TestCsvEmission:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_scan_tag_reads_back_as_the_pulse_count(self):
-        from pnp_bb84.scans import FIG2_NA, FIG3_LOG_NA_STEP, FIG5_NA
+        from pnp_bb84.cli import _FIGURES
 
-        fig3 = [10.0 ** (8.0 + FIG3_LOG_NA_STEP * i) for i in range(33)]
-        for na in (*FIG2_NA, *FIG5_NA, *fig3, 1e10):
+        figures = [na for figure in _FIGURES.values()
+                   for na in figure.pulse_counts]
+        for na in (*figures, 1e10):
             tag = io_csv.scan_tag(na)
             assert float(tag) == na
             if float(f"{na:.0e}") == na:  # the one-digit tag stays
@@ -416,8 +416,10 @@ class TestCsvEmission:
 
 class TestFigureDatasets:
     def test_fig2_smoke(self, tmp_path):
-        written = figure_datasets("fig2", tmp_path, PHYS, CONV,
-                                  l_grid=[0.0, 10.0], na_list=[5e10])
+        assert main(["figure", "fig2", "--na", "5e10", "--lmin", "0",
+                     "--lmax-km", "10", "--lstep", "10",
+                     "--out", str(tmp_path)]) == 0
+        written = sorted(tmp_path.iterdir())
         assert [p.name for p in written] == [
             "scan_no_decoy_finite_5e10.csv", "scan_no_decoy_infinite_inf.csv"]
         for path in written:
@@ -425,9 +427,10 @@ class TestFigureDatasets:
             assert len(lines) == 3
 
     def test_fig5_smoke(self, tmp_path):
-        written = figure_datasets("fig5", tmp_path, PHYS, CONV,
-                                  l_grid=[10.0, 20.0], na_list=[5e10])
-        finite, asymptotic = written
+        assert main(["figure", "fig5", "--na", "5e10", "--lmin", "10",
+                     "--lmax-km", "20", "--lstep", "10",
+                     "--out", str(tmp_path)]) == 0
+        finite, asymptotic = sorted(tmp_path.iterdir())
         assert finite.name == "scan_decoy_finite_5e10.csv"
         assert asymptotic.name == "scan_decoy_infinite_inf.csv"
         # decoy resources grow with distance; intensities stay ordered
@@ -437,5 +440,5 @@ class TestFigureDatasets:
             assert 0.0 <= float(row["mu_d"]) < float(row["mu_s"])
 
     def test_unknown_figure_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            figure_datasets("fig9", tmp_path)
+        assert main(["figure", "fig9", "--out", str(tmp_path)]) == 1
+        assert not list(tmp_path.iterdir())
