@@ -205,6 +205,27 @@ PYTHON_API = [
            lambda v: find_na_threshold(ND_FIN, rate_threshold=v), -1e-9),
 ]
 
+# the arguments after ``figure`` for each bad value of a figure dataset's
+# input; the fig5 scans are at 0 km only
+FIG5_AT_0KM = ("fig5", "--lmin", "0", "--lmax-km", "0")
+FIGURE_CASES = [
+    *cases("threshold", lambda v: ["fig3", "--na", "5e10",
+                                   f"--threshold={v!r}"], -1e-9),
+    *cases("na_list", lambda v: [*FIG5_AT_0KM, f"--na=5e10,{v!r}"],
+           (0.0, HUGE)),
+    *cases("l_grid", lambda v: ["fig2", "--na", "5e10", "--lmin", "0",
+                                f"--lmax-km={v!r}"], -1.0),
+    pytest.param(lambda v: [*FIG5_AT_0KM, f"--na={','.join(v)}"], [],
+                 id="na_list=[]"),
+    # flags the figure does not read, at values it would accept
+    *(pytest.param(lambda v, fig=fig: [fig, "--na", "5e10", "--lmin", "0",
+                                       "--lmax-km", "0", f"--threshold={v!r}"],
+                   1e-9, id=f"{fig}-threshold") for fig in ("fig2", "fig5")),
+    pytest.param(lambda v: ["fig3", "--na", "5e10", f"--lmax-km={v!r}"], 0.0,
+                 id="fig3-l_grid"),
+]
+
+
 @pytest.fixture
 def no_search(monkeypatch):
     """Fail any test that reaches the optimizer."""
@@ -217,6 +238,14 @@ def no_search(monkeypatch):
 def test_python_entry_point_rejects(call, value, no_search):
     with pytest.raises(ValueError):
         call(value)
+
+
+@pytest.mark.parametrize("args,value", FIGURE_CASES)
+def test_figure_datasets_rejects(args, value, no_search, tmp_path, capsys):
+    assert main(["figure", *args(value), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
