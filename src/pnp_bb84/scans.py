@@ -20,8 +20,6 @@ _L_COARSE_STEP_KM = 10.0
 _L_RESOLUTION_KM = 0.1
 _NA_LOG_RANGE = (6.0, 18.0)  # pulse-count threshold search, log10
 _NA_LOG_RESOLUTION = 0.05
-# threshold searches probe this fraction of the open cells from the key end
-_KEY_END_SPLIT = 0.25
 
 
 class ThresholdOutsideRangeError(RuntimeError):
@@ -54,6 +52,18 @@ def _warm_chain(scenario: Scenario, phys: PhysicalParams,
     return solve
 
 
+def _walk(has_key: Callable[[float], bool], key_end: float, step: float,
+          last: int) -> int:
+    """Largest ``k <= last`` with a key at every grid point ``key_end + j *
+    step``, ``0 < j <= k``: asks j = 1, 2, ... and stops at its one "no",
+    since a "yes" may stop at its first proven key and a "no" runs in full.
+    """
+    k = 0
+    while k < last and has_key(key_end + (k + 1) * step):
+        k += 1
+    return k
+
+
 def _key_end_search(has_key: Callable[[float], bool], key_end: float,
                     far_end: float, width: float) -> tuple[float, bool]:
     """Midpoint of the grid cell where ``has_key`` flips, and whether that
@@ -62,26 +72,18 @@ def _key_end_search(has_key: Callable[[float], bool], key_end: float,
     ``has_key`` is true at ``key_end`` and taken to be false at ``far_end``;
     neither end is asked.  The grid splits ``[key_end, far_end]`` into the
     fewest 2^K cells no wider than ``width``, as many as halving the bracket
-    down to ``width`` makes, and every probe is a grid point.  A probe goes
-    `_KEY_END_SPLIT` of the open cells (at least one) from the known key
-    end: a "yes" may stop at its first proven key while a "no" searches in
-    full, so most probes are cheap "yes" answers and a "no" leaves a quarter
-    of the bracket.  The midpoint ``key_end + (k + 0.5) * step`` of the last
-    cell is the float the halving loop returns for the same cell whenever
-    the grid points are exact, as they are for the solvers' brackets.
+    down to ``width`` makes, and `_walk` probes its points one cell at a time
+    away from ``key_end``, so the search asks at most one "no".  The midpoint
+    ``key_end + (k + 0.5) * step`` of the last cell is the float the halving
+    loop returns for the same cell whenever the grid points are exact, as
+    they are for the solvers' brackets.
     """
     cells = 1
     while abs(far_end - key_end) / cells > width:
         cells *= 2
     step = (far_end - key_end) / cells
-    yes, no = 0, cells  # grid indices from the key end
-    while no - yes > 1:
-        probe = yes + max(1, int((no - yes) * _KEY_END_SPLIT))
-        if has_key(key_end + probe * step):
-            yes = probe
-        else:
-            no = probe
-    return key_end + (yes + 0.5) * step, no == cells
+    k = _walk(has_key, key_end, step, cells - 1)
+    return key_end + (k + 0.5) * step, k == cells - 1
 
 
 def scan_distance(scenario: Scenario, n_pulses: float,
@@ -111,18 +113,18 @@ def solve_lmax_profile(rate_at: Callable[..., float],
                        rate_threshold: float) -> float:
     """Largest distance with ``rate_at(L) > rate_threshold``.
 
-    Assumes a non-increasing profile: marches from 0 km in `_L_COARSE_STEP_KM`
-    steps up to `_L_CAP_KM` (returned if every step has a key), then searches
-    the bracket between the last step with a key and the first without one
-    with `_key_end_search` on its 128-cell grid (0.078125 km cells, the
-    finest halving of 10 km no wider than `_L_RESOLUTION_KM`), probing a
-    quarter of the open cells from the bracket's key end.
+    Assumes a non-increasing profile: after 0 km, `_walk` marches in
+    `_L_COARSE_STEP_KM` steps up to `_L_CAP_KM` (returned if every step has
+    a key), then `_key_end_search` walks the bracket between the last step
+    with a key and the first without one on its 128-cell grid (0.078125 km
+    cells, the finest halving of 10 km no wider than `_L_RESOLUTION_KM`),
+    one cell at a time from the bracket's key end.
 
     Every march and search step only asks whether the rate is above the
     threshold, so it calls ``rate_at(L, rate_threshold)``, which may return
     any proven rate above the threshold instead of the optimum (`maximize`'s
     ``target``).  A "yes" thus stops at its first proven key and a "no"
-    solves in full, which is why the search probes near the key end.  Once
+    solves in full, which is why each walk ends at its first "no".  Once
     the bracket is known, one untargeted ``rate_at(lo)`` at its key end
     solves that distance in full, so that the search starts from an optimum
     rather than from the first key proven there.  A rate that is not finite
@@ -136,20 +138,18 @@ def solve_lmax_profile(rate_at: Callable[..., float],
             return r
         raise ValueError(f"rate_at({dist} km) = {r!r} is not finite")
 
-    def no_key(dist):
-        return rate(dist, rate_threshold) <= rate_threshold
+    def has_key(dist):
+        return rate(dist, rate_threshold) > rate_threshold
 
-    if no_key(0.0):
+    if not has_key(0.0):
         return 0.0
-    lo, dist = 0.0, _L_COARSE_STEP_KM
-    while dist <= _L_CAP_KM + 1e-9:
-        if no_key(dist):
-            rate(lo)
-            return _key_end_search(lambda d: not no_key(d), lo, dist,
-                                   _L_RESOLUTION_KM)[0]
-        lo = dist
-        dist += _L_COARSE_STEP_KM
-    return _L_CAP_KM
+    steps = round(_L_CAP_KM / _L_COARSE_STEP_KM)
+    lo = _walk(has_key, 0.0, _L_COARSE_STEP_KM, steps) * _L_COARSE_STEP_KM
+    if lo == _L_CAP_KM:
+        return _L_CAP_KM
+    rate(lo)
+    return _key_end_search(has_key, lo, lo + _L_COARSE_STEP_KM,
+                           _L_RESOLUTION_KM)[0]
 
 
 def find_lmax(scenario: Scenario, n_pulses: float,
@@ -176,12 +176,12 @@ def find_na_threshold(scenario: Scenario,
     the threshold.  Each probe only asks that question, so each `maximize`
     stops at the first rate it proves above the threshold, while a "no"
     runs every start in full.  After checking the top of `_NA_LOG_RANGE`,
-    `_key_end_search` searches its 256-cell grid in log pulse count
+    `_key_end_search` walks its 256-cell grid in log pulse count
     (0.046875 decades, the finest halving of 12 decades no wider than
-    `_NA_LOG_RESOLUTION`), probing a quarter of the open cells down from the
-    top, where the answers are cheap "yes"es.  The floor of the range is
-    asked only when the search ends in its lowest cell; a key there raises
-    ThresholdOutsideRangeError, as does no key at the top.
+    `_NA_LOG_RESOLUTION`) one cell at a time down from the top, where the
+    answers are cheap "yes"es, and stops at its first "no".  The floor of
+    the range is asked only when the walk reaches the lowest cell; a key
+    there raises ThresholdOutsideRangeError, as does no key at the top.
     """
     if not scenario.finite:
         raise ValueError("pulse-count threshold applies to finite scenarios only")

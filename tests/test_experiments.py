@@ -57,8 +57,8 @@ class TestLmaxProfileSolver:
         # a key up to 37 km and none beyond; the rates with a key rise with
         # distance, which no step compares, so only the yes/no answers and
         # the one untargeted solve at the bracket's key end (30 km) appear.
-        # Each probe sits a quarter of the open 0.078125-km cells above the
-        # last "yes" (cells 32, 56, 74, 87, 97, 89, 91, 90 of [30, 40])
+        # The walk probes the 0.078125-km cells of [30, 40] one at a time
+        # from 30 km and stops at its first "no", cell 90 (37.03125 km)
         calls = []
 
         def profile(dist, target=None):
@@ -67,9 +67,7 @@ class TestLmaxProfileSolver:
 
         assert solve_lmax_profile(profile, 1e-9) == 36.9921875
         march = [(10.0 * i, 1e-9) for i in range(5)]
-        probes = [(mid, 1e-9) for mid in (32.5, 34.375, 35.78125, 36.796875,
-                                          37.578125, 36.953125, 37.109375,
-                                          37.03125)]
+        probes = [(30.0 + k * 0.078125, 1e-9) for k in range(1, 91)]
         assert calls == march + [(30.0, None)] + probes
 
     @pytest.mark.parametrize("nan_from_km,named_km", [(0.0, 0.0),
@@ -132,7 +130,7 @@ def _recording_maximize(monkeypatch):
 def test_lmax_solves_in_full_only_at_the_bracket_key_end(monkeypatch):
     # every march and search step only asks whether the rate is above the
     # threshold; the one full solve, at the bracket's key end, warm starts
-    # the search from an optimum, and the first probe is a quarter of the
+    # the search from an optimum, and the first probe is one 128th of the
     # bracket above it
     from pnp_bb84 import find_lmax
 
@@ -147,7 +145,7 @@ def test_lmax_solves_in_full_only_at_the_bracket_key_end(monkeypatch):
         [True] * (len(march) - 1) + [False]
     lo, hi = march[-2][0], march[-1][0]
     assert calls[full[0]][0] == lo
-    assert calls[full[0] + 1][0] == lo + 0.25 * (hi - lo)
+    assert calls[full[0] + 1][0] == lo + (hi - lo) / 128
     assert {target for i, (_, target, _) in enumerate(calls)
             if i != full[0]} == {1e-9}
 
@@ -194,8 +192,9 @@ def _step_maximize(monkeypatch, has_key):
 
 class TestKeyEndSearch:
     """The key-end search returns the float the halving loop returns, for
-    every bracket the solvers form and every cell the flip can lie in, and
-    probes only its grid."""
+    every bracket the solvers form and every cell the flip can lie in,
+    probes only its grid, and asks at most one targeted "no" per grid level
+    it walks."""
 
     @pytest.mark.parametrize("lo", [10.0 * k for k in range(20)])
     def test_lmax_matches_halving_in_every_cell(self, lo):
@@ -215,6 +214,10 @@ class TestKeyEndSearch:
             for dist, _ in calls[full[0] + 1:]:
                 index = (dist - lo) / step
                 assert index == int(index) and 0 < index < 128
+            # one "no" ends the march, at most one the bracket's walk
+            march, bracket = calls[:full[0]], calls[full[0] + 1:]
+            assert [dist > flip for dist, _ in march].count(True) == 1
+            assert [dist > flip for dist, _ in bracket].count(True) <= 1
 
     def test_nath_matches_halving_in_every_cell(self, monkeypatch):
         from pnp_bb84 import find_na_threshold
@@ -230,6 +233,8 @@ class TestKeyEndSearch:
             assert set(probed) <= grid
             # the floor is asked only when the flip is in the lowest cell
             assert (1e6 in probed) == (cell == 0)
+            # the walk down the grid, or the floor after it, asks one "no"
+            assert [na <= 10.0 ** flip for na in probed].count(True) == 1
 
 
 class TestPulseCountRange:

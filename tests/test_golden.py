@@ -213,31 +213,44 @@ def test_warm_started_scan_matches_golden(monkeypatch):
 
 
 # The solver answers, as the CSVs write them (17 significant
-# digits).  Any change to the search that moves a bisection decision shows
-# up here.
+# digits).  Any change to the search that moves a yes/no decision shows up
+# here.
 def test_find_lmax_matches_golden():
     from pnp_bb84.scans import find_lmax
 
     assert find_lmax(Scenario.DECOY_INFINITE, math.inf) == 123.3203125
 
 
-# Each bisection near a finite-key cutoff runs no-key maximizes warm started
+# Each search near a finite-key cutoff runs no-key maximizes warm started
 # from the probes before it, so a change to the work a no-key search does can
 # move these answers: recording only full results in the warm chain moved
 # the 1e12 answer to 88.5546875.  The 1e13 cutoff lies in a narrow basin
-# that the bisection finds only from the full solve at the bracket's key
+# that the search finds only from the full solve at the bracket's key
 # end: without it, warm started from the march's early stops, the answer
 # falls to 101.2109375.
 @pytest.mark.parametrize("n_pulses,lmax", [
-    (5e10, 64.4921875), (1e12, 88.6328125), (1e13, 101.3671875)],
-    ids=["5e10", "1e12", "1e13"])
+    (5e10, 64.4921875), (1e12, 88.6328125), (1e13, 101.3671875),
+    (1e14, 109.1015625)],
+    ids=["5e10", "1e12", "1e13", "1e14"])
 def test_find_lmax_decoy_finite_matches_golden(n_pulses, lmax):
     from pnp_bb84.scans import find_lmax
 
     assert find_lmax(Scenario.DECOY_FINITE, n_pulses) == lmax
 
 
+def test_find_lmax_no_decoy_finite_matches_golden():
+    from pnp_bb84.scans import find_lmax
+
+    assert find_lmax(Scenario.NO_DECOY_FINITE, 5e10) == 21.5234375
+
+
 def test_find_na_threshold_matches_golden():
     from pnp_bb84.scans import find_na_threshold
 
     assert find_na_threshold(Scenario.NO_DECOY_FINITE) == 947463525.65537536
+
+
+def test_find_na_threshold_decoy_finite_matches_golden():
+    from pnp_bb84.scans import find_na_threshold
+
+    assert find_na_threshold(Scenario.DECOY_FINITE) == 135772714.2105184
