@@ -43,7 +43,10 @@ delta, finite)``.  Raw layout: ``delta``, ``u`` (lam or lam_s over its cap),
 with decoys the decoy ratio, then with a finite key the sample fraction,
 with decoys the three class weights, and one weight per budget entry.  The
 asymptotic key, ``n_pulses`` = inf, reads only the prefix up to the decoy
-ratio and gets ``finite`` None.  The per-scenario names (``rate_``,
+ratio and gets ``finite`` None.  A scalar goes through ``logrange_kernel(z,
+log_range)``, a sigmoid onto ``(lo, hi)`` given as one of the ``*_LOG``
+pairs ``(ln lo, ln hi - ln lo)``; the maps pass the pair, not its entries,
+which spares a star-call per scalar.  The per-scenario names (``rate_``,
 ``params_`` or ``objective_`` and the scenario) are aliases, kept only
 because `optimize._kernel` and perfbench/tracing.py look kernels up by them.
 
@@ -83,7 +86,7 @@ U_LO, U_HI = 1e-10, 0.9999
 RATIO_LO, RATIO_HI = 1e-4, 0.9995
 MFRAC_LO, MFRAC_HI = 1e-6, 0.995
 
-# (ln lo, ln hi - ln lo) of each range, the arguments of `logrange_kernel`
+# (ln lo, ln hi - ln lo) of each range, the last argument of `logrange_kernel`
 DELTA_LOG = (log(DELTA_LO), log(DELTA_HI) - log(DELTA_LO))
 U_LOG = (log(U_LO), log(U_HI) - log(U_LO))
 RATIO_LOG = (log(RATIO_LO), log(RATIO_HI) - log(RATIO_LO))
@@ -428,9 +431,10 @@ def rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite=None):
 
 # --- unconstrained-to-feasible maps (used by the optimizer) --------------------
 
-def logrange_kernel(z, log_lo, log_span):
+def logrange_kernel(z, log_range):
     # sigmoid onto a log-spaced interval, given as one of the *_LOG pairs;
     # total and strictly inside (lo, hi)
+    log_lo, log_span = log_range
     if z >= 0.0:
         s = 1.0 / (1.0 + exp(-z))
     else:
@@ -451,12 +455,12 @@ def lambda_cap_kernel(delta, m_a, q_split):
 
 
 def params_no_decoy(raw, m_a, eta, n_pulses, phys, flags):
-    delta = logrange_kernel(raw[0], *DELTA_LOG)
-    u = logrange_kernel(raw[1], *U_LOG)
+    delta = logrange_kernel(raw[0], DELTA_LOG)
+    u = logrange_kernel(raw[1], U_LOG)
     lam = u * lambda_cap_kernel(delta, m_a, phys[8])
     if n_pulses == INF:
         return lam, delta, None
-    mfrac = logrange_kernel(raw[2], *MFRAC_LOG)
+    mfrac = logrange_kernel(raw[2], MFRAC_LOG)
     q, _ = gain_qber_kernel(mu_kernel(m_a, lam, phys[8]), eta, phys[2],
                             phys[3], phys[4], flags[0])
     m_e = mfrac * 0.5 * q * n_pulses
@@ -468,13 +472,13 @@ def params_no_decoy(raw, m_a, eta, n_pulses, phys, flags):
 
 
 def params_decoy(raw, m_a, eta, n_pulses, phys, flags):
-    delta = logrange_kernel(raw[0], *DELTA_LOG)
-    u = logrange_kernel(raw[1], *U_LOG)
+    delta = logrange_kernel(raw[0], DELTA_LOG)
+    u = logrange_kernel(raw[1], U_LOG)
     lam_s = u * lambda_cap_kernel(delta, m_a, phys[8])
-    lam_d = lam_s * logrange_kernel(raw[2], *RATIO_LOG)
+    lam_d = lam_s * logrange_kernel(raw[2], RATIO_LOG)
     if n_pulses == INF:
         return lam_s, lam_d, delta, None
-    mfrac = logrange_kernel(raw[3], *MFRAC_LOG)
+    mfrac = logrange_kernel(raw[3], MFRAC_LOG)
     ws, wd, wv = _weight(raw[4]), _weight(raw[5]), _weight(raw[6])
     wt = ws + wd + wv
     p_s, p_d = ws / wt, wd / wt

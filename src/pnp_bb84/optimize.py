@@ -70,6 +70,10 @@ optima are those of scipy's ``minimize``, float for float:
 
 - the centroid adds the sorted vertices 0..n-1 one after another, then
   divides by n, as numpy's axis-0 reduce does;
+- `_step_fn` generates the centroid and the reflection once per dimension,
+  each coordinate written out as ``(s0[j] + s1[j] + ...) / n``.  Not
+  ``sum()``, compensated for floats since Python 3.12, nor ``math.fsum``,
+  exactly rounded: either would move floats;
 - reflection, expansion and the two contractions are ``2*xbar - w``,
   ``3*xbar - 2*w``, ``1.5*xbar - 0.5*w`` and ``0.5*xbar + 0.5*w``;
 - an evaluation refused at the budget leaves the simplex as scipy's does,
@@ -158,8 +162,9 @@ class OptimizationResult:
 
 # --- raw <-> point maps ---------------------------------------------------------
 
-def _logit_of_logrange(x: float, log_lo: float, log_span: float) -> float:
+def _logit_of_logrange(x: float, log_range: tuple[float, float]) -> float:
     # inverse of `_kernels.logrange_kernel`; the range is one of its *_LOG pairs
+    log_lo, log_span = log_range
     s = (math.log(x) - log_lo) / log_span
     s = min(max(s, 1e-15), 1.0 - 1e-15)
     return math.log(s / (1.0 - s))
@@ -228,10 +233,10 @@ def raw_from_point(problem: OptimizationProblem,
     m_a, eta = _kernels.channel_at(problem.distance_km, phys.to_array())
     lam_s = point.lam_s if sc.uses_decoy else point.lam
     cap = _kernels.lambda_cap_kernel(point.delta, m_a, phys.q_split)
-    raw = [_logit_of_logrange(point.delta, *_kernels.DELTA_LOG),
-           _logit_of_logrange(lam_s / cap, *_kernels.U_LOG)]
+    raw = [_logit_of_logrange(point.delta, _kernels.DELTA_LOG),
+           _logit_of_logrange(lam_s / cap, _kernels.U_LOG)]
     if sc.uses_decoy:
-        raw.append(_logit_of_logrange(point.lam_d / lam_s, *_kernels.RATIO_LOG))
+        raw.append(_logit_of_logrange(point.lam_d / lam_s, _kernels.RATIO_LOG))
     if sc.finite:
         q, _ = _kernels.gain_qber_kernel(
             _kernels.mu_kernel(m_a, lam_s, phys.q_split), eta, phys.y0,
@@ -242,7 +247,7 @@ def raw_from_point(problem: OptimizationProblem,
             sifted = 0.5 * q * problem.n_pulses
         if sifted == 0.0:
             raise ValueError("the signal gain is 0: no sifted key to sample")
-        raw.append(_logit_of_logrange(point.m_e / sifted, *_kernels.MFRAC_LOG))
+        raw.append(_logit_of_logrange(point.m_e / sifted, _kernels.MFRAC_LOG))
         if sc.uses_decoy:
             raw += [math.log(point.p_s), math.log(point.p_d),
                     math.log(point.p_v)]
@@ -271,13 +276,13 @@ def _heuristic_raw(problem: OptimizationProblem) -> list[float]:
         mu = min(0.7 * eta, 0.35)
     lam = min(mu / (m_a * phys.q_split), cap * 0.999)
     u = max(min(lam / cap, 0.99), _kernels.U_LO * 10)
-    raw = [_logit_of_logrange(delta, *_kernels.DELTA_LOG),
-           _logit_of_logrange(u, *_kernels.U_LOG)]
+    raw = [_logit_of_logrange(delta, _kernels.DELTA_LOG),
+           _logit_of_logrange(u, _kernels.U_LOG)]
     if sc.uses_decoy:
         ratio = 0.15 if sc.finite else 0.1
-        raw.append(_logit_of_logrange(ratio, *_kernels.RATIO_LOG))
+        raw.append(_logit_of_logrange(ratio, _kernels.RATIO_LOG))
     if sc.finite:
-        raw.append(_logit_of_logrange(0.1, *_kernels.MFRAC_LOG))
+        raw.append(_logit_of_logrange(0.1, _kernels.MFRAC_LOG))
         if sc.uses_decoy:
             raw += [math.log(w) for w in (0.55, 0.35, 0.10)]
         raw += [0.0] * len(budget_fields(sc))
@@ -312,16 +317,20 @@ def _stable_sorted(sim: list, fsim: list) -> tuple[list, list]:
 
 
 @functools.cache
-def _centroid_fn(n: int) -> Callable[[list[list[float]]], list[float]]:
-    """Centroid of the first ``n`` vertices, summed in numpy's axis-0 order.
-
-    Each coordinate's sum is written out as ``c0 + c1 + ...``, which Python
-    adds left to right, vertex after vertex, as numpy does, in a fraction of
-    the time a loop over the vertices takes.
-    """
-    names = [f"c{i}" for i in range(n)]
-    return eval(f"lambda sim: [({' + '.join(names)}) / {n} "
-                f"for {', '.join(names)}, in zip(*sim[:{n}])]", {})
+def _step_fn(n: int) -> Callable[[list[list[float]]], tuple[list, list]]:
+    """``(xbar, xr)`` of a sorted simplex: the centroid of its first ``n``
+    vertices, coordinate j written out as ``(s0[j] + s1[j] + ...) / n`` and
+    added left to right as numpy does, and the reflection ``2.0 * xbar - w``
+    of the last vertex ``w`` (see the module docstring)."""
+    verts = [f"s{i}" for i in range(n)]
+    lines = ["def step(sim):", f"    {', '.join(verts)}, w = sim"]
+    lines += [f"    c{j} = ({' + '.join(f'{v}[{j}]' for v in verts)}) / {n}"
+              for j in range(n)]
+    lines.append(f"    return [{', '.join(f'c{j}' for j in range(n))}], "
+                 f"[{', '.join(f'2.0 * c{j} - w[{j}]' for j in range(n))}]")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["step"]
 
 
 def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
@@ -361,7 +370,7 @@ def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
     # scipy sorts twice before the first step; a stable sort needs one
     sim, fsim = _stable_sorted(sim, fsim)
 
-    centroid = _centroid_fn(n)
+    step = _step_fn(n)
     while nfev < maxfev:
         best, fbest = sim[0], fsim[0]
         # fsim is sorted, so its largest distance from fbest is the last
@@ -373,9 +382,8 @@ def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
         new = None
         shrunk = False
         try:
-            xbar = centroid(sim)
+            xbar, xr = step(sim)
             worst = sim[-1]
-            xr = [2.0 * a - b for a, b in zip(xbar, worst)]
             fxr = call(xr)
             if fxr < fbest:
                 xe = [3.0 * a - 2.0 * b for a, b in zip(xbar, worst)]
@@ -422,7 +430,7 @@ def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
 
 
 def _delta_of_raw(raw: Sequence[float]) -> float:
-    return _kernels.logrange_kernel(raw[0], *_kernels.DELTA_LOG)
+    return _kernels.logrange_kernel(raw[0], _kernels.DELTA_LOG)
 
 
 class _TargetMet(Exception):

@@ -118,6 +118,77 @@ def test_maximize_finite_matches_golden(scenario, distance, evaluations,
     assert math.isclose(result.best_rate, best_rate, rel_tol=1e-12)
 
 
+# The six cold maximizes of perfbench's maximize_cold workload, each end
+# vertex pinned to the last bit (`float.hex`): a moved float shows here even
+# where the evaluation count and the rate hold.  Two points are pinned only
+# here: decoy_finite at 20 km / 5e10 and at 60 km / 1e12 pulses.
+COLD_MAXIMIZE = {
+    "no_decoy_infinite_20km": (
+        Scenario.NO_DECOY_INFINITE, 20.0, math.inf, 169,
+        1.799815007963616e-05, [
+            "0x1.92602d7058fd2p-2", "0x1.60e81df7a11fap+0",
+        ]),
+    "no_decoy_finite_20km_5e10": (
+        Scenario.NO_DECOY_FINITE, 20.0, 5e10, 1307,
+        1.9493524711330676e-06, [
+            "0x1.933aadb23dbb0p-2", "0x1.5e4cff0227a90p+0",
+            "0x1.fefa51a21dc51p+0", "-0x1.0c76b3a7ddffcp+2",
+            "0x1.043908e32c8cep+1", "0x1.65c808733945ap+1",
+            "0x1.28cd4565e3f73p+0",
+        ]),
+    "decoy_infinite_60km": (
+        Scenario.DECOY_INFINITE, 60.0, math.inf, 310,
+        4.781475758071307e-05, [
+            "0x1.8dcbe6230db87p-1", "0x1.8e4f0972bc73ap+1",
+            "-0x1.017ef30f9de58p-3",
+        ]),
+    "decoy_finite_20km_5e10": (
+        Scenario.DECOY_FINITE, 20.0, 5e10, 4666,
+        0.0004324992721710523, [
+            "0x1.62f0b52286d25p-2", "0x1.832a0edf69173p+1",
+            "0x1.e193a5432096ep+0", "0x1.10986a3c2f394p+0",
+            "0x1.3e5dbb96c71d2p+1", "0x1.979a3b94e69aep-2",
+            "-0x1.143671b8450e8p+3", "-0x1.3f71b8e505072p+2",
+            "0x1.6b31a5d8a3823p+1", "-0x1.9d9daa40b9c3cp+1",
+            "0x1.15a901daa7841p+2", "-0x1.0e1b0fc5466c1p+2",
+            "0x1.8ebd199fa13ddp+1",
+        ]),
+    "decoy_finite_60km_5e10": (
+        Scenario.DECOY_FINITE, 60.0, 5e10, 4106,
+        4.231356701679911e-06, [
+            "0x1.72d1ba9fa9c1ep-1", "0x1.7f9a1d46229b2p+1",
+            "0x1.02bf5a04bb541p+1", "0x1.e58baf76fcfb8p+0",
+            "-0x1.1f03b272b9918p-1", "-0x1.a4d697edb47ecp-3",
+            "-0x1.28cffe9b66464p+3", "-0x1.96b773941b256p+1",
+            "0x1.bfce33e3ebeeap+1", "-0x1.bd0047292d172p+1",
+            "0x1.242f2a4d7688ep+2", "-0x1.bd1cac58a2a76p+1",
+            "0x1.5b9eb15e8c578p+1",
+        ]),
+    "decoy_finite_60km_1e12": (
+        Scenario.DECOY_FINITE, 60.0, 1e12, 4219,
+        4.3704399666787946e-05, [
+            "0x1.74a6418e754eap-1", "0x1.82c22362c4631p+1",
+            "0x1.cbb4814cb3e3dp+0", "0x1.02e1e04b79a4ap+0",
+            "0x1.5afeac541af06p+1", "0x1.3038d4c3db92bp+0",
+            "-0x1.f51eed466c9e4p+2", "-0x1.31d8e56bec018p+2",
+            "0x1.fed56937bce45p+1", "-0x1.997bf39633ff2p+1",
+            "0x1.8b7a147bc4852p+2", "-0x1.5eb2c5038b51dp+1",
+            "0x1.13acbf7b3147cp+2",
+        ]),
+}
+
+
+@pytest.mark.parametrize("name", list(COLD_MAXIMIZE))
+def test_cold_maximize_matches_golden_to_the_bit(name):
+    scenario, distance, n_pulses, evaluations, best_rate, raw = \
+        COLD_MAXIMIZE[name]
+    result = maximize(OptimizationProblem(
+        scenario=scenario, distance_km=distance, n_pulses=n_pulses))
+    assert result.evaluations == evaluations
+    assert math.isclose(result.best_rate, best_rate, rel_tol=1e-12)
+    assert [x.hex() for x in result.best_raw] == raw
+
+
 def test_shared_envelope_terms_match_photon_kernels():
     # the decoy estimator's envelopes share their log-gamma terms; the
     # general photon kernels stay the reference and must agree bit for bit

@@ -12,6 +12,7 @@ breaks ties by a SIMD path that depends on the CPU.
 
 import functools
 import math
+import random
 import warnings
 from unittest import mock
 
@@ -171,3 +172,44 @@ def test_rate_objective_with_penalty_plateaus(scenario, n_pulses):
     for _ in range(3):
         x0 = rng.uniform(-3.0, 3.0, size=problem.dim).tolist()
         assert_matches_scipy(neg, x0, 300 * problem.dim)
+
+
+def _reference_step(sim):
+    # a plain loop: the vertices 0..n-1 added left to right, then / n, then
+    # the reflection of the last vertex
+    n = len(sim) - 1
+    xbar = []
+    for j in range(n):
+        total = sim[0][j]
+        for vertex in sim[1:n]:
+            total = total + vertex[j]
+        xbar.append(total / n)
+    return xbar, [2.0 * c - w for c, w in zip(xbar, sim[n])]
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+            2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+            -1.7976931348623157e308, 1e308, -1e308, 0.1, 1.0, -1.0, 1e-16]
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_generated_step_is_the_reference_loop_bit_for_bit(n):
+    from pnp_bb84.optimize import _step_fn
+
+    rng = random.Random(n)
+    draw = lambda: (rng.choice(_SPECIAL) if rng.random() < 0.4
+                    else rng.choice([1.0, 1e-8, 1e300]) * rng.uniform(-1, 1))
+    sims = [[[draw() for _ in range(n)] for _ in range(n + 1)]
+            for _ in range(300)]
+    # sums that round away from the exact sum or overflow on the way, and
+    # a sum of -0.0, which keeps its sign
+    sims += [[[0.1] * n for _ in range(n + 1)],
+             [[(1.0, 1e-16)[i % 2]] * n for i in range(n + 1)],
+             [[(1e308, -1e308, 1e308)[i % 3]] * n for i in range(n + 1)],
+             [[-0.0] * n for _ in range(n + 1)]]
+    step = _step_fn(n)
+    for sim in sims:
+        got, want = step(sim), _reference_step(sim)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            # float.hex tells -0.0 from 0.0 and prints every nan as "nan"
+            assert g.hex() == w.hex(), (sim, got, want)

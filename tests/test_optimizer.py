@@ -62,6 +62,22 @@ class TestReparameterization:
                                     again.budget.components()):
                     assert c_b == pytest.approx(c_a, rel=1e-10)
 
+    @pytest.mark.parametrize("name", ["DELTA", "U", "RATIO", "MFRAC"])
+    def test_range_maps_invert_each_other(self, name):
+        # both maps take the same *_LOG pair; inside the logit's 1e-15 clamps
+        # the sigmoid map returns what the logit was given
+        lo = getattr(_kernels, f"{name}_LO")
+        hi = getattr(_kernels, f"{name}_HI")
+        log_range = getattr(_kernels, f"{name}_LOG")
+        rng = np.random.default_rng(5)
+        fracs = [*rng.uniform(1e-9, 1.0 - 1e-9, size=500),
+                 1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12]
+        for s in fracs:
+            x = lo * (hi / lo) ** s
+            z = optimize._logit_of_logrange(x, log_range)
+            assert _kernels.logrange_kernel(z, log_range) == \
+                pytest.approx(x, rel=1e-12)
+
     @pytest.mark.parametrize("asymptotic,finite", [
         (Scenario.NO_DECOY_INFINITE, Scenario.NO_DECOY_FINITE),
         (Scenario.DECOY_INFINITE, Scenario.DECOY_FINITE),
