@@ -8,15 +8,17 @@ sender and the overall transmittance ``eta`` from `channel_at`, computed
 once per problem or per call.  The Python-facing layers (`rates`,
 `optimize`, `scans`) wrap these kernels in dataclasses and validation.
 
-Each formula has one home here, called by the rate kernels and by the public
-helpers of `numerics`, `source` and `rates`, which only add domain validation:
-lambda' = lam q/(1 - q) in `lambda_prime_kernel`, the window condition
+Each formula has one home here, called by the rate kernels: lambda' =
+lam q/(1 - q) in `lambda_prime_kernel`, the window condition
 (1 + delta) m_a lambda' < 1 in `window_violated`, the mean output intensity
-m_a lam q in `mu_kernel`, and `attenuation`, `photon_kernel`, `_decoy_q1u_e1u`,
+m_a lam q in `mu_kernel`, and `attenuation`, `photon_kernel`,
+`coverage_kernel`, `gain_qber_kernel`, `_decoy_q1u_e1u`,
 `untagged_lower_kernel`, `q1u_no_decoy_kernel`, `e1u_decoy_kernel`,
-`h2_kernel`, `xi_kernel` and `finite_delta_kernel`.
+`h2_kernel`, `xi_kernel` and `finite_delta_kernel`.  The package exports
+none of them; `rates.RateBreakdown` reports every intermediate of one
+evaluation.
 
-Layouts shared with the wrappers:
+Layouts shared with the Python-facing layers:
 
 ``phys`` (11 floats):
     eta_bob, loss_coeff, y0, e_det, e0, e0_vac, f_ec, m_bright, q_split,
@@ -262,8 +264,8 @@ def _decoy_q1u_e1u(m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low, qu_v_up,
     """Single-photon untagged gain (lower) and error (upper) for the signal class.
 
     The signal class uses lower envelopes and the decoy class upper ones;
-    both share the log-binomials of the window edges.  The estimator's
-    denominator comes third: the bound is unavailable where it is <= 0.
+    both share the log-binomials of the window edges.  Where the estimator's
+    denominator is <= 0 the bound is unavailable, and the gain comes back 0.
     """
     hi = (1.0 + delta) * m_a
     lo = (1.0 - delta) * m_a
@@ -294,8 +296,8 @@ def _decoy_q1u_e1u(m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low, qu_v_up,
         elif q1u > qu_s_up:
             q1u = qu_s_up
     if q1u <= 0.0:
-        return 0.0, NAN, den
-    return q1u, e1u_decoy_kernel(eq_s_up, p0s_l, eq_v_low, q1u), den
+        return 0.0, NAN
+    return q1u, e1u_decoy_kernel(eq_s_up, p0s_l, eq_v_low, q1u)
 
 
 def _privacy(q1u, e1u, p_u=1.0):
@@ -414,7 +416,7 @@ def rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite=None):
         qu_d_low = untagged_lower_kernel(q_d, pu_d)
         eq_v_low = untagged_lower_kernel(e_v * q_v, pu_v)
         e_s_up = e_s if finite is None else e_s + xi_kernel(eps_es, m_e)
-        q1u, e1u, _ = _decoy_q1u_e1u(
+        q1u, e1u = _decoy_q1u_e1u(
             m_a, delta, lam_p_s, lam_p_d, qu_s_up, qu_d_low, q_v / pu_v,
             q_s * e_s_up / pu_s, eq_v_low, flags[3])
         rate = 0.5 * p_s * (-q_s * phys[6] * h2_kernel(e_s)

@@ -1,7 +1,7 @@
-"""Special functions, statistical-deviation primitives and range checks.
+"""Range checks for the inputs of every public entry point.
 
-Pure, stateless and safe for concurrent use; the arithmetic lives in the
-scalar kernels of ``_kernels`` and these wrappers only add domain validation.
+Pure, stateless and safe for concurrent use.  The formulas themselves live
+in the scalar kernels of ``_kernels``.
 """
 
 from __future__ import annotations
@@ -9,18 +9,11 @@ from __future__ import annotations
 import math
 import numbers
 
-from . import _kernels
-
-# standard error function and its complement, public exports of the package
-erf = math.erf
-erfc = math.erfc
-
 # math.lgamma overflows above about 2.556e305.  Every photon-number window
-# edge (1 + delta) m_a lies below 2 m_bright, so with these caps on the
-# source brightness and on a binomial's upper argument every lgamma the
-# kernels take is finite.
+# edge (1 + delta) m_a lies below 2 m_bright, since delta < 1 and m_a <=
+# m_bright, so with this cap on the source brightness every lgamma the
+# kernels take, ln Gamma(u + 1) for u up to 2 m_bright = 2e305, is finite.
 M_BRIGHT_MAX = 1e305
-BINOMIAL_UPPER_MAX = 2.0 * M_BRIGHT_MAX
 
 
 def check_range(name: str, value: float, lo: float, hi: float,
@@ -58,30 +51,3 @@ def check_integer(name: str, value: int, lo: int) -> int:
         raise ValueError(f"{name}={value!r} must be an integer")
     return check_range(name, value, lo, math.inf, hi_open=True)
 
-
-def binary_entropy(x: float) -> float:
-    """Binary Shannon entropy in bits, with the 0*log(0) = 0 convention."""
-    check_range("x", x, 0.0, 1.0)
-    return _kernels.h2_kernel(x)
-
-
-def statistical_deviation(epsilon: float, m: float) -> float:
-    """Deviation bound for an estimate from m samples at failure probability epsilon.
-
-    Equals sqrt((ln(1/epsilon) + 2 ln(m+1)) / (2m)); decreasing in both
-    arguments.  ``m = inf`` returns exactly zero.
-    """
-    check_range("epsilon", epsilon, 0.0, 1.0, lo_open=True, hi_open=True)
-    check_range("m", m, 0.0, math.inf, lo_open=True)
-    return _kernels.xi_kernel(epsilon, m)
-
-
-def log_binomial_coeff(upper: float, n: int) -> float:
-    """ln C(upper, n) for real non-negative ``upper``, -inf when n > upper.
-
-    The generalization through the gamma function keeps the photon-number
-    window arithmetic in log space, where exponents of order 1e5 are safe.
-    """
-    check_range("upper", upper, 0.0, BINOMIAL_UPPER_MAX)
-    check_range("n", n, 0.0, math.inf, hi_open=True)
-    return _kernels.log_choose_kernel(float(upper), float(n))

@@ -2,8 +2,9 @@
 
 ``evaluate_rate`` is a pure function of a :class:`ProtocolPoint`; concurrent
 evaluation over many points is the expected usage.  Negative rates are
-returned as computed — callers decide what "no key" means.  The bound
-helpers are range checks around the rate kernels' `_kernels` formulas.
+returned as computed — callers decide what "no key" means.  The formulas
+live in `_kernels`; `RateBreakdown` reports every intermediate of one
+evaluation.
 
 One ``evaluate_rate(point_from_raw(problem, raw))`` builds its records in one
 step (`_record`), not field by field through their generated ``__init__``.
@@ -17,7 +18,7 @@ CPU µs per point (Python 3.11, x86-64) for no_decoy_infinite / decoy_infinite
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
@@ -28,10 +29,6 @@ from .params import BoundConventions, PhysicalParams, Scenario
 
 class RateEvaluationError(ValueError):
     """A protocol point outside the domain of its rate formula."""
-
-
-class BoundUnavailableError(RateEvaluationError):
-    """The decoy estimator cannot produce a usable single-photon bound."""
 
 
 class NoUntaggedPulsesError(RateEvaluationError):
@@ -232,79 +229,6 @@ class RateBreakdown:
     qber_decoy: Optional[float] = None
     p_untagged_decoy: Optional[float] = None
     p_untagged_vacuum: Optional[float] = None
-
-
-def untagged_bounds(x: float, p_u_lower: float) -> tuple[float, float]:
-    """Upper/lower bounds of an untagged observable given a tagging bound.
-
-    ``x`` is the measured whole-ensemble value (gain, or error-weighted
-    gain); the tagged fraction is assumed adversarial.
-    """
-    check_range("x", x, 0.0, 1.0)
-    if check_range("p_u_lower", p_u_lower, 0.0, 1.0) == 0:
-        raise NoUntaggedPulsesError("no untagged pulses (p_u_lower = 0)")
-    return x / p_u_lower, _kernels.untagged_lower_kernel(x, p_u_lower)
-
-
-def q1u_lower_no_decoy(q_u_lower: float, p0: float, p1: float) -> float:
-    """Lower bound on the single-photon untagged gain, clamped at zero."""
-    check_range("q_u_lower", q_u_lower, 0.0, 1.0)
-    check_range("p0", p0, 0.0, 1.0)
-    check_range("p1", p1, 0.0, 1.0)
-    return _kernels.q1u_no_decoy_kernel(q_u_lower, p0, p1)
-
-
-def finite_correction_delta(n: float, eps_pe: float, eps_bar: float,
-                            eps_pa: float) -> float:
-    """Finite-key rate penalty; positive, strictly decreasing in n."""
-    if check_range("n", n, -math.inf, math.inf) <= 0:
-        raise EmptyRawKeyError(f"empty raw key (n={n!r})")
-    check_range("eps_pe", eps_pe, 0.0, 1.0, True, True)
-    check_range("eps_bar", eps_bar, 0.0, 1.0, True, True)
-    check_range("eps_pa", eps_pa, 0.0, 1.0, True, True)
-    return _kernels.finite_delta_kernel(n, eps_pe, eps_bar, eps_pa)
-
-
-def q1u_lower_decoy(q_u_s_upper: float, q_u_d_lower: float,
-                    q_u_v_upper: float, source_signal, source_decoy,
-                    estimator: str = "paired") -> float:
-    """Single-photon untagged gain lower bound from the two-decoy estimator.
-
-    ``source_signal``/``source_decoy`` are the :class:`~pnp_bb84.source.SourceConfig`
-    of the two non-vacuum classes, equal but in ``lam`` (else ValueError).
-    Raises :class:`BoundUnavailableError` when the estimator denominator
-    closes (indistinguishable classes); callers then treat the bound as zero.
-    """
-    code = BoundConventions(decoy_estimator=estimator).to_flags()[3]
-    check_range("q_u_s_upper", q_u_s_upper, 0.0, math.inf, hi_open=True)
-    check_range("q_u_d_lower", q_u_d_lower, 0.0, 1.0)
-    check_range("q_u_v_upper", q_u_v_upper, 0.0, math.inf, hi_open=True)
-    s, d = source_signal, source_decoy
-    if replace(d, lam=s.lam) != s:
-        raise ValueError("source_decoy must match source_signal but in lam")
-    s.require_window()
-    q1u, _, den = _kernels._decoy_q1u_e1u(
-        s.m_a, s.delta, s.lambda_prime, d.lambda_prime, q_u_s_upper,
-        q_u_d_lower, q_u_v_upper, 0.0, 0.0, code)
-    # distinguish a closed denominator from a clamped-to-zero numerator
-    if den <= 0.0:
-        raise BoundUnavailableError(
-            "bound unavailable: decoy class indistinguishable from signal")
-    return q1u
-
-
-def e1u_upper_decoy(eq_u_s_upper: float, p0_s_lower: float,
-                    eq_u_v_lower: float, q1u_s_lower: float) -> float:
-    """Single-photon untagged QBER upper bound, floored at zero."""
-    check_range("eq_u_s_upper", eq_u_s_upper, 0.0, math.inf, hi_open=True)
-    check_range("p0_s_lower", p0_s_lower, 0.0, 1.0)
-    check_range("eq_u_v_lower", eq_u_v_lower, 0.0, 1.0)
-    if check_range("q1u_s_lower", q1u_s_lower, 0.0, math.inf,
-                   hi_open=True) == 0.0:
-        raise BoundUnavailableError(
-            "bound unavailable: single-photon gain bound is zero")
-    return _kernels.e1u_decoy_kernel(eq_u_s_upper, p0_s_lower, eq_u_v_lower,
-                                     q1u_s_lower)
 
 
 # the breakdown-tuple slot (`_kernels` docstring) of each `RateBreakdown`

@@ -10,10 +10,9 @@ import time
 import pytest
 
 from pnp_bb84 import (BoundConventions, OptimizationProblem, PhysicalParams,
-                      Scenario, evaluate_rate, evaluate_rate_finite_limit,
-                      find_lmax, find_na_threshold, grid_oracle, maximize,
-                      scan_distance, statistical_deviation,
-                      finite_correction_delta, io_csv)
+                      Scenario, _kernels, evaluate_rate,
+                      evaluate_rate_finite_limit, find_lmax, find_na_threshold,
+                      grid_oracle, io_csv, maximize, scan_distance)
 from pnp_bb84.rates import ErrorBudget, ProtocolPoint
 
 PHYS = PhysicalParams()
@@ -169,17 +168,17 @@ def test_criterion_8_property_suite(tmp_path):
     import numpy as np
 
     t0 = time.perf_counter()
-    # envelope dominance by integer enumeration
-    from pnp_bb84 import SourceConfig, photon_bound_lower, photon_bound_upper
+    # envelope dominance by integer enumeration, at lambda' = 0.01
+    photon = _kernels.photon_kernel
     for m_a in (7, 23, 50):
-        cfg = SourceConfig(m_bright=m_a, q_split=0.5, loss_coeff=0.21,
-                           distance_km=0.0, delta=0.2, lam=0.01)
         lo, hi = math.ceil(0.8 * m_a), math.floor(1.2 * m_a)
         for m in range(lo, hi + 1):
             for n in range(0, m + 1):
                 exact = (math.comb(m, n) * 0.01 ** n * 0.99 ** (m - n))
-                assert photon_bound_lower(cfg, n) <= exact * (1 + 1e-12)
-                assert exact <= photon_bound_upper(cfg, n) * (1 + 1e-12)
+                assert photon(float(m_a), 0.2, 0.01, n, 0) <= (
+                    exact * (1 + 1e-12))
+                assert exact <= (
+                    photon(float(m_a), 0.2, 0.01, n, 1) * (1 + 1e-12))
 
     # finite evaluators with all deviation terms forced to zero recover the
     # infinite evaluators
@@ -217,9 +216,9 @@ def test_criterion_8_property_suite(tmp_path):
 
     # deviation and finite-correction monotonicity grids
     for eps in (1e-12, 1e-6):
-        xs = [statistical_deviation(eps, m) for m in np.geomspace(1e2, 1e14, 30)]
+        xs = [_kernels.xi_kernel(eps, m) for m in np.geomspace(1e2, 1e14, 30)]
         assert all(a > b for a, b in zip(xs, xs[1:]))
-    ds = [finite_correction_delta(n, 1e-10, 1e-10, 1e-10)
+    ds = [_kernels.finite_delta_kernel(n, 1e-10, 1e-10, 1e-10)
           for n in np.geomspace(1e4, 1e14, 30)]
     assert all(a > b for a, b in zip(ds, ds[1:]))
 

@@ -3,32 +3,29 @@
 Each entry point, fed nan, +inf, -inf or one finite value outside its
 domain, raises ValueError before any arithmetic: config files and CLI flags
 raise ConfigError, which the CLI reports as one ``error:`` line with exit
-code 1.  Where inf is a documented limit (a deviation from m = inf samples,
-the finite-key penalty at n = inf, a pulse count of inf) it stays accepted.
+code 1.  Where inf is a documented limit (a pulse count of inf, and in the
+kernels a deviation from m = inf samples and the finite-key penalty at
+n = inf) it stays accepted.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+import pnp_bb84
 from pnp_bb84 import (BoundConventions, EmptyRawKeyError, ErrorBudget,
                       InfeasibleProblemError, OptimizationProblem,
-                      PhysicalParams, ProtocolPoint, Scenario, SourceConfig,
-                      binary_entropy, channel_transmittance, e1u_upper_decoy,
+                      PhysicalParams, ProtocolPoint, Scenario, _kernels,
                       evaluate_rate, evaluate_rate_finite_limit, find_lmax,
-                      find_na_threshold, finite_correction_delta,
-                      gain_and_qber, grid_oracle, log_binomial_coeff,
-                      maximize, photon_bound_lower, photon_bound_upper,
-                      point_from_raw, q1u_lower_decoy, q1u_lower_no_decoy,
-                      raw_from_point, scan_distance, solve_lmax_profile,
-                      statistical_deviation, untagged_bounds,
-                      untagged_probability_finite,
-                      untagged_probability_infinite)
+                      find_na_threshold, grid_oracle, maximize,
+                      point_from_raw, raw_from_point, scan_distance,
+                      solve_lmax_profile)
 from pnp_bb84 import scans
 from pnp_bb84.cli import main
 from pnp_bb84.config import ConfigError, RunConfig, parse_config
-from pnp_bb84.numerics import BINOMIAL_UPPER_MAX, M_BRIGHT_MAX
+from pnp_bb84.numerics import M_BRIGHT_MAX
 from pnp_bb84.rates import budget_fields
 
 NAN, INF = math.nan, math.inf
@@ -37,13 +34,6 @@ PHYS = PhysicalParams()
 CONV = BoundConventions()
 ND_INF, ND_FIN = Scenario.NO_DECOY_INFINITE, Scenario.NO_DECOY_FINITE
 D_INF, D_FIN = Scenario.DECOY_INFINITE, Scenario.DECOY_FINITE
-
-
-def source(**kw):
-    fields = dict(m_bright=1e6, q_split=0.01, loss_coeff=0.21,
-                  distance_km=60.0, delta=0.023, lam=6.6e-4)
-    fields.update(kw)
-    return SourceConfig(**fields)
 
 
 def point(scenario, **kw):
@@ -88,8 +78,6 @@ PHYS_FIELDS = {"eta_bob": 0.0, "loss_coeff": -0.1, "y0": 1.5, "e_det": -0.1,
                # above about 2.556e305 math.lgamma overflows
                "m_bright": (0.0, 1e307),
                "q_split": 1.0, "eps_total": 1.0, "eps_ec": 1e-9}
-SOURCE_FIELDS = {"m_bright": (0.0, 1e307), "q_split": 0.0, "loss_coeff": -0.1,
-                 "distance_km": -1.0, "delta": 2.0, "lam": 1.5}
 POINT_FIELDS = [(ND_INF, "distance_km", (-1.0, HUGE)),
                 (ND_INF, "delta", 1.0), (ND_INF, "lam", 0.0),
                 (D_INF, "lam_s", 1.5), (D_INF, "lam_d", 0.0),
@@ -102,70 +90,9 @@ BUDGET_FIELDS = [(ND_FIN, "eps_pa"), (ND_FIN, "eps_u"), (ND_FIN, "eps_e"),
 EPS = 1e-10
 
 PYTHON_API = [
-    *cases("binary_entropy", binary_entropy, 1.5),
-    *cases("statistical_deviation.epsilon",
-           lambda v: statistical_deviation(v, 1e6), 1.0),
-    *cases("statistical_deviation.m",
-           lambda v: statistical_deviation(1e-9, v), 0.0, inf_ok=True),
-    *cases("log_binomial_coeff.upper", lambda v: log_binomial_coeff(v, 1),
-           (-1.0, 1e308)),
-    *cases("log_binomial_coeff.n", lambda v: log_binomial_coeff(5.0, v),
-           -1.0),
-    *cases("channel_transmittance.eta_bob",
-           lambda v: channel_transmittance(v, 0.21, 10.0), 0.0),
-    *cases("channel_transmittance.loss_coeff",
-           lambda v: channel_transmittance(0.045, v, 10.0), -1.0),
-    *cases("channel_transmittance.distance_km",
-           lambda v: channel_transmittance(0.045, 0.21, v), -1.0),
-    *cases("gain_and_qber.mu", lambda v: gain_and_qber(v, 0.01, PHYS), -0.1),
-    *cases("gain_and_qber.eta", lambda v: gain_and_qber(0.1, v, PHYS), 1.5),
-    *cases("untagged_bounds.x", lambda v: untagged_bounds(v, 0.5), 1.5),
-    *cases("untagged_bounds.p_u_lower", lambda v: untagged_bounds(0.1, v),
-           1.5),
-    *cases("q1u_lower_no_decoy.q_u_lower",
-           lambda v: q1u_lower_no_decoy(v, 0.1, 0.1), -0.1),
-    *cases("q1u_lower_no_decoy.p0",
-           lambda v: q1u_lower_no_decoy(0.1, v, 0.1), 1.5),
-    *cases("q1u_lower_no_decoy.p1",
-           lambda v: q1u_lower_no_decoy(0.1, 0.1, v), -0.1),
-    *cases("q1u_lower_decoy.q_u_s_upper", lambda v: q1u_lower_decoy(
-        v, 1e-4, 1e-6, source(), source(lam=1e-4)), -0.1),
-    *cases("q1u_lower_decoy.q_u_d_lower", lambda v: q1u_lower_decoy(
-        1e-3, v, 1e-6, source(), source(lam=1e-4)), 1.5),
-    *cases("q1u_lower_decoy.q_u_v_upper", lambda v: q1u_lower_decoy(
-        1e-3, 1e-4, v, source(), source(lam=1e-4)), -0.1),
-    *cases("e1u_upper_decoy.eq_u_s_upper",
-           lambda v: e1u_upper_decoy(v, 0.1, 0.1, 0.1), -0.1),
-    *cases("e1u_upper_decoy.p0_s_lower",
-           lambda v: e1u_upper_decoy(0.1, v, 0.1, 0.1), 1.5),
-    *cases("e1u_upper_decoy.eq_u_v_lower",
-           lambda v: e1u_upper_decoy(0.1, 0.1, v, 0.1), 1.5),
-    *cases("e1u_upper_decoy.q1u_s_lower",
-           lambda v: e1u_upper_decoy(0.1, 0.1, 0.1, v), -0.1),
-    *cases("finite_correction_delta.n",
-           lambda v: finite_correction_delta(v, EPS, EPS, EPS), 0.0,
-           inf_ok=True),
-    *cases("finite_correction_delta.eps_pe",
-           lambda v: finite_correction_delta(1e6, v, EPS, EPS), 1.0),
-    *cases("finite_correction_delta.eps_bar",
-           lambda v: finite_correction_delta(1e6, EPS, v, EPS), 0.0),
-    *cases("finite_correction_delta.eps_pa",
-           lambda v: finite_correction_delta(1e6, EPS, EPS, v), 1.0),
     *[c for name, bad in PHYS_FIELDS.items()
       for c in cases(f"PhysicalParams.{name}",
                      lambda v, name=name: PhysicalParams(**{name: v}), bad)],
-    *[c for name, bad in SOURCE_FIELDS.items()
-      for c in cases(f"SourceConfig.{name}",
-                     lambda v, name=name: source(**{name: v}), bad)],
-    *cases("photon_bound_upper.n", lambda v: photon_bound_upper(source(), v),
-           (-1.0, 0.5, 1e-300, True)),
-    *cases("photon_bound_lower.n", lambda v: photon_bound_lower(source(), v),
-           (-1.0, 0.5, 1e-300)),
-    *cases("untagged_probability_finite.epsilon_u",
-           lambda v: untagged_probability_finite(source(), v, 1e10), 1.0),
-    *cases("untagged_probability_finite.n_pulses",
-           lambda v: untagged_probability_finite(source(), EPS, v), 0.0,
-           inf_ok=True),
     *[c for sc, name, bad in POINT_FIELDS
       for c in cases(f"evaluate_rate.{sc.value}.{name}",
                      lambda v, sc=sc, name=name: evaluate_rate(
@@ -238,6 +165,45 @@ def no_search(monkeypatch):
 def test_python_entry_point_rejects(call, value, no_search):
     with pytest.raises(ValueError):
         call(value)
+
+
+PUBLIC_NAMES = [
+    "BoundConventions", "EmptyRawKeyError", "ErrorBudget",
+    "FluctuationTooLargeError", "InfeasibleProblemError",
+    "NoUntaggedPulsesError", "OptimizationProblem", "OptimizationResult",
+    "PhysicalParams", "ProtocolPoint", "RateBreakdown", "RateEvaluationError",
+    "Scenario", "WindowViolationError", "evaluate_rate",
+    "evaluate_rate_finite_limit", "find_lmax", "find_na_threshold",
+    "grid_oracle", "maximize", "point_from_raw", "raw_from_point",
+    "scan_distance", "solve_lmax_profile",
+]
+# the public names that take no number from outside, so have no domain case
+NO_NUMBERS = {
+    **dict.fromkeys(["EmptyRawKeyError", "FluctuationTooLargeError",
+                     "InfeasibleProblemError", "NoUntaggedPulsesError",
+                     "RateEvaluationError", "WindowViolationError"],
+                    "an exception"),
+    "OptimizationResult": "a result record, built by maximize",
+    "RateBreakdown": "a result record, built by evaluate_rate",
+    "Scenario": "an enum: only its members exist",
+    "BoundConventions": "an input record of convention names, not numbers",
+}
+# the public names whose numbers are checked under another name: a point's
+# fields by the evaluate_rate cases, a raw vector by its own tests here
+CHECKED_AS = {
+    "ProtocolPoint": "evaluate_rate",
+    "point_from_raw": "test_point_from_raw_rejects_a_non_finite_coordinate",
+}
+
+
+def test_every_public_entry_point_has_a_domain_case():
+    assert sorted(pnp_bb84.__all__) == PUBLIC_NAMES
+    checked = {re.split(r"[.=]", param.id, maxsplit=1)[0]
+               for param in PYTHON_API}
+    checked.update(name for name in globals() if name.startswith("test_"))
+    unchecked = [name for name in PUBLIC_NAMES if name not in NO_NUMBERS
+                 and CHECKED_AS.get(name, name) not in checked]
+    assert unchecked == []
 
 
 @pytest.mark.parametrize("args,value", FIGURE_CASES)
@@ -318,10 +284,11 @@ def test_brightest_accepted_source_is_searched_without_overflow(scenario):
 
 
 def test_brightness_caps_stay_accepted():
-    cfg = source(m_bright=M_BRIGHT_MAX, distance_km=0.0, delta=0.5,
-                 lam=1e-310)
-    assert 0.0 <= photon_bound_upper(cfg, 1) <= 1.0
-    assert math.isfinite(log_binomial_coeff(BINOMIAL_UPPER_MAX, 1))
+    # M_BRIGHT_MAX's guarantee: the envelope at the brightest accepted
+    # source, and a log-binomial at its highest window edge, 2 m_bright
+    lam_p = _kernels.lambda_prime_kernel(1e-310, PHYS.q_split)
+    assert 0.0 <= _kernels.photon_kernel(M_BRIGHT_MAX, 0.5, lam_p, 1, 1) <= 1.0
+    assert math.isfinite(_kernels.log_choose_kernel(2.0 * M_BRIGHT_MAX, 1.0))
 
 
 @pytest.mark.parametrize("scenario", [ND_FIN, D_FIN], ids=lambda s: s.value)
@@ -386,9 +353,9 @@ def test_asymptotic_point_takes_no_finite_key_field(scenario, field, value):
 
 
 def test_documented_infinite_limits_stay_accepted():
-    assert statistical_deviation(1e-9, INF) == 0.0
-    assert finite_correction_delta(INF, EPS, EPS, EPS) == 0.0
-    assert untagged_probability_finite(source(), EPS, INF) == (
-        untagged_probability_infinite(source()))
+    assert _kernels.xi_kernel(1e-9, INF) == 0.0
+    assert _kernels.finite_delta_kernel(INF, EPS, EPS, EPS) == 0.0
+    assert evaluate_rate_finite_limit(point(ND_FIN), PHYS, CONV).p_untagged == (
+        evaluate_rate(point(ND_INF), PHYS, CONV).p_untagged)
     assert RunConfig(na_list=(INF,)).na_list == (INF,)
     assert evaluate_rate(point(ND_INF, n_pulses=INF), PHYS, CONV).rate > 0

@@ -1,4 +1,4 @@
-"""Special-function primitives against independent high-precision oracles."""
+"""Special-function kernels against independent high-precision oracles."""
 
 import math
 
@@ -6,8 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pnp_bb84 import (binary_entropy, erf, erfc, log_binomial_coeff,
-                      statistical_deviation)
+from pnp_bb84._kernels import h2_kernel, log_choose_kernel, xi_kernel
 
 mpmath.mp.dps = 50
 
@@ -27,84 +26,47 @@ def mp_deviation(eps, m) -> float:
 
 class TestBinaryEntropy:
     def test_maximum_at_half(self):
-        assert binary_entropy(0.5) == 1.0
+        assert h2_kernel(0.5) == 1.0
 
     def test_degenerate_endpoints(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
+        assert h2_kernel(0.0) == 0.0
+        assert h2_kernel(1.0) == 0.0
 
     def test_arbitrary_point_against_oracle(self):
-        assert binary_entropy(0.11) == pytest.approx(mp_entropy(0.11), rel=1e-12)
-        assert binary_entropy(0.11) == pytest.approx(0.49992, abs=1e-5)
+        assert h2_kernel(0.11) == pytest.approx(mp_entropy(0.11), rel=1e-12)
+        assert h2_kernel(0.11) == pytest.approx(0.49992, abs=1e-5)
 
     def test_symmetry(self):
         for x in np.linspace(0.0, 1.0, 101):
-            assert binary_entropy(x) == pytest.approx(binary_entropy(1 - x),
-                                                      abs=1e-14)
+            assert h2_kernel(x) == pytest.approx(h2_kernel(1 - x), abs=1e-14)
 
     def test_range(self):
-        values = [binary_entropy(x) for x in np.linspace(0, 1, 201)]
+        values = [h2_kernel(x) for x in np.linspace(0, 1, 201)]
         assert min(values) >= 0.0
         assert max(values) <= 1.0
-
-    def test_domain_enforced(self):
-        with pytest.raises(ValueError):
-            binary_entropy(-0.1)
-        with pytest.raises(ValueError):
-            binary_entropy(1.1)
 
 
 class TestStatisticalDeviation:
     def test_against_oracle(self):
-        assert statistical_deviation(1e-9, 1e6) == pytest.approx(
-            mp_deviation(1e-9, 1e6), rel=1e-12)
-        assert statistical_deviation(1e-9, 1e6) == pytest.approx(4.917e-3,
-                                                                 rel=1e-3)
-        assert statistical_deviation(1e-10, 1e6) == pytest.approx(5.03e-3,
-                                                                  rel=1e-3)
+        assert xi_kernel(1e-9, 1e6) == pytest.approx(mp_deviation(1e-9, 1e6),
+                                                     rel=1e-12)
+        assert xi_kernel(1e-9, 1e6) == pytest.approx(4.917e-3, rel=1e-3)
+        assert xi_kernel(1e-10, 1e6) == pytest.approx(5.03e-3, rel=1e-3)
 
     def test_vanishes_for_large_samples(self):
-        assert statistical_deviation(0.5, 1e12) < 1e-5
-        assert statistical_deviation(0.5, math.inf) == 0.0
+        assert xi_kernel(0.5, 1e12) < 1e-5
+        assert xi_kernel(0.5, math.inf) == 0.0
 
     def test_monotone_decreasing_in_m(self):
         for eps in (1e-12, 1e-9, 1e-3, 0.5):
-            values = [statistical_deviation(eps, m)
-                      for m in np.geomspace(10, 1e14, 40)]
+            values = [xi_kernel(eps, m) for m in np.geomspace(10, 1e14, 40)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_monotone_decreasing_in_eps(self):
         for m in (1e2, 1e6, 1e12):
-            values = [statistical_deviation(eps, m)
+            values = [xi_kernel(eps, m)
                       for eps in np.geomspace(1e-15, 0.9, 40)]
             assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_domain_enforced(self):
-        with pytest.raises(ValueError):
-            statistical_deviation(0.0, 1e6)
-        with pytest.raises(ValueError):
-            statistical_deviation(1.5, 1e6)
-        with pytest.raises(ValueError):
-            statistical_deviation(1e-9, 0.0)
-        with pytest.raises(ValueError):
-            statistical_deviation(1e-9, -5.0)
-
-
-class TestErrorFunction:
-    def test_odd_at_zero(self):
-        assert erf(0.0) == 0.0
-
-    def test_saturation(self):
-        assert erf(10.0) > 1 - 1e-12
-
-    def test_complement_identity(self):
-        for x in np.linspace(-6, 6, 121):
-            assert erf(x) + erfc(x) == pytest.approx(1.0, abs=1e-12)
-
-    def test_published_value(self):
-        assert erf(0.7036) == pytest.approx(0.680, abs=1e-3)
-        assert erf(0.7036) == pytest.approx(float(mpmath.erf(0.7036)),
-                                            rel=1e-12)
 
 
 class TestLogBinomialCoeff:
@@ -112,28 +74,22 @@ class TestLogBinomialCoeff:
         for upper in range(0, 31):
             for n in range(0, upper + 1):
                 expected = math.log(math.comb(upper, n))
-                assert log_binomial_coeff(upper, n) == pytest.approx(
-                    expected, abs=1e-10)
+                assert log_choose_kernel(float(upper), float(n)) == (
+                    pytest.approx(expected, abs=1e-10))
 
     def test_choose_zero_is_one(self):
-        assert log_binomial_coeff(5.5, 0) == pytest.approx(0.0, abs=1e-14)
+        assert log_choose_kernel(5.5, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_five_choose_two(self):
-        assert log_binomial_coeff(5, 2) == pytest.approx(math.log(10),
-                                                         rel=1e-12)
+        assert log_choose_kernel(5.0, 2.0) == pytest.approx(math.log(10),
+                                                            rel=1e-12)
 
     def test_real_upper_against_gamma_oracle(self):
         expected = float(mpmath.loggamma(10.3 + 1) - mpmath.loggamma(4 + 1)
                          - mpmath.loggamma(10.3 - 4 + 1))
-        assert log_binomial_coeff(10.3, 4) == pytest.approx(expected,
-                                                            rel=1e-10)
+        assert log_choose_kernel(10.3, 4.0) == pytest.approx(expected,
+                                                             rel=1e-12)
 
     def test_zero_above_the_window(self):
-        assert log_binomial_coeff(10.3, 11) == -math.inf
-        assert math.exp(log_binomial_coeff(10.3, 11)) == 0.0
-
-    def test_domain_enforced(self):
-        with pytest.raises(ValueError):
-            log_binomial_coeff(-1.0, 0)
-        with pytest.raises(ValueError):
-            log_binomial_coeff(5.0, -1)
+        assert log_choose_kernel(10.3, 11.0) == -math.inf
+        assert math.exp(log_choose_kernel(10.3, 11.0)) == 0.0

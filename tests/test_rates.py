@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from pnp_bb84 import (BoundConventions, EmptyRawKeyError, ErrorBudget,
-                      NoUntaggedPulsesError, PhysicalParams, ProtocolPoint,
-                      Scenario, evaluate_rate, evaluate_rate_finite_limit,
-                      finite_correction_delta, q1u_lower_no_decoy,
-                      untagged_bounds, vacuum_observables, gain_and_qber)
+                      PhysicalParams, ProtocolPoint, Scenario, evaluate_rate,
+                      evaluate_rate_finite_limit)
 from pnp_bb84 import _kernels, rates
+from pnp_bb84._kernels import (e1u_decoy_kernel, finite_delta_kernel,
+                               q1u_no_decoy_kernel, untagged_lower_kernel)
 from pnp_bb84.optimize import OptimizationProblem, point_from_raw
 from pnp_bb84.rates import RateBreakdown, budget_fields
 
@@ -48,35 +48,32 @@ def decoy_fin_point(dist=60.0, n_pulses=5e10, lam_s=6.6e-4, lam_d=1.0e-4,
 
 class TestUntaggedBounds:
     def test_zero_observable(self):
-        assert untagged_bounds(0.0, 0.95) == (0.0, 0.0)
+        assert untagged_lower_kernel(0.0, 0.95) == 0.0
 
     def test_all_untagged(self):
-        upper, lower = untagged_bounds(0.37, 1.0)
-        assert upper == pytest.approx(0.37, rel=1e-15)
-        assert lower == pytest.approx(0.37, rel=1e-15)
+        assert untagged_lower_kernel(0.37, 1.0) == pytest.approx(0.37,
+                                                                 rel=1e-15)
 
     def test_direct_arithmetic(self):
-        upper, lower = untagged_bounds(0.1, 0.95)
-        assert upper == pytest.approx(0.1 / 0.95, rel=1e-12)
-        assert upper == pytest.approx(0.10526, rel=1e-4)
+        lower = untagged_lower_kernel(0.1, 0.95)
         assert lower == pytest.approx((0.1 - 0.05) / 0.95, rel=1e-12)
         assert lower == pytest.approx(0.05263, rel=1e-4)
 
-    def test_no_untagged_pulses(self):
-        with pytest.raises(NoUntaggedPulsesError):
-            untagged_bounds(0.1, 0.0)
+    def test_clamped_at_zero(self):
+        # the tagged share can hold the whole observable
+        assert untagged_lower_kernel(0.04, 0.95) == 0.0
 
 
 class TestQ1uLower:
     def test_all_mass_in_zero_and_one(self):
-        assert q1u_lower_no_decoy(1.0, 0.6, 0.4) == pytest.approx(1.0)
+        assert q1u_no_decoy_kernel(1.0, 0.6, 0.4) == pytest.approx(1.0)
 
     def test_clamped_at_zero(self):
-        assert q1u_lower_no_decoy(0.05, 0.4, 0.4) == 0.0
+        assert q1u_no_decoy_kernel(0.05, 0.4, 0.4) == 0.0
 
     def test_direct_arithmetic(self):
-        assert q1u_lower_no_decoy(0.05, 0.60, 0.38) == pytest.approx(0.03,
-                                                                     rel=1e-12)
+        assert q1u_no_decoy_kernel(0.05, 0.60, 0.38) == pytest.approx(
+            0.03, rel=1e-12)
 
 
 class TestFiniteCorrection:
@@ -87,28 +84,24 @@ class TestFiniteCorrection:
         assert term1 == pytest.approx(3.42e-5, rel=1e-2)
         assert term2 == pytest.approx(4.094e-2, rel=1e-3)
         assert term3 == pytest.approx(6.44e-5, rel=1e-2)
-        value = finite_correction_delta(1e6, 1e-10, 1e-10, 1e-10)
+        value = finite_delta_kernel(1e6, 1e-10, 1e-10, 1e-10)
         assert value == pytest.approx(term1 + term2 + term3, rel=1e-12)
         assert value == pytest.approx(0.0410, rel=1e-2)
 
     def test_vanishes_for_long_keys(self):
         for eps in (1e-12, 1e-10, 1e-6):
-            assert finite_correction_delta(1e14, eps, eps, eps) < 1e-5
+            assert finite_delta_kernel(1e14, eps, eps, eps) < 1e-5
 
     def test_middle_term_dominates(self):
         n, eps = 1e8, 1e-10
         term2 = 7 * math.sqrt((1 - math.log2(eps)) / n)
-        total = finite_correction_delta(n, eps, eps, eps)
+        total = finite_delta_kernel(n, eps, eps, eps)
         assert term2 / total > 0.9
 
     def test_strictly_decreasing_in_n(self):
-        values = [finite_correction_delta(n, 1e-10, 1e-10, 1e-10)
+        values = [finite_delta_kernel(n, 1e-10, 1e-10, 1e-10)
                   for n in np.geomspace(1e3, 1e15, 40)]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_empty_key_rejected(self):
-        with pytest.raises(EmptyRawKeyError):
-            finite_correction_delta(0.0, 1e-10, 1e-10, 1e-10)
 
 
 class TestNoDecoyInfinite:
@@ -215,9 +208,11 @@ class TestDecoyEvaluators:
         assert bd.q1u_lower == 0.0
         assert bd.rate < 0
 
-    def test_vacuum_class_matches_vacuum_observables(self):
-        q_v, e_v = vacuum_observables(PHYS)
-        assert gain_and_qber(0.0, 0.045, PHYS) == (q_v, e_v)
+    def test_vacuum_class_is_pure_background(self):
+        # the decoy kernel takes the vacuum class's gain and error rate as
+        # (y0, e0_vac): what the gain model gives at zero intensity
+        assert _kernels.gain_qber_kernel(0.0, 0.045, PHYS.y0, PHYS.e_det,
+                                         PHYS.e0, 1) == (PHYS.y0, PHYS.e0_vac)
 
     def test_class_probability_sum_enforced(self):
         bad = ProtocolPoint(
@@ -249,84 +244,88 @@ class TestDecoyEvaluators:
         assert math.isfinite(bd.rate)
 
 
+def source_args(point, phys=PHYS):
+    """(m_a, lambda'), the source's arguments of the rate kernels at a
+    no-decoy ``point``, or (m_a, lambda'_s, lambda'_d) at a decoy one."""
+    m_a, _ = _kernels.channel_at(point.distance_km, phys.to_array())
+    lams = ((point.lam_s, point.lam_d) if point.scenario.uses_decoy
+            else (point.lam,))
+    return (m_a, *(_kernels.lambda_prime_kernel(lam, phys.q_split)
+                   for lam in lams))
+
+
 class TestDecoyEstimatorOps:
-    def _sources(self, lam_s=6.6e-4, lam_d=1.0e-4, delta=0.023):
-        from pnp_bb84 import SourceConfig
-        mk = lambda lam: SourceConfig(m_bright=1e6, q_split=0.01,
-                                      loss_coeff=0.21, distance_km=60.0,
-                                      delta=delta, lam=lam)
-        return mk(lam_s), mk(lam_d)
+    def _estimate(self, q_u_s_up, q_u_d_low, q_u_v_up, lam_d=1.0e-4,
+                  eq_s_up=0.0, eq_v_low=0.0):
+        """`_decoy_q1u_e1u` with the signal class at 60 km, lam_s 6.6e-4."""
+        m_a, lam_p_s, lam_p_d = source_args(decoy_inf_point(lam_d=lam_d))
+        return _kernels._decoy_q1u_e1u(m_a, 0.023, lam_p_s, lam_p_d,
+                                       q_u_s_up, q_u_d_low, q_u_v_up,
+                                       eq_s_up, eq_v_low, 0)
 
     def test_indistinguishable_classes_unavailable(self):
-        from pnp_bb84 import BoundUnavailableError, q1u_lower_decoy
-        s, d = self._sources(lam_d=6.6e-4 * 0.999999)
-        with pytest.raises(BoundUnavailableError):
-            q1u_lower_decoy(1e-3, 1e-4, 1e-6, s, d)
+        # the estimator's denominator closes: no bound, whatever the gains
+        q1u, e1u = self._estimate(1e-3, 1e-4, 1e-6, lam_d=6.6e-4 * 0.999999)
+        assert q1u == 0.0
+        assert math.isnan(e1u)
 
     def test_all_gains_zero_gives_zero(self):
-        from pnp_bb84 import q1u_lower_decoy
-        s, d = self._sources()
-        assert q1u_lower_decoy(0.0, 0.0, 0.0, s, d) == 0.0
+        assert self._estimate(0.0, 0.0, 0.0)[0] == 0.0
 
     def test_matches_full_evaluator(self):
-        # composing the op by hand reproduces the breakdown's bound
-        from pnp_bb84 import q1u_lower_decoy, untagged_bounds
+        # composing the op by hand reproduces the breakdown's bounds
         bd = evaluate_rate(decoy_inf_point(lam_d=1.0e-4), PHYS, CONV)
-        s, d = self._sources()
-        q_s, _ = gain_and_qber(bd.mu, 2.473e-3, PHYS)
-        q_u_s_up, _ = untagged_bounds(bd.gain, bd.p_untagged)
-        _, q_u_d_low = untagged_bounds(bd.gain_decoy, bd.p_untagged)
-        q_u_v_up, _ = untagged_bounds(PHYS.y0, bd.p_untagged)
-        value = q1u_lower_decoy(q_u_s_up, q_u_d_low, q_u_v_up, s, d)
-        assert value == bd.q1u_lower
-
-    @pytest.mark.parametrize("field,value", [
-        ("distance_km", 80.0), ("delta", 0.5), ("q_split", 0.02),
-        ("m_bright", 2e6), ("loss_coeff", 0.2)])
-    def test_decoy_source_must_match_signal_but_in_lam(self, field, value):
-        from pnp_bb84 import q1u_lower_decoy
-        s, d = self._sources()
-        with pytest.raises(ValueError, match="source_decoy"):
-            q1u_lower_decoy(1e-3, 1e-4, 1e-6, s, replace(d, **{field: value}))
+        q_u_s_up = bd.gain / bd.p_untagged
+        q_u_d_low = untagged_lower_kernel(bd.gain_decoy, bd.p_untagged)
+        q_u_v_up = PHYS.y0 / bd.p_untagged
+        eq_v_low = untagged_lower_kernel(PHYS.e0_vac * PHYS.y0,
+                                         bd.p_untagged_vacuum)
+        value = self._estimate(q_u_s_up, q_u_d_low, q_u_v_up,
+                               eq_s_up=bd.gain * bd.qber / bd.p_untagged,
+                               eq_v_low=eq_v_low)
+        assert value == (bd.q1u_lower, bd.e1u_upper)
 
     def test_error_bound_clamps_and_identity(self):
-        from pnp_bb84 import BoundUnavailableError, e1u_upper_decoy
-        assert e1u_upper_decoy(0.0, 0.5, 1.0, 0.1) == 0.0  # negative numerator
-        assert e1u_upper_decoy(0.05, 0.5, 0.0, 0.5) == pytest.approx(0.1)
-        with pytest.raises(BoundUnavailableError):
-            e1u_upper_decoy(0.05, 0.5, 0.0, 0.0)
+        assert e1u_decoy_kernel(0.0, 0.5, 1.0, 0.1) == 0.0  # negative numerator
+        assert e1u_decoy_kernel(0.05, 0.5, 0.0, 0.5) == pytest.approx(0.1)
 
 
 class TestHelpersReproduceThePipeline:
-    """The public bound helpers call the formulas the rate kernels use, so
-    they give a breakdown's fields exactly, not approximately."""
+    """The rate kernels call each formula kernel, so the formula kernels
+    give a breakdown's fields exactly, not approximately."""
 
     def test_no_decoy_bounds(self):
-        from pnp_bb84 import (SourceConfig, mean_output_intensity,
-                              photon_bound_lower, photon_bound_upper)
         point = nd_inf_point()
         bd = evaluate_rate(point, PHYS, CONV)
-        cfg = SourceConfig.from_params(PHYS, point.distance_km, point.delta,
-                                       point.lam)
-        assert untagged_bounds(bd.gain, bd.p_untagged) == (bd.q_u_upper,
-                                                           bd.q_u_lower)
+        m_a, lam_p = source_args(point)
+        assert bd.q_u_upper == bd.gain / bd.p_untagged
+        assert untagged_lower_kernel(bd.gain, bd.p_untagged) == bd.q_u_lower
         assert 0.0 < bd.q1u_lower < bd.q_u_upper  # no clamp binds
-        assert q1u_lower_no_decoy(bd.q_u_lower, photon_bound_lower(cfg, 0),
-                                  photon_bound_upper(cfg, 1)) == bd.q1u_lower
-        assert mean_output_intensity(cfg) == bd.mu
+        p0 = _kernels.photon_kernel(m_a, point.delta, lam_p, 0, 0)
+        p1 = _kernels.photon_kernel(m_a, point.delta, lam_p, 1, 1)
+        assert q1u_no_decoy_kernel(bd.q_u_lower, p0, p1) == bd.q1u_lower
+        assert _kernels.mu_kernel(m_a, point.lam, PHYS.q_split) == bd.mu
+        assert _kernels.coverage_kernel(point.delta, m_a, PHYS.q_split,
+                                        1) == bd.p_untagged
 
     def test_decoy_error_bound(self):
-        from pnp_bb84 import SourceConfig, e1u_upper_decoy, photon_bound_lower
         point = decoy_inf_point(lam_d=1.0e-4)
         bd = evaluate_rate(point, PHYS, CONV)
-        cfg = SourceConfig.from_params(PHYS, point.distance_km, point.delta,
-                                       point.lam_s)
-        _, eq_v_low = untagged_bounds(PHYS.e0_vac * PHYS.y0,
-                                      bd.p_untagged_vacuum)
-        value = e1u_upper_decoy(bd.gain * bd.qber / bd.p_untagged,
-                                photon_bound_lower(cfg, 0), eq_v_low,
-                                bd.q1u_lower)
+        m_a, lam_p_s, _ = source_args(point)
+        eq_v_low = untagged_lower_kernel(PHYS.e0_vac * PHYS.y0,
+                                         bd.p_untagged_vacuum)
+        value = e1u_decoy_kernel(
+            bd.gain * bd.qber / bd.p_untagged,
+            _kernels.photon_kernel(m_a, point.delta, lam_p_s, 0, 0),
+            eq_v_low, bd.q1u_lower)
         assert value == bd.e1u_upper > 0.0
+
+    def test_finite_correction(self):
+        point = nd_fin_point()
+        bd = evaluate_rate(point, PHYS, CONV)
+        b = point.budget
+        assert bd.finite_correction == finite_delta_kernel(
+            bd.n_raw, min(b.eps_u, b.eps_e), b.eps_bar, b.eps_pa) > 0.0
 
 
 class TestScenarioAxes:
