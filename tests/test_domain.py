@@ -36,9 +36,10 @@ ND_INF, ND_FIN = Scenario.NO_DECOY_INFINITE, Scenario.NO_DECOY_FINITE
 D_INF, D_FIN = Scenario.DECOY_INFINITE, Scenario.DECOY_FINITE
 
 
-def point(scenario, **kw):
-    """A point of ``scenario`` at which `evaluate_rate` succeeds."""
-    fields = dict(scenario=scenario, distance_km=20.0, delta=9e-3)
+def point_fields(scenario):
+    """The fields that a point of ``scenario`` reads, at values where
+    `evaluate_rate` succeeds."""
+    fields = dict(distance_km=20.0, delta=9e-3)
     if scenario.uses_decoy:
         fields.update(lam_s=6.6e-4, lam_d=1.0e-4)
     else:
@@ -48,8 +49,12 @@ def point(scenario, **kw):
                       budget=ErrorBudget.equal_split(scenario, PHYS))
         if scenario.uses_decoy:
             fields.update(p_s=0.41, p_d=0.58, p_v=0.01)
-    fields.update(kw)
-    return ProtocolPoint(**fields)
+    return fields
+
+
+def point(scenario, **kw):
+    """A point of ``scenario`` at which `evaluate_rate` succeeds."""
+    return ProtocolPoint(scenario=scenario, **{**point_fields(scenario), **kw})
 
 
 def problem(scenario=ND_FIN, **kw):
@@ -78,37 +83,42 @@ PHYS_FIELDS = {"eta_bob": 0.0, "loss_coeff": -0.1, "y0": 1.5, "e_det": -0.1,
                # above about 2.556e305 math.lgamma overflows
                "m_bright": (0.0, 1e307),
                "q_split": 1.0, "eps_total": 1.0, "eps_ec": 1e-9}
-POINT_FIELDS = [(ND_INF, "distance_km", (-1.0, HUGE)),
-                (ND_INF, "delta", 1.0), (ND_INF, "lam", 0.0),
-                (D_INF, "lam_s", 1.5), (D_INF, "lam_d", 0.0),
-                (ND_FIN, "n_pulses", (0.0, HUGE)),
-                (ND_FIN, "m_e", (0.0, HUGE)), (D_FIN, "p_s", 0.0),
-                (D_FIN, "p_d", 1.5), (D_FIN, "p_v", 0.0)]
-BUDGET_FIELDS = [(ND_FIN, "eps_pa"), (ND_FIN, "eps_u"), (ND_FIN, "eps_e"),
-                 (D_FIN, "eps_bar"), (D_FIN, "eps_u_s"), (D_FIN, "eps_u_d"),
-                 (D_FIN, "eps_u_v"), (D_FIN, "eps_e_s")]
+# the out-of-range values of each number a point holds
+POINT_FIELDS = {"distance_km": (-1.0, HUGE), "delta": (0.0, 1.0), "lam": 0.0,
+                "lam_s": 1.5, "lam_d": 0.0, "n_pulses": (0.0, HUGE),
+                "m_e": (0.0, HUGE), "p_s": 0.0, "p_d": 1.5, "p_v": 0.0}
+# the entry points that take a point, each with the scenarios it takes
+POINT_ENTRIES = {
+    "evaluate_rate": (list(Scenario),
+                      lambda pt: evaluate_rate(pt, PHYS, CONV)),
+    "evaluate_rate_finite_limit": (
+        [ND_FIN, D_FIN], lambda pt: evaluate_rate_finite_limit(pt, PHYS, CONV)),
+    "raw_from_point": (list(Scenario),
+                       lambda pt: raw_from_point(problem(pt.scenario), pt)),
+}
 EPS = 1e-10
 
 PYTHON_API = [
     *[c for name, bad in PHYS_FIELDS.items()
       for c in cases(f"PhysicalParams.{name}",
                      lambda v, name=name: PhysicalParams(**{name: v}), bad)],
-    *[c for sc, name, bad in POINT_FIELDS
-      for c in cases(f"evaluate_rate.{sc.value}.{name}",
-                     lambda v, sc=sc, name=name: evaluate_rate(
-                         point(sc, **{name: v}), PHYS, CONV), bad)],
-    *[c for sc, name in BUDGET_FIELDS
-      for c in cases(f"ErrorBudget.{sc.value}.{name}",
-                     lambda v, sc=sc, name=name: evaluate_rate(point(
+    # every number of a point, in each scenario that reads it, at each entry
+    # point that takes the point; the budget's shares go by ErrorBudget where
+    # evaluate_rate checks them
+    *[c for entry, (scenarios, call) in POINT_ENTRIES.items()
+      for sc in scenarios for name in point_fields(sc) if name in POINT_FIELDS
+      for c in cases(f"{entry}.{sc.value}.{name}",
+                     lambda v, sc=sc, name=name, call=call: call(
+                         point(sc, **{name: v})), POINT_FIELDS[name])],
+    *[c for entry, (scenarios, call) in POINT_ENTRIES.items()
+      for sc in scenarios if sc.finite for name in budget_fields(sc)
+      for c in cases(("ErrorBudget" if entry == "evaluate_rate" else entry)
+                     + f".{sc.value}.{name}",
+                     lambda v, sc=sc, name=name, call=call: call(point(
                          sc, budget=ErrorBudget.of(sc, [
                              v if n == name else EPS
-                             for n in budget_fields(sc)])), PHYS, CONV),
+                             for n in budget_fields(sc)]))),
                      1.0)],
-    *cases("evaluate_rate_finite_limit.delta",
-           lambda v: evaluate_rate_finite_limit(point(ND_FIN, delta=v), PHYS,
-                                                CONV), 1.0),
-    *cases("raw_from_point.delta",
-           lambda v: raw_from_point(problem(), point(ND_FIN, delta=v)), 0.0),
     *cases("OptimizationProblem.distance_km",
            lambda v: problem(distance_km=v), (-1.0, HUGE)),
     *cases("OptimizationProblem.n_pulses", lambda v: problem(n_pulses=v),
