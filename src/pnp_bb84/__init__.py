@@ -4,9 +4,10 @@ from .optimize import (InfeasibleProblemError, OptimizationProblem,
                        OptimizationResult, grid_oracle, maximize,
                        point_from_raw, raw_from_point)
 from .params import BoundConventions, PhysicalParams, Scenario
-from .rates import (EmptyRawKeyError, ErrorBudget, FluctuationTooLargeError,
-                    NoUntaggedPulsesError, ProtocolPoint, RateBreakdown,
-                    RateEvaluationError, WindowViolationError, evaluate_rate,
+from .rates import (DecoyOrderingError, EmptyRawKeyError, ErrorBudget,
+                    FluctuationTooLargeError, NoUntaggedPulsesError,
+                    ProtocolPoint, RateBreakdown, RateEvaluationError,
+                    WindowViolationError, evaluate_rate,
                     evaluate_rate_finite_limit)
 from .scans import (find_lmax, find_na_threshold, scan_distance,
                     solve_lmax_profile)
@@ -15,6 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundConventions",
+    "DecoyOrderingError",
     "EmptyRawKeyError",
     "ErrorBudget",
     "FluctuationTooLargeError",

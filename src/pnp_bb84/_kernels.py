@@ -72,7 +72,9 @@ An asymptotic key sets slots 15-17 to 0, inf, inf whatever the status.
 Status codes: 0 ok, 1 window condition violated, 2 no untagged pulses,
 3 fluctuation exceeds untagged probability, 4 empty raw key,
 5 decoy ordering violated.  Status 3 needs a finite key; status 4 means a
-zero signal gain or, with a finite key, too short a sifted key.
+zero signal gain or, with a finite key, too short a sifted key; status 5
+means lam_d outside (0, lam_s) or, with a finite key, a class probability
+p_s, p_d or p_v = 1 - p_s - p_d at or below 0.
 """
 
 from __future__ import annotations
@@ -227,9 +229,26 @@ def finite_delta_kernel(n, eps_pe, eps_bar, eps_pa):
             + 2.0 * log2(1.0 / (2.0 * eps_pa)) / n)
 
 
+# (1 - delta) m_a from which `decoy_correction_kernel` is exactly 0.0.  Its
+# log lc is the sum of four terms, each bounded on the domain, where
+# 0 < delta < 1, m_a <= numerics.M_BRIGHT_MAX = 1e305, a float lam_p_d < 1 is
+# at most 1 - 2**-53 and P_2 <= 1:
+#   ln(2 delta m_a)                      <= ln(2e305)  < 702.99
+#   (2 delta m_a - 1) ln(1 - lam_p_d)    <= -ln 2**-53 < 36.74
+#     (a factor >= -1 times a log in [ln 2**-53, 0])
+#   ln P_2                               <= 0
+#   -ln Gamma(x), x = (1 - delta) m_a + 2
+# so lc < 739.72 - ln Gamma(x).  ln Gamma(306) = 1443.47, so lc < -700, the
+# kernel's own zero branch, once (1 - delta) m_a >= 304; 320 (ln Gamma(322) =
+# 1535.44, lc < -795) leaves margin for the rounding of each term.
+DECOY_CORRECTION_ZERO_FROM = 320.0
+
+
 def decoy_correction_kernel(delta, m_a, lam_p_d, p2s_low):
+    if (1.0 - delta) * m_a >= DECOY_CORRECTION_ZERO_FROM:
+        return 0.0
     # multiphoton remainder of the single-photon estimator, in log space;
-    # underflows to zero for any realistic pulse count
+    # exactly 0.0 once (1 - delta) m_a reaches DECOY_CORRECTION_ZERO_FROM
     if delta <= 0.0 or p2s_low <= 0.0 or lam_p_d >= 1.0:
         return 0.0
     lc = (log(2.0 * delta * m_a)

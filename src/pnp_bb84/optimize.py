@@ -177,8 +177,9 @@ def point_from_raw(problem: OptimizationProblem, raw: Sequence[float]) -> Protoc
     tolist = getattr(raw, "tolist", None)
     try:
         values = array("d", raw if tolist is None else tolist()).tolist()
-    except TypeError as exc:
-        raise ValueError(f"raw vector must hold numbers: {exc}") from None
+    except (TypeError, OverflowError) as exc:  # OverflowError: 10**400
+        raise ValueError(f"raw vector must hold {problem.dim} finite "
+                         f"numbers: {exc}") from None
     if len(values) != problem.dim or not all(map(math.isfinite, values)):
         raise ValueError(f"raw vector {values!r} must hold {problem.dim} "
                          f"finite numbers")

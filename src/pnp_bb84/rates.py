@@ -57,7 +57,8 @@ _STATUS_ERRORS = {
     3.0: (FluctuationTooLargeError, "fluctuation exceeds untagged probability"),
     4.0: (EmptyRawKeyError, "empty raw key"),
     5.0: (DecoyOrderingError,
-          "decoy ordering violated (lambda_d must be below lambda_s)"),
+          "decoy ordering violated (lambda_d must lie in (0, lambda_s), and "
+          "p_s, p_d and p_v = 1 - p_s - p_d must each be above 0)"),
 }
 
 

@@ -178,8 +178,8 @@ def test_python_entry_point_rejects(call, value, no_search):
 
 
 PUBLIC_NAMES = [
-    "BoundConventions", "EmptyRawKeyError", "ErrorBudget",
-    "FluctuationTooLargeError", "InfeasibleProblemError",
+    "BoundConventions", "DecoyOrderingError", "EmptyRawKeyError",
+    "ErrorBudget", "FluctuationTooLargeError", "InfeasibleProblemError",
     "NoUntaggedPulsesError", "OptimizationProblem", "OptimizationResult",
     "PhysicalParams", "ProtocolPoint", "RateBreakdown", "RateEvaluationError",
     "Scenario", "WindowViolationError", "evaluate_rate",
@@ -189,9 +189,10 @@ PUBLIC_NAMES = [
 ]
 # the public names that take no number from outside, so have no domain case
 NO_NUMBERS = {
-    **dict.fromkeys(["EmptyRawKeyError", "FluctuationTooLargeError",
-                     "InfeasibleProblemError", "NoUntaggedPulsesError",
-                     "RateEvaluationError", "WindowViolationError"],
+    **dict.fromkeys(["DecoyOrderingError", "EmptyRawKeyError",
+                     "FluctuationTooLargeError", "InfeasibleProblemError",
+                     "NoUntaggedPulsesError", "RateEvaluationError",
+                     "WindowViolationError"],
                     "an exception"),
     "OptimizationResult": "a result record, built by maximize",
     "RateBreakdown": "a result record, built by evaluate_rate",
@@ -243,10 +244,11 @@ def test_problem_where_q_split_times_m_a_underflows_is_infeasible(scenario):
 
 
 @pytest.mark.parametrize("index", [0, 12])
-@pytest.mark.parametrize("value", [NAN, INF, -INF])
+@pytest.mark.parametrize("value", [NAN, INF, -INF,
+                                   pytest.param(HUGE, id="10**400")])
 def test_point_from_raw_rejects_a_non_finite_coordinate(index, value):
     # the parameter maps pass nan through to delta; only evaluating the
-    # point would catch it
+    # point would catch it.  10**400 overflows the conversion to a float
     raw = [0.0] * 13
     raw[index] = value
     with pytest.raises(ValueError, match="finite"):

@@ -6,9 +6,9 @@ from dataclasses import FrozenInstanceError, asdict, fields, replace
 import numpy as np
 import pytest
 
-from pnp_bb84 import (BoundConventions, EmptyRawKeyError, ErrorBudget,
-                      PhysicalParams, ProtocolPoint, Scenario, evaluate_rate,
-                      evaluate_rate_finite_limit)
+from pnp_bb84 import (BoundConventions, DecoyOrderingError, EmptyRawKeyError,
+                      ErrorBudget, PhysicalParams, ProtocolPoint, Scenario,
+                      evaluate_rate, evaluate_rate_finite_limit)
 from pnp_bb84 import _kernels, rates
 from pnp_bb84._kernels import (e1u_decoy_kernel, finite_delta_kernel,
                                q1u_no_decoy_kernel, untagged_lower_kernel)
@@ -413,9 +413,20 @@ STATUS_ERRORS = [
     (3.0, rates.FluctuationTooLargeError,
      "fluctuation exceeds untagged probability"),
     (4.0, EmptyRawKeyError, "empty raw key"),
-    (5.0, rates.DecoyOrderingError,
-     "decoy ordering violated (lambda_d must be below lambda_s)"),
+    (5.0, DecoyOrderingError,
+     "decoy ordering violated (lambda_d must lie in (0, lambda_s), and "
+     "p_s, p_d and p_v = 1 - p_s - p_d must each be above 0)"),
 ]
+
+
+def test_vanishing_vacuum_share_is_a_decoy_ordering_error():
+    # the shares pass validate (their sum is 1 within 1e-12), but the kernel
+    # takes p_v = 1 - p_s - p_d, which is 0.0 here, with lambda_d < lambda_s
+    point = replace(decoy_fin_point(dist=20.0, delta=9e-3, m_e=7.6e5,
+                                    p_s=0.5, p_d=0.5), p_v=1e-13)
+    assert point.lam_d < point.lam_s
+    with pytest.raises(DecoyOrderingError, match=r"p_v = 1 - p_s - p_d"):
+        evaluate_rate(point, PHYS, CONV)
 
 
 class TestRecordsBuiltInOneStep:
