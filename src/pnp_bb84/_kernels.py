@@ -52,6 +52,12 @@ which spares a star-call per scalar.  The per-scenario names (``rate_``,
 ``params_`` or ``objective_`` and the scenario) are aliases, kept only
 because `optimize._kernel` and perfbench/tracing.py look kernels up by them.
 
+The optimizer runs each objective flattened (`_flatten`): one generated
+function with every helper below inlined, the same floats without the
+calls.  So a formula's helper costs the search no call, and granularity here
+is chosen for reading; `rates`, the grid kernels and `point_from_raw` call
+the helpers as written.
+
 Breakdown tuple (18 float slots):
     0 status, 1 rate, 2 mu_signal, 3 mu_decoy, 4 gain_signal, 5 qber_signal,
     6 gain_decoy, 7 qber_decoy, 8 pu_signal, 9 pu_decoy, 10 pu_vacuum,
@@ -517,30 +523,30 @@ def params_decoy(raw, m_a, eta, n_pulses, phys, flags):
 
 
 # --- objectives: rate at a raw vector, PENALTY (plus a guide) when infeasible ---
-# The status rule stays inline in each objective, since a shared helper
-# costs a call per evaluation; status 3 needs a finite key.
 
-def _fluctuation_guide(res):
-    # smallest untagged probability, so the search climbs out of status 3
-    guide = min(res[8], res[9], res[10])
-    return PENALTY + (guide if guide == guide else -1.0)
+def _objective_value(res):
+    # the status rule: the rate at status 0; at status 3, which needs a finite
+    # key, PENALTY plus the smallest untagged probability, so the search
+    # climbs out; PENALTY at any other status
+    if res[0] == STATUS_OK:
+        return res[1]
+    if res[0] == STATUS_FLUCTUATION:
+        guide = min(res[8], res[9], res[10])
+        return PENALTY + (guide if guide == guide else -1.0)
+    return PENALTY
 
 
 def objective_no_decoy(raw, m_a, eta, n_pulses, phys, flags):
     lam, delta, finite = params_no_decoy(raw, m_a, eta, n_pulses, phys, flags)
-    res = rate_no_decoy(m_a, eta, lam, delta, phys, flags, finite)
-    if res[0] == STATUS_OK:
-        return res[1]
-    return _fluctuation_guide(res) if res[0] == STATUS_FLUCTUATION else PENALTY
+    return _objective_value(rate_no_decoy(m_a, eta, lam, delta, phys, flags,
+                                          finite))
 
 
 def objective_decoy(raw, m_a, eta, n_pulses, phys, flags):
     lam_s, lam_d, delta, finite = params_decoy(raw, m_a, eta, n_pulses, phys,
                                                flags)
-    res = rate_decoy(m_a, eta, lam_s, lam_d, delta, phys, flags, finite)
-    if res[0] == STATUS_OK:
-        return res[1]
-    return _fluctuation_guide(res) if res[0] == STATUS_FLUCTUATION else PENALTY
+    return _objective_value(rate_decoy(m_a, eta, lam_s, lam_d, delta, phys,
+                                       flags, finite))
 
 
 # per-scenario aliases, for lookups by scenario name (module docstring)

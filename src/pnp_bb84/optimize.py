@@ -59,6 +59,18 @@ returns that point unpolished, with ``converged=False``.  A search that
 never gets there runs in full and returns what it returns without a target,
 float for float.  Without a target the objective is not wrapped at all.
 
+The objective the search evaluates is `_kernels.objective_<model>`
+flattened by `_flatten`: the first `_objective_fn` call for a source model
+builds one function from the `_kernels` source with everything the
+objective calls there inlined (the parameter map, the rate kernel, the
+status rule and each helper), once per process and never at import.  An
+evaluation then makes no Python call into `_kernels`, and its floats are the
+composed objective's, bit for bit (`tests/test_flatten.py`).  A callable the
+flattener cannot read runs unchanged: a wrapper such as perfbench's tracer
+installs, a stub, or a function whose source file is missing.  The
+generated source is registered with `linecache` under ``<flat
+pnp_bb84._kernels.objective_<model>>``, so tracebacks show its lines.
+
 `_nelder_mead` is a port of scipy 1.17's ``_minimize_neldermead`` with the
 options used here (standard coefficients, ``initial_simplex`` as above,
 ``xatol=1e-6``, ``fatol=1e-11``, ``maxfev`` given), run on lists of Python
@@ -292,11 +304,14 @@ def _heuristic_raw(problem: OptimizationProblem) -> list[float]:
 
 def _objective_fn(problem: OptimizationProblem
                   ) -> Callable[[list[float]], float]:
+    """The rate at a raw vector: the problem's `_kernels` objective, run
+    flattened unless the flattener cannot read it (module docstring)."""
+    from ._flatten import flattened  # loaded at first use, not at import
     arr = problem.phys.to_array()
     flags = problem.conventions.to_flags()
     m_a, eta = _kernels.channel_at(problem.distance_km, arr)
     n_pulses = problem.n_pulses
-    kern = _kernel("objective", problem)
+    kern = flattened(_kernel("objective", problem), _kernels)
     return lambda z: kern(z, m_a, eta, n_pulses, arr, flags)
 
 

@@ -6,6 +6,7 @@ figures: each is the file one `scan` or `lmax` run writes.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable, Optional, Sequence
 
@@ -41,7 +42,9 @@ def _warm_chain(scenario: Scenario, phys: PhysicalParams,
 
     def solve(key: float, distance_km: float, n_pulses: float,
               target: Optional[float] = None) -> OptimizationResult:
-        nearest = sorted(found, key=lambda k: abs(k - key))[:2]
+        # one pass over the keys; ties go to the key recorded first, as
+        # in sorted(found, key=...)[:2]
+        nearest = heapq.nsmallest(2, found, key=lambda k: abs(k - key))
         result = maximize(OptimizationProblem(
             scenario=scenario, distance_km=distance_km, n_pulses=n_pulses,
             phys=phys, conventions=conventions,

@@ -159,6 +159,43 @@ def test_every_pulse_count_probe_is_targeted(monkeypatch):
     assert calls and {target for _, target, _ in calls} == {1e-9}
 
 
+def test_warm_chain_starts_from_the_two_nearest_keys(monkeypatch):
+    # each solve warm starts from the two recorded keys nearest its own,
+    # nearest first; a tie goes to the key recorded first, on either side
+    import random
+    from types import SimpleNamespace
+
+    from pnp_bb84 import scans
+
+    seen = []
+
+    def maximize(problem, target=None):
+        seen.append(problem.warm_starts)
+        return SimpleNamespace(best_point=f"p{problem.distance_km:g}")
+
+    monkeypatch.setattr(scans, "maximize", maximize)
+    solve = scans._warm_chain(Scenario.DECOY_INFINITE, PhysicalParams(),
+                              BoundConventions())
+    for key in (10.0, 3.0, 1.0, 2.0, 2.5, 1.5):
+        solve(key, key, math.inf)
+    assert seen == [(), ("p10",), ("p3", "p10"), ("p3", "p1"),
+                    ("p3", "p2"), ("p1", "p2")]
+
+    # the order sorted(...)[:2] gives, ties included, on a grid of keys
+    rng = random.Random(0)
+    for _ in range(200):
+        seen.clear()
+        solve = scans._warm_chain(Scenario.DECOY_INFINITE, PhysicalParams(),
+                                  BoundConventions())
+        keys = [rng.randrange(8) * 0.5 for _ in range(12)]
+        found = {}
+        for key in keys:
+            solve(key, key, math.inf)
+            nearest = sorted(found, key=lambda k: abs(k - key))[:2]
+            assert seen[-1] == tuple(found[k] for k in nearest)
+            found[key] = f"p{key:g}"
+
+
 def _halving(below, lo, hi, width):
     """The plain bisection the threshold solvers used before their key-end
     search: the midpoint of ``[lo, hi]`` halved until no wider than

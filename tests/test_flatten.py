@@ -1,0 +1,323 @@
+"""The flat objectives: `_kernels.objective_*` with every helper inlined.
+
+`optimize._objective_fn` runs the objective `_flatten.flattened` builds from
+the `_kernels` source.  These tests hold it to the composed objective float
+for float, check what the generated source calls, that a wrapper or stub
+passes through unchanged, when generation happens, and that the flattener
+refuses a shape it cannot rewrite exactly.
+"""
+
+import ast
+import importlib.util
+import linecache
+import math
+import subprocess
+import sys
+import textwrap
+import traceback
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+from pnp_bb84 import (OptimizationProblem, Scenario, _flatten, _kernels,
+                      maximize)
+from pnp_bb84.optimize import _heuristic_raw, _objective_fn
+
+from test_properties import CONVENTIONS, draws
+
+MODELS = {False: "objective_no_decoy", True: "objective_decoy"}
+
+
+def flat_and_composed(scenario):
+    composed = getattr(_kernels, MODELS[scenario.uses_decoy])
+    return _flatten.flattened(composed, _kernels), composed
+
+
+def outcome(fn, *args):
+    """The value, or the type of the exception raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not hidden: both must raise it
+        return type(exc)
+
+
+def assert_same(flat, composed, *args):
+    a, b = outcome(flat, *args), outcome(composed, *args)
+    assert a == b or (a != a and b != b), (args, a, b)
+    return b
+
+
+def kernel_args(scenario, distance_km, n_pulses, conventions):
+    problem = OptimizationProblem(scenario, distance_km, n_pulses,
+                                  conventions=conventions)
+    arr = problem.phys.to_array()
+    m_a, eta = _kernels.channel_at(distance_km, arr)
+    return problem, (m_a, eta, n_pulses, arr, conventions.to_flags())
+
+
+@pytest.mark.parametrize("conv_name", list(CONVENTIONS))
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_flat_objective_equals_the_composed_one(scenario, conv_name):
+    flat, composed = flat_and_composed(scenario)
+    assert flat is not composed
+    conv = CONVENTIONS[conv_name]
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              database=None)
+    @given(draws(scenario))
+    def check(draw):
+        distance_km, n_pulses, raw = draw
+        _, args = kernel_args(scenario, distance_km, n_pulses, conv)
+        assert_same(flat, composed, raw, *args)
+
+    check()
+
+
+# raws past every range: the sigmoids' far ends, and simplex weights on both
+# sides of the +-40 clamp
+EDGES = (30.0, -30.0, 39.5, 40.0, 41.0, -41.0, 1e3, -1e3)
+
+
+@pytest.mark.parametrize("conv_name", list(CONVENTIONS))
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_flat_objective_equals_the_composed_one_at_the_edges(scenario,
+                                                             conv_name):
+    flat, composed = flat_and_composed(scenario)
+    conv = CONVENTIONS[conv_name]
+    values = []
+    for distance_km in (0.0, 20.0, 60.0, 150.0, 400.0):
+        n_counts = (5e10, 1e6, 1e16) if scenario.finite else (math.inf,)
+        for n_pulses in n_counts:
+            problem, args = kernel_args(scenario, distance_km, n_pulses, conv)
+            base = _heuristic_raw(problem)
+            raws = [base, [30.0] * problem.dim, [-30.0] * problem.dim]
+            for k in range(problem.dim):
+                for v in EDGES:
+                    raws.append(base[:k] + [v] + base[k + 1:])
+            for raw in raws:
+                values.append(assert_same(flat, composed, raw, *args))
+                if scenario.finite:
+                    # a finite-key raw vector at n_pulses = inf, the
+                    # asymptotic branch of the parameter map
+                    assert_same(flat, composed, raw, *args[:2], math.inf,
+                                *args[3:])
+    # the status rule's branches were reached: a rate and, with a finite
+    # key, the penalty or the guide out of status 3 (at most PENALTY)
+    penalty = _kernels.PENALTY
+    assert any(v > penalty + 1.0 for v in values)
+    assert scenario.finite == any(v <= penalty for v in values)
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_objective_fn_runs_the_flat_objective(scenario):
+    n_pulses = 5e10 if scenario.finite else math.inf
+    problem = OptimizationProblem(scenario, 30.0, n_pulses)
+    flat, composed = flat_and_composed(scenario)
+    fn = _objective_fn(problem)
+    assert flat.__code__ in [c.cell_contents.__code__
+                             for c in fn.__closure__
+                             if callable(c.cell_contents)]
+    raw = _heuristic_raw(problem)
+    _, args = kernel_args(scenario, 30.0, n_pulses,
+                          problem.conventions)
+    assert fn(raw) == composed(raw, *args)
+
+
+def _calls(source: str) -> set:
+    return {node.func.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+@pytest.mark.parametrize("uses_decoy", [False, True])
+def test_generated_source_calls_no_kernel_function(uses_decoy):
+    flat = _flatten.flattened(getattr(_kernels, MODELS[uses_decoy]), _kernels)
+    source = "".join(linecache.getlines(flat.__code__.co_filename))
+    assert source.startswith(f"def {MODELS[uses_decoy]}(")
+    kernel_functions = {name for name, value in vars(_kernels).items()
+                        if callable(value)
+                        and getattr(value, "__module__", None)
+                        == _kernels.__name__}
+    called = _calls(source)
+    assert called and not called & kernel_functions
+    assert "_kernels" not in source
+
+
+@pytest.mark.parametrize("scenario", [Scenario.DECOY_FINITE,
+                                      Scenario.NO_DECOY_INFINITE],
+                         ids=lambda s: s.value)
+def test_a_wrapper_or_stub_sees_every_evaluation(monkeypatch, scenario):
+    import functools
+
+    n_pulses = 5e10 if scenario.finite else math.inf
+    name = f"objective_{scenario.value}"
+    original = getattr(_kernels, name)
+    calls = []
+
+    @functools.wraps(original)
+    def wrapper(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    def stub(raw, *rest):
+        calls.append(raw)
+        return -sum((v - 0.5) ** 2 for v in raw)
+
+    for fn in (wrapper, stub, lambda *args: calls.append(args[0]) or 0.0):
+        monkeypatch.setattr(_kernels, name, fn)
+        assert _flatten.flattened(fn, _kernels) is fn
+        calls.clear()
+        problem = OptimizationProblem(scenario, 20.0, n_pulses)
+        assert _objective_fn(problem)([0.0] * problem.dim) is not None
+        assert len(calls) == 1
+        if fn is not stub:
+            continue
+        calls.clear()
+        result = maximize(problem)
+        assert len(calls) == result.evaluations > 0
+
+
+def test_generation_happens_once_per_objective_and_not_at_import():
+    script = textwrap.dedent("""
+        import linecache, math, sys
+        import pnp_bb84
+        assert "pnp_bb84._flatten" not in sys.modules
+        assert not [k for k in linecache.cache if k.startswith("<flat")]
+        from pnp_bb84 import Scenario, _flatten
+        from pnp_bb84.optimize import OptimizationProblem, _objective_fn
+        made = []
+        flatten = _flatten._Flattener.flatten
+        def counted(self, fdef):
+            made.append(fdef.name)
+            return flatten(self, fdef)
+        _flatten._Flattener.flatten = counted
+        for _ in range(2):
+            for sc in Scenario:
+                n = 5e10 if sc.finite else math.inf
+                problem = OptimizationProblem(sc, 20.0, n)
+                _objective_fn(problem)([0.0] * problem.dim)
+        assert sorted(made) == ["objective_decoy", "objective_no_decoy"], made
+        print("ok")
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+# --- the flattener on small synthetic modules ------------------------------------
+
+def load(tmp_path, name, source):
+    path = tmp_path / f"{name}.py"
+    path.write_text(textwrap.dedent(source))
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SHAPES = """
+    def twice(x):
+        return 2.0 * x
+
+    def clamp(x, lo=0.0):
+        # a return ends each branch; the rest of the body follows the if
+        if x < lo:
+            return lo
+        y = x if x < 1.0 else 1.0
+        return y
+
+    def pair(x):
+        return x, twice(x) + 1.0
+
+    def entry(a, b):
+        s, t = pair(a - b)
+        u = clamp(s) + clamp(t, -1.0) if s > 0 else twice(t)
+        v = 0.0 if b > 0 else twice(b)
+        w = clamp(twice(u)) / b
+        return w if u > 0.5 else clamp(v)
+"""
+
+
+def test_synthetic_module_flattens_to_the_same_values(tmp_path):
+    module = load(tmp_path, "shapes", SHAPES)
+    flat = _flatten.flattened(module.entry, module)
+    assert flat is not module.entry
+    source = "".join(linecache.getlines(flat.__code__.co_filename))
+    assert not _calls(source) & {"twice", "clamp", "pair"}
+    for a in (-2.0, -0.3, 0.0, 0.2, 0.7, 3.0):
+        for b in (-1.5, -0.1, 0.4, 2.0):
+            assert flat(a, b) == module.entry(a, b)
+    assert outcome(flat, 1.0, 0.0) is ZeroDivisionError
+    assert outcome(module.entry, 1.0, 0.0) is ZeroDivisionError
+
+
+def test_traceback_shows_the_generated_lines(tmp_path):
+    module = load(tmp_path, "shapes_tb", SHAPES)
+    flat = _flatten.flattened(module.entry, module)
+    with pytest.raises(ZeroDivisionError) as info:
+        flat(1.0, 0.0)
+    frame = traceback.extract_tb(info.tb)[-1]
+    assert frame.filename == "<flat shapes_tb.entry>"
+    assert "/ b" in frame.line
+
+
+def test_a_missing_source_runs_unchanged(tmp_path):
+    module = load(tmp_path, "gone", SHAPES)
+    (tmp_path / "gone.py").unlink()
+    linecache.checkcache()
+    assert _flatten.flattened(module.entry, module) is module.entry
+
+
+@pytest.mark.parametrize("source,message", [
+    ("""
+     def helper(x):
+         return x + 1.0
+
+     def entry(a):
+         return a > 0.0 and helper(a) > 1.0
+     """, "boolean operand"),
+    ("""
+     def helper(x):
+         for k in range(3):
+             if k > x:
+                 return k
+         return -1
+
+     def entry(a):
+         return helper(a)
+     """, "does not end its branch"),
+    ("""
+     def helper(x):
+         if x > 0.0:
+             y = x
+             if x > 1.0:
+                 return y
+         return 0.0
+
+     def entry(a):
+         return helper(a)
+     """, "does not end its branch"),
+    ("""
+     def helper(x):
+         x = x + 1.0
+         return x
+
+     def entry(a):
+         return helper(a)
+     """, "reassigns its parameter x"),
+    ("""
+     def helper(x):
+         if x > 0.0:
+             return x
+
+     def entry(a):
+         return helper(a)
+     """, "ends without a return"),
+])
+def test_unhandled_shapes_raise_at_generation(tmp_path, source, message):
+    name = f"bad_{abs(hash(source))}"
+    module = load(tmp_path, name, source)
+    with pytest.raises(_flatten.FlattenError, match=message):
+        _flatten.flattened(module.entry, module)
