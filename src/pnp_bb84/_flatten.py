@@ -5,7 +5,7 @@ function that computes what ``fn`` computes, with every call to a function
 of that module (a helper) replaced by the helper's body.  It runs the same
 float operations on the same values, so its results equal ``fn``'s bit for
 bit, while a `_kernels` objective drops its some forty Python calls per
-evaluation.  `optimize._objective_fn` runs the objectives this way.
+evaluation.  `optimize._objective_fn` runs the no-decoy objective this way.
 
 The rewrite, on the helpers' own source:
 
@@ -27,21 +27,65 @@ of a chained comparison, a comprehension or lambda), a ``return`` that does
 not end its branch, a helper that can end without one or that reassigns a
 parameter, and arguments other than positional ones and constant defaults.
 
-Each flat function is built once per process, at its first use, from the
-helpers as they stand then; the ASTs are dropped once it is compiled.  Its source is registered with `linecache`
-under ``<flat module.name>``, so tracebacks show its lines.  A callable that
-is not a plain function of the module, or whose ``def`` cannot be read at
-the line its code starts on (a missing source file), is returned as it is.
+`specialized(fn, module, m_a, eta, n_pulses, phys, flags)` goes one step
+further for an objective ``fn(raw, m_a, eta, n_pulses, phys, flags)``: it
+returns ``objective(raw)``, made by ``make(m_a, eta, n_pulses, phys,
+flags)``, which is generated from the flat source once per variant key
+``(fn, n_pulses == INF, flags)``.  The rewrite, repeated until nothing
+changes:
+
+- the key is substituted: ``n_pulses == INF`` and ``flags`` become
+  constants, and so do the module's numbers and tuples of numbers, read as
+  they stand at generation, as the helpers are;
+- a test, comparison, constant subscript or conditional whose operands are
+  then all constants is folded, and a constant ``and``/``or`` operand that
+  cannot decide its test is dropped.  A test on a runtime value stays:
+  ``isfinite(n_pulses)`` is kept, since nan is not INF and so takes the
+  finite-key variant;
+- a local stored as a tuple literal and read only by unpacking, a constant
+  subscript or ``is None`` (the map's ``finite``, the helpers' multi-value
+  returns, the breakdown) becomes one local per slot; one stored twice on a
+  path raises `FlattenError`;
+- constants and copies are propagated; a value stored once and read once,
+  later in its block with none of its inputs stored in between, is written
+  at its read; and a store that nothing reads before the name is stored
+  again is dropped.  The last two take only values that can have no
+  effect but raising, so only where the composed function raises could the
+  two differ.
+
+``make``'s prologue then computes once what reads only its arguments: each
+local stored once from them, and each largest such subexpression
+(``phys[8]``, ``1.0 - phys[8]``, ``phys[4] * phys[2]``), duplicates once.
+Only subscripts at constants, ``+``, ``-``, ``*`` and division by a nonzero
+constant qualify, no call and no ``**``, so the prologue cannot raise where
+an evaluation would not.  Every operation whose value reaches the result
+runs on the same values in the same order, so the specialized objective
+equals ``fn`` bit for bit, with one Python frame fewer per evaluation than
+a closure around the flat function.  A wrapper or stub, or an objective
+whose source cannot be read, runs as installed behind the same call.
+
+Each flat source and each variant is built once per process, at its first
+use, from the helpers as they stand then; the ASTs are dropped before
+compiling.  The generated source is registered with `linecache` under
+``<flat module.name>`` or ``<specialized module.name n_pulses == INF: ...,
+flags: ...>``, so tracebacks show its lines.  A callable that is not a
+plain function of the module, or whose ``def`` cannot be read at the line
+its code starts on (a missing source file), is returned as it is.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
+import collections
 import functools
 import linecache
+import operator
 import types
 from typing import Callable, Optional
+
+
+INF = float("inf")
 
 
 class FlattenError(Exception):
@@ -52,27 +96,73 @@ def flattened(fn: Callable, module: types.ModuleType) -> Callable:
     """``fn`` with every helper call inlined if it is a plain function of
     ``module``, else ``fn`` itself (a wrapper, a stub); also ``fn`` itself
     when the module's source cannot be read."""
-    if (not isinstance(fn, types.FunctionType)
-            or fn.__globals__ is not vars(module)
-            or hasattr(fn, "__wrapped__")):
-        return fn
-    return _flat(fn)
+    return _flat(fn) if _plain(fn, module) else fn
+
+
+def specialized(fn: Callable, module: types.ModuleType, m_a, eta, n_pulses,
+                phys, flags) -> Callable[[list], float]:
+    """``raw -> fn(raw, m_a, eta, n_pulses, phys, flags)``, for an objective
+    ``fn`` of ``module``: its variant for ``n_pulses == INF`` and ``flags``,
+    bound to the other arguments.  A wrapper or stub, or an objective whose
+    source cannot be read, runs as it is behind the same call."""
+    make = None
+    if _plain(fn, module):
+        make = _make(fn, n_pulses == INF, tuple(flags))
+    if make is None:
+        return lambda raw: fn(raw, m_a, eta, n_pulses, phys, flags)
+    return make(m_a, eta, n_pulses, phys, flags)
+
+
+def _plain(fn: Callable, module: types.ModuleType) -> bool:
+    """Whether ``fn`` is a function of ``module`` as written, no wrapper."""
+    return (isinstance(fn, types.FunctionType)
+            and fn.__globals__ is vars(module)
+            and not hasattr(fn, "__wrapped__"))
+
+
+@functools.cache
+def _flat_source(fn: types.FunctionType) -> Optional[str]:
+    """The source of ``fn`` flattened, or None when it cannot be read."""
+    defs = _Defs(fn)
+    fdef = defs.get(fn.__name__)
+    if fdef is None:
+        return None
+    return ast.unparse(_Flattener(fn.__globals__, defs).flatten(fdef)) + "\n"
 
 
 @functools.cache
 def _flat(fn: types.FunctionType) -> Callable:
-    defs = _Defs(fn)
-    fdef = defs.get(fn.__name__)
-    if fdef is None:
+    source = _flat_source(fn)
+    if source is None:
         return fn
-    source = ast.unparse(_Flattener(fn.__globals__, defs).flatten(fdef)) + "\n"
-    del defs, fdef   # the ASTs go before compiling, which peaks as high
-    filename = f"<flat {fn.__module__}.{fn.__qualname__}>"
+    return _compiled(source, f"<flat {fn.__module__}.{fn.__qualname__}>",
+                     fn.__globals__, fn.__name__)
+
+
+def _compiled(source: str, filename: str, globals_: dict, name: str):
+    """Function ``name`` of ``source``, registered with `linecache` under
+    ``filename`` so that tracebacks show its lines."""
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
     namespace: dict = {}
-    exec(compile(source, filename, "exec"), fn.__globals__, namespace)
-    return namespace[fn.__name__]
+    exec(compile(source, filename, "exec"), globals_, namespace)
+    return namespace[name]
+
+
+@functools.cache
+def _make(fn: types.FunctionType, infinite: bool,
+          flags: tuple) -> Optional[Callable]:
+    """The ``make`` of ``fn``'s variant; None when the source is unread."""
+    source = _flat_source(fn)
+    if source is None:
+        return None
+    fdef = ast.parse(source).body[0]
+    key = {"n_pulses == INF": infinite, "flags": flags}
+    source = _Specializer(fdef, key, fn.__globals__).source()
+    del fdef   # the AST goes before compiling, which peaks as high
+    return _compiled(source, f"<specialized {fn.__module__}.{fn.__qualname__}"
+                             f" n_pulses == INF: {infinite}, flags: {flags}>",
+                     fn.__globals__, "make")
 
 
 class _Defs:
@@ -152,12 +242,17 @@ def _copy(node, mapping: Optional[dict] = None):
     return new
 
 
+# the operator and context leaves, which no walk needs to visit
+_OPS = (ast.expr_context, ast.operator, ast.cmpop, ast.unaryop, ast.boolop)
+
+
 def _walk(node):
-    """Every node under ``node``, a node or a list of them, in no order."""
+    """Every node under ``node``, a node or a list of them, in no order;
+    operators and contexts left out."""
     todo = list(node) if isinstance(node, list) else [node]
     while todo:
         n = todo.pop()
-        if isinstance(n, ast.AST):
+        if isinstance(n, ast.AST) and not isinstance(n, _OPS):
             yield n
             for f in n._fields:
                 value = getattr(n, f, None)
@@ -187,9 +282,25 @@ def _ends(stmts: list) -> bool:
                 and _ends(last.orelse)))
 
 
+def _name_nodes(node) -> list:
+    """Every Name under ``node``, a node or a list of them, in no order."""
+    found, todo = [], list(node) if type(node) is list else [node]
+    while todo:
+        n = todo.pop()
+        if type(n) is ast.Name:
+            found.append(n)
+        elif isinstance(n, ast.AST) and not isinstance(n, _LEAVES):
+            for f in n._fields:
+                value = getattr(n, f, None)
+                if type(value) is list:
+                    todo += value
+                elif value is not None:
+                    todo.append(value)
+    return found
+
+
 def _names(node, ctx) -> set[str]:
-    return {n.id for n in _walk(node)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
+    return {n.id for n in _name_nodes(node) if isinstance(n.ctx, ctx)}
 
 
 def _params(fdef: ast.FunctionDef) -> list[str]:
@@ -418,3 +529,726 @@ class _Flattener:
                                    f"flat function has as locals")
             self.checked[fdef.name] = stored
         return self.checked[fdef.name]
+
+
+# --- specialization ------------------------------------------------------------
+
+_CMP = {ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
+        ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge,
+        ast.Is: operator.is_, ast.IsNot: operator.is_not}
+# what a dropped store's value may hold: nothing with an effect but raising
+_PURE = (ast.Name, ast.Constant, ast.BinOp, ast.UnaryOp, ast.BoolOp,
+         ast.Compare, ast.IfExp, ast.Subscript, ast.Tuple, ast.Call,
+         ast.expr_context, ast.operator, ast.unaryop, ast.boolop, ast.cmpop)
+_PURE_BUILTINS = (min, max)
+
+
+def _number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _counts(node) -> tuple[collections.Counter, collections.Counter]:
+    """How often each name is stored and loaded in ``node``."""
+    stores, loads = collections.Counter(), collections.Counter()
+    for n in _name_nodes(node):
+        (loads if isinstance(n.ctx, ast.Load) else stores)[n.id] += 1
+    return stores, loads
+
+
+def _statements(stmts: list):
+    """Every statement of ``stmts`` and of the blocks inside, in order."""
+    for st in stmts:
+        yield st
+        if isinstance(st, ast.If):
+            yield from _statements(st.body)
+            yield from _statements(st.orelse)
+
+
+def _copy_target(node) -> Optional[tuple[str, ast.expr]]:
+    """``(x, value)`` of a statement ``x = value``, else None."""
+    if (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and type(node.targets[0]) is ast.Name):
+        return node.targets[0].id, node.value
+    return None
+
+
+def _on_a_path(stmts: list) -> collections.Counter:
+    """The most stores of each name on one path through ``stmts``."""
+    most = collections.Counter()
+    for st in stmts:
+        if isinstance(st, ast.If):
+            most.update(_on_a_path(st.body) | _on_a_path(st.orelse))
+        else:
+            most.update(_names(st, (ast.Store, ast.Del)))
+    return most
+
+
+def _truth(test):
+    """``test`` read as a condition: an ``and``/``or`` operand that is a
+    constant and cannot decide it is dropped, and the whole is a constant
+    when a constant decides it before any other operand runs."""
+    if not isinstance(test, ast.BoolOp):
+        return test
+    neutral = isinstance(test.op, ast.And)   # and True, or False
+    values = []
+    for v in map(_truth, test.values):
+        if isinstance(v, ast.Constant):
+            if bool(v.value) == neutral:
+                continue
+            if not values:
+                return ast.Constant(not neutral)
+        values.append(v)
+    if not values:
+        return ast.Constant(neutral)
+    if len(values) == 1:
+        return values[0]
+    if len(values) == len(test.values) and all(
+            map(operator.is_, values, test.values)):
+        return test
+    return ast.BoolOp(test.op, values)
+
+
+def _same(a, b) -> bool:
+    """Whether ``a`` and ``b`` are the same tree, nodes or lists of them."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, ast.AST):
+        return all(_same(getattr(a, f, None), getattr(b, f, None))
+                   for f in a._fields)
+    return a == b
+
+
+class _Rewrite(ast.NodeTransformer):
+    """A transformer that records whether it changed anything, and skips
+    operators and contexts."""
+
+    changed = False
+
+    def done(self, node):
+        self.changed = True
+        return node
+
+    def visit_Constant(self, node):
+        return node
+
+    def generic_visit(self, node):
+        for field in node._fields:
+            old = getattr(node, field, None)
+            if type(old) is list:
+                new = []
+                for value in old:
+                    if isinstance(value, ast.AST) and not isinstance(value,
+                                                                     _OPS):
+                        value = self.visit(value)
+                        if value is None:
+                            continue
+                        if type(value) is list:
+                            new += value
+                            continue
+                    new.append(value)
+                old[:] = new
+            elif isinstance(old, ast.AST) and not isinstance(old, _OPS):
+                setattr(node, field, self.visit(old))
+        return node
+
+
+class _Fold(_Rewrite):
+    """The key's expressions and the loaded ``names`` replaced by their
+    constants, then each test, comparison, constant subscript and
+    conditional whose operands are all constants replaced by its value; a
+    test reading anything else stays."""
+
+    def __init__(self, key: dict, names: dict):
+        exprs = {ast.parse(text, mode="eval").body: v for text, v in key.items()}
+        self.names = {**names, **{e.id: v for e, v in exprs.items()
+                                  if type(e) is ast.Name}}
+        self.key = {ast.dump(e): v for e, v in exprs.items()
+                    if type(e) is not ast.Name}
+        self.roots = tuple({type(e) for e in exprs} - {ast.Name})
+
+    def visit(self, node):
+        if type(node) is ast.Name:
+            if node.id in self.names and isinstance(node.ctx, ast.Load):
+                return self.done(ast.Constant(self.names[node.id]))
+            return node
+        if isinstance(node, self.roots):
+            value = self.key.get(ast.dump(node), self)
+            if value is not self:
+                return self.done(ast.Constant(value))
+        return super().visit(node)
+
+    def visit_Subscript(self, node):
+        self.generic_visit(node)
+        if (type(node.value) is ast.Constant and type(node.slice) is ast.Constant
+                and isinstance(node.ctx, ast.Load)):
+            try:
+                return self.done(
+                    ast.Constant(node.value.value[node.slice.value]))
+            except (TypeError, IndexError, KeyError):
+                pass
+        return node
+
+    def visit_Compare(self, node):
+        self.generic_visit(node)
+        operands = [node.left, *node.comparators]
+        if all(type(o) is ast.Constant for o in operands):
+            values = [o.value for o in operands]
+            try:
+                value = all(_CMP[type(op)](a, b)
+                            for op, a, b in zip(node.ops, values, values[1:]))
+            except (KeyError, TypeError):   # in, not in; unordered values
+                return node
+            return self.done(ast.Constant(value))
+        return node
+
+    def visit_UnaryOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Not) and type(node.operand) is ast.Constant:
+            return self.done(ast.Constant(not node.operand.value))
+        return node
+
+    def visit_BoolOp(self, node):
+        self.generic_visit(node)
+        if all(type(v) is ast.Constant for v in node.values):
+            stop = isinstance(node.op, ast.Or)   # or stops at a true value
+            values = [v.value for v in node.values]
+            return self.done(ast.Constant(
+                next((v for v in values if bool(v) == stop), values[-1])))
+        return node
+
+    def visit_IfExp(self, node):
+        return self._branch(node)
+
+    def visit_If(self, node):
+        return self._branch(node)
+
+    def _branch(self, node):
+        self.generic_visit(node)
+        test = _truth(node.test)
+        if test is not node.test:
+            node.test = self.done(test)
+        if type(test) is ast.Constant:
+            return self.done(node.body if test.value else node.orelse)
+        return node
+
+
+class _Split(_Rewrite):
+    """``a, b = (x, y)`` as ``a = x`` and ``b = y`` where no later value
+    reads an earlier target, and ``a = b = y`` for a name or constant ``y``
+    as ``a = y`` and ``b = y``."""
+
+    def visit_Assign(self, node):
+        targets, value = node.targets, node.value
+        if type(value) is ast.Constant and type(value.value) is tuple:
+            value = ast.Tuple([ast.Constant(v) for v in value.value],
+                              ast.Load())
+        if (len(targets) == 1 and type(targets[0]) is ast.Tuple
+                and type(value) is ast.Tuple
+                and len(targets[0].elts) == len(value.elts)
+                and all(type(t) is ast.Name for t in targets[0].elts)
+                and not any(type(v) is ast.Starred for v in value.elts)):
+            earlier = set()
+            for t, v in zip(targets[0].elts, value.elts):
+                if _names(v, ast.Load) & earlier:
+                    return node
+                earlier.add(t.id)
+            return self.done([ast.Assign([t], v) for t, v in
+                              zip(targets[0].elts, value.elts)])
+        if (len(targets) > 1 and all(type(t) is ast.Name for t in targets)
+                and type(value) in (ast.Name, ast.Constant)):
+            return self.done([ast.Assign([t], _copy(value)) for t in targets])
+        return node
+
+
+class _Scalarize(_Rewrite):
+    """Each tuple name of ``slots`` as one name per slot: its store as one
+    store per slot, an unpacking or ``t[k]`` as the slots, ``t is None``
+    as False."""
+
+    def __init__(self, slots: dict):
+        self.slots = slots
+
+    def visit_Assign(self, node):
+        self.generic_visit(node)
+        copy = _copy_target(node)
+        if copy and copy[0] in self.slots:
+            return [ast.Assign([ast.Name(s, ast.Store())], v)
+                    for s, v in zip(self.slots[copy[0]], node.value.elts)]
+        if type(node.value) is ast.Name and node.value.id in self.slots:
+            return [ast.Assign([t], ast.Name(s, ast.Load()))
+                    for t, s in zip(node.targets[0].elts,
+                                    self.slots[node.value.id])]
+        return node
+
+    def visit_Subscript(self, node):
+        self.generic_visit(node)
+        if type(node.value) is ast.Name and node.value.id in self.slots:
+            slots = self.slots[node.value.id]
+            return ast.Name(slots[node.slice.value % len(slots)], ast.Load())
+        return node
+
+    def visit_Compare(self, node):
+        self.generic_visit(node)
+        if type(node.left) is ast.Name and node.left.id in self.slots:
+            return ast.Constant(isinstance(node.ops[0], ast.IsNot))
+        return node
+
+
+class _Rename(_Rewrite):
+    """Each loaded name of ``mapping`` replaced by a copy of its value."""
+
+    def __init__(self, mapping: dict):
+        self.mapping = mapping
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id in self.mapping:
+            return self.done(_copy(self.mapping[node.id]))
+        return node
+
+
+class _Specializer:
+    """The ``make`` of one variant of flat function ``fdef``.
+
+    ``key`` maps source text to the constant it stands for in this variant.
+    The first parameter stays the function's; the others are bound by
+    ``make``, which computes the invariant part once.
+    """
+
+    def __init__(self, fdef: ast.FunctionDef, key: dict, globals_: dict):
+        self.fdef = fdef
+        self.params = _params(fdef)
+        self.globals = globals_
+        stored = _names(fdef.body, (ast.Store, ast.Del))
+        for text in key:
+            if _names(ast.parse(text, mode="eval"), ast.Load) & stored:
+                raise FlattenError(f"{fdef.name} assigns a name of the key "
+                                   f"{text!r}")
+        for st in _statements(fdef.body):
+            if not isinstance(st, (ast.Assign, ast.AugAssign, ast.If,
+                                   ast.Return, ast.Expr, ast.Pass)):
+                raise FlattenError(f"{_line(st)}: a {type(st).__name__} "
+                                   f"statement is not specialized")
+        # the module's numbers, and tuples of them, are read as they stand
+        # now, as the helpers are
+        numbers = {name: value for name in _names(fdef.body, ast.Load) - stored
+                   if _number(value := globals_.get(name))
+                   or (type(value) is tuple and all(map(_number, value)))}
+        self.fold = _Fold(key, numbers)
+        self.taken = (set(globals_) | set(dir(builtins))
+                      | {n.id for n in _walk(fdef) if type(n) is ast.Name}
+                      | set(self.params))
+
+    def source(self) -> str:
+        body = self.fdef.body
+        self.changed = self.refold = True
+        while self.changed:
+            self.changed = False
+            for step in (self._fold, self._split, self._scalarize,
+                         self._propagate, self._forward, self._inline,
+                         self._drop_dead):
+                body = step(body)
+        prologue, body = self._bind(body)
+        inner = self.fdef
+        inner.args.args = inner.args.args[:1]
+        inner.body = body
+        lines = [f"def make({', '.join(self.params[1:])}):"]
+        for part in (ast.Module(prologue, []), inner):
+            text = ast.unparse(ast.fix_missing_locations(part))
+            lines += ["    " + line if line else line
+                      for line in text.splitlines()]
+        lines.append(f"    return {inner.name}")
+        return "\n".join(lines) + "\n"
+
+    def _fresh(self, name: str) -> str:
+        new, k = name, 0
+        while new in self.taken:
+            k += 1
+            new = f"{name}_{k}"
+        self.taken.add(new)
+        return new
+
+    def _apply(self, transformer, body: list) -> list:
+        transformer.changed = False
+        body = transformer.visit(ast.Module(body, [])).body
+        self.changed |= transformer.changed
+        return body
+
+    # --- the passes, repeated until none changes the function ------------------
+
+    def _fold(self, body: list) -> list:
+        """Skipped unless the key or a pass since the last fold brought new
+        constants."""
+        if not self.refold:
+            return body
+        self.refold = False
+        return self._mend(self._apply(self.fold, body))
+
+    def _split(self, body: list) -> list:
+        return self._apply(_Split(), body)
+
+    def _scalarize(self, body: list) -> list:
+        """Each local stored only as a tuple literal and read only by
+        unpacking, a constant subscript or ``is None``, one name per slot."""
+        tuples = {c[0] for c in map(_copy_target, _statements(body))
+                  if c and type(c[1]) is ast.Tuple}
+        if not tuples:
+            return body
+        uses = collections.defaultdict(list)
+        todo = [(st, None) for st in body]
+        while todo:
+            node, parent = todo.pop()
+            if type(node) is ast.Name:
+                if node.id in tuples:
+                    uses[node.id].append((node, parent))
+            elif not isinstance(node, _OPS):
+                todo += [(child, node) for child in ast.iter_child_nodes(node)]
+        slots, most = {}, None
+        for name in sorted(tuples):
+            length = self._tuple_length(name, uses[name])
+            if length is not None:
+                most = most or _on_a_path(body)
+                if most[name] > 1:
+                    raise FlattenError(f"tuple {name} is stored twice on one "
+                                       f"path")
+                slots[name] = [self._fresh(f"{name}_{k}")
+                               for k in range(length)]
+        if not slots:
+            return body
+        self.changed = self.refold = True   # t is None: a constant
+        return self._apply(_Scalarize(slots), body)
+
+    def _tuple_length(self, name: str, uses: list) -> Optional[int]:
+        """The length of tuple ``name`` if each use is one `_scalarize`
+        handles, else None."""
+        if name in self.params:
+            return None
+        stored, read = set(), []
+        for node, parent in uses:
+            if isinstance(node.ctx, ast.Store):
+                if not (isinstance(parent, ast.Assign)
+                        and parent.targets == [node]
+                        and type(parent.value) is ast.Tuple
+                        and not any(type(v) is ast.Starred
+                                    for v in parent.value.elts)):
+                    return None
+                stored.add(len(parent.value.elts))
+            elif (isinstance(parent, ast.Assign) and parent.value is node
+                  and len(parent.targets) == 1
+                  and type(parent.targets[0]) is ast.Tuple
+                  and all(type(t) is ast.Name
+                          for t in parent.targets[0].elts)):
+                read.append(("unpacked to", len(parent.targets[0].elts)))
+            elif (isinstance(parent, ast.Subscript) and parent.value is node
+                  and type(parent.slice) is ast.Constant
+                  and type(parent.slice.value) is int):
+                read.append(("indexed at", parent.slice.value))
+            elif not (isinstance(parent, ast.Compare)
+                      and parent.left is node
+                      and isinstance(parent.ops[0], (ast.Is, ast.IsNot))
+                      and type(parent.comparators[0]) is ast.Constant
+                      and parent.comparators[0].value is None):
+                return None
+        if not stored:
+            return None
+        if len(stored) > 1:
+            raise FlattenError(f"tuple {name} is stored with lengths "
+                               f"{sorted(stored)}")
+        n, = stored
+        for how, k in read:
+            if (k != n if how == "unpacked to" else not -n <= k < n):
+                raise FlattenError(f"tuple {name} of length {n} is {how} {k}")
+        return n
+
+    def _propagate(self, body: list) -> list:
+        """A local stored once as a constant, or as a name that keeps its
+        value (a parameter or global never stored, a local stored once),
+        read as that constant or name.  Counts the names for the passes after
+        it, which keep the counts as they rewrite."""
+        self.stores, self.loads = stores, loads = _counts(body)
+        mapping, dropped = {}, set()
+        for st in _statements(body):
+            copy = _copy_target(st)
+            if copy is None or stores[copy[0]] != 1 or copy[0] in self.params:
+                continue
+            x, value = copy
+            if type(value) is ast.Name and value.id != x and (
+                    stores[value.id] == 0
+                    or (stores[value.id] == 1
+                        and value.id not in self.params)):
+                mapping[x] = value
+            elif type(value) is ast.Constant:
+                mapping[x] = value
+                self.refold = True
+            else:
+                continue
+            dropped.add(id(st))
+        if not mapping:
+            return body
+        self.changed = True
+        for x, value in mapping.items():   # a chain x -> y -> z ends at z
+            chain = {x}
+            while type(value) is ast.Name and value.id in mapping:
+                if value.id in chain:
+                    raise FlattenError(f"{x} is read before it is stored")
+                chain.add(value.id)
+                value = mapping[value.id]
+            mapping[x] = value
+            if type(value) is ast.Name:
+                loads[value.id] += loads[x]
+            loads[x] = stores[x] = 0
+        return self._apply(_Rename(mapping), self._without(body, dropped))
+
+    def _forward(self, body: list) -> list:
+        """``x = y``, x stored once and read only later in the same block
+        before any store of ``y``: those reads as ``y``."""
+        stores, loads = self.stores, self.loads
+        uses: dict = {}   # statement id: (its stores, its loads)
+
+        def use(st) -> tuple:
+            if id(st) not in uses:
+                uses[id(st)] = _counts(st)
+            return uses[id(st)]
+
+        def block(stmts: list) -> list:
+            i = 0
+            while i < len(stmts):
+                st = stmts[i]
+                if isinstance(st, ast.If):
+                    st.body, st.orelse = block(st.body), block(st.orelse)
+                    uses.pop(id(st), None)
+                copy = _copy_target(st)
+                if (copy and type(copy[1]) is ast.Name and copy[1].id != copy[0]
+                        and stores[copy[0]] == 1 and loads[copy[0]]
+                        and copy[0] not in self.params):
+                    x, y = copy[0], copy[1].id
+                    seen, last = 0, None
+                    for j in range(i + 1, len(stmts)):
+                        writes, reads = use(stmts[j])
+                        seen += reads[x]
+                        if y in writes:
+                            break
+                        if seen == loads[x]:
+                            last = j
+                            break
+                    if last is not None:
+                        rename = _Rename({x: copy[1]})
+                        for s in stmts[i + 1:last + 1]:
+                            rename.visit(s)
+                            uses.pop(id(s), None)
+                        del stmts[i]
+                        loads[y] += loads.pop(x)
+                        stores[x] = 0
+                        self.changed = True
+                        continue
+                i += 1
+            return stmts
+
+        return block(body)
+
+    def _inline(self, body: list) -> list:
+        """``x = value``, x stored and read once, later in the same block and
+        in that statement's own expression, with none of the names
+        ``value`` reads stored in between: ``value`` written at the read,
+        when it can have no effect but raising."""
+        stores, loads = self.stores, self.loads
+        uses: dict = {}   # statement id: (its stores, its loads)
+
+        def block(stmts: list) -> list:
+            i = 0
+            while i < len(stmts):
+                st = stmts[i]
+                if isinstance(st, ast.If):
+                    st.body, st.orelse = block(st.body), block(st.orelse)
+                    uses.pop(id(st), None)
+                copy = _copy_target(st)
+                if (copy and stores[copy[0]] == 1 and loads[copy[0]] == 1
+                        and copy[0] not in self.params
+                        and self._pure(copy[1])):
+                    x, reads = copy[0], _names(copy[1], ast.Load)
+                    for later in stmts[i + 1:]:
+                        if id(later) not in uses:
+                            uses[id(later)] = _counts(later)
+                        writes, read = uses[id(later)]
+                        own = (later.test if isinstance(later, ast.If)
+                               else getattr(later, "value", None))
+                        if read[x] and x in _names(own, ast.Load):
+                            _Rename({x: copy[1]}).visit(later)
+                            uses.pop(id(later))
+                            del stmts[i]
+                            loads[x] = stores[x] = 0
+                            self.changed = True
+                            i -= 1
+                            break
+                        if read[x] or not reads.isdisjoint(writes):
+                            break
+                i += 1
+            return stmts
+
+        return block(body)
+
+    def _drop_dead(self, body: list) -> list:
+        """Stores that nothing reads before the name is stored again, when
+        their values can have no effect but raising."""
+        return self._mend(self._live(body, set())[0])
+
+    def _live(self, stmts: list, live: set) -> tuple[list, set]:
+        """``(stmts', live')``: ``stmts`` less their dead stores, and the
+        names read before any store on some path through them, given the
+        names ``live`` after them.  A backward pass; there are no loops."""
+        out = []
+        for st in reversed(stmts):
+            if isinstance(st, ast.Return):
+                live = _names(st, ast.Load)
+            elif isinstance(st, ast.If):
+                st.body, body = self._live(st.body, live)
+                st.orelse, orelse = self._live(st.orelse, live)
+                live = body | orelse | _names(st.test, ast.Load)
+            else:
+                targets = (st.targets if isinstance(st, ast.Assign)
+                           else [st.target] if isinstance(st, ast.AugAssign)
+                           else [])
+                if (targets and all(type(t) is ast.Name for t in targets)
+                        and not {t.id for t in targets} & live
+                        and self._pure(st.value)):
+                    self.changed = True
+                    continue
+                live = live - _names(targets, ast.Store)
+                live |= _names(st, ast.Load)
+                if isinstance(st, ast.AugAssign):
+                    live |= _names(st.target, ast.Store)
+            out.append(st)
+        return out[::-1], live
+
+    def _without(self, stmts: list, dropped: set) -> list:
+        """``stmts`` less the statements with ids in ``dropped``."""
+        out = []
+        for st in stmts:
+            if id(st) in dropped:
+                continue
+            if isinstance(st, ast.If):
+                st.body = self._without(st.body, dropped)
+                st.orelse = self._without(st.orelse, dropped)
+            out.append(st)
+        return self._mend(out)
+
+    def _mend(self, stmts: list) -> list:
+        """``stmts`` with each emptied ``if`` gone, or given a ``pass``, an
+        ``if`` with like branches replaced by one, and nothing after a
+        ``return``."""
+        out = []
+        for i, st in enumerate(stmts):
+            if isinstance(st, ast.Return):
+                self.changed |= i + 1 < len(stmts)
+                out.append(st)
+                break
+            if isinstance(st, ast.If):
+                st.body, st.orelse = self._mend(st.body), self._mend(st.orelse)
+                if not st.body and not st.orelse:
+                    if not self._pure(st.test):
+                        out.append(ast.Expr(st.test))
+                    self.changed = True
+                    continue
+                if _same(st.body, st.orelse) and self._pure(st.test):
+                    out += st.body   # both branches alike: no test needed
+                    self.changed = True
+                    continue
+                if not st.body:
+                    st.body = [ast.Pass()]
+            out.append(st)
+        return out
+
+    def _pure(self, expr) -> bool:
+        """Whether ``expr`` can have no effect but raising: operators,
+        comparisons, subscripts and calls of ``math`` functions, ``min`` and
+        ``max``."""
+        for n in _walk(expr):
+            if not isinstance(n, _PURE):
+                return False
+            if isinstance(n, ast.Call):
+                f = (self.globals.get(n.func.id, getattr(builtins, n.func.id,
+                                                         None))
+                     if type(n.func) is ast.Name else None)
+                if not (isinstance(f, types.BuiltinFunctionType)
+                        and (f.__module__ == "math" or f in _PURE_BUILTINS)):
+                    return False
+        return True
+
+    # --- the prologue ---------------------------------------------------------
+
+    def _bind(self, body: list) -> tuple[list, list]:
+        """``(prologue, body)``: each local stored once with a value made of
+        the bound parameters, and each such subexpression of the rest,
+        computed once in the prologue, duplicates once."""
+        stores, _ = _counts(body)
+        invariant = {p for p in self.params[1:] if not stores[p]}
+        prologue, seen, rename, moved = [], {}, {}, set()
+        for st in _statements(body):
+            copy = _copy_target(st)
+            if (copy and stores[copy[0]] == 1 and copy[0] not in self.params
+                    and _invariant(copy[1], invariant)):
+                value = _Rename(rename).visit(copy[1])
+                key = ast.dump(value)
+                if key in seen:
+                    rename[copy[0]] = ast.Name(seen[key], ast.Load())
+                else:
+                    seen[key] = copy[0]
+                    prologue.append(ast.Assign([ast.Name(copy[0], ast.Store())],
+                                               value))
+                invariant.add(copy[0])
+                moved.add(id(st))
+        body = self._apply(_Rename(rename), self._without(body, moved))
+        hoist = _Hoist(invariant, seen, prologue, self._fresh)
+        return prologue, self._apply(hoist, body)
+
+
+def _invariant(expr, invariant: set) -> bool:
+    """Whether ``expr`` reads only names of ``invariant`` and numbers, by
+    subscripts at constants, ``+``, ``-``, ``*`` and division by a nonzero
+    number: a value that cannot raise."""
+    if type(expr) is ast.Constant:
+        return _number(expr.value)
+    if type(expr) is ast.Name:
+        return isinstance(expr.ctx, ast.Load) and expr.id in invariant
+    if type(expr) is ast.Subscript:
+        return (isinstance(expr.ctx, ast.Load)
+                and type(expr.slice) is ast.Constant
+                and type(expr.slice.value) is int
+                and _invariant(expr.value, invariant))
+    if type(expr) is ast.UnaryOp:
+        return (isinstance(expr.op, ast.USub)
+                and _invariant(expr.operand, invariant))
+    if type(expr) is ast.BinOp:
+        right = expr.right
+        if isinstance(expr.op, ast.Div):
+            ok = (type(right) is ast.Constant and _number(right.value)
+                  and right.value != 0)
+        else:
+            ok = (isinstance(expr.op, (ast.Add, ast.Sub, ast.Mult))
+                  and _invariant(right, invariant))
+        return ok and _invariant(expr.left, invariant)
+    return False
+
+
+class _Hoist(_Rewrite):
+    """Each largest subexpression that `_invariant` accepts and that reads a
+    name, read from a prologue name: one per distinct subexpression, added
+    to ``prologue`` (``seen`` maps its dump to the name)."""
+
+    def __init__(self, invariant: set, seen: dict, prologue: list, fresh):
+        self.invariant, self.seen = invariant, seen
+        self.prologue, self.fresh = prologue, fresh
+
+    def visit(self, node):
+        if (isinstance(node, ast.expr)
+                and type(node) not in (ast.Name, ast.Constant)
+                and _invariant(node, self.invariant)
+                and _names(node, ast.Load)):
+            key = ast.dump(node)
+            if key not in self.seen:
+                self.seen[key] = self.fresh("bound")
+                self.prologue.append(ast.Assign(
+                    [ast.Name(self.seen[key], ast.Store())], node))
+            return self.done(ast.Name(self.seen[key], ast.Load()))
+        return super().visit(node)

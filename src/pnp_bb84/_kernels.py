@@ -52,11 +52,15 @@ which spares a star-call per scalar.  The per-scenario names (``rate_``,
 ``params_`` or ``objective_`` and the scenario) are aliases, kept only
 because `optimize._kernel` and perfbench/tracing.py look kernels up by them.
 
-The optimizer runs each objective flattened (`_flatten`): one generated
-function with every helper below inlined, the same floats without the
-calls.  So a formula's helper costs the search no call, and granularity here
-is chosen for reading; `rates`, the grid kernels and `point_from_raw` call
-the helpers as written.
+The optimizer runs each objective as `_flatten` generates it from this
+source: one function with every helper below inlined, the same floats
+without the calls.  The decoy objective is also specialized to its problem:
+the key length, the ``flags`` and this module's constants folded, the
+tuples a helper returns or a map builds taken apart, and what reads only
+the problem's arguments computed once.  So a formula's helper, the tuple it
+returns and the flag it tests cost the decoy search nothing per
+evaluation, and granularity here is chosen for reading; `rates`, the grid
+kernels and `point_from_raw` call the helpers as written.
 
 Breakdown tuple (18 float slots):
     0 status, 1 rate, 2 mu_signal, 3 mu_decoy, 4 gain_signal, 5 qber_signal,

