@@ -7,25 +7,31 @@ float operations on the same values, so its results equal ``fn``'s bit for
 bit, while a `_kernels` objective drops its some forty Python calls per
 evaluation.  `optimize._objective_fn` runs the no-decoy objective this way.
 
-The rewrite, on the helpers' own source:
+The flat function and its helpers may hold assignments, augmented
+assignments, ``if`` statements, returns and docstrings, nothing else.  The
+rewrite, on the helpers' own source:
 
 - each helper's locals get fresh names (``name_<k>``); a parameter whose
   argument is a plain name or a constant is replaced by it, any other
   argument is assigned to a fresh local first;
 - a ``return`` becomes an assignment to the call's target at the end of its
-  branch; the statements after an ``if`` whose body returns move into its
-  ``else``;
+  branch; the statements after an ``if`` whose body returns on every path
+  move into its ``else``;
 - a helper call inside an expression is hoisted into an assignment before
   its statement, and ``x = a if c else helper(...)`` becomes an ``if``.
 
 Hoisting evaluates a helper call ahead of the rest of its statement, which
-changes no value for helpers without side effects, as in `_kernels`.  A
-shape the rewrite cannot keep exact raises `FlattenError` at generation: a
-helper call that is evaluated only sometimes (a later operand of
-``and``/``or``, a conditional expression inside a larger one, a later link
-of a chained comparison, a comprehension or lambda), a ``return`` that does
-not end its branch, a helper that can end without one or that reassigns a
-parameter, and arguments other than positional ones and constant defaults.
+changes no value for helpers without side effects, as in `_kernels`.  Every
+other shape raises `FlattenError` at generation: any other statement (a
+loop, ``pass``, a call standing alone); a helper call in a target, or one
+evaluated only sometimes (a later operand of ``and``/``or``, a conditional
+expression inside a larger one, a later link of a chained comparison, a
+comprehension or lambda); in a helper, a ``return`` that does not end its
+branch, an ``if`` holding a return whose body can fall through (one whose
+``else`` alone returns, say), a path that ends without a return, a nested
+scope or generator step, a reassigned parameter, or a global that the flat
+function has as a local; and arguments other than positional ones and
+constant defaults.
 
 `specialized(fn, module, m_a, eta, n_pulses, phys, flags)` goes one step
 further for an objective ``fn(raw, m_a, eta, n_pulses, phys, flags)``: it
@@ -51,7 +57,10 @@ changes:
   at its read; and a store that nothing reads before the name is stored
   again is dropped.  The last two take only values that can have no
   effect but raising, so only where the composed function raises could the
-  two differ.
+  two differ.  An ``if`` whose branches are alike (both emptied, say) and
+  whose test can have no effect but raising gives way to one branch; any
+  other ``if`` left with an empty body raises `FlattenError`, as does a
+  function that assigns a name of the key.
 
 ``make``'s prologue then computes once what reads only its arguments: each
 local stored once from them, and each largest such subexpression
@@ -70,7 +79,8 @@ compiling.  The generated source is registered with `linecache` under
 ``<flat module.name>`` or ``<specialized module.name n_pulses == INF: ...,
 flags: ...>``, so tracebacks show its lines.  A callable that is not a
 plain function of the module, or whose ``def`` cannot be read at the line
-its code starts on (a missing source file), is returned as it is.
+its code starts on (a decorated function, a source file missing or changed
+since import), is returned as it is, and such a helper stays a call.
 """
 
 from __future__ import annotations
@@ -96,7 +106,7 @@ def flattened(fn: Callable, module: types.ModuleType) -> Callable:
     """``fn`` with every helper call inlined if it is a plain function of
     ``module``, else ``fn`` itself (a wrapper, a stub); also ``fn`` itself
     when the module's source cannot be read."""
-    return _flat(fn) if _plain(fn, module) else fn
+    return _flat(fn) if _plain(fn, vars(module)) else fn
 
 
 def specialized(fn: Callable, module: types.ModuleType, m_a, eta, n_pulses,
@@ -106,24 +116,25 @@ def specialized(fn: Callable, module: types.ModuleType, m_a, eta, n_pulses,
     bound to the other arguments.  A wrapper or stub, or an objective whose
     source cannot be read, runs as it is behind the same call."""
     make = None
-    if _plain(fn, module):
+    if _plain(fn, vars(module)):
         make = _make(fn, n_pulses == INF, tuple(flags))
     if make is None:
         return lambda raw: fn(raw, m_a, eta, n_pulses, phys, flags)
     return make(m_a, eta, n_pulses, phys, flags)
 
 
-def _plain(fn: Callable, module: types.ModuleType) -> bool:
-    """Whether ``fn`` is a function of ``module`` as written, no wrapper."""
+def _plain(fn: Callable, globals_: dict) -> bool:
+    """Whether ``fn`` is a function of the module of ``globals_`` as
+    written, no wrapper."""
     return (isinstance(fn, types.FunctionType)
-            and fn.__globals__ is vars(module)
+            and fn.__globals__ is globals_
             and not hasattr(fn, "__wrapped__"))
 
 
 @functools.cache
 def _flat_source(fn: types.FunctionType) -> Optional[str]:
     """The source of ``fn`` flattened, or None when it cannot be read."""
-    defs = _Defs(fn)
+    defs = _defs(fn)
     fdef = defs.get(fn.__name__)
     if fdef is None:
         return None
@@ -165,48 +176,25 @@ def _make(fn: types.FunctionType, infinite: bool,
                      fn.__globals__, "make")
 
 
-class _Defs:
-    """The ``def`` of each function of ``fn``'s module, parsed at first use
-    from the module source: the lines from the one its code starts on to
-    the next such line of the module's functions."""
-
-    def __init__(self, fn: types.FunctionType):
-        self.globals = fn.__globals__
-        self.filename = fn.__code__.co_filename
-        self.lines = linecache.getlines(self.filename, self.globals)
-        self.starts = sorted(
-            f.__code__.co_firstlineno for f in self.globals.values()
-            if isinstance(f, types.FunctionType)
-            and f.__code__.co_filename == self.filename)
-        self.parsed: dict[str, Optional[ast.FunctionDef]] = {}
-
-    def get(self, name: str) -> Optional[ast.FunctionDef]:
-        """The undecorated ``def`` of module function ``name`` at the line
-        its code starts on; None for anything else or without a source."""
-        if name not in self.parsed:
-            self.parsed[name] = self._parse(self.globals.get(name))
-        return self.parsed[name]
-
-    def _parse(self, func) -> Optional[ast.FunctionDef]:
-        if (not isinstance(func, types.FunctionType)
-                or func.__globals__ is not self.globals
-                or func.__code__.co_filename != self.filename
-                or hasattr(func, "__wrapped__")):
-            return None
-        first = func.__code__.co_firstlineno
-        later = [n for n in self.starts if n > first]
-        last = later[0] - 1 if later else len(self.lines)
-        # blank lines ahead keep the line numbers of the module source
-        try:
-            tree = ast.parse("\n" * (first - 1)
-                             + "".join(self.lines[first - 1:last]))
-        except SyntaxError:
-            return None
-        node = tree.body[0] if tree.body else None
-        if (isinstance(node, ast.FunctionDef) and not node.decorator_list
-                and node.name == func.__name__ and node.lineno == first):
-            return node
-        return None
+def _defs(fn: types.FunctionType) -> dict[str, ast.FunctionDef]:
+    """The ``def`` of each plain function of ``fn``'s module, by the name
+    the module binds it to, from one parse of the module source.  Only a
+    ``def`` at the line its code starts on counts: not a decorated one,
+    whose code starts at the decorator, nor one moved since import."""
+    globals_, filename = fn.__globals__, fn.__code__.co_filename
+    try:
+        tree = ast.parse("".join(linecache.getlines(filename, globals_)))
+    except SyntaxError:
+        return {}
+    at = {node.lineno: node for node in tree.body
+          if isinstance(node, ast.FunctionDef)}
+    defs = {}
+    for name, f in globals_.items():
+        if _plain(f, globals_) and f.__code__.co_filename == filename:
+            node = at.get(f.__code__.co_firstlineno)
+            if node is not None and node.name == f.__name__:
+                defs[name] = node
+    return defs
 
 
 # --- AST helpers ----------------------------------------------------------------
@@ -263,20 +251,13 @@ def _walk(node):
 
 
 def _has_return(node) -> bool:
-    """Whether statement ``node`` holds a return; only statements can."""
-    if isinstance(node, ast.Return):
-        return True
-    return any(_has_return(item) for f in node._fields
-               if isinstance(value := getattr(node, f, None), list)
-               for item in value
-               if isinstance(item, (ast.stmt, ast.excepthandler)))
+    """Whether statement ``node`` holds a return."""
+    return any(type(n) is ast.Return for n in _walk(node))
 
 
 def _ends(stmts: list) -> bool:
     """Whether every path through ``stmts`` ends in a return."""
-    if not stmts:
-        return False
-    last = stmts[-1]
+    last = stmts[-1] if stmts else None
     return (isinstance(last, ast.Return)
             or (isinstance(last, ast.If) and _ends(last.body)
                 and _ends(last.orelse)))
@@ -326,7 +307,7 @@ _SCOPED = (ast.Global, ast.Nonlocal, ast.FunctionDef, ast.AsyncFunctionDef,
 class _Flattener:
     """One flat function from module ``globals_`` and its ``defs``."""
 
-    def __init__(self, globals_: dict, defs: _Defs):
+    def __init__(self, globals_: dict, defs: dict):
         self.defs = defs
         self.count = 0
         self.checked: dict[str, set] = {}   # helper: the names it assigns
@@ -376,11 +357,11 @@ class _Flattener:
                                        f"end its branch")
                 value = st.value or ast.Constant(None)
                 return out + self._bind(value, dest)
-            if tail and isinstance(st, ast.If) and _has_return(st):
-                return out + self._tail_if(st, rest, dest)
             if (tail or dest is not None) and _has_return(st):
-                raise FlattenError(f"{_line(st)}: a return that does not "
-                                   f"end its branch")
+                if not (tail and isinstance(st, ast.If)):
+                    raise FlattenError(f"{_line(st)}: a return that does not "
+                                       f"end its branch")
+                return out + self._tail_if(st, rest, dest)
             out += self._statement(st, dest)
         if tail:
             raise FlattenError(f"{_line(stmts[-1]) if stmts else 'a helper'}"
@@ -388,18 +369,13 @@ class _Flattener:
         return out
 
     def _tail_if(self, st: ast.If, rest: list, dest: Optional[list]) -> list:
-        # the statements after an if go into the branch that falls through
-        body, orelse = st.body, st.orelse
-        if _ends(body) and not _ends(orelse):
-            orelse = orelse + rest
-        elif _ends(orelse) and not _ends(body):
-            body = body + rest
-        elif not (_ends(body) and _ends(orelse)) or rest:
+        # the statements after an if whose body returns go into its else
+        if not _ends(st.body):
             raise FlattenError(f"{_line(st)}: a return that does not end "
                                f"its branch")
         pre, test = self._hoist(st.test)
-        return pre + [ast.If(test, self._block(body, dest, True),
-                             self._block(orelse, dest, True))]
+        return pre + [ast.If(test, self._block(st.body, dest, True),
+                             self._block(st.orelse + rest, dest, True))]
 
     def _statement(self, st, dest: Optional[list]) -> list:
         if isinstance(st, ast.Assign):
@@ -411,20 +387,14 @@ class _Flattener:
                 raise FlattenError(f"{_line(st)}: a helper call in a target")
             pre, value = self._hoist(st.value)
             return pre + [ast.AugAssign(st.target, st.op, value)]
-        if isinstance(st, ast.Expr):
-            if isinstance(st.value, ast.Constant):  # a docstring
-                return []
-            pre, value = self._hoist(st.value)
-            return pre + ([] if isinstance(value, ast.Name)
-                          else [ast.Expr(value)])
+        if isinstance(st, ast.Expr) and isinstance(st.value, ast.Constant):
+            return []   # a docstring
         if isinstance(st, ast.If):
             pre, test = self._hoist(st.test)
             return pre + [ast.If(test, self._block(st.body, dest, False),
                                  self._block(st.orelse, dest, False))]
-        if self._has_helper(st):
-            raise FlattenError(f"{_line(st)}: a {type(st).__name__} statement "
-                               f"with a helper call is not handled")
-        return [st]
+        raise FlattenError(f"{_line(st)}: a {type(st).__name__} statement "
+                           f"is not handled")
 
     def _bind(self, value, dest: Optional[list]) -> list:
         """Statements giving ``value`` to ``dest``: returning it when None,
@@ -598,10 +568,8 @@ def _truth(test):
             if not values:
                 return ast.Constant(not neutral)
         values.append(v)
-    if not values:
-        return ast.Constant(neutral)
-    if len(values) == 1:
-        return values[0]
+    if len(values) <= 1:
+        return values[0] if values else ast.Constant(neutral)
     if len(values) == len(test.values) and all(
             map(operator.is_, values, test.values)):
         return test
@@ -642,8 +610,6 @@ class _Rewrite(ast.NodeTransformer):
                     if isinstance(value, ast.AST) and not isinstance(value,
                                                                      _OPS):
                         value = self.visit(value)
-                        if value is None:
-                            continue
                         if type(value) is list:
                             new += value
                             continue
@@ -701,21 +667,6 @@ class _Fold(_Rewrite):
             except (KeyError, TypeError):   # in, not in; unordered values
                 return node
             return self.done(ast.Constant(value))
-        return node
-
-    def visit_UnaryOp(self, node):
-        self.generic_visit(node)
-        if isinstance(node.op, ast.Not) and type(node.operand) is ast.Constant:
-            return self.done(ast.Constant(not node.operand.value))
-        return node
-
-    def visit_BoolOp(self, node):
-        self.generic_visit(node)
-        if all(type(v) is ast.Constant for v in node.values):
-            stop = isinstance(node.op, ast.Or)   # or stops at a true value
-            values = [v.value for v in node.values]
-            return self.done(ast.Constant(
-                next((v for v in values if bool(v) == stop), values[-1])))
         return node
 
     def visit_IfExp(self, node):
@@ -825,11 +776,6 @@ class _Specializer:
             if _names(ast.parse(text, mode="eval"), ast.Load) & stored:
                 raise FlattenError(f"{fdef.name} assigns a name of the key "
                                    f"{text!r}")
-        for st in _statements(fdef.body):
-            if not isinstance(st, (ast.Assign, ast.AugAssign, ast.If,
-                                   ast.Return, ast.Expr, ast.Pass)):
-                raise FlattenError(f"{_line(st)}: a {type(st).__name__} "
-                                   f"statement is not specialized")
         # the module's numbers, and tuples of them, are read as they stand
         # now, as the helpers are
         numbers = {name: value for name in _names(fdef.body, ast.Load) - stored
@@ -1107,9 +1053,8 @@ class _Specializer:
                 live = body | orelse | _names(st.test, ast.Load)
             else:
                 targets = (st.targets if isinstance(st, ast.Assign)
-                           else [st.target] if isinstance(st, ast.AugAssign)
-                           else [])
-                if (targets and all(type(t) is ast.Name for t in targets)
+                           else [st.target])
+                if (all(type(t) is ast.Name for t in targets)
                         and not {t.id for t in targets} & live
                         and self._pure(st.value)):
                     self.changed = True
@@ -1134,9 +1079,9 @@ class _Specializer:
         return self._mend(out)
 
     def _mend(self, stmts: list) -> list:
-        """``stmts`` with each emptied ``if`` gone, or given a ``pass``, an
-        ``if`` with like branches replaced by one, and nothing after a
-        ``return``."""
+        """``stmts`` with each ``if`` of a pure test and like branches
+        (emptied ones too) replaced by one branch, and nothing after a
+        ``return``; any other ``if`` left with an empty body is refused."""
         out = []
         for i, st in enumerate(stmts):
             if isinstance(st, ast.Return):
@@ -1145,17 +1090,13 @@ class _Specializer:
                 break
             if isinstance(st, ast.If):
                 st.body, st.orelse = self._mend(st.body), self._mend(st.orelse)
-                if not st.body and not st.orelse:
-                    if not self._pure(st.test):
-                        out.append(ast.Expr(st.test))
-                    self.changed = True
-                    continue
                 if _same(st.body, st.orelse) and self._pure(st.test):
                     out += st.body   # both branches alike: no test needed
                     self.changed = True
                     continue
                 if not st.body:
-                    st.body = [ast.Pass()]
+                    raise FlattenError(f"{_line(st)}: an if whose body is "
+                                       f"emptied")
             out.append(st)
         return out
 

@@ -46,7 +46,7 @@ class RunConfig:
             if self.na_list == ():
                 raise ValueError("na: no pulse count given")
             for value in self.na_list or ():
-                check_range("na", value, 0.0, math.inf, lo_open=True)
+                check_range("na", value, 1.0, math.inf)
             check_integer("seed", self.seed, 0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -24,9 +24,11 @@ class Scenario(str, enum.Enum):
         self.finite = value.endswith("_finite")
 
     def check_pulse_count(self, n_pulses: float) -> float:
-        """0 < N < inf for a finite key; an asymptotic one has N = inf."""
+        """1 <= N < inf for a finite key, so that ``N * p`` cannot underflow
+        to 0 for a class probability p; an asymptotic one has N = inf."""
         if self.finite:
-            return check_range("n_pulses", n_pulses, 0.0, math.inf, True, True)
+            return check_range("n_pulses", n_pulses, 1.0, math.inf,
+                               hi_open=True)
         return check_range("n_pulses", n_pulses, math.inf, math.inf)
 
 

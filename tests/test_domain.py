@@ -85,7 +85,7 @@ PHYS_FIELDS = {"eta_bob": 0.0, "loss_coeff": -0.1, "y0": 1.5, "e_det": -0.1,
                "q_split": 1.0, "eps_total": 1.0, "eps_ec": 1e-9}
 # the out-of-range values of each number a point holds
 POINT_FIELDS = {"distance_km": (-1.0, HUGE), "delta": (0.0, 1.0), "lam": 0.0,
-                "lam_s": 1.5, "lam_d": 0.0, "n_pulses": (0.0, HUGE),
+                "lam_s": 1.5, "lam_d": 0.0, "n_pulses": (0.0, 0.5, HUGE),
                 "m_e": (0.0, HUGE), "p_s": 0.0, "p_d": 1.5, "p_v": 0.0}
 # the entry points that take a point, each with the scenarios it takes
 POINT_ENTRIES = {
@@ -122,7 +122,7 @@ PYTHON_API = [
     *cases("OptimizationProblem.distance_km",
            lambda v: problem(distance_km=v), (-1.0, HUGE)),
     *cases("OptimizationProblem.n_pulses", lambda v: problem(n_pulses=v),
-           (0.0, HUGE)),
+           (0.0, 0.5, HUGE)),
     *cases("OptimizationProblem.seed", lambda v: problem(seed=v), (-1, True)),
     *cases("maximize.target", lambda v: maximize(problem(), target=v),
            -2e6),
@@ -131,13 +131,13 @@ PYTHON_API = [
     *cases("scan_distance.l_grid",
            lambda v: scan_distance(ND_INF, INF, [0.0, v]), (-1.0, HUGE)),
     *cases("scan_distance.n_pulses",
-           lambda v: scan_distance(ND_FIN, v, [0.0]), (0.0, HUGE)),
+           lambda v: scan_distance(ND_FIN, v, [0.0]), (0.0, 0.5, HUGE)),
     *cases("solve_lmax_profile.rate_threshold",
            lambda v: solve_lmax_profile(no_rate, v), -1e-9),
     *cases("find_lmax.rate_threshold",
            lambda v: find_lmax(D_INF, INF, rate_threshold=v), -1e-9),
     *cases("find_lmax.n_pulses", lambda v: find_lmax(ND_FIN, v),
-           (0.0, HUGE)),
+           (0.0, 0.5, HUGE)),
     *cases("find_na_threshold.rate_threshold",
            lambda v: find_na_threshold(ND_FIN, rate_threshold=v), -1e-9),
 ]
@@ -149,7 +149,7 @@ FIGURE_CASES = [
     *cases("threshold", lambda v: ["fig3", "--na", "5e10",
                                    f"--threshold={v!r}"], -1e-9),
     *cases("na_list", lambda v: [*FIG5_AT_0KM, f"--na=5e10,{v!r}"],
-           (0.0, HUGE)),
+           (0.0, 0.5, HUGE)),
     *cases("l_grid", lambda v: ["fig2", "--na", "5e10", "--lmin", "0",
                                 f"--lmax-km={v!r}"], -1.0),
     pytest.param(lambda v: [*FIG5_AT_0KM, f"--na={','.join(v)}"], [],
@@ -334,8 +334,10 @@ CONFIG_CASES = [
     *[c for name, bad in RUN_FIELDS.items()
       for c in cases(f"RunConfig.{name}",
                      lambda v, name=name: RunConfig(**{name: v}), bad)],
-    *cases("RunConfig.na_list", lambda v: RunConfig(na_list=(v,)), 0.0,
+    *cases("RunConfig.na_list", lambda v: RunConfig(na_list=(v,)), (0.0, 0.5),
            inf_ok=True),
+    *cases("parse_config.na", lambda v: parse_config(f"na = {v!r}\n"),
+           (0.0, 0.5), inf_ok=True),
     *cases("RunConfig.seed", lambda v: RunConfig(seed=v), -1),
     *cases("parse_config.seed", lambda v: parse_config(f"seed = {v!r}\n"),
            -1),
@@ -379,6 +381,18 @@ def test_asymptotic_point_takes_no_finite_key_field(scenario, field, value):
         bad.validate(PHYS)
     with pytest.raises(ValueError, match=field):
         evaluate_rate(bad, PHYS, CONV)
+
+
+def test_a_finite_key_needs_at_least_one_pulse():
+    # below one pulse n * p_s underflowed to 0 in xi_kernel, and
+    # evaluate_rate raised ZeroDivisionError at a point validate accepted
+    bad = ProtocolPoint(scenario=D_FIN, distance_km=20.0, n_pulses=1e-300,
+                        p_s=1e-30, p_d=0.5, p_v=0.5 - 1e-30, lam_s=1e-10,
+                        lam_d=1e-11, delta=0.01, m_e=1e-320,
+                        budget=ErrorBudget.equal_split(D_FIN, PHYS))
+    with pytest.raises(ValueError, match="n_pulses"):
+        evaluate_rate(bad, PHYS, CONV)
+    point(D_FIN, n_pulses=1.0).validate(PHYS)
 
 
 def test_documented_infinite_limits_stay_accepted():

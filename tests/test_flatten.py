@@ -331,7 +331,16 @@ def test_a_test_on_a_runtime_value_stays_unfolded(tmp_path):
          for v in raw:
              s += v
          return s
-     """, "a For statement is not specialized"),
+     """, "a For statement is not handled"),
+    ("""
+     def entry(raw, m_a, eta, n_pulses, phys, flags):
+         s = raw[0]
+         if raw[1] > 0.0:
+             t = 1.0
+         else:
+             s = s * eta
+         return s
+     """, "an if whose body is emptied"),
 ])
 def test_unhandled_shapes_raise_at_specialization(tmp_path, source, message):
     module = load(tmp_path, f"bad_spec_{abs(hash(source))}", source)
@@ -484,6 +493,43 @@ def test_traceback_shows_the_generated_lines(tmp_path):
     assert "/ b" in frame.line
 
 
+DEFS = """
+    def tag(f):
+        f.tagged = True
+        return f
+
+    @tag
+    def twice(x):
+        return 2.0 * x
+
+    def entry(a):
+        return twice(a) + half(a)
+
+    def half(x):
+        return 0.5 * x
+"""
+
+
+def test_only_a_def_at_the_line_its_code_starts_on_is_inlined(tmp_path):
+    # a decorated function's code starts at its decorator
+    module = load(tmp_path, "decorated", DEFS)
+    flat = _flatten.flattened(module.entry, module)
+    assert flat is not module.entry
+    assert _calls("".join(linecache.getlines(flat.__code__.co_filename))) \
+        == {"twice"}
+    # a def moved since import, the entry's own staying where it was
+    module = load(tmp_path, "moved", DEFS)
+    path = tmp_path / "moved.py"
+    path.write_text(path.read_text().replace("def half", "\n\ndef half"))
+    linecache.checkcache(str(path))
+    flat = _flatten.flattened(module.entry, module)
+    assert flat is not module.entry
+    assert _calls("".join(linecache.getlines(flat.__code__.co_filename))) \
+        == {"twice", "half"}
+    for a in (-1.5, 0.0, 0.3, 2.0):
+        assert flat(a) == module.entry(a)
+
+
 def test_a_missing_source_runs_unchanged(tmp_path):
     module = load(tmp_path, "gone", SHAPES)
     (tmp_path / "gone.py").unlink()
@@ -543,6 +589,33 @@ def test_a_missing_source_runs_unchanged(tmp_path):
      def entry(a):
          return helper(a)
      """, "ends without a return"),
+    ("""
+     def helper(x):
+         if x > 0.0:
+             y = x
+         else:
+             return 0.0
+         return y
+
+     def entry(a):
+         return helper(a)
+     """, "does not end its branch"),
+    ("""
+     def helper(x):
+         return x + 1.0
+
+     def entry(a):
+         helper(a)
+         return a
+     """, "Expr statement is not handled"),
+    ("""
+     def helper(x):
+         pass
+         return x
+
+     def entry(a):
+         return helper(a)
+     """, "Pass statement is not handled"),
 ])
 def test_unhandled_shapes_raise_at_generation(tmp_path, source, message):
     name = f"bad_{abs(hash(source))}"
