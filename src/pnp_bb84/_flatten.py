@@ -8,8 +8,8 @@ bit, while a `_kernels` objective drops its some forty Python calls per
 evaluation.  `optimize._objective_fn` runs the no-decoy objective this way.
 
 The flat function and its helpers may hold assignments, augmented
-assignments, ``if`` statements, returns and docstrings, nothing else.  The
-rewrite, on the helpers' own source:
+assignments, ``if`` statements, returns and a leading docstring, which is
+dropped, nothing else.  The rewrite, on the helpers' own source:
 
 - each helper's locals get fresh names (``name_<k>``); a parameter whose
   argument is a plain name or a constant is replaced by it, any other
@@ -23,15 +23,15 @@ rewrite, on the helpers' own source:
 Hoisting evaluates a helper call ahead of the rest of its statement, which
 changes no value for helpers without side effects, as in `_kernels`.  Every
 other shape raises `FlattenError` at generation: any other statement (a
-loop, ``pass``, a call standing alone); a helper call in a target, or one
-evaluated only sometimes (a later operand of ``and``/``or``, a conditional
-expression inside a larger one, a later link of a chained comparison, a
-comprehension or lambda); in a helper, a ``return`` that does not end its
-branch, an ``if`` holding a return whose body can fall through (one whose
-``else`` alone returns, say), a path that ends without a return, a nested
-scope or generator step, a reassigned parameter, or a global that the flat
-function has as a local; and arguments other than positional ones and
-constant defaults.
+loop, ``pass``, a call or a string standing alone); a helper call in a
+target, or one evaluated only sometimes (a later operand of ``and``/``or``,
+a conditional expression inside a larger one, a later link of a chained
+comparison, a comprehension or lambda); in a helper, a ``return`` that does
+not end its branch, an ``if`` holding a return whose body can fall through
+(one whose ``else`` alone returns, say), a path that ends without a return,
+a nested scope or generator step, a reassigned parameter, or a global that
+the flat function has as a local; and arguments other than positional ones
+and constant defaults.
 
 `specialized(fn, module, m_a, eta, n_pulses, phys, flags)` goes one step
 further for an objective ``fn(raw, m_a, eta, n_pulses, phys, flags)``: it
@@ -52,35 +52,40 @@ changes:
   subscript or ``is None`` (the map's ``finite``, the helpers' multi-value
   returns, the breakdown) becomes one local per slot; one stored twice on a
   path raises `FlattenError`;
-- constants and copies are propagated; a value stored once and read once,
-  later in its block with none of its inputs stored in between, is written
-  at its read; and a store that nothing reads before the name is stored
-  again is dropped.  The last two take only values that can have no
-  effect but raising, so only where the composed function raises could the
-  two differ.  An ``if`` whose branches are alike (both emptied, say) and
-  whose test can have no effect but raising gives way to one branch; any
-  other ``if`` left with an empty body raises `FlattenError`, as does a
-  function that assigns a name of the key.
+- a local stored once is written at its reads in one pass: a constant, or
+  a name that keeps its value, at every read; another name at its reads
+  later in its block before that name is stored again; any other value at
+  its one read, later in its block in a statement's own test or value,
+  with none of its inputs stored in between.  A store that nothing reads
+  before the name is stored again is dropped.  The last two take only
+  values that can have no effect but raising, so only where the composed
+  function raises could the two differ.  An ``if`` whose branches are
+  alike (both emptied, say) and whose test can have no effect but raising
+  gives way to one branch; any other ``if`` left with an empty body raises
+  `FlattenError`, as does a function that assigns a name of the key;
+- last, each largest subexpression that reads only ``make``'s arguments
+  and the prologue's names (``phys[8]``, ``1.0 - bound``, ``phys[4] *
+  phys[2]``) moves to ``make``'s prologue, duplicates once, and is read
+  from there, so a local stored once from it is a copy the next round
+  substitutes.  Only subscripts at constants, ``+``, ``-``, ``*`` and
+  division by a nonzero constant qualify, no call and no ``**``, so the
+  prologue cannot raise where an evaluation would not.
 
-``make``'s prologue then computes once what reads only its arguments: each
-local stored once from them, and each largest such subexpression
-(``phys[8]``, ``1.0 - phys[8]``, ``phys[4] * phys[2]``), duplicates once.
-Only subscripts at constants, ``+``, ``-``, ``*`` and division by a nonzero
-constant qualify, no call and no ``**``, so the prologue cannot raise where
-an evaluation would not.  Every operation whose value reaches the result
-runs on the same values in the same order, so the specialized objective
-equals ``fn`` bit for bit, with one Python frame fewer per evaluation than
-a closure around the flat function.  A wrapper or stub, or an objective
-whose source cannot be read, runs as installed behind the same call.
+Every operation whose value reaches the result runs on the same values in
+the same order, so the specialized objective equals ``fn`` bit for bit,
+with one Python frame fewer per evaluation than a closure around the flat
+function.  A wrapper or stub, or an objective whose source cannot be read,
+runs as installed behind the same call.
 
-Each flat source and each variant is built once per process, at its first
-use, from the helpers as they stand then; the ASTs are dropped before
-compiling.  The generated source is registered with `linecache` under
-``<flat module.name>`` or ``<specialized module.name n_pulses == INF: ...,
-flags: ...>``, so tracebacks show its lines.  A callable that is not a
-plain function of the module, or whose ``def`` cannot be read at the line
-its code starts on (a decorated function, a source file missing or changed
-since import), is returned as it is, and such a helper stays a call.
+Each module source is parsed once per process, and each flat source and
+each variant built once, at its first use, from the helpers as they stand
+then; the generated ASTs are dropped before compiling.  The generated
+source is registered with `linecache` under ``<flat module.name>`` or
+``<specialized module.name n_pulses == INF: ..., flags: ...>``, so
+tracebacks show its lines.  A callable that is not a plain function of the
+module, or whose ``def`` cannot be read at the line its code starts on (a
+decorated function, a source file missing or changed since import), is
+returned as it is, and such a helper stays a call.
 """
 
 from __future__ import annotations
@@ -168,8 +173,7 @@ def _make(fn: types.FunctionType, infinite: bool,
     if source is None:
         return None
     fdef = ast.parse(source).body[0]
-    key = {"n_pulses == INF": infinite, "flags": flags}
-    source = _Specializer(fdef, key, fn.__globals__).source()
+    source = _Specializer(fdef, infinite, flags, fn.__globals__).source()
     del fdef   # the AST goes before compiling, which peaks as high
     return _compiled(source, f"<specialized {fn.__module__}.{fn.__qualname__}"
                              f" n_pulses == INF: {infinite}, flags: {flags}>",
@@ -182,12 +186,7 @@ def _defs(fn: types.FunctionType) -> dict[str, ast.FunctionDef]:
     ``def`` at the line its code starts on counts: not a decorated one,
     whose code starts at the decorator, nor one moved since import."""
     globals_, filename = fn.__globals__, fn.__code__.co_filename
-    try:
-        tree = ast.parse("".join(linecache.getlines(filename, globals_)))
-    except SyntaxError:
-        return {}
-    at = {node.lineno: node for node in tree.body
-          if isinstance(node, ast.FunctionDef)}
+    at = _functions("".join(linecache.getlines(filename, globals_)))
     defs = {}
     for name, f in globals_.items():
         if _plain(f, globals_) and f.__code__.co_filename == filename:
@@ -195,6 +194,18 @@ def _defs(fn: types.FunctionType) -> dict[str, ast.FunctionDef]:
             if node is not None and node.name == f.__name__:
                 defs[name] = node
     return defs
+
+
+@functools.cache
+def _functions(source: str) -> dict[int, ast.FunctionDef]:
+    """The top-level ``def``s of module ``source`` by line, from one parse
+    per source text; no rewrite changes their nodes."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
+        return {}
+    return {node.lineno: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
 
 
 # --- AST helpers ----------------------------------------------------------------
@@ -284,6 +295,11 @@ def _names(node, ctx) -> set[str]:
     return {n.id for n in _name_nodes(node) if isinstance(n.ctx, ctx)}
 
 
+def _body(fdef: ast.FunctionDef) -> list:
+    """``fdef``'s statements after its docstring, if it has one."""
+    return fdef.body[ast.get_docstring(fdef, clean=False) is not None:]
+
+
 def _params(fdef: ast.FunctionDef) -> list[str]:
     args = fdef.args
     if args.vararg or args.kwarg or args.kwonlyargs or args.posonlyargs:
@@ -319,7 +335,7 @@ class _Flattener:
                       | _names(fdef.body, (ast.Store, ast.Del)))
         self.taken |= self.outer | _names(fdef.body, ast.Load)
         flat = _copy(fdef)
-        flat.body = self._block(flat.body, None, tail=False)
+        flat.body = self._block(_body(flat), None, tail=False)
         return flat
 
     # --- names -----------------------------------------------------------------
@@ -387,8 +403,6 @@ class _Flattener:
                 raise FlattenError(f"{_line(st)}: a helper call in a target")
             pre, value = self._hoist(st.value)
             return pre + [ast.AugAssign(st.target, st.op, value)]
-        if isinstance(st, ast.Expr) and isinstance(st.value, ast.Constant):
-            return []   # a docstring
         if isinstance(st, ast.If):
             pre, test = self._hoist(st.test)
             return pre + [ast.If(test, self._block(st.body, dest, False),
@@ -475,7 +489,7 @@ class _Flattener:
                 mapping[p] = ast.Name(name, ast.Load())
         for name in sorted(stored):
             mapping[name] = ast.Name(self._fresh(name), ast.Load())
-        return pre + self._block(_copy(fdef.body, mapping), dest, tail=True)
+        return pre + self._block(_copy(_body(fdef), mapping), dest, tail=True)
 
     def _stored(self, fdef: ast.FunctionDef, params: list) -> set[str]:
         """The names ``fdef``'s body assigns, once its shape is checked."""
@@ -621,28 +635,19 @@ class _Rewrite(ast.NodeTransformer):
 
 
 class _Fold(_Rewrite):
-    """The key's expressions and the loaded ``names`` replaced by their
-    constants, then each test, comparison, constant subscript and
+    """``n_pulses == INF`` replaced by ``infinite`` and the loaded ``names``
+    by their constants, then each test, comparison, constant subscript and
     conditional whose operands are all constants replaced by its value; a
     test reading anything else stays."""
 
-    def __init__(self, key: dict, names: dict):
-        exprs = {ast.parse(text, mode="eval").body: v for text, v in key.items()}
-        self.names = {**names, **{e.id: v for e, v in exprs.items()
-                                  if type(e) is ast.Name}}
-        self.key = {ast.dump(e): v for e, v in exprs.items()
-                    if type(e) is not ast.Name}
-        self.roots = tuple({type(e) for e in exprs} - {ast.Name})
+    def __init__(self, infinite: bool, names: dict):
+        self.infinite, self.names = infinite, names
 
     def visit(self, node):
         if type(node) is ast.Name:
             if node.id in self.names and isinstance(node.ctx, ast.Load):
                 return self.done(ast.Constant(self.names[node.id]))
             return node
-        if isinstance(node, self.roots):
-            value = self.key.get(ast.dump(node), self)
-            if value is not self:
-                return self.done(ast.Constant(value))
         return super().visit(node)
 
     def visit_Subscript(self, node):
@@ -657,6 +662,11 @@ class _Fold(_Rewrite):
         return node
 
     def visit_Compare(self, node):
+        left, right = node.left, node.comparators[0]
+        if (len(node.ops) == 1 and type(node.ops[0]) is ast.Eq
+                and type(left) is type(right) is ast.Name
+                and (left.id, right.id) == ("n_pulses", "INF")):
+            return self.done(ast.Constant(self.infinite))
         self.generic_visit(node)
         operands = [node.left, *node.comparators]
         if all(type(o) is ast.Constant for o in operands):
@@ -760,20 +770,21 @@ class _Rename(_Rewrite):
 
 
 class _Specializer:
-    """The ``make`` of one variant of flat function ``fdef``.
-
-    ``key`` maps source text to the constant it stands for in this variant.
+    """The ``make`` of one variant of flat function ``fdef``: its key
+    ``n_pulses == INF`` is ``infinite`` and its ``flags`` are ``flags``.
     The first parameter stays the function's; the others are bound by
-    ``make``, which computes the invariant part once.
+    ``make``, whose prologue `_Hoist` builds as the last pass of each round.
     """
 
-    def __init__(self, fdef: ast.FunctionDef, key: dict, globals_: dict):
+    def __init__(self, fdef: ast.FunctionDef, infinite: bool, flags: tuple,
+                 globals_: dict):
         self.fdef = fdef
         self.params = _params(fdef)
         self.globals = globals_
         stored = _names(fdef.body, (ast.Store, ast.Del))
-        for text in key:
-            if _names(ast.parse(text, mode="eval"), ast.Load) & stored:
+        for text, names in (("n_pulses == INF", {"n_pulses", "INF"}),
+                            ("flags", {"flags"})):
+            if names & stored:
                 raise FlattenError(f"{fdef.name} assigns a name of the key "
                                    f"{text!r}")
         # the module's numbers, and tuples of them, are read as they stand
@@ -781,10 +792,12 @@ class _Specializer:
         numbers = {name: value for name in _names(fdef.body, ast.Load) - stored
                    if _number(value := globals_.get(name))
                    or (type(value) is tuple and all(map(_number, value)))}
-        self.fold = _Fold(key, numbers)
+        self.fold = _Fold(infinite, {**numbers, "flags": flags})
         self.taken = (set(globals_) | set(dir(builtins))
                       | {n.id for n in _walk(fdef) if type(n) is ast.Name}
                       | set(self.params))
+        self.hoist = _Hoist({p for p in self.params[1:] if p not in stored},
+                            self._fresh)
 
     def source(self) -> str:
         body = self.fdef.body
@@ -792,15 +805,13 @@ class _Specializer:
         while self.changed:
             self.changed = False
             for step in (self._fold, self._split, self._scalarize,
-                         self._propagate, self._forward, self._inline,
-                         self._drop_dead):
+                         self._substitute, self._drop_dead, self._hoist):
                 body = step(body)
-        prologue, body = self._bind(body)
         inner = self.fdef
         inner.args.args = inner.args.args[:1]
         inner.body = body
         lines = [f"def make({', '.join(self.params[1:])}):"]
-        for part in (ast.Module(prologue, []), inner):
+        for part in (ast.Module(self.hoist.prologue, []), inner):
             text = ast.unparse(ast.fix_missing_locations(part))
             lines += ["    " + line if line else line
                       for line in text.splitlines()]
@@ -907,49 +918,19 @@ class _Specializer:
                 raise FlattenError(f"tuple {name} of length {n} is {how} {k}")
         return n
 
-    def _propagate(self, body: list) -> list:
-        """A local stored once as a constant, or as a name that keeps its
-        value (a parameter or global never stored, a local stored once),
-        read as that constant or name.  Counts the names for the passes after
-        it, which keep the counts as they rewrite."""
-        self.stores, self.loads = stores, loads = _counts(body)
-        mapping, dropped = {}, set()
-        for st in _statements(body):
-            copy = _copy_target(st)
-            if copy is None or stores[copy[0]] != 1 or copy[0] in self.params:
-                continue
-            x, value = copy
-            if type(value) is ast.Name and value.id != x and (
-                    stores[value.id] == 0
-                    or (stores[value.id] == 1
-                        and value.id not in self.params)):
-                mapping[x] = value
-            elif type(value) is ast.Constant:
-                mapping[x] = value
-                self.refold = True
-            else:
-                continue
-            dropped.add(id(st))
-        if not mapping:
-            return body
-        self.changed = True
-        for x, value in mapping.items():   # a chain x -> y -> z ends at z
-            chain = {x}
-            while type(value) is ast.Name and value.id in mapping:
-                if value.id in chain:
-                    raise FlattenError(f"{x} is read before it is stored")
-                chain.add(value.id)
-                value = mapping[value.id]
-            mapping[x] = value
-            if type(value) is ast.Name:
-                loads[value.id] += loads[x]
-            loads[x] = stores[x] = 0
-        return self._apply(_Rename(mapping), self._without(body, dropped))
-
-    def _forward(self, body: list) -> list:
-        """``x = y``, x stored once and read only later in the same block
-        before any store of ``y``: those reads as ``y``."""
-        stores, loads = self.stores, self.loads
+    def _substitute(self, body: list) -> list:
+        """Each local ``x`` stored once, ``x = value``, written at its reads
+        and its store dropped.  A constant, or a name that keeps its value (a
+        parameter or global never stored, a local stored once), goes to every
+        read.  Another name goes to the reads later in its block when no
+        statement up to the last of them stores that name.  A value read
+        once goes there too when that read is in a statement's own test or
+        value, which runs before the statement stores anything, no statement
+        before it stores a name the value reads, and the value can have no
+        effect but raising.  Counts the names itself."""
+        stores, loads = _counts(body)
+        mapping: dict = {}   # x: the constant or name that keeps its value
+        rename = _Rename(mapping)
         uses: dict = {}   # statement id: (its stores, its loads)
 
         def use(st) -> tuple:
@@ -957,78 +938,57 @@ class _Specializer:
                 uses[id(st)] = _counts(st)
             return uses[id(st)]
 
+        def written(stmts: list, i: int, x: str, value) -> bool:
+            name = type(value) is ast.Name and value.id != x
+            if type(value) is ast.Constant or name and (
+                    stores[value.id] == 0 or (stores[value.id] == 1
+                                              and value.id not in self.params)):
+                mapping[x] = value
+                self.refold |= not name
+            elif name or (loads[x] == 1 and self._pure(value)):
+                inputs, seen, last = _names(value, ast.Load), 0, None
+                for j in range(i + 1, len(stmts)):
+                    writes, reads = use(stmts[j])
+                    seen += reads[x]
+                    if seen == loads[x]:
+                        st = stmts[j]
+                        own = st.test if isinstance(st, ast.If) else st.value
+                        if ((loads[x] == 1 and x in _names(own, ast.Load))
+                                or (name and inputs.isdisjoint(writes))):
+                            last = j
+                        break
+                    if not inputs.isdisjoint(writes):
+                        break
+                if last is None:
+                    return False
+                for st in stmts[i + 1:last + 1]:
+                    if use(st)[1][x]:
+                        _Rename({x: value}).visit(st)
+                        uses.pop(id(st))
+            else:
+                return False
+            if name:
+                loads[value.id] += loads[x]
+            loads[x] = stores[x] = 0
+            return True
+
         def block(stmts: list) -> list:
             i = 0
             while i < len(stmts):
                 st = stmts[i]
+                uses.pop(id(st), None)   # no later scan reads it
                 if isinstance(st, ast.If):
+                    st.test = rename.visit(st.test)
                     st.body, st.orelse = block(st.body), block(st.orelse)
-                    uses.pop(id(st), None)
-                copy = _copy_target(st)
-                if (copy and type(copy[1]) is ast.Name and copy[1].id != copy[0]
-                        and stores[copy[0]] == 1 and loads[copy[0]]
-                        and copy[0] not in self.params):
-                    x, y = copy[0], copy[1].id
-                    seen, last = 0, None
-                    for j in range(i + 1, len(stmts)):
-                        writes, reads = use(stmts[j])
-                        seen += reads[x]
-                        if y in writes:
-                            break
-                        if seen == loads[x]:
-                            last = j
-                            break
-                    if last is not None:
-                        rename = _Rename({x: copy[1]})
-                        for s in stmts[i + 1:last + 1]:
-                            rename.visit(s)
-                            uses.pop(id(s), None)
+                else:
+                    rename.visit(st)
+                    copy = _copy_target(st)
+                    if (copy and stores[copy[0]] == 1 and loads[copy[0]]
+                            and copy[0] not in self.params
+                            and written(stmts, i, *copy)):
                         del stmts[i]
-                        loads[y] += loads.pop(x)
-                        stores[x] = 0
                         self.changed = True
                         continue
-                i += 1
-            return stmts
-
-        return block(body)
-
-    def _inline(self, body: list) -> list:
-        """``x = value``, x stored and read once, later in the same block and
-        in that statement's own expression, with none of the names
-        ``value`` reads stored in between: ``value`` written at the read,
-        when it can have no effect but raising."""
-        stores, loads = self.stores, self.loads
-        uses: dict = {}   # statement id: (its stores, its loads)
-
-        def block(stmts: list) -> list:
-            i = 0
-            while i < len(stmts):
-                st = stmts[i]
-                if isinstance(st, ast.If):
-                    st.body, st.orelse = block(st.body), block(st.orelse)
-                    uses.pop(id(st), None)
-                copy = _copy_target(st)
-                if (copy and stores[copy[0]] == 1 and loads[copy[0]] == 1
-                        and copy[0] not in self.params
-                        and self._pure(copy[1])):
-                    x, reads = copy[0], _names(copy[1], ast.Load)
-                    for later in stmts[i + 1:]:
-                        if id(later) not in uses:
-                            uses[id(later)] = _counts(later)
-                        writes, read = uses[id(later)]
-                        own = (later.test if isinstance(later, ast.If)
-                               else getattr(later, "value", None))
-                        if read[x] and x in _names(own, ast.Load):
-                            _Rename({x: copy[1]}).visit(later)
-                            uses.pop(id(later))
-                            del stmts[i]
-                            loads[x] = stores[x] = 0
-                            self.changed = True
-                            i -= 1
-                            break
-                        if read[x] or not reads.isdisjoint(writes):
-                            break
                 i += 1
             return stmts
 
@@ -1038,6 +998,9 @@ class _Specializer:
         """Stores that nothing reads before the name is stored again, when
         their values can have no effect but raising."""
         return self._mend(self._live(body, set())[0])
+
+    def _hoist(self, body: list) -> list:
+        return self._apply(self.hoist, body)
 
     def _live(self, stmts: list, live: set) -> tuple[list, set]:
         """``(stmts', live')``: ``stmts`` less their dead stores, and the
@@ -1065,18 +1028,6 @@ class _Specializer:
                     live |= _names(st.target, ast.Store)
             out.append(st)
         return out[::-1], live
-
-    def _without(self, stmts: list, dropped: set) -> list:
-        """``stmts`` less the statements with ids in ``dropped``."""
-        out = []
-        for st in stmts:
-            if id(st) in dropped:
-                continue
-            if isinstance(st, ast.If):
-                st.body = self._without(st.body, dropped)
-                st.orelse = self._without(st.orelse, dropped)
-            out.append(st)
-        return self._mend(out)
 
     def _mend(self, stmts: list) -> list:
         """``stmts`` with each ``if`` of a pure test and like branches
@@ -1116,33 +1067,6 @@ class _Specializer:
                     return False
         return True
 
-    # --- the prologue ---------------------------------------------------------
-
-    def _bind(self, body: list) -> tuple[list, list]:
-        """``(prologue, body)``: each local stored once with a value made of
-        the bound parameters, and each such subexpression of the rest,
-        computed once in the prologue, duplicates once."""
-        stores, _ = _counts(body)
-        invariant = {p for p in self.params[1:] if not stores[p]}
-        prologue, seen, rename, moved = [], {}, {}, set()
-        for st in _statements(body):
-            copy = _copy_target(st)
-            if (copy and stores[copy[0]] == 1 and copy[0] not in self.params
-                    and _invariant(copy[1], invariant)):
-                value = _Rename(rename).visit(copy[1])
-                key = ast.dump(value)
-                if key in seen:
-                    rename[copy[0]] = ast.Name(seen[key], ast.Load())
-                else:
-                    seen[key] = copy[0]
-                    prologue.append(ast.Assign([ast.Name(copy[0], ast.Store())],
-                                               value))
-                invariant.add(copy[0])
-                moved.add(id(st))
-        body = self._apply(_Rename(rename), self._without(body, moved))
-        hoist = _Hoist(invariant, seen, prologue, self._fresh)
-        return prologue, self._apply(hoist, body)
-
 
 def _invariant(expr, invariant: set) -> bool:
     """Whether ``expr`` reads only names of ``invariant`` and numbers, by
@@ -1174,12 +1098,14 @@ def _invariant(expr, invariant: set) -> bool:
 
 class _Hoist(_Rewrite):
     """Each largest subexpression that `_invariant` accepts and that reads a
-    name, read from a prologue name: one per distinct subexpression, added
-    to ``prologue`` (``seen`` maps its dump to the name)."""
+    name, read from a prologue name: one per distinct subexpression
+    (``seen`` maps its dump to the name), added to ``prologue`` and to the
+    ``invariant`` names."""
 
-    def __init__(self, invariant: set, seen: dict, prologue: list, fresh):
-        self.invariant, self.seen = invariant, seen
-        self.prologue, self.fresh = prologue, fresh
+    def __init__(self, invariant: set, fresh):
+        self.invariant, self.fresh = invariant, fresh
+        self.seen: dict = {}
+        self.prologue: list = []
 
     def visit(self, node):
         if (isinstance(node, ast.expr)
@@ -1188,8 +1114,9 @@ class _Hoist(_Rewrite):
                 and _names(node, ast.Load)):
             key = ast.dump(node)
             if key not in self.seen:
-                self.seen[key] = self.fresh("bound")
+                name = self.seen[key] = self.fresh("bound")
+                self.invariant.add(name)
                 self.prologue.append(ast.Assign(
-                    [ast.Name(self.seen[key], ast.Store())], node))
+                    [ast.Name(name, ast.Store())], node))
             return self.done(ast.Name(self.seen[key], ast.Load()))
         return super().visit(node)

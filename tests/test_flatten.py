@@ -354,6 +354,43 @@ def test_unhandled_shapes_raise_at_specialization(tmp_path, source, message):
         _flatten.specialized(module.entry, module, *args)
 
 
+@pytest.mark.parametrize("source", [
+    # a copy whose name is stored again before the copy is read
+    """
+    def entry(raw, m_a, eta, n_pulses, phys, flags):
+        y = raw[0]
+        x = y
+        y = raw[1]
+        return x * y
+    """,
+    # a value read once, one of its inputs stored between
+    """
+    def entry(raw, m_a, eta, n_pulses, phys, flags):
+        a = raw[0]
+        v = a * 2.0
+        a = raw[1]
+        return v + a
+    """,
+    # a read inside an if body after that body stores the copied name
+    """
+    def entry(raw, m_a, eta, n_pulses, phys, flags):
+        a = raw[0]
+        x = a
+        if raw[1] > 0.0:
+            a = raw[1]
+            return x + a
+        return a
+    """,
+], ids=["copy", "value", "if-body"])
+def test_a_read_keeps_the_value_stored_before_it(tmp_path, source):
+    module = load(tmp_path, f"stored_between_{abs(hash(source))}", source)
+    args = (2.0, 0.5, 5e10, (3.0,), (1,))
+    spec = _flatten.specialized(module.entry, module, *args)
+    assert spec.__code__.co_filename.startswith("<specialized")
+    for raw in ([2.0, 3.0], [2.0, -3.0], [-1.5, 0.25]):
+        assert spec(raw) == module.entry(raw, *args)
+
+
 def _calls(source: str) -> set:
     return {node.func.id for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
@@ -530,6 +567,23 @@ def test_only_a_def_at_the_line_its_code_starts_on_is_inlined(tmp_path):
         assert flat(a) == module.entry(a)
 
 
+def test_a_module_source_is_parsed_once(tmp_path, monkeypatch):
+    _flatten._functions.cache_clear()
+    parsed, parse = [], ast.parse
+    monkeypatch.setattr(ast, "parse",
+                        lambda text, *a, **k: parsed.append(text)
+                        or parse(text, *a, **k))
+    module = load(tmp_path, "parsed_once", SHAPES + """
+    def other(a):
+        return clamp(twice(a), -1.0)
+    """)
+    source = (tmp_path / "parsed_once.py").read_text()
+    for fn, args in ((module.entry, (0.7, 2.0)), (module.other, (0.3,))):
+        flat = _flatten.flattened(fn, module)
+        assert flat is not fn and flat(*args) == fn(*args)
+    assert parsed.count(source) == 1
+
+
 def test_a_missing_source_runs_unchanged(tmp_path):
     module = load(tmp_path, "gone", SHAPES)
     (tmp_path / "gone.py").unlink()
@@ -616,6 +670,16 @@ def test_a_missing_source_runs_unchanged(tmp_path):
      def entry(a):
          return helper(a)
      """, "Pass statement is not handled"),
+    ("""
+     def helper(x):
+         "a docstring, dropped"
+         if x > 0.0:
+             "not a docstring"
+         return x
+
+     def entry(a):
+         return helper(a)
+     """, "Expr statement is not handled"),
 ])
 def test_unhandled_shapes_raise_at_generation(tmp_path, source, message):
     name = f"bad_{abs(hash(source))}"
