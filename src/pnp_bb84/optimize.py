@@ -22,6 +22,16 @@ no point (`BENCH_no_key_polish.json`).  The rule reads the end's value,
 never ``target``.  An infeasible end (an objective penalty) has no key
 either, so it raises `InfeasibleProblemError` without a polish.
 
+The heuristic start reads the problem and nothing else, so it can run
+elsewhere: `maximize` takes its end, `_heuristic_end(problem)`, as the
+keyword ``heuristic_end`` and runs only the warm starts and the polish.
+`scans.scan_distance` computes the ends of a scan's later rows in a
+worker process, ahead of its warm chain, and the results are those of
+the sequential run, float for float.  Targeted calls never take one:
+their search stops at the first proven key, which a run elsewhere would
+not watch for, and each threshold-solver call depends on the answer
+before it, so `find_lmax` and `find_na_threshold` run on one CPU.
+
 There are no blind starts (the origin, seeded uniform draws from
 ``[-3, 3]`` in every raw coordinate).  At 23 points (20 km to past the
 finite-key cutoffs) and seeds 0-15 they gained no key in 368 maximizes
@@ -490,8 +500,17 @@ def _stopping_at(problem: OptimizationProblem,
     return neg
 
 
+def _heuristic_end(problem: OptimizationProblem
+                   ) -> tuple[list[float], float, int, bool]:
+    """`maximize`'s first start run alone, untargeted: `_nelder_mead`'s
+    return from `_heuristic_raw`, which reads the problem and nothing else."""
+    fn = _objective_fn(problem)
+    return _nelder_mead(lambda z: -fn(z), _heuristic_raw(problem), _MAX_EVALS)
+
+
 def maximize(problem: OptimizationProblem,
-             target: Optional[float] = None) -> OptimizationResult:
+             target: Optional[float] = None, *,
+             heuristic_end: Optional[tuple] = None) -> OptimizationResult:
     """Maximize the scenario rate over the problem's free parameters.
 
     Deterministic: the heuristic start, then each warm start, runs in full,
@@ -507,10 +526,18 @@ def maximize(problem: OptimizationProblem,
     that never gets there returns what it returns without a target.
     ``target`` must be finite and >= 0: below `_kernels.PENALTY` an
     infeasible point's penalty would pass for a proof.
+
+    ``heuristic_end`` is `_heuristic_end(problem)` computed elsewhere, as a
+    scan's worker process does for its later rows (`scans.scan_distance`):
+    it stands in for the heuristic start's run, whose evaluations it
+    counts, so the result is the one `maximize` would return without it.
+    It cannot go with a ``target``, which that run did not watch for.
     """
     fn = _objective_fn(problem)
     if target is None:
         neg = lambda z: -fn(z)
+    elif heuristic_end is not None:
+        raise ValueError("a heuristic_end cannot go with a target")
     else:
         check_range("target", target, 0.0, math.inf, hi_open=True)
         neg = _stopping_at(problem, fn, target)
@@ -520,8 +547,11 @@ def maximize(problem: OptimizationProblem,
     best_val, best_raw, best_delta = -math.inf, starts[0], math.inf
     evaluations = 0
     try:
-        for x0 in starts:
-            x, fun, nfev, success = _nelder_mead(neg, x0, _MAX_EVALS)
+        for k, x0 in enumerate(starts):
+            if k == 0 and heuristic_end is not None:
+                x, fun, nfev, success = heuristic_end
+            else:
+                x, fun, nfev, success = _nelder_mead(neg, x0, _MAX_EVALS)
             evaluations += nfev
             val, d = -fun, _delta_of_raw(x)
             if val > best_val or (val == best_val and d < best_delta):

@@ -8,6 +8,17 @@ from dataclasses import dataclass, field, fields, replace
 
 from .numerics import M_BRIGHT_MAX, check_range
 
+# Smallest eps_total - eps_ec accepted.  The parameter maps split it into
+# shares eps * w_k / sum(w), with each weight clamped to [e^-40, e^40] by
+# `_kernels._weight`; the smallest share, one of the six decoy budget
+# weights at e^-40 and the other five at e^40, is
+#     eps * e^-40 / (e^-40 + 5 e^40)  ~=  eps * e^-80 / 5,
+# which stays a normal float (at least 2.225e-308) from eps = 2.225e-308 *
+# 5 e^80 ~= 6.164e-273 (the no-decoy split has four weights and gives more).
+# Below that a share can be subnormal or 0.0, where the objective divides
+# by zero.  Rounded up, so that the kernels' own rounding cannot cross it.
+EPS_FREE_MIN = 6.2e-273
+
 
 class Scenario(str, enum.Enum):
     """The four protocol variants: decoy states or none (``uses_decoy``),
@@ -67,6 +78,10 @@ class PhysicalParams:
         check_range("q_split", self.q_split, 0.0, 1.0, True, True)
         check_range("eps_total", self.eps_total, 0.0, 1.0, True, True)
         check_range("eps_ec", self.eps_ec, 0.0, self.eps_total, True, True)
+        if not self.eps_free >= EPS_FREE_MIN:
+            raise ValueError(
+                f"eps_total - eps_ec = {self.eps_free!r} must be at least "
+                f"{EPS_FREE_MIN:g}, or a budget share can underflow")
         # built once: the rate paths ask for it on every evaluation
         object.__setattr__(self, "_array", tuple(
             float(getattr(self, f.name)) for f in fields(self)))

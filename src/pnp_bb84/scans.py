@@ -2,16 +2,47 @@
 
 The CLI's ``figure`` command composes them into the files behind the summary
 figures: each is the file one `scan` or `lmax` run writes.
+
+A scan of two rows or more runs each later row's heuristic start in a
+worker process, ahead of the main process's warm chain, when it may: the
+process may run on two CPUs (``os.sched_getaffinity``), the ``fork`` start
+method exists, no other thread runs, since forking a threaded process is
+unsafe, and the process is not a daemonic one such as a pool's worker.  A
+row's heuristic start reads that row's problem and nothing else; only its
+warm starts and polish read the previous row.  So the
+worker runs `_heuristic_end` for rows 1, 2, ... in grid order and sends
+each end back, and the main process runs row 0 as `maximize` always does
+and then, for each later row, the warm starts and the polish, with the
+worker's end in place of the heuristic start's run.  Start order and the
+tie rule are unchanged, so every row's floats, evaluations and
+``converged`` are those of the sequential scan, and so are the files: under
+``taskset -c 0`` (one CPU) the scan runs sequentially.  The worker is
+forked after row 0's objective is generated (`_objective_fn` caches it), so
+it does not generate it again.  It catches every exception and then sends
+None, after which the main process runs the remaining heuristic starts
+itself, and it is joined, terminated first if the scan raises, before
+`scan_distance` returns: no process outlives a scan, and no worker
+traceback reaches the user.  A fork the system refuses (OSError) leaves
+the whole scan to the main process.
+
+`find_lmax` and `find_na_threshold` stay sequential.  Each of their calls is
+one question whose next distance or pulse count depends on the answer, and
+a targeted call stops at its first proven key, which a heuristic start run
+elsewhere would not watch for.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
-from typing import Callable, Optional, Sequence
+import os
+import threading
+from typing import Callable, Iterator, Optional, Sequence
 
 from .numerics import check_range
-from .optimize import OptimizationProblem, OptimizationResult, maximize
+from .optimize import (OptimizationProblem, OptimizationResult,
+                       _heuristic_end, _objective_fn, maximize)
 from .params import BoundConventions, PhysicalParams, Scenario
 from .rates import ProtocolPoint
 
@@ -30,9 +61,9 @@ class ThresholdOutsideRangeError(RuntimeError):
 def _warm_chain(scenario: Scenario, phys: PhysicalParams,
                 conventions: BoundConventions
                 ) -> Callable[..., OptimizationResult]:
-    """``solve(key, distance_km, n_pulses, target=None)``: `maximize` at that
-    point, warm started from the two recorded optima whose keys are nearest
-    ``key``, stopping early once a rate above ``target`` is proven.
+    """``solve(key, distance_km, n_pulses, **options)``: `maximize` at that
+    point with ``options`` (``target``, ``heuristic_end``), warm started from
+    the two recorded optima whose keys are nearest ``key``.
 
     Each solve records its result's point under ``key``, an early-stopped
     one too, overwriting any earlier one; ties in ``|k - key|`` go to the key
@@ -41,14 +72,14 @@ def _warm_chain(scenario: Scenario, phys: PhysicalParams,
     found: dict[float, ProtocolPoint] = {}
 
     def solve(key: float, distance_km: float, n_pulses: float,
-              target: Optional[float] = None) -> OptimizationResult:
+              **options) -> OptimizationResult:
         # one pass over the keys; ties go to the key recorded first, as
         # in sorted(found, key=...)[:2]
         nearest = heapq.nsmallest(2, found, key=lambda k: abs(k - key))
         result = maximize(OptimizationProblem(
             scenario=scenario, distance_km=distance_km, n_pulses=n_pulses,
             phys=phys, conventions=conventions,
-            warm_starts=tuple(found[k] for k in nearest)), target=target)
+            warm_starts=tuple(found[k] for k in nearest)), **options)
         found[key] = result.best_point
         return result
 
@@ -99,7 +130,9 @@ def scan_distance(scenario: Scenario, n_pulses: float,
     whether it converged.
 
     A row with ``best_rate <= 0`` has no key; it is still returned, so
-    cutoff behaviour stays visible.
+    cutoff behaviour stays visible.  With two rows or more the heuristic
+    starts of the later rows run in a worker process when `_may_fork`
+    (module docstring); the results are the same either way.
     """
     grid = list(l_grid)
     if not grid:
@@ -109,7 +142,80 @@ def scan_distance(scenario: Scenario, n_pulses: float,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("l_grid must be strictly increasing")
     solve = _warm_chain(scenario, phys, conventions)
-    return [solve(dist, dist, n_pulses) for dist in grid]
+    if len(grid) == 1 or not _may_fork():
+        return [solve(dist, dist, n_pulses) for dist in grid]
+
+    def problem_at(dist: float) -> OptimizationProblem:
+        return OptimizationProblem(scenario=scenario, distance_km=dist,
+                                   n_pulses=n_pulses, phys=phys,
+                                   conventions=conventions)
+
+    # loaded here, not at import; generated before the fork, for both
+    import multiprocessing
+    _objective_fn(problem_at(grid[0]))
+    context = multiprocessing.get_context("fork")
+    ends, sender = context.Pipe(duplex=False)
+    worker = context.Process(target=_send_heuristic_ends,
+                             args=(sender, map(problem_at, grid[1:])))
+    try:
+        worker.start()
+    except OSError:  # no process to be had: every row runs here
+        ends.close()
+        sender.close()
+        return [solve(dist, dist, n_pulses) for dist in grid]
+    sender.close()
+    try:
+        results = [solve(grid[0], grid[0], n_pulses)]
+        for dist, end in zip(grid[1:], _received(ends)):
+            results.append(solve(dist, dist, n_pulses, heuristic_end=end))
+    except BaseException:
+        worker.terminate()
+        raise
+    finally:
+        worker.join()
+        ends.close()
+    return results
+
+
+def _may_fork() -> bool:
+    """Whether a scan may fork its worker: two CPUs, ``fork``, one thread,
+    and not in a daemonic process (a pool's worker), which may not have
+    children."""
+    import multiprocessing
+    return (_second_cpu() and threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon)
+
+
+def _second_cpu() -> bool:
+    """Whether this process may run on two CPUs or more."""
+    return (hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _send_heuristic_ends(conn, problems) -> None:
+    """The worker: `_heuristic_end` of each problem, sent in order.  After
+    any exception, a problem's construction too, it sends None and stops."""
+    try:
+        for problem in problems:
+            conn.send(_heuristic_end(problem))
+    # not re-raised: multiprocessing would print its traceback, a Ctrl-C's
+    # too, which the main process gets and reports itself
+    except BaseException:
+        with contextlib.suppress(BaseException):
+            conn.send(None)
+    finally:
+        conn.close()
+
+
+def _received(conn) -> Iterator[Optional[tuple]]:
+    """The ends the worker sends, then None for every later row: the main
+    process runs those heuristic starts itself."""
+    with contextlib.suppress(EOFError, OSError):
+        while (end := conn.recv()) is not None:
+            yield end
+    while True:
+        yield None
 
 
 def solve_lmax_profile(rate_at: Callable[..., float],
@@ -163,7 +269,7 @@ def find_lmax(scenario: Scenario, n_pulses: float,
     solve = _warm_chain(scenario, phys, conventions)
     return solve_lmax_profile(
         lambda dist, target=None: solve(dist, dist, n_pulses,
-                                        target).best_rate,
+                                        target=target).best_rate,
         rate_threshold)
 
 
@@ -194,7 +300,7 @@ def find_na_threshold(scenario: Scenario,
 
     def positive(log_na: float) -> bool:
         return solve(log_na, 0.0, 10.0 ** log_na,
-                     rate_threshold).best_rate > rate_threshold
+                     target=rate_threshold).best_rate > rate_threshold
 
     if not positive(hi_log):
         raise ThresholdOutsideRangeError(

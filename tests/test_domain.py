@@ -10,6 +10,7 @@ n = inf) it stays accepted.
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from pnp_bb84 import scans
 from pnp_bb84.cli import main
 from pnp_bb84.config import ConfigError, RunConfig, parse_config
 from pnp_bb84.numerics import M_BRIGHT_MAX
+from pnp_bb84.optimize import _heuristic_raw, _objective_fn
+from pnp_bb84.params import EPS_FREE_MIN
 from pnp_bb84.rates import budget_fields
 
 NAN, INF = math.nan, math.inf
@@ -393,6 +396,59 @@ def test_a_finite_key_needs_at_least_one_pulse():
     with pytest.raises(ValueError, match="n_pulses"):
         evaluate_rate(bad, PHYS, CONV)
     point(D_FIN, n_pulses=1.0).validate(PHYS)
+
+
+# eps_total - eps_ec at the smallest accepted budget, and one float below
+EPS_AT_MIN = dict(eps_total=EPS_FREE_MIN, eps_ec=1e-300)
+EPS_BELOW_MIN = dict(eps_total=math.nextafter(EPS_FREE_MIN, 0.0), eps_ec=1e-300)
+
+
+def test_budget_below_the_weight_clamp_floor_is_refused():
+    # at eps_total=1e-300, eps_ec=1e-303 the no_decoy_finite objective
+    # divided by a budget share of 0.0 (ZeroDivisionError) and the
+    # decoy_finite one returned -inf
+    for eps in (dict(eps_total=1e-300, eps_ec=1e-303), EPS_BELOW_MIN):
+        with pytest.raises(ValueError, match="eps_total - eps_ec"):
+            PhysicalParams(**eps)
+    assert PhysicalParams(**EPS_AT_MIN).eps_free == EPS_FREE_MIN
+
+
+@pytest.mark.parametrize("scenario", [ND_FIN, D_FIN], ids=lambda s: s.value)
+def test_smallest_budget_share_at_the_floor_is_normal(scenario):
+    # the budget weights clamped to e^-40 (the last) and e^40: the
+    # heuristic start with the last two at -40 and +40, then with every
+    # other one at +40, which gives the smallest share
+    phys = PhysicalParams(**EPS_AT_MIN)
+    prob = problem(scenario, phys=phys)
+    arr, flags = phys.to_array(), CONV.to_flags()
+    m_a, eta = _kernels.channel_at(prob.distance_km, arr)
+    composed = getattr(_kernels, "objective_decoy" if scenario.uses_decoy
+                       else "objective_no_decoy")
+    n = len(budget_fields(scenario))
+    for weights in ([0.0] * (n - 2) + [40.0], [40.0] * (n - 1)):
+        raw = _heuristic_raw(prob)[:-n] + weights + [-40.0]
+        shares = point_from_raw(prob, raw).budget.values(scenario)
+        assert min(shares) >= sys.float_info.min
+        value = composed(raw, m_a, eta, prob.n_pulses, arr, flags)
+        assert math.isfinite(value)
+        assert _objective_fn(prob)(raw) == value
+
+
+def test_config_budget_below_the_floor_is_a_one_line_error(tmp_path, capsys):
+    args = ["scan", "--scenario", "no_decoy_finite", "--na", "5e10",
+            "--lmin", "20", "--lmax-km", "20", "--out", str(tmp_path)]
+    for eps, code in ((EPS_BELOW_MIN, 1), (EPS_AT_MIN, 0)):
+        config = tmp_path / "eps.cfg"
+        config.write_text("".join(f"{k} = {v!r}\n" for k, v in eps.items()))
+        assert main(args + ["--config", str(config)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: eps_total - eps_ec")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+    assert [p.name for p in tmp_path.glob("*.csv")] == [
+        "scan_no_decoy_finite_5e10.csv"]
 
 
 def test_documented_infinite_limits_stay_accepted():

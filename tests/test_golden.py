@@ -269,8 +269,9 @@ def test_warm_started_scan_matches_golden(monkeypatch):
     runs = []
     inner = scans.maximize
 
-    def counted(problem, target=None):
-        result = inner(problem, target=target)
+    def counted(problem, **options):
+        # the 60 km row's heuristic end may come from the scan's worker
+        result = inner(problem, **options)
         runs.append((len(problem.warm_starts), result.evaluations))
         return result
 
