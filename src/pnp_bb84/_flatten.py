@@ -210,8 +210,8 @@ def _functions(source: str) -> dict[int, ast.FunctionDef]:
 
 # --- AST helpers ----------------------------------------------------------------
 
-# leaves that no rewrite changes, shared rather than copied: no node is
-# changed in place once built
+# leaves that no rewrite changes, shared rather than copied and skipped by
+# every walk: no node is changed in place once built
 _SHARED = (ast.Constant, ast.expr_context, ast.operator, ast.cmpop,
            ast.unaryop, ast.boolop)
 
@@ -241,17 +241,13 @@ def _copy(node, mapping: Optional[dict] = None):
     return new
 
 
-# the operator and context leaves, which no walk needs to visit
-_OPS = (ast.expr_context, ast.operator, ast.cmpop, ast.unaryop, ast.boolop)
-
-
 def _walk(node):
     """Every node under ``node``, a node or a list of them, in no order;
-    operators and contexts left out."""
+    the `_SHARED` leaves left out."""
     todo = list(node) if isinstance(node, list) else [node]
     while todo:
         n = todo.pop()
-        if isinstance(n, ast.AST) and not isinstance(n, _OPS):
+        if isinstance(n, ast.AST) and not isinstance(n, _SHARED):
             yield n
             for f in n._fields:
                 value = getattr(n, f, None)
@@ -274,6 +270,8 @@ def _ends(stmts: list) -> bool:
                 and _ends(last.orelse)))
 
 
+# its own walk, not a filter over `_walk`, which yields every other node and
+# steps into each Name: that made generation 10-11% slower
 def _name_nodes(node) -> list:
     """Every Name under ``node``, a node or a list of them, in no order."""
     found, todo = [], list(node) if type(node) is list else [node]
@@ -520,10 +518,9 @@ class _Flattener:
 _CMP = {ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
         ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge,
         ast.Is: operator.is_, ast.IsNot: operator.is_not}
-# what a dropped store's value may hold: nothing with an effect but raising
-_PURE = (ast.Name, ast.Constant, ast.BinOp, ast.UnaryOp, ast.BoolOp,
-         ast.Compare, ast.IfExp, ast.Subscript, ast.Tuple, ast.Call,
-         ast.expr_context, ast.operator, ast.unaryop, ast.boolop, ast.cmpop)
+# what a dropped store's value may hold (and `_SHARED`): no effect but raising
+_PURE = (ast.Name, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.IfExp,
+         ast.Subscript, ast.Tuple, ast.Call)
 _PURE_BUILTINS = (min, max)
 
 
@@ -539,6 +536,8 @@ def _counts(node) -> tuple[collections.Counter, collections.Counter]:
     return stores, loads
 
 
+# not a filter over `_walk`, which visits every expression too: that made
+# generation 6-14% slower
 def _statements(stmts: list):
     """Every statement of ``stmts`` and of the blocks inside, in order."""
     for st in stmts:
@@ -590,6 +589,8 @@ def _truth(test):
     return ast.BoolOp(test.op, values)
 
 
+# not ``ast.dump(a) == ast.dump(b)``, which renders both trees whole: that
+# made generation 4-15% slower
 def _same(a, b) -> bool:
     """Whether ``a`` and ``b`` are the same tree, nodes or lists of them."""
     if type(a) is not type(b):
@@ -604,15 +605,12 @@ def _same(a, b) -> bool:
 
 class _Rewrite(ast.NodeTransformer):
     """A transformer that records whether it changed anything, and skips
-    operators and contexts."""
+    the `_SHARED` leaves."""
 
     changed = False
 
     def done(self, node):
         self.changed = True
-        return node
-
-    def visit_Constant(self, node):
         return node
 
     def generic_visit(self, node):
@@ -621,15 +619,15 @@ class _Rewrite(ast.NodeTransformer):
             if type(old) is list:
                 new = []
                 for value in old:
-                    if isinstance(value, ast.AST) and not isinstance(value,
-                                                                     _OPS):
+                    if (isinstance(value, ast.AST)
+                            and not isinstance(value, _SHARED)):
                         value = self.visit(value)
                         if type(value) is list:
                             new += value
                             continue
                     new.append(value)
                 old[:] = new
-            elif isinstance(old, ast.AST) and not isinstance(old, _OPS):
+            elif isinstance(old, ast.AST) and not isinstance(old, _SHARED):
                 setattr(node, field, self.visit(old))
         return node
 
@@ -757,18 +755,6 @@ class _Scalarize(_Rewrite):
         return node
 
 
-class _Rename(_Rewrite):
-    """Each loaded name of ``mapping`` replaced by a copy of its value."""
-
-    def __init__(self, mapping: dict):
-        self.mapping = mapping
-
-    def visit_Name(self, node):
-        if isinstance(node.ctx, ast.Load) and node.id in self.mapping:
-            return self.done(_copy(self.mapping[node.id]))
-        return node
-
-
 class _Specializer:
     """The ``make`` of one variant of flat function ``fdef``: its key
     ``n_pulses == INF`` is ``infinite`` and its ``flags`` are ``flags``.
@@ -859,7 +845,7 @@ class _Specializer:
             if type(node) is ast.Name:
                 if node.id in tuples:
                     uses[node.id].append((node, parent))
-            elif not isinstance(node, _OPS):
+            elif not isinstance(node, _SHARED):
                 todo += [(child, node) for child in ast.iter_child_nodes(node)]
         slots, most = {}, None
         for name in sorted(tuples):
@@ -930,7 +916,6 @@ class _Specializer:
         effect but raising.  Counts the names itself."""
         stores, loads = _counts(body)
         mapping: dict = {}   # x: the constant or name that keeps its value
-        rename = _Rename(mapping)
         uses: dict = {}   # statement id: (its stores, its loads)
 
         def use(st) -> tuple:
@@ -961,10 +946,10 @@ class _Specializer:
                         break
                 if last is None:
                     return False
-                for st in stmts[i + 1:last + 1]:
-                    if use(st)[1][x]:
-                        _Rename({x: value}).visit(st)
-                        uses.pop(id(st))
+                for j in range(i + 1, last + 1):
+                    if use(stmts[j])[1][x]:
+                        uses.pop(id(stmts[j]))
+                        stmts[j] = _copy(stmts[j], {x: value})
             else:
                 return False
             if name:
@@ -978,10 +963,10 @@ class _Specializer:
                 st = stmts[i]
                 uses.pop(id(st), None)   # no later scan reads it
                 if isinstance(st, ast.If):
-                    st.test = rename.visit(st.test)
+                    st.test = _copy(st.test, mapping)
                     st.body, st.orelse = block(st.body), block(st.orelse)
                 else:
-                    rename.visit(st)
+                    st = stmts[i] = _copy(st, mapping)
                     copy = _copy_target(st)
                     if (copy and stores[copy[0]] == 1 and loads[copy[0]]
                             and copy[0] not in self.params
@@ -1109,7 +1094,7 @@ class _Hoist(_Rewrite):
 
     def visit(self, node):
         if (isinstance(node, ast.expr)
-                and type(node) not in (ast.Name, ast.Constant)
+                and type(node) is not ast.Name
                 and _invariant(node, self.invariant)
                 and _names(node, ast.Load)):
             key = ast.dump(node)

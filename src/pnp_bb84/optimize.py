@@ -69,6 +69,10 @@ returns that point unpolished, with ``converged=False``.  A search that
 never gets there runs in full and returns what it returns without a target,
 float for float.  Without a target the objective is not wrapped at all.
 
+A problem holds the kernel arguments after the raw vector, ``(m_a, eta,
+n_pulses, phys array, flags)``, built once when it is made; the parameter
+maps, the heuristic start, the objective and the grid oracle read them there.
+
 The objective the search evaluates is `_kernels.objective_<model>` rebuilt
 by `_flatten` from the `_kernels` source, with everything the objective
 calls there inlined (the parameter map, the rate kernel, the status rule
@@ -155,6 +159,10 @@ class InfeasibleProblemError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizationProblem:
+    """A scenario at one distance and pulse count.  It holds its kernel
+    arguments ``_args`` (module docstring), built once as `PhysicalParams`
+    builds its array, so `dataclasses.replace` builds them anew."""
+
     scenario: Scenario
     distance_km: float
     n_pulses: float = math.inf
@@ -168,7 +176,8 @@ class OptimizationProblem:
         check_range("distance_km", self.distance_km, 0.0, math.inf,
                     hi_open=True)
         check_integer("seed", self.seed, 0)
-        m_a, eta = _kernels.channel_at(self.distance_km, self.phys.to_array())
+        arr = self.phys.to_array()
+        m_a, eta = _kernels.channel_at(self.distance_km, arr)
         if 0.0 in (m_a, eta):
             raise InfeasibleProblemError(
                 f"no photon survives L={self.distance_km} km: the channel "
@@ -177,6 +186,8 @@ class OptimizationProblem:
             # the encoder's transmittance cap divides by this product
             raise InfeasibleProblemError(
                 f"q_split * m_a underflows to 0 at L={self.distance_km} km")
+        object.__setattr__(self, "_args", (m_a, eta, self.n_pulses, arr,
+                                           self.conventions.to_flags()))
 
     @property
     def dim(self) -> int:
@@ -216,11 +227,7 @@ def point_from_raw(problem: OptimizationProblem, raw: Sequence[float]) -> Protoc
     if len(values) != problem.dim or not all(map(math.isfinite, values)):
         raise ValueError(f"raw vector {values!r} must hold {problem.dim} "
                          f"finite numbers")
-    arr = problem.phys.to_array()
-    m_a, eta = _kernels.channel_at(problem.distance_km, arr)
-    *lams, delta, finite = _kernel("params", problem)(
-        values, m_a, eta, problem.n_pulses, arr,
-        problem.conventions.to_flags())
+    *lams, delta, finite = _kernel("params", problem)(values, *problem._args)
     return _point(problem, lams, delta, finite)
 
 
@@ -264,7 +271,7 @@ def raw_from_point(problem: OptimizationProblem,
     point.validate(problem.phys)
     sc = problem.scenario
     phys = problem.phys
-    m_a, eta = _kernels.channel_at(problem.distance_km, phys.to_array())
+    m_a, eta, _, _, flags = problem._args
     lam_s = point.lam_s if sc.uses_decoy else point.lam
     cap = _kernels.lambda_cap_kernel(point.delta, m_a, phys.q_split)
     raw = [_logit_of_logrange(point.delta, _kernels.DELTA_LOG),
@@ -274,7 +281,7 @@ def raw_from_point(problem: OptimizationProblem,
     if sc.finite:
         q, _ = _kernels.gain_qber_kernel(
             _kernels.mu_kernel(m_a, lam_s, phys.q_split), eta, phys.y0,
-            phys.e_det, phys.e0, problem.conventions.to_flags()[0])
+            phys.e_det, phys.e0, flags[0])
         if sc.uses_decoy:
             sifted = 0.5 * problem.n_pulses * point.p_s * q
         else:
@@ -300,7 +307,7 @@ def _heuristic_raw(problem: OptimizationProblem) -> list[float]:
     """
     sc = problem.scenario
     phys = problem.phys
-    m_a, eta = _kernels.channel_at(problem.distance_km, phys.to_array())
+    m_a, eta = problem._args[:2]
     a = math.sqrt(m_a * (1.0 - phys.q_split) / 2.0)
     delta = min(max(4.0 / a, _kernels.DELTA_LO * 2), 0.5)
     cap = _kernels.lambda_cap_kernel(delta, m_a, phys.q_split)
@@ -330,14 +337,11 @@ def _objective_fn(problem: OptimizationProblem
     the flattener cannot read it (module docstring)."""
     # loaded at first use, not at import
     from ._flatten import flattened, specialized
-    arr = problem.phys.to_array()
-    flags = problem.conventions.to_flags()
-    m_a, eta = _kernels.channel_at(problem.distance_km, arr)
-    n_pulses = problem.n_pulses
     kern = _kernel("objective", problem)
     if problem.scenario.uses_decoy:
-        return specialized(kern, _kernels, m_a, eta, n_pulses, arr, flags)
+        return specialized(kern, _kernels, *problem._args)
     kern = flattened(kern, _kernels)
+    m_a, eta, n_pulses, arr, flags = problem._args
     return lambda z: kern(z, m_a, eta, n_pulses, arr, flags)
 
 
@@ -631,9 +635,7 @@ def grid_oracle(problem: OptimizationProblem, resolution: int) -> OptimizationRe
     if cells > _GRID_CELLS_MAX:
         raise ValueError(f"resolution={resolution} gives {cells} grid cells, "
                          f"more than {_GRID_CELLS_MAX}")
-    arr = problem.phys.to_array()
-    flags = problem.conventions.to_flags()
-    m_a, eta = _kernels.channel_at(problem.distance_km, arr)
+    m_a, eta, _, arr, flags = problem._args
     axes = [_grid_axis(_kernels.DELTA_LO, _kernels.DELTA_HI, resolution),
             _grid_axis(_kernels.U_LO, _kernels.U_HI, resolution)]
     if problem.scenario.uses_decoy:

@@ -265,6 +265,33 @@ def test_specialization_happens_once_per_variant_and_not_at_import():
     assert done.stdout.strip() == "ok"
 
 
+def test_generation_does_not_depend_on_the_hash_seed():
+    # sets and dicts of strings iterate in an order that PYTHONHASHSEED
+    # moves; no generated byte may follow it
+    script = textwrap.dedent("""
+        import linecache
+        from pnp_bb84 import BoundConventions, _flatten, _kernels
+        sources = [_flatten._flat_source(_kernels.objective_no_decoy),
+                   _flatten._flat_source(_kernels.objective_decoy)]
+        for infinite in (False, True):
+            make = _flatten._make(_kernels.objective_decoy, infinite,
+                                  BoundConventions().to_flags())
+            sources.append("".join(linecache.getlines(
+                make.__code__.co_filename)))
+        print("\\n# ---\\n".join(sources))
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env={"PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].count("def make(") == 2
+    assert outputs[0] == outputs[1]
+
+
 RUNTIME_TESTS = """
     from math import isfinite
 

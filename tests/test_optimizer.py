@@ -1,8 +1,12 @@
 """Reparameterization, multi-start search, grid oracle."""
 
+import collections
+import dataclasses
 import functools
 import itertools
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +142,52 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="n_pulses"):
             OptimizationProblem(scenario=scenario, distance_km=20.0,
                                 n_pulses=value)
+
+
+class TestKernelArguments:
+    """A problem builds the kernels' arguments after the raw vector, ``(m_a,
+    eta, n_pulses, phys array, flags)``, once; the maps, the objective and
+    the grid oracle read them from it."""
+
+    def test_the_channel_is_computed_once_per_problem(self, monkeypatch):
+        calls = collections.Counter()   # by the calling module
+        channel_at = _kernels.channel_at
+
+        def counted(dist, phys):
+            calls[sys._getframe(1).f_globals["__name__"]] += 1
+            return channel_at(dist, phys)
+
+        monkeypatch.setattr(_kernels, "channel_at", counted)
+        for scenario, n_pulses in ALL_SCENARIOS:
+            problem = problem_for(scenario, n_pulses)
+            assert calls == {"pnp_bb84.optimize": 1}
+            calls.clear()
+            raw = optimize._heuristic_raw(problem)
+            point = point_from_raw(problem, raw)
+            raw_from_point(problem, point)
+            optimize._objective_fn(problem)(raw)
+            assert not calls
+            if not scenario.finite:
+                grid_oracle(problem, 3)
+                # only the reported point's own breakdown, from its distance
+                assert calls == {"pnp_bb84.rates": 1}
+                calls.clear()
+
+    @pytest.mark.parametrize("scenario,n_pulses", ALL_SCENARIOS)
+    def test_a_new_distance_brings_its_own_arguments(self, scenario,
+                                                     n_pulses):
+        problem = problem_for(scenario, n_pulses)
+        arr = PHYS.to_array()
+        flags = BoundConventions().to_flags()
+        assert problem._args == (*_kernels.channel_at(20.0, arr), n_pulses,
+                                 arr, flags)
+        moved = dataclasses.replace(problem, distance_km=60.0)
+        assert moved._args == (*_kernels.channel_at(60.0, arr), n_pulses,
+                               arr, flags)
+        assert moved._args[:2] != problem._args[:2]
+        for p in (problem, moved):
+            again = pickle.loads(pickle.dumps(p))
+            assert again == p and again._args == p._args
 
 
 @functools.cache
