@@ -52,15 +52,17 @@ which spares a star-call per scalar.  The per-scenario names (``rate_``,
 ``params_`` or ``objective_`` and the scenario) are aliases, kept only
 because `optimize._kernel` and perfbench/tracing.py look kernels up by them.
 
-The optimizer runs each objective as `_flatten` generates it from this
-source: one function with every helper below inlined, the same floats
-without the calls.  The decoy objective is also specialized to its problem:
-the key length, the ``flags`` and this module's constants folded, the
-tuples a helper returns or a map builds taken apart, and what reads only
-the problem's arguments computed once.  So a formula's helper, the tuple it
-returns and the flag it tests cost the decoy search nothing per
-evaluation, and granularity here is chosen for reading; `rates`, the grid
-kernels and `point_from_raw` call the helpers as written.
+The optimizer runs each objective as ``tools/flatten.py`` generates it
+from this source into `_objectives`: one function with every helper below
+inlined, the same floats without the calls.  The decoy objective is also
+specialized to its key length: that and this module's constants folded,
+the tuples a helper returns or a map builds taken apart, and what reads
+only the problem's arguments, the ``flags`` too, computed once per problem.
+So a formula's helper and the tuple it returns cost the decoy search
+nothing per evaluation, and granularity here is chosen for reading;
+`rates`, the grid kernels and `point_from_raw` call the helpers as
+written.  After an edit here, run ``python tools/flatten.py``: until then
+the optimizer runs the composed objectives, with one warning.
 
 Breakdown tuple (18 float slots):
     0 status, 1 rate, 2 mu_signal, 3 mu_decoy, 4 gain_signal, 5 qber_signal,

@@ -73,28 +73,29 @@ A problem holds the kernel arguments after the raw vector, ``(m_a, eta,
 n_pulses, phys array, flags)``, built once when it is made; the parameter
 maps, the heuristic start, the objective and the grid oracle read them there.
 
-The objective the search evaluates is `_kernels.objective_<model>` rebuilt
-by `_flatten` from the `_kernels` source, with everything the objective
-calls there inlined (the parameter map, the rate kernel, the status rule
-and each helper), once per process and never at import.  The no-decoy
-objective runs flat: one function per source model, called through a
-closure over the problem's arguments.  The decoy objective runs
-specialized: one variant per key length (``n_pulses == inf``) and flag
-tuple, with the conventions, the key length and the module's constants
-folded in and the tuples it packs and unpacks gone, bound to the problem
-by a prologue that computes the parts read only from the problem's
-arguments once (``phys[8]``, ``1.0 - phys[8]``, ...).  Either way an
+The objective the search evaluates comes from `_objectives`, generated
+ahead of time from the `_kernels` source by ``tools/flatten.py`` and
+imported at first use, never at import.  Everything the `_kernels`
+objective calls (the parameter map, the rate kernel, the status rule and
+each helper) is inlined there.  The no-decoy objective runs flat: one
+function per source model, called through a closure over the problem's
+arguments.  The decoy objective runs specialized: one function per key
+length (``n_pulses == inf``), with the key length and the module's
+constants folded in and the tuples it packs and unpacks gone, bound to the
+problem by a prologue that computes the parts read only from the problem's
+arguments once (``phys[8]``, ``flags[0]``, ``1.0 - phys[8]``, ...); the
+conventions are tested at run time on those flags.  Either way an
 evaluation makes no Python call into `_kernels`, and its floats are the
-composed objective's, bit for bit (`tests/test_flatten.py`).  The
-no-decoy objective stays flat because solver_chain's ``nath`` operation
+composed objective's, bit for bit (`tests/test_flatten.py`).  The no-decoy
+objective stays flat because solver_chain's ``nath`` operation
 (no_decoy_finite) sits just above perfbench's 50 ms drop rule, where a
 faster ``nath`` would leave the scan alone in ``op_ms_p50`` (ROADMAP item
-6).  A callable the flattener cannot read runs unchanged: a wrapper such as
-perfbench's tracer installs, a stub, or a function whose source file is
-missing.  The generated source is registered with `linecache` under
-``<flat pnp_bb84._kernels.objective_no_decoy>`` or ``<specialized
-pnp_bb84._kernels.objective_decoy n_pulses == INF: ..., flags: ...>``, so
-tracebacks show its lines.
+6).  The composed objective runs instead, behind the same call, when the
+one `_objective_fn` looks up is not the function `_objectives` was
+generated from (a wrapper such as perfbench's tracer installs, a stub), and
+when `_objectives` is stale: ``_kernels.py`` cannot be read, its SHA-256 is
+not the module's ``KERNELS_SHA256``, or the module does not import.  A
+stale module gives one `StaleObjectivesWarning` per process.
 
 `_nelder_mead` is a port of scipy 1.17's ``_minimize_neldermead`` with the
 options used here (standard coefficients, ``initial_simplex`` as above,
@@ -127,6 +128,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -330,18 +332,62 @@ def _heuristic_raw(problem: OptimizationProblem) -> list[float]:
     return raw
 
 
+class StaleObjectivesWarning(UserWarning):
+    """`_objectives` was not generated from ``_kernels.py`` as it stands:
+    the composed objectives run (module docstring)."""
+
+
+# the composed objectives `_objectives` was generated from, by use of decoys
+_GENERATED_FROM = {False: _kernels.objective_no_decoy,
+                   True: _kernels.objective_decoy}
+
+
+@functools.cache
+def _generated():
+    """`_objectives`, imported at first use, or None with one
+    `StaleObjectivesWarning` when it is stale: ``_kernels.py`` cannot be
+    read, its SHA-256 is not the module's ``KERNELS_SHA256``, or the module
+    does not import."""
+    try:   # not hashlib, whose OpenSSL costs a process 3.5 MB and 4 ms
+        from _sha256 import sha256   # Python 3.10 and 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256   # since 3.12
+        except ImportError:
+            from hashlib import sha256
+    try:
+        with open(_kernels.__file__, "rb") as source:
+            digest = sha256(source.read()).hexdigest()
+        from . import _objectives
+    except (OSError, ImportError):
+        digest = _objectives = None
+    if digest is not None and digest == _objectives.KERNELS_SHA256:
+        return _objectives
+    warnings.warn("pnp_bb84/_objectives.py was not generated from "
+                  "_kernels.py as it stands, so the slower composed "
+                  "objectives run; regenerate it with "
+                  "'python tools/flatten.py'", StaleObjectivesWarning,
+                  stacklevel=3)
+    return None
+
+
 def _objective_fn(problem: OptimizationProblem
                   ) -> Callable[[list[float]], float]:
-    """The rate at a raw vector: the problem's `_kernels` objective, run
-    specialized to the problem (with decoys) or flattened (without), unless
-    the flattener cannot read it (module docstring)."""
-    # loaded at first use, not at import
-    from ._flatten import flattened, specialized
+    """The rate at a raw vector: the problem's objective from `_objectives`,
+    specialized to the problem's key length and bound to it (with decoys)
+    or flat behind a closure (without); the `_kernels` objective when that
+    is a wrapper or stub, or `_objectives` is stale (module docstring)."""
     kern = _kernel("objective", problem)
-    if problem.scenario.uses_decoy:
-        return specialized(kern, _kernels, *problem._args)
-    kern = flattened(kern, _kernels)
     m_a, eta, n_pulses, arr, flags = problem._args
+    uses_decoy = problem.scenario.uses_decoy
+    generated = (_generated() if kern is _GENERATED_FROM[uses_decoy]
+                 else None)
+    if generated is not None and uses_decoy:
+        make = (generated.make_decoy_infinite if n_pulses == math.inf
+                else generated.make_decoy_finite)
+        return make(*problem._args)
+    if generated is not None:
+        kern = generated.objective_no_decoy
     return lambda z: kern(z, m_a, eta, n_pulses, arr, flags)
 
 

@@ -17,13 +17,13 @@ worker's end in place of the heuristic start's run.  Start order and the
 tie rule are unchanged, so every row's floats, evaluations and
 ``converged`` are those of the sequential scan, and so are the files: under
 ``taskset -c 0`` (one CPU) the scan runs sequentially.  The worker is
-forked after row 0's objective is generated (`_objective_fn` caches it), so
-it does not generate it again.  It catches every exception and then sends
-None, after which the main process runs the remaining heuristic starts
-itself, and it is joined, terminated first if the scan raises, before
-`scan_distance` returns: no process outlives a scan, and no worker
-traceback reaches the user.  A fork the system refuses (OSError) leaves
-the whole scan to the main process.
+forked after the generated objectives are imported and checked
+(`optimize._generated` caches them), so it does not load them again.  It
+catches every exception and then sends None, after which the main process
+runs the remaining heuristic starts itself, and it is joined, terminated
+first if the scan raises, before `scan_distance` returns: no process
+outlives a scan, and no worker traceback reaches the user.  A fork the
+system refuses (OSError) leaves the whole scan to the main process.
 
 `find_lmax` and `find_na_threshold` stay sequential.  Each of their calls is
 one question whose next distance or pulse count depends on the answer, and
@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .numerics import check_range
 from .optimize import (OptimizationProblem, OptimizationResult,
-                       _heuristic_end, _objective_fn, maximize)
+                       _generated, _heuristic_end, maximize)
 from .params import BoundConventions, PhysicalParams, Scenario
 from .rates import ProtocolPoint
 
@@ -150,9 +150,10 @@ def scan_distance(scenario: Scenario, n_pulses: float,
                                    n_pulses=n_pulses, phys=phys,
                                    conventions=conventions)
 
-    # loaded here, not at import; generated before the fork, for both
+    # loaded here, not at import; the objectives imported before the fork,
+    # for both processes
     import multiprocessing
-    _objective_fn(problem_at(grid[0]))
+    _generated()
     context = multiprocessing.get_context("fork")
     ends, sender = context.Pipe(duplex=False)
     worker = context.Process(target=_send_heuristic_ends,

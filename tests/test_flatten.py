@@ -1,15 +1,18 @@
-"""The flat objectives: `_kernels.objective_*` with every helper inlined.
+"""The generated objectives: `_objectives`, written by ``tools/flatten.py``.
 
-`optimize._objective_fn` runs the no-decoy objective `_flatten.flattened`
-builds from the `_kernels` source, and the decoy objective specialized to
-its problem by `_flatten.specialized`.  These tests hold both to the
-composed objective float for float, check what the generated source calls,
-that a wrapper or stub passes through unchanged, when generation happens,
-and that the flattener refuses a shape it cannot rewrite exactly.
+`optimize._objective_fn` runs the committed flat ``objective_no_decoy`` and
+the decoy objective specialized to its key length, ``make_decoy_finite`` or
+``make_decoy_infinite`` bound to the problem.  These tests hold them, and the
+generator's flat decoy objective, to the composed objectives float for
+float; check that the committed module is the generator's output, what the
+generated source calls, that a wrapper, a stub or a stale module runs the
+composed objective and that nothing is generated at run time; and that the
+generator refuses a shape it cannot rewrite exactly.
 """
 
 import ast
 import importlib.util
+import inspect
 import itertools
 import linecache
 import math
@@ -23,18 +26,44 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import flatten
 from pnp_bb84 import (BoundConventions, OptimizationProblem, Scenario,
-                      _flatten, _kernels, maximize)
-from pnp_bb84.optimize import _heuristic_raw, _objective_fn
+                      _kernels, _objectives, maximize, optimize)
+from pnp_bb84.optimize import (StaleObjectivesWarning, _heuristic_raw,
+                               _objective_fn)
 
 from test_properties import CONVENTIONS, draws
 
+ROOT = Path(__file__).resolve().parent.parent
 MODELS = {False: "objective_no_decoy", True: "objective_decoy"}
 
 
+def compiled(source, module, name):
+    """Function ``name`` of generated ``source``, run in ``module``."""
+    namespace = {}
+    exec(compile(source, f"<generated {module.__name__}>", "exec"),
+         vars(module), namespace)
+    return namespace[name]
+
+
+def flattened(fn, module):
+    return compiled(flatten.flat_source(fn), module, fn.__name__)
+
+
+def specialized(fn, module, m_a, eta, n_pulses, phys, flags):
+    """``raw -> fn(raw, m_a, ...)`` as the generator specializes it."""
+    make = compiled(flatten.make_source(fn, n_pulses == math.inf), module,
+                    "make")
+    return make(m_a, eta, n_pulses, phys, flags)
+
+
 def flat_and_composed(scenario):
+    """The committed flat no-decoy objective, or the generator's flat decoy
+    objective, which the committed decoy functions are specialized from."""
     composed = getattr(_kernels, MODELS[scenario.uses_decoy])
-    return _flatten.flattened(composed, _kernels), composed
+    if scenario.uses_decoy:
+        return flattened(composed, _kernels), composed
+    return _objectives.objective_no_decoy, composed
 
 
 def outcome(fn, *args):
@@ -113,28 +142,28 @@ def test_flat_objective_equals_the_composed_one_at_the_edges(scenario,
 
 
 @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
-def test_objective_fn_runs_the_flat_objective(scenario):
-    # the decoy objective runs specialized to the problem, the no-decoy one
-    # flat behind a closure
+def test_objective_fn_runs_the_committed_objective(scenario):
+    # the decoy objective runs specialized to the problem's key length, the
+    # no-decoy one flat behind a closure
     n_pulses = 5e10 if scenario.finite else math.inf
     problem = OptimizationProblem(scenario, 30.0, n_pulses)
-    flat, composed = flat_and_composed(scenario)
     fn = _objective_fn(problem)
     if scenario.uses_decoy:
-        assert fn.__code__.co_filename == variant_filename(
-            not scenario.finite, problem.conventions.to_flags())
+        assert fn.__code__.co_filename == _objectives.__file__
+        assert fn.__qualname__ == (
+            f"make_decoy_{'finite' if scenario.finite else 'infinite'}"
+            f".<locals>.objective_decoy")
         assert fn.__code__.co_argcount == 1
     else:
-        assert flat.__code__ in [c.cell_contents.__code__
-                                 for c in fn.__closure__
-                                 if callable(c.cell_contents)]
+        assert _objectives.objective_no_decoy in [
+            c.cell_contents for c in fn.__closure__]
     raw = _heuristic_raw(problem)
-    _, args = kernel_args(scenario, 30.0, n_pulses,
-                          problem.conventions)
-    assert fn(raw) == composed(raw, *args)
+    _, args = kernel_args(scenario, 30.0, n_pulses, problem.conventions)
+    assert fn(raw) == getattr(_kernels, MODELS[scenario.uses_decoy])(raw,
+                                                                    *args)
 
 
-# --- the decoy objective specialized to its problem -------------------------------
+# --- the decoy objective specialized to its key length ---------------------------
 
 DECOY_AXES = ("gain_model", "window_coverage", "decoy_estimator",
               "sifting_factor")
@@ -150,15 +179,12 @@ def conventions_id(conv):
     return "-".join(getattr(conv, a) for a in DECOY_AXES)
 
 
-def variant_filename(infinite, flags):
-    return (f"<specialized pnp_bb84._kernels.objective_decoy "
-            f"n_pulses == INF: {infinite}, flags: {flags}>")
-
-
 def specialized_and_composed(args):
-    composed = _kernels.objective_decoy
-    spec = _flatten.specialized(composed, _kernels, *args)
-    return spec, lambda raw: composed(raw, *args)
+    """The committed function for the key length of ``args``, bound to them,
+    and the composed objective at them."""
+    make = (_objectives.make_decoy_infinite if args[2] == math.inf
+            else _objectives.make_decoy_finite)
+    return make(*args), lambda raw: _kernels.objective_decoy(raw, *args)
 
 
 def test_every_decoy_flag_tuple_is_covered():
@@ -189,7 +215,7 @@ def test_specialized_objective_equals_the_composed_one_at_the_edges(scenario,
                                                                     conv):
     values = []
     for distance_km in (0.0, 60.0, 400.0):
-        # nan is not INF: it takes the finite-key variant, whose runtime
+        # nan is not INF: it takes the finite-key function, whose runtime
         # tests on n_pulses stay
         n_counts = ((5e10, 1e6, 1e16, math.inf, math.nan) if scenario.finite
                     else (math.inf,))
@@ -212,85 +238,170 @@ def test_specialized_objective_equals_the_composed_one_at_the_edges(scenario,
 
 @pytest.mark.parametrize("scenario", DECOY_SCENARIOS, ids=lambda s: s.value)
 def test_specialized_source_reads_no_flag_and_no_physical_parameter(scenario):
-    n_pulses = 5e10 if scenario.finite else math.inf
-    problem, args = kernel_args(scenario, 30.0, n_pulses, BoundConventions())
-    spec, _ = specialized_and_composed(args)
-    source = "".join(linecache.getlines(spec.__code__.co_filename))
-    assert source.startswith("def make(m_a, eta, n_pulses, phys, flags):")
+    name = f"make_decoy_{'finite' if scenario.finite else 'infinite'}"
+    source = inspect.getsource(getattr(_objectives, name))
+    assert source.startswith(f"def {name}(m_a, eta, n_pulses, phys, flags):")
     inner = source[source.index("    def objective_decoy(raw):"):]
-    # the prologue reads phys once; an evaluation reads neither phys nor
-    # flags, nor the key length, and unpacks no finite tuple
+    # the prologue reads phys and flags once; an evaluation reads neither,
+    # nor the key length, and unpacks no finite tuple
     for word in ("phys", "flags", "INF", "finite", "DELTA_LOG"):
         assert not re.search(rf"\b{word}\b", inner), word
     assert ("isfinite(n_pulses)" in inner) == scenario.finite
-    assert not _calls(source) & {
-        name for name, value in vars(_kernels).items()
-        if getattr(value, "__module__", None) == _kernels.__name__}
+    # one prologue name per distinct value: 1.0 - phys[8] is computed once
+    prologue = source[:source.index("    def objective_decoy(raw):")]
+    values = re.findall(r"^    bound\w* = (.*)$", prologue, re.M)
+    assert values and len(values) == len(set(values))
+    assert "1.0 - bound\n" in prologue and "(1.0 - bound)" not in prologue
 
 
-def test_specialization_happens_once_per_variant_and_not_at_import():
+def test_import_generates_nothing_and_maximize_imports_no_generator():
+    # the objectives are imported at first use, never at import, and no run
+    # imports the generator, on the import path here as it would be in a
+    # checkout
     script = textwrap.dedent("""
-        import linecache, math, sys
+        import math, sys, warnings
+        warnings.simplefilter("error")
         import pnp_bb84
-        assert "pnp_bb84._flatten" not in sys.modules
-        assert not [k for k in linecache.cache if k.startswith("<spec")]
-        from pnp_bb84 import BoundConventions, Scenario, _flatten
-        from pnp_bb84.optimize import OptimizationProblem, _objective_fn
-        made = []
-        source = _flatten._Specializer.source
-        def counted(self):
-            made.append(self.fold.names["flags"])
-            return source(self)
-        _flatten._Specializer.source = counted
-        conventions = (BoundConventions(), BoundConventions.strict())
-        for _ in range(2):
-            for conv in conventions:
-                for sc in Scenario:
-                    for km in (20.0, 60.0):
-                        n = 5e10 if sc.finite else math.inf
-                        problem = OptimizationProblem(sc, km, n,
-                                                      conventions=conv)
-                        _objective_fn(problem)([0.0] * problem.dim)
-        # one variant per key length and flag tuple, none without decoys
-        assert sorted(made) == sorted(c.to_flags() for c in conventions
-                                      for _ in range(2)), made
-        names = [k for k in linecache.cache if k.startswith("<spec")]
-        assert len(names) == 4, names
+        assert "pnp_bb84._objectives" not in sys.modules
+        from pnp_bb84 import OptimizationProblem, Scenario, maximize
+        for sc, km in ((Scenario.NO_DECOY_INFINITE, 20.0),
+                       (Scenario.NO_DECOY_FINITE, 20.0),
+                       (Scenario.DECOY_INFINITE, 60.0),
+                       (Scenario.DECOY_FINITE, 60.0)):
+            n = 5e10 if sc.finite else math.inf
+            assert maximize(OptimizationProblem(sc, km, n)).best_rate > 0
+        assert "pnp_bb84._objectives" in sys.modules
+        assert "flatten" not in sys.modules
+        import flatten
         print("ok")
     """)
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = f"{ROOT / 'src'}:{ROOT / 'tools'}"
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env={"PYTHONPATH": src}, timeout=120)
+                          text=True, env={"PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the committed module follows ast.unparse of "
+                           "Python 3.11")
+def test_the_committed_module_is_the_generators_output():
+    committed = Path(_objectives.__file__).read_text()
+    assert flatten.module_source() == committed
+    assert committed.count("\ndef ") == 3
 
 
 def test_generation_does_not_depend_on_the_hash_seed():
     # sets and dicts of strings iterate in an order that PYTHONHASHSEED
     # moves; no generated byte may follow it
-    script = textwrap.dedent("""
-        import linecache
-        from pnp_bb84 import BoundConventions, _flatten, _kernels
-        sources = [_flatten._flat_source(_kernels.objective_no_decoy),
-                   _flatten._flat_source(_kernels.objective_decoy)]
-        for infinite in (False, True):
-            make = _flatten._make(_kernels.objective_decoy, infinite,
-                                  BoundConventions().to_flags())
-            sources.append("".join(linecache.getlines(
-                make.__code__.co_filename)))
-        print("\\n# ---\\n".join(sources))
-    """)
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = "import flatten; print(flatten.module_source(), end='')"
+    path = f"{ROOT / 'src'}:{ROOT / 'tools'}"
     outputs = []
     for seed in ("1", "2"):
         done = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=120,
-                              env={"PYTHONPATH": src, "PYTHONHASHSEED": seed})
+                              env={"PYTHONPATH": path, "PYTHONHASHSEED": seed})
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
-    assert outputs[0].count("def make(") == 2
+    assert outputs[0].count("\ndef make_decoy_") == 2
     assert outputs[0] == outputs[1]
 
+
+# --- what runs instead of the committed objectives -------------------------------
+
+@pytest.fixture
+def fresh_guard():
+    """`optimize._generated` run anew in the test, and after it."""
+    optimize._generated.cache_clear()
+    yield
+    optimize._generated.cache_clear()
+
+
+def problems():
+    return [OptimizationProblem(sc, 60.0 if sc.uses_decoy else 20.0,
+                                5e10 if sc.finite else math.inf)
+            for sc in Scenario]
+
+
+def stale(monkeypatch, how):
+    if how == "hash":
+        monkeypatch.setattr(_objectives, "KERNELS_SHA256", "0" * 64)
+    elif how == "unreadable":
+        monkeypatch.setattr(_kernels, "__file__",
+                            str(ROOT / "no such directory" / "_kernels.py"))
+    else:   # a name it imports gone from _kernels, say
+        import pnp_bb84
+        monkeypatch.delattr(pnp_bb84, "_objectives")
+        monkeypatch.setitem(sys.modules, "pnp_bb84._objectives", None)
+
+
+@pytest.mark.parametrize("how", ["hash", "unreadable", "import"])
+def test_a_stale_module_warns_once_and_runs_the_composed_objective(
+        monkeypatch, fresh_guard, how):
+    def results():
+        return [(r.best_rate, r.best_raw, r.evaluations, r.converged,
+                 r.best_point) for r in map(maximize, problems())]
+
+    expected = results()
+    optimize._generated.cache_clear()
+    stale(monkeypatch, how)
+    with pytest.warns(StaleObjectivesWarning) as record:
+        fns = [_objective_fn(problem) for problem in problems() * 2]
+    assert len(record) == 1
+    for fn, problem in zip(fns, problems() * 2):
+        composed = getattr(_kernels, MODELS[problem.scenario.uses_decoy])
+        assert composed in [c.cell_contents for c in fn.__closure__]
+    # each float and evaluation count as from the committed objectives
+    assert results() == expected
+
+
+@pytest.mark.parametrize("scenario", [Scenario.DECOY_FINITE,
+                                      Scenario.NO_DECOY_INFINITE],
+                         ids=lambda s: s.value)
+def test_a_wrapper_or_stub_sees_every_evaluation(monkeypatch, scenario):
+    import functools
+
+    n_pulses = 5e10 if scenario.finite else math.inf
+    name = f"objective_{scenario.value}"
+    original = getattr(_kernels, name)
+    calls = []
+
+    @functools.wraps(original)
+    def wrapper(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    def stub(raw, *rest):
+        calls.append(raw)
+        return -sum((v - 0.5) ** 2 for v in raw)
+
+    for fn in (wrapper, stub, lambda *args: calls.append(args[0]) or 0.0):
+        monkeypatch.setattr(_kernels, name, fn)
+        calls.clear()
+        problem = OptimizationProblem(scenario, 20.0, n_pulses)
+        assert _objective_fn(problem)([0.0] * problem.dim) is not None
+        assert len(calls) == 1
+        if fn is not stub:
+            continue
+        calls.clear()
+        result = maximize(problem)
+        assert len(calls) == result.evaluations > 0
+
+
+def test_traceback_shows_the_committed_lines():
+    # the objectives run from a file of their own
+    problem = OptimizationProblem(Scenario.NO_DECOY_INFINITE, 20.0)
+    m_a, eta, n_pulses, arr, flags = problem._args
+    phys = arr[:8] + (0.0,) + arr[9:]   # q_split 0: the cap divides by it
+    with pytest.raises(ZeroDivisionError) as info:
+        _objectives.objective_no_decoy([0.0, 0.0], m_a, eta, n_pulses, phys,
+                                       flags)
+    frame = traceback.extract_tb(info.tb)[-1]
+    assert frame.filename == _objectives.__file__
+    assert "/ (q_split" in frame.line
+
+
+# --- the specializer on small synthetic modules ----------------------------------
 
 RUNTIME_TESTS = """
     from math import isfinite
@@ -313,12 +424,13 @@ def test_a_test_on_a_runtime_value_stays_unfolded(tmp_path):
     for flags in ((1,), (0,)):
         for n_pulses in (math.inf, 5e10, math.nan):
             args = (2.0, 0.5, n_pulses, (3.0, 0.25), flags)
-            spec = _flatten.specialized(module.entry, module, *args)
-            source = "".join(linecache.getlines(spec.__code__.co_filename))
+            spec = specialized(module.entry, module, *args)
+            source = flatten.make_source(module.entry, n_pulses == math.inf)
             inner = source[source.index("    def entry(raw):"):]
             for raw in ([1.0, 0.0], [-1.0, 0.0], [-1.0, 9.0]):
                 assert spec(raw) == module.entry(raw, *args)
-            assert ("raw[0] > 0.0" in inner) == (flags == (1,))
+            # the flags are read at run time, from the prologue
+            assert re.search(r"if bound\w* == 1 and raw\[0\] > 0.0:", inner)
             assert "flags" not in inner and "== INF" not in inner
             # m_a * phys[0] is the problem's, computed once
             assert bool(re.search(r"isfinite\(n_pulses\) and bound\w* > "
@@ -349,9 +461,9 @@ def test_a_test_on_a_runtime_value_stays_unfolded(tmp_path):
      """, None),
     ("""
      def entry(raw, m_a, eta, n_pulses, phys, flags):
-         flags = (0,)
+         n_pulses = 0.0
          return raw[0]
-     """, "assigns a name of the key 'flags'"),
+     """, "assigns a name of the key 'n_pulses == INF'"),
     ("""
      def entry(raw, m_a, eta, n_pulses, phys, flags):
          s = 0.0
@@ -373,12 +485,12 @@ def test_unhandled_shapes_raise_at_specialization(tmp_path, source, message):
     module = load(tmp_path, f"bad_spec_{abs(hash(source))}", source)
     args = (2.0, 0.5, 5e10, (3.0,), (1,))
     if message is None:   # not a tuple literal everywhere: left as it is
-        spec = _flatten.specialized(module.entry, module, *args)
+        spec = specialized(module.entry, module, *args)
         for raw in ([1.0, 1.0], [1.0, -1.0]):
             assert spec(raw) == module.entry(raw, *args)
         return
-    with pytest.raises(_flatten.FlattenError, match=message):
-        _flatten.specialized(module.entry, module, *args)
+    with pytest.raises(flatten.FlattenError, match=message):
+        specialized(module.entry, module, *args)
 
 
 @pytest.mark.parametrize("source", [
@@ -412,8 +524,7 @@ def test_unhandled_shapes_raise_at_specialization(tmp_path, source, message):
 def test_a_read_keeps_the_value_stored_before_it(tmp_path, source):
     module = load(tmp_path, f"stored_between_{abs(hash(source))}", source)
     args = (2.0, 0.5, 5e10, (3.0,), (1,))
-    spec = _flatten.specialized(module.entry, module, *args)
-    assert spec.__code__.co_filename.startswith("<specialized")
+    spec = specialized(module.entry, module, *args)
     for raw in ([2.0, 3.0], [2.0, -3.0], [-1.5, 0.25]):
         assert spec(raw) == module.entry(raw, *args)
 
@@ -423,81 +534,20 @@ def _calls(source: str) -> set:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
 
-@pytest.mark.parametrize("uses_decoy", [False, True])
-def test_generated_source_calls_no_kernel_function(uses_decoy):
-    flat = _flatten.flattened(getattr(_kernels, MODELS[uses_decoy]), _kernels)
-    source = "".join(linecache.getlines(flat.__code__.co_filename))
-    assert source.startswith(f"def {MODELS[uses_decoy]}(")
+def test_generated_source_calls_no_kernel_function():
     kernel_functions = {name for name, value in vars(_kernels).items()
                         if callable(value)
                         and getattr(value, "__module__", None)
                         == _kernels.__name__}
-    called = _calls(source)
+    for model in MODELS.values():
+        source = flatten.flat_source(getattr(_kernels, model))
+        assert source.startswith(f"def {model}(")
+        called = _calls(source)
+        assert called and not called & kernel_functions
+        assert "_kernels" not in source
+    committed = Path(_objectives.__file__).read_text()
+    called = _calls(committed)
     assert called and not called & kernel_functions
-    assert "_kernels" not in source
-
-
-@pytest.mark.parametrize("scenario", [Scenario.DECOY_FINITE,
-                                      Scenario.NO_DECOY_INFINITE],
-                         ids=lambda s: s.value)
-def test_a_wrapper_or_stub_sees_every_evaluation(monkeypatch, scenario):
-    import functools
-
-    n_pulses = 5e10 if scenario.finite else math.inf
-    name = f"objective_{scenario.value}"
-    original = getattr(_kernels, name)
-    calls = []
-
-    @functools.wraps(original)
-    def wrapper(*args):
-        calls.append(args[0])
-        return original(*args)
-
-    def stub(raw, *rest):
-        calls.append(raw)
-        return -sum((v - 0.5) ** 2 for v in raw)
-
-    for fn in (wrapper, stub, lambda *args: calls.append(args[0]) or 0.0):
-        monkeypatch.setattr(_kernels, name, fn)
-        assert _flatten.flattened(fn, _kernels) is fn
-        calls.clear()
-        problem = OptimizationProblem(scenario, 20.0, n_pulses)
-        assert _objective_fn(problem)([0.0] * problem.dim) is not None
-        assert len(calls) == 1
-        if fn is not stub:
-            continue
-        calls.clear()
-        result = maximize(problem)
-        assert len(calls) == result.evaluations > 0
-
-
-def test_generation_happens_once_per_objective_and_not_at_import():
-    script = textwrap.dedent("""
-        import linecache, math, sys
-        import pnp_bb84
-        assert "pnp_bb84._flatten" not in sys.modules
-        assert not [k for k in linecache.cache if k.startswith("<flat")]
-        from pnp_bb84 import Scenario, _flatten
-        from pnp_bb84.optimize import OptimizationProblem, _objective_fn
-        made = []
-        flatten = _flatten._Flattener.flatten
-        def counted(self, fdef):
-            made.append(fdef.name)
-            return flatten(self, fdef)
-        _flatten._Flattener.flatten = counted
-        for _ in range(2):
-            for sc in Scenario:
-                n = 5e10 if sc.finite else math.inf
-                problem = OptimizationProblem(sc, 20.0, n)
-                _objective_fn(problem)([0.0] * problem.dim)
-        assert sorted(made) == ["objective_decoy", "objective_no_decoy"], made
-        print("ok")
-    """)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env={"PYTHONPATH": src}, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "ok"
 
 
 # --- the flattener on small synthetic modules ------------------------------------
@@ -536,25 +586,14 @@ SHAPES = """
 
 def test_synthetic_module_flattens_to_the_same_values(tmp_path):
     module = load(tmp_path, "shapes", SHAPES)
-    flat = _flatten.flattened(module.entry, module)
-    assert flat is not module.entry
-    source = "".join(linecache.getlines(flat.__code__.co_filename))
-    assert not _calls(source) & {"twice", "clamp", "pair"}
+    flat = flattened(module.entry, module)
+    assert not _calls(flatten.flat_source(module.entry)) & {"twice", "clamp",
+                                                             "pair"}
     for a in (-2.0, -0.3, 0.0, 0.2, 0.7, 3.0):
         for b in (-1.5, -0.1, 0.4, 2.0):
             assert flat(a, b) == module.entry(a, b)
     assert outcome(flat, 1.0, 0.0) is ZeroDivisionError
     assert outcome(module.entry, 1.0, 0.0) is ZeroDivisionError
-
-
-def test_traceback_shows_the_generated_lines(tmp_path):
-    module = load(tmp_path, "shapes_tb", SHAPES)
-    flat = _flatten.flattened(module.entry, module)
-    with pytest.raises(ZeroDivisionError) as info:
-        flat(1.0, 0.0)
-    frame = traceback.extract_tb(info.tb)[-1]
-    assert frame.filename == "<flat shapes_tb.entry>"
-    assert "/ b" in frame.line
 
 
 DEFS = """
@@ -577,25 +616,20 @@ DEFS = """
 def test_only_a_def_at_the_line_its_code_starts_on_is_inlined(tmp_path):
     # a decorated function's code starts at its decorator
     module = load(tmp_path, "decorated", DEFS)
-    flat = _flatten.flattened(module.entry, module)
-    assert flat is not module.entry
-    assert _calls("".join(linecache.getlines(flat.__code__.co_filename))) \
-        == {"twice"}
+    assert _calls(flatten.flat_source(module.entry)) == {"twice"}
     # a def moved since import, the entry's own staying where it was
     module = load(tmp_path, "moved", DEFS)
     path = tmp_path / "moved.py"
     path.write_text(path.read_text().replace("def half", "\n\ndef half"))
     linecache.checkcache(str(path))
-    flat = _flatten.flattened(module.entry, module)
-    assert flat is not module.entry
-    assert _calls("".join(linecache.getlines(flat.__code__.co_filename))) \
-        == {"twice", "half"}
+    assert _calls(flatten.flat_source(module.entry)) == {"twice", "half"}
+    flat = flattened(module.entry, module)
     for a in (-1.5, 0.0, 0.3, 2.0):
         assert flat(a) == module.entry(a)
 
 
 def test_a_module_source_is_parsed_once(tmp_path, monkeypatch):
-    _flatten._functions.cache_clear()
+    flatten._functions.cache_clear()
     parsed, parse = [], ast.parse
     monkeypatch.setattr(ast, "parse",
                         lambda text, *a, **k: parsed.append(text)
@@ -606,23 +640,21 @@ def test_a_module_source_is_parsed_once(tmp_path, monkeypatch):
     """)
     source = (tmp_path / "parsed_once.py").read_text()
     for fn, args in ((module.entry, (0.7, 2.0)), (module.other, (0.3,))):
-        flat = _flatten.flattened(fn, module)
-        assert flat is not fn and flat(*args) == fn(*args)
+        assert flattened(fn, module)(*args) == fn(*args)
     assert parsed.count(source) == 1
 
 
-def test_a_missing_source_runs_unchanged(tmp_path):
+def test_a_missing_source_raises(tmp_path):
     module = load(tmp_path, "gone", SHAPES)
     (tmp_path / "gone.py").unlink()
     linecache.checkcache()
-    assert _flatten.flattened(module.entry, module) is module.entry
+    with pytest.raises(flatten.FlattenError, match="gone.entry cannot be"):
+        flatten.flat_source(module.entry)
     module = load(tmp_path, "gone_objective", RUNTIME_TESTS)
     (tmp_path / "gone_objective.py").unlink()
     linecache.checkcache()
-    args = (2.0, 0.5, 5e10, (3.0, 0.25), (1,))
-    spec = _flatten.specialized(module.entry, module, *args)
-    assert not spec.__code__.co_filename.startswith("<specialized")
-    assert spec([-1.0, 9.0]) == module.entry([-1.0, 9.0], *args)
+    with pytest.raises(flatten.FlattenError, match="cannot be read"):
+        flatten.make_source(module.entry, False)
 
 
 @pytest.mark.parametrize("source,message", [
@@ -711,5 +743,5 @@ def test_a_missing_source_runs_unchanged(tmp_path):
 def test_unhandled_shapes_raise_at_generation(tmp_path, source, message):
     name = f"bad_{abs(hash(source))}"
     module = load(tmp_path, name, source)
-    with pytest.raises(_flatten.FlattenError, match=message):
-        _flatten.flattened(module.entry, module)
+    with pytest.raises(flatten.FlattenError, match=message):
+        flatten.flat_source(module.entry)

@@ -1,11 +1,26 @@
-"""Flat twins of module functions: every call to a sibling function inlined.
+"""Generate ``src/pnp_bb84/_objectives.py``, the optimizer's objectives,
+from the `_kernels` source.
 
-`flattened(fn, module)` reads the source of ``module`` and builds one
-function that computes what ``fn`` computes, with every call to a function
-of that module (a helper) replaced by the helper's body.  It runs the same
-float operations on the same values, so its results equal ``fn``'s bit for
-bit, while a `_kernels` objective drops its some forty Python calls per
-evaluation.  `optimize._objective_fn` runs the no-decoy objective this way.
+    python tools/flatten.py
+
+rewrites that module from ``src/pnp_bb84/_kernels.py`` as it stands.  Run it
+after every edit of `_kernels` and commit both; until then
+`optimize._objective_fn` finds the module stale and runs the composed
+objectives.  The module holds:
+
+- ``objective_no_decoy``: `_kernels.objective_no_decoy` flattened, every
+  call to a function of that module (a helper) replaced by the helper's
+  body (`flat_source`);
+- ``make_decoy_finite`` and ``make_decoy_infinite``:
+  `_kernels.objective_decoy` specialized to each key length, ``n_pulses ==
+  INF`` false and true (`make_source`).  ``make(m_a, eta, n_pulses, phys,
+  flags)`` returns ``objective(raw)``;
+- ``KERNELS_SHA256``, the SHA-256 of the ``_kernels.py`` they came from,
+  and an import of every `_kernels` name they read.
+
+Each runs the same float operations on the same values as the composed
+objective, so its results equal it bit for bit, while an evaluation drops
+the composed objective's some forty Python calls.
 
 The flat function and its helpers may hold assignments, augmented
 assignments, ``if`` statements, returns and a leading docstring, which is
@@ -22,27 +37,28 @@ dropped, nothing else.  The rewrite, on the helpers' own source:
 
 Hoisting evaluates a helper call ahead of the rest of its statement, which
 changes no value for helpers without side effects, as in `_kernels`.  Every
-other shape raises `FlattenError` at generation: any other statement (a
-loop, ``pass``, a call or a string standing alone); a helper call in a
-target, or one evaluated only sometimes (a later operand of ``and``/``or``,
-a conditional expression inside a larger one, a later link of a chained
-comparison, a comprehension or lambda); in a helper, a ``return`` that does
-not end its branch, an ``if`` holding a return whose body can fall through
-(one whose ``else`` alone returns, say), a path that ends without a return,
-a nested scope or generator step, a reassigned parameter, or a global that
-the flat function has as a local; and arguments other than positional ones
-and constant defaults.
+other shape raises `FlattenError`: any other statement (a loop, ``pass``, a
+call or a string standing alone); a helper call in a target, or one
+evaluated only sometimes (a later operand of ``and``/``or``, a conditional
+expression inside a larger one, a later link of a chained comparison, a
+comprehension or lambda); in a helper, a ``return`` that does not end its
+branch, an ``if`` holding a return whose body can fall through (one whose
+``else`` alone returns, say), a path that ends without a return, a nested
+scope or generator step, a reassigned parameter, or a global that the flat
+function has as a local; and arguments other than positional ones and
+constant defaults.  So does a function whose ``def`` cannot be read at the
+line its code starts on; a helper whose ``def`` cannot be (a decorated
+function, whose code starts at its decorator) stays a call.
 
-`specialized(fn, module, m_a, eta, n_pulses, phys, flags)` goes one step
-further for an objective ``fn(raw, m_a, eta, n_pulses, phys, flags)``: it
-returns ``objective(raw)``, made by ``make(m_a, eta, n_pulses, phys,
-flags)``, which is generated from the flat source once per variant key
-``(fn, n_pulses == INF, flags)``.  The rewrite, repeated until nothing
-changes:
+`make_source(fn, infinite)` goes one step further for an objective
+``fn(raw, m_a, eta, n_pulses, phys, flags)``: the source of ``make(m_a,
+eta, n_pulses, phys, flags)``, which returns ``objective(raw)`` for the key
+``n_pulses == INF`` given by ``infinite``.  The rewrite of the flat source,
+repeated until nothing changes:
 
-- the key is substituted: ``n_pulses == INF`` and ``flags`` become
-  constants, and so do the module's numbers and tuples of numbers, read as
-  they stand at generation, as the helpers are;
+- the key is substituted: ``n_pulses == INF`` becomes a constant, and so do
+  the module's numbers and tuples of numbers, read as they stand, as the
+  helpers are.  ``flags`` stays an argument, read at run time;
 - a test, comparison, constant subscript or conditional whose operands are
   then all constants is folded, and a constant ``and``/``or`` operand that
   cannot decide its test is dropped.  A test on a runtime value stays:
@@ -62,30 +78,22 @@ changes:
   function raises could the two differ.  An ``if`` whose branches are
   alike (both emptied, say) and whose test can have no effect but raising
   gives way to one branch; any other ``if`` left with an empty body raises
-  `FlattenError`, as does a function that assigns a name of the key;
+  `FlattenError`, as does a function that assigns ``n_pulses`` or ``INF``;
 - last, each largest subexpression that reads only ``make``'s arguments
-  and the prologue's names (``phys[8]``, ``1.0 - bound``, ``phys[4] *
-  phys[2]``) moves to ``make``'s prologue, duplicates once, and is read
-  from there, so a local stored once from it is a copy the next round
-  substitutes.  Only subscripts at constants, ``+``, ``-``, ``*`` and
+  and the prologue's names (``phys[8]``, ``flags[0]``, ``1.0 - bound``,
+  ``phys[4] * phys[2]``) moves to ``make``'s prologue, duplicates once, and
+  is read from there, so a local stored once from it is a copy the next
+  round substitutes.  A subexpression hoisted earlier is read by name in a
+  larger one.  Only subscripts at constants, ``+``, ``-``, ``*`` and
   division by a nonzero constant qualify, no call and no ``**``, so the
   prologue cannot raise where an evaluation would not.
 
 Every operation whose value reaches the result runs on the same values in
 the same order, so the specialized objective equals ``fn`` bit for bit,
 with one Python frame fewer per evaluation than a closure around the flat
-function.  A wrapper or stub, or an objective whose source cannot be read,
-runs as installed behind the same call.
-
-Each module source is parsed once per process, and each flat source and
-each variant built once, at its first use, from the helpers as they stand
-then; the generated ASTs are dropped before compiling.  The generated
-source is registered with `linecache` under ``<flat module.name>`` or
-``<specialized module.name n_pulses == INF: ..., flags: ...>``, so
-tracebacks show its lines.  A callable that is not a plain function of the
-module, or whose ``def`` cannot be read at the line its code starts on (a
-decorated function, a source file missing or changed since import), is
-returned as it is, and such a helper stays a call.
+function.  Nothing generated depends on the hash seed, and the output
+follows `ast.unparse`, whose text can differ between Python versions: the
+committed module is generated on Python 3.11.
 """
 
 from __future__ import annotations
@@ -94,90 +102,96 @@ import ast
 import builtins
 import collections
 import functools
+import hashlib
 import linecache
 import operator
+import sys
+import textwrap
 import types
-from typing import Callable, Optional
+from pathlib import Path
+from typing import Optional
 
 
-INF = float("inf")
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUT = ROOT / "src" / "pnp_bb84" / "_objectives.py"
+
+HEADER = '''\
+"""The optimizer's objectives, generated from `_kernels` by
+``tools/flatten.py``; do not edit.  After an edit of ``_kernels.py``, run
+``python tools/flatten.py`` and commit the result: until then
+`optimize._objective_fn` finds ``KERNELS_SHA256`` stale, warns once and
+runs the composed objectives.
+
+``objective_no_decoy`` is `_kernels.objective_no_decoy` with every helper
+inlined.  ``make_decoy_finite`` and ``make_decoy_infinite`` bind
+`_kernels.objective_decoy`, specialized to a finite key (``n_pulses`` not
+inf) and to an asymptotic one, to a problem's arguments.  Each gives the
+composed objective's floats bit for bit.
+"""
+'''
 
 
 class FlattenError(Exception):
     """The source has a shape the flattener does not handle."""
 
 
-def flattened(fn: Callable, module: types.ModuleType) -> Callable:
-    """``fn`` with every helper call inlined if it is a plain function of
-    ``module``, else ``fn`` itself (a wrapper, a stub); also ``fn`` itself
-    when the module's source cannot be read."""
-    return _flat(fn) if _plain(fn, vars(module)) else fn
+def main() -> None:
+    OUTPUT.write_text(module_source())
 
 
-def specialized(fn: Callable, module: types.ModuleType, m_a, eta, n_pulses,
-                phys, flags) -> Callable[[list], float]:
-    """``raw -> fn(raw, m_a, eta, n_pulses, phys, flags)``, for an objective
-    ``fn`` of ``module``: its variant for ``n_pulses == INF`` and ``flags``,
-    bound to the other arguments.  A wrapper or stub, or an objective whose
-    source cannot be read, runs as it is behind the same call."""
-    make = None
-    if _plain(fn, vars(module)):
-        make = _make(fn, n_pulses == INF, tuple(flags))
-    if make is None:
-        return lambda raw: fn(raw, m_a, eta, n_pulses, phys, flags)
-    return make(m_a, eta, n_pulses, phys, flags)
+def module_source() -> str:
+    """The text of ``_objectives.py``, from `_kernels` as it stands."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from pnp_bb84 import _kernels
+    digest = hashlib.sha256(Path(_kernels.__file__).read_bytes()).hexdigest()
+    functions = [flat_source(_kernels.objective_no_decoy)]
+    for infinite, name in ((False, "make_decoy_finite"),
+                           (True, "make_decoy_infinite")):
+        functions.append(make_source(_kernels.objective_decoy, infinite, name))
+    read = sorted(_free_names(ast.parse("".join(functions))))
+    imports = textwrap.wrap(f"from ._kernels import ({', '.join(read)})",
+                            width=79, subsequent_indent="    ",
+                            break_on_hyphens=False)
+    return "\n".join([HEADER, *imports, "",
+                      f'KERNELS_SHA256 = "{digest}"', "", "",
+                      "\n\n".join(functions)])
 
 
-def _plain(fn: Callable, globals_: dict) -> bool:
+def _free_names(tree: ast.Module) -> set[str]:
+    """The names ``tree`` loads and neither binds nor finds in `builtins`."""
+    bound = {n.arg for n in ast.walk(tree) if type(n) is ast.arg}
+    bound |= {n.name for n in ast.walk(tree) if type(n) is ast.FunctionDef}
+    return _names(tree, ast.Load) - _names(tree, ast.Store) - bound - set(
+        dir(builtins))
+
+
+@functools.cache
+def flat_source(fn: types.FunctionType) -> str:
+    """The source of ``fn``, a plain function of its module, flattened."""
+    defs = _defs(fn)
+    fdef = defs.get(fn.__name__)
+    if fdef is None:
+        raise FlattenError(f"the def of {fn.__module__}.{fn.__qualname__} "
+                           f"cannot be read")
+    return ast.unparse(_Flattener(fn.__globals__, defs).flatten(fdef)) + "\n"
+
+
+def make_source(fn: types.FunctionType, infinite: bool,
+                name: str = "make") -> str:
+    """The source of ``name(m_a, eta, n_pulses, phys, flags)``, which
+    returns objective ``fn`` specialized to the key ``n_pulses == INF`` is
+    ``infinite`` and bound to those arguments."""
+    fdef = ast.parse(flat_source(fn)).body[0]
+    return _Specializer(fdef, infinite, fn.__globals__).source(name)
+
+
+def _plain(fn, globals_: dict) -> bool:
     """Whether ``fn`` is a function of the module of ``globals_`` as
     written, no wrapper."""
     return (isinstance(fn, types.FunctionType)
             and fn.__globals__ is globals_
             and not hasattr(fn, "__wrapped__"))
-
-
-@functools.cache
-def _flat_source(fn: types.FunctionType) -> Optional[str]:
-    """The source of ``fn`` flattened, or None when it cannot be read."""
-    defs = _defs(fn)
-    fdef = defs.get(fn.__name__)
-    if fdef is None:
-        return None
-    return ast.unparse(_Flattener(fn.__globals__, defs).flatten(fdef)) + "\n"
-
-
-@functools.cache
-def _flat(fn: types.FunctionType) -> Callable:
-    source = _flat_source(fn)
-    if source is None:
-        return fn
-    return _compiled(source, f"<flat {fn.__module__}.{fn.__qualname__}>",
-                     fn.__globals__, fn.__name__)
-
-
-def _compiled(source: str, filename: str, globals_: dict, name: str):
-    """Function ``name`` of ``source``, registered with `linecache` under
-    ``filename`` so that tracebacks show its lines."""
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    namespace: dict = {}
-    exec(compile(source, filename, "exec"), globals_, namespace)
-    return namespace[name]
-
-
-@functools.cache
-def _make(fn: types.FunctionType, infinite: bool,
-          flags: tuple) -> Optional[Callable]:
-    """The ``make`` of ``fn``'s variant; None when the source is unread."""
-    source = _flat_source(fn)
-    if source is None:
-        return None
-    fdef = ast.parse(source).body[0]
-    source = _Specializer(fdef, infinite, flags, fn.__globals__).source()
-    del fdef   # the AST goes before compiling, which peaks as high
-    return _compiled(source, f"<specialized {fn.__module__}.{fn.__qualname__}"
-                             f" n_pulses == INF: {infinite}, flags: {flags}>",
-                     fn.__globals__, "make")
 
 
 def _defs(fn: types.FunctionType) -> dict[str, ast.FunctionDef]:
@@ -757,35 +771,33 @@ class _Scalarize(_Rewrite):
 
 class _Specializer:
     """The ``make`` of one variant of flat function ``fdef``: its key
-    ``n_pulses == INF`` is ``infinite`` and its ``flags`` are ``flags``.
-    The first parameter stays the function's; the others are bound by
-    ``make``, whose prologue `_Hoist` builds as the last pass of each round.
+    ``n_pulses == INF`` is ``infinite``.  The first parameter stays the
+    function's; the others are bound by ``make``, whose prologue `_Hoist`
+    builds as the last pass of each round.
     """
 
-    def __init__(self, fdef: ast.FunctionDef, infinite: bool, flags: tuple,
+    def __init__(self, fdef: ast.FunctionDef, infinite: bool,
                  globals_: dict):
         self.fdef = fdef
         self.params = _params(fdef)
         self.globals = globals_
         stored = _names(fdef.body, (ast.Store, ast.Del))
-        for text, names in (("n_pulses == INF", {"n_pulses", "INF"}),
-                            ("flags", {"flags"})):
-            if names & stored:
-                raise FlattenError(f"{fdef.name} assigns a name of the key "
-                                   f"{text!r}")
+        if {"n_pulses", "INF"} & stored:
+            raise FlattenError(f"{fdef.name} assigns a name of the key "
+                               f"'n_pulses == INF'")
         # the module's numbers, and tuples of them, are read as they stand
         # now, as the helpers are
         numbers = {name: value for name in _names(fdef.body, ast.Load) - stored
                    if _number(value := globals_.get(name))
                    or (type(value) is tuple and all(map(_number, value)))}
-        self.fold = _Fold(infinite, {**numbers, "flags": flags})
+        self.fold = _Fold(infinite, numbers)
         self.taken = (set(globals_) | set(dir(builtins))
                       | {n.id for n in _walk(fdef) if type(n) is ast.Name}
                       | set(self.params))
         self.hoist = _Hoist({p for p in self.params[1:] if p not in stored},
                             self._fresh)
 
-    def source(self) -> str:
+    def source(self, name: str = "make") -> str:
         body = self.fdef.body
         self.changed = self.refold = True
         while self.changed:
@@ -796,7 +808,7 @@ class _Specializer:
         inner = self.fdef
         inner.args.args = inner.args.args[:1]
         inner.body = body
-        lines = [f"def make({', '.join(self.params[1:])}):"]
+        lines = [f"def {name}({', '.join(self.params[1:])}):"]
         for part in (ast.Module(self.hoist.prologue, []), inner):
             text = ast.unparse(ast.fix_missing_locations(part))
             lines += ["    " + line if line else line
@@ -1085,7 +1097,7 @@ class _Hoist(_Rewrite):
     """Each largest subexpression that `_invariant` accepts and that reads a
     name, read from a prologue name: one per distinct subexpression
     (``seen`` maps its dump to the name), added to ``prologue`` and to the
-    ``invariant`` names."""
+    ``invariant`` names.  Its parts hoisted before it are read by name."""
 
     def __init__(self, invariant: set, fresh):
         self.invariant, self.fresh = invariant, fresh
@@ -1102,6 +1114,21 @@ class _Hoist(_Rewrite):
                 name = self.seen[key] = self.fresh("bound")
                 self.invariant.add(name)
                 self.prologue.append(ast.Assign(
-                    [ast.Name(name, ast.Store())], node))
+                    [ast.Name(name, ast.Store())], self._reuse(node)))
             return self.done(ast.Name(self.seen[key], ast.Load()))
         return super().visit(node)
+
+    def _reuse(self, node):
+        """``node`` with each largest part in ``seen`` read by its name: the
+        same float operations on the same values, done once."""
+        for field in node._fields:
+            part = getattr(node, field)
+            if isinstance(part, ast.expr) and type(part) is not ast.Name:
+                name = self.seen.get(ast.dump(part))
+                setattr(node, field, ast.Name(name, ast.Load()) if name
+                        else self._reuse(part))
+        return node
+
+
+if __name__ == "__main__":
+    main()
