@@ -136,13 +136,12 @@ class FlattenError(Exception):
 
 
 def main() -> None:
+    sys.path.insert(0, str(ROOT / "src"))
     OUTPUT.write_text(module_source())
 
 
 def module_source() -> str:
     """The text of ``_objectives.py``, from `_kernels` as it stands."""
-    if str(ROOT / "src") not in sys.path:
-        sys.path.insert(0, str(ROOT / "src"))
     from pnp_bb84 import _kernels
     digest = hashlib.sha256(Path(_kernels.__file__).read_bytes()).hexdigest()
     functions = [flat_source(_kernels.objective_no_decoy)]
