@@ -359,7 +359,7 @@ def _generated():
         with open(_kernels.__file__, "rb") as source:
             digest = sha256(source.read()).hexdigest()
         from . import _objectives
-    except (OSError, ImportError):
+    except (OSError, ImportError, SyntaxError):
         digest = _objectives = None
     if digest is not None and digest == _objectives.KERNELS_SHA256:
         return _objectives

@@ -46,9 +46,8 @@ branch, an ``if`` holding a return whose body can fall through (one whose
 ``else`` alone returns, say), a path that ends without a return, a nested
 scope or generator step, a reassigned parameter, or a global that the flat
 function has as a local; and arguments other than positional ones and
-constant defaults.  So does a function whose ``def`` cannot be read at the
-line its code starts on; a helper whose ``def`` cannot be (a decorated
-function, whose code starts at its decorator) stays a call.
+constant defaults.  So does a function not defined at the top level of its
+module's file; a decorated helper stays a call.
 
 `make_source(fn, infinite)` goes one step further for an objective
 ``fn(raw, m_a, eta, n_pulses, phys, flags)``: the source of ``make(m_a,
@@ -103,7 +102,6 @@ import builtins
 import collections
 import functools
 import hashlib
-import linecache
 import operator
 import sys
 import textwrap
@@ -194,37 +192,24 @@ def _plain(fn, globals_: dict) -> bool:
 
 
 def _defs(fn: types.FunctionType) -> dict[str, ast.FunctionDef]:
-    """The ``def`` of each plain function of ``fn``'s module, by the name
-    the module binds it to, from one parse of the module source.  Only a
-    ``def`` at the line its code starts on counts: not a decorated one,
-    whose code starts at the decorator, nor one moved since import."""
-    globals_, filename = fn.__globals__, fn.__code__.co_filename
-    at = _functions("".join(linecache.getlines(filename, globals_)))
-    defs = {}
-    for name, f in globals_.items():
-        if _plain(f, globals_) and f.__code__.co_filename == filename:
-            node = at.get(f.__code__.co_firstlineno)
-            if node is not None and node.name == f.__name__:
-                defs[name] = node
-    return defs
-
-
-@functools.cache
-def _functions(source: str) -> dict[int, ast.FunctionDef]:
-    """The top-level ``def``s of module ``source`` by line, from one parse
-    per source text; no rewrite changes their nodes."""
+    """The ``def`` of each plain function of ``fn``'s module by its name,
+    from one parse of the module's file: an undecorated top-level ``def``
+    whose name the module binds to the function it defines."""
+    globals_ = fn.__globals__
     try:
-        tree = ast.parse(source)
-    except SyntaxError:
+        tree = ast.parse(Path(fn.__code__.co_filename).read_bytes())
+    except (OSError, SyntaxError):
         return {}
-    return {node.lineno: node for node in tree.body
-            if isinstance(node, ast.FunctionDef)}
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.decorator_list
+            and _plain(f := globals_.get(node.name), globals_)
+            and f.__name__ == node.name}
 
 
 # --- AST helpers ----------------------------------------------------------------
 
-# leaves that no rewrite changes, shared rather than copied and skipped by
-# every walk: no node is changed in place once built
+# leaves that no rewrite changes, shared rather than copied: no node is
+# changed in place once built
 _SHARED = (ast.Constant, ast.expr_context, ast.operator, ast.cmpop,
            ast.unaryop, ast.boolop)
 
@@ -255,19 +240,9 @@ def _copy(node, mapping: Optional[dict] = None):
 
 
 def _walk(node):
-    """Every node under ``node``, a node or a list of them, in no order;
-    the `_SHARED` leaves left out."""
-    todo = list(node) if isinstance(node, list) else [node]
-    while todo:
-        n = todo.pop()
-        if isinstance(n, ast.AST) and not isinstance(n, _SHARED):
-            yield n
-            for f in n._fields:
-                value = getattr(n, f, None)
-                if type(value) is list:
-                    todo += value
-                elif value is not None:
-                    todo.append(value)
+    """Every node under ``node``, a node or a list of them."""
+    for n in node if type(node) is list else [node]:
+        yield from ast.walk(n)
 
 
 def _has_return(node) -> bool:
@@ -283,27 +258,9 @@ def _ends(stmts: list) -> bool:
                 and _ends(last.orelse)))
 
 
-# its own walk, not a filter over `_walk`, which yields every other node and
-# steps into each Name: that made generation 10-11% slower
-def _name_nodes(node) -> list:
-    """Every Name under ``node``, a node or a list of them, in no order."""
-    found, todo = [], list(node) if type(node) is list else [node]
-    while todo:
-        n = todo.pop()
-        if type(n) is ast.Name:
-            found.append(n)
-        elif isinstance(n, ast.AST) and not isinstance(n, _LEAVES):
-            for f in n._fields:
-                value = getattr(n, f, None)
-                if type(value) is list:
-                    todo += value
-                elif value is not None:
-                    todo.append(value)
-    return found
-
-
 def _names(node, ctx) -> set[str]:
-    return {n.id for n in _name_nodes(node) if isinstance(n.ctx, ctx)}
+    return {n.id for n in _walk(node)
+            if type(n) is ast.Name and isinstance(n.ctx, ctx)}
 
 
 def _body(fdef: ast.FunctionDef) -> list:
@@ -531,9 +488,9 @@ class _Flattener:
 _CMP = {ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
         ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge,
         ast.Is: operator.is_, ast.IsNot: operator.is_not}
-# what a dropped store's value may hold (and `_SHARED`): no effect but raising
+# what a dropped store's value may hold: no effect but raising
 _PURE = (ast.Name, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.IfExp,
-         ast.Subscript, ast.Tuple, ast.Call)
+         ast.Subscript, ast.Tuple, ast.Call, *_SHARED)
 _PURE_BUILTINS = (min, max)
 
 
@@ -544,20 +501,10 @@ def _number(value) -> bool:
 def _counts(node) -> tuple[collections.Counter, collections.Counter]:
     """How often each name is stored and loaded in ``node``."""
     stores, loads = collections.Counter(), collections.Counter()
-    for n in _name_nodes(node):
-        (loads if isinstance(n.ctx, ast.Load) else stores)[n.id] += 1
+    for n in _walk(node):
+        if type(n) is ast.Name:
+            (loads if isinstance(n.ctx, ast.Load) else stores)[n.id] += 1
     return stores, loads
-
-
-# not a filter over `_walk`, which visits every expression too: that made
-# generation 6-14% slower
-def _statements(stmts: list):
-    """Every statement of ``stmts`` and of the blocks inside, in order."""
-    for st in stmts:
-        yield st
-        if isinstance(st, ast.If):
-            yield from _statements(st.body)
-            yield from _statements(st.orelse)
 
 
 def _copy_target(node) -> Optional[tuple[str, ast.expr]]:
@@ -602,46 +549,13 @@ def _truth(test):
     return ast.BoolOp(test.op, values)
 
 
-# not ``ast.dump(a) == ast.dump(b)``, which renders both trees whole: that
-# made generation 4-15% slower
-def _same(a, b) -> bool:
-    """Whether ``a`` and ``b`` are the same tree, nodes or lists of them."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is list:
-        return len(a) == len(b) and all(map(_same, a, b))
-    if isinstance(a, ast.AST):
-        return all(_same(getattr(a, f, None), getattr(b, f, None))
-                   for f in a._fields)
-    return a == b
-
-
 class _Rewrite(ast.NodeTransformer):
-    """A transformer that records whether it changed anything, and skips
-    the `_SHARED` leaves."""
+    """A transformer that records whether it changed anything."""
 
     changed = False
 
     def done(self, node):
         self.changed = True
-        return node
-
-    def generic_visit(self, node):
-        for field in node._fields:
-            old = getattr(node, field, None)
-            if type(old) is list:
-                new = []
-                for value in old:
-                    if (isinstance(value, ast.AST)
-                            and not isinstance(value, _SHARED)):
-                        value = self.visit(value)
-                        if type(value) is list:
-                            new += value
-                            continue
-                    new.append(value)
-                old[:] = new
-            elif isinstance(old, ast.AST) and not isinstance(old, _SHARED):
-                setattr(node, field, self.visit(old))
         return node
 
 
@@ -798,7 +712,7 @@ class _Specializer:
 
     def source(self, name: str = "make") -> str:
         body = self.fdef.body
-        self.changed = self.refold = True
+        self.changed = True
         while self.changed:
             self.changed = False
             for step in (self._fold, self._split, self._scalarize,
@@ -832,11 +746,6 @@ class _Specializer:
     # --- the passes, repeated until none changes the function ------------------
 
     def _fold(self, body: list) -> list:
-        """Skipped unless the key or a pass since the last fold brought new
-        constants."""
-        if not self.refold:
-            return body
-        self.refold = False
         return self._mend(self._apply(self.fold, body))
 
     def _split(self, body: list) -> list:
@@ -845,7 +754,7 @@ class _Specializer:
     def _scalarize(self, body: list) -> list:
         """Each local stored only as a tuple literal and read only by
         unpacking, a constant subscript or ``is None``, one name per slot."""
-        tuples = {c[0] for c in map(_copy_target, _statements(body))
+        tuples = {c[0] for c in map(_copy_target, _walk(body))
                   if c and type(c[1]) is ast.Tuple}
         if not tuples:
             return body
@@ -856,7 +765,7 @@ class _Specializer:
             if type(node) is ast.Name:
                 if node.id in tuples:
                     uses[node.id].append((node, parent))
-            elif not isinstance(node, _SHARED):
+            else:
                 todo += [(child, node) for child in ast.iter_child_nodes(node)]
         slots, most = {}, None
         for name in sorted(tuples):
@@ -870,7 +779,7 @@ class _Specializer:
                                for k in range(length)]
         if not slots:
             return body
-        self.changed = self.refold = True   # t is None: a constant
+        self.changed = True
         return self._apply(_Scalarize(slots), body)
 
     def _tuple_length(self, name: str, uses: list) -> Optional[int]:
@@ -927,12 +836,6 @@ class _Specializer:
         effect but raising.  Counts the names itself."""
         stores, loads = _counts(body)
         mapping: dict = {}   # x: the constant or name that keeps its value
-        uses: dict = {}   # statement id: (its stores, its loads)
-
-        def use(st) -> tuple:
-            if id(st) not in uses:
-                uses[id(st)] = _counts(st)
-            return uses[id(st)]
 
         def written(stmts: list, i: int, x: str, value) -> bool:
             name = type(value) is ast.Name and value.id != x
@@ -940,11 +843,10 @@ class _Specializer:
                     stores[value.id] == 0 or (stores[value.id] == 1
                                               and value.id not in self.params)):
                 mapping[x] = value
-                self.refold |= not name
             elif name or (loads[x] == 1 and self._pure(value)):
                 inputs, seen, last = _names(value, ast.Load), 0, None
                 for j in range(i + 1, len(stmts)):
-                    writes, reads = use(stmts[j])
+                    writes, reads = _counts(stmts[j])
                     seen += reads[x]
                     if seen == loads[x]:
                         st = stmts[j]
@@ -958,8 +860,7 @@ class _Specializer:
                 if last is None:
                     return False
                 for j in range(i + 1, last + 1):
-                    if use(stmts[j])[1][x]:
-                        uses.pop(id(stmts[j]))
+                    if x in _names(stmts[j], ast.Load):
                         stmts[j] = _copy(stmts[j], {x: value})
             else:
                 return False
@@ -972,7 +873,6 @@ class _Specializer:
             i = 0
             while i < len(stmts):
                 st = stmts[i]
-                uses.pop(id(st), None)   # no later scan reads it
                 if isinstance(st, ast.If):
                     st.test = _copy(st.test, mapping)
                     st.body, st.orelse = block(st.body), block(st.orelse)
@@ -1037,7 +937,9 @@ class _Specializer:
                 break
             if isinstance(st, ast.If):
                 st.body, st.orelse = self._mend(st.body), self._mend(st.orelse)
-                if _same(st.body, st.orelse) and self._pure(st.test):
+                if (list(map(ast.dump, st.body))
+                        == list(map(ast.dump, st.orelse))
+                        and self._pure(st.test)):
                     out += st.body   # both branches alike: no test needed
                     self.changed = True
                     continue
