@@ -224,9 +224,9 @@ def make_decoy_finite(m_a, eta, n_pulses, phys, flags):
     bound_11 = flags[4]
     bound_12 = 1.0 - bound
     bound_13 = bound_5 * bound_1
-    bound_14 = m_a * bound_12 / 2.0
-    bound_15 = m_a * bound_12
-    bound_16 = bound_8 * bound_1
+    bound_14 = bound_8 * bound_1
+    bound_17 = m_a * bound_12
+    bound_15 = bound_17 / 2.0
     def objective_decoy(raw):
         z_23 = raw[0]
         if z_23 >= 0.0:
@@ -241,7 +241,8 @@ def make_decoy_finite(m_a, eta, n_pulses, phys, flags):
         else:
             ez_29 = exp(z_28)
             s_32 = ez_29 / (1.0 + ez_29)
-        cap_35 = bound_12 / (bound * (1.0 + delta_10) * m_a)
+        shared_1 = 1.0 + delta_10
+        cap_35 = bound_12 / (bound * shared_1 * m_a)
         lam_s_12 = exp(-23.025850929940457 + s_32 * 23.025750924940123) * (cap_35 if cap_35 < 1.0 else 1.0)
         z_37 = raw[2]
         if z_37 >= 0.0:
@@ -277,7 +278,9 @@ def make_decoy_finite(m_a, eta, n_pulses, phys, flags):
         b5_7 = exp(40.0 if z_73 > 40.0 else -40.0 if z_73 < -40.0 else z_73)
         bt_8 = b0_2 + b1_3 + b2_4 + b3_5 + b4_6 + b5_7
         lam_d = lam_s_12 * exp(-9.210340371976182 + s_41 * 9.2098402469345)
-        finite_1 = exp(-13.815510557964274 + s_46 * 13.810498016140729) * 0.5 * n_pulses * p_s_16 * (bound_1 + -expm1(-(mu_53 * eta if bound_2 == 1 else mu_53)))
+        shared_7 = -expm1(-(mu_53 * eta if bound_2 == 1 else mu_53))
+        shared_8 = bound_1 + shared_7
+        finite_1 = exp(-13.815510557964274 + s_46 * 13.810498016140729) * 0.5 * n_pulses * p_s_16 * shared_8
         finite_3 = wd_19 / wt_21
         finite_4 = bound_3 * b0_2 / bt_8
         finite_5 = bound_3 * b1_3 / bt_8
@@ -300,24 +303,21 @@ def make_decoy_finite(m_a, eta, n_pulses, phys, flags):
         status_113 = 0.0
         if lam_d >= lam_s_12 or lam_d <= 0.0 or (p_v_100 <= 0.0 or p_s_16 <= 0.0 or finite_3 <= 0.0):
             status_113 = 5.0
-        elif (1.0 + delta_10) * m_a * lam_p_s_91 >= 1.0 or lam_p_s_91 > 1.0:
+        elif shared_1 * m_a * lam_p_s_91 >= 1.0 or lam_p_s_91 > 1.0:
             status_113 = 1.0
         else:
-            mu_s_94 = m_a * lam_s_12 * bound
             mu_d_93 = m_a * lam_d * bound
-            detected_118 = -expm1(-(mu_s_94 * eta if bound_2 == 1 else mu_s_94))
-            q_119 = bound_1 + detected_118
-            if q_119 == 0.0:
-                q_s_106 = q_119
+            if shared_8 == 0.0:
+                q_s_106 = shared_8
                 e_s_80 = (1e309-1e309)
             else:
-                q_s_106 = q_119
-                e_s_80 = (bound_13 + bound_4 * detected_118) / q_119
+                q_s_106 = shared_8
+                e_s_80 = (bound_13 + bound_4 * shared_7) / shared_8
             q_d_105 = bound_1 + -expm1(-(mu_d_93 * eta if bound_2 == 1 else mu_d_93))
             if bound_6 == 1:
-                arg_127 = delta_10 * sqrt(bound_14)
+                arg_127 = delta_10 * sqrt(bound_15)
             else:
-                arg_127 = delta_10 * sqrt(bound_15) / 2.0
+                arg_127 = delta_10 * sqrt(bound_17) / 2.0
             coverage_kernel_125 = erf(arg_127)
             pu_s_102 = coverage_kernel_125
             pu_d_101 = coverage_kernel_125
@@ -357,7 +357,7 @@ def make_decoy_finite(m_a, eta, n_pulses, phys, flags):
             qu_s_up_110 = q_s_106 / pu_s_102
             low_134 = (q_d_105 - (1.0 - pu_d_101)) / pu_d_101
             qu_d_low_109 = 0.0 if low_134 < 0.0 else low_134
-            low_136 = (bound_16 - (1.0 - pu_v_103)) / pu_v_103
+            low_136 = (bound_14 - (1.0 - pu_v_103)) / pu_v_103
             eq_v_low_89 = 0.0 if low_136 < 0.0 else low_136
             if not isfinite(finite_1):
                 xi_kernel_137 = 0.0
@@ -365,7 +365,7 @@ def make_decoy_finite(m_a, eta, n_pulses, phys, flags):
                 xi_kernel_137 = sqrt((log(1.0 / finite_9) + 2.0 * log(finite_1 + 1.0)) / (2.0 * finite_1))
             qu_v_up_138 = bound_1 / pu_v_103
             eq_s_up_139 = q_s_106 * (e_s_80 + xi_kernel_137) / pu_s_102
-            hi_147 = (1.0 + delta_10) * m_a
+            hi_147 = shared_1 * m_a
             lo_148 = (1.0 - delta_10) * m_a
             if 1 > lo_148:
                 c1_lo_142 = (1e309-1e309)
@@ -428,12 +428,13 @@ def make_decoy_finite(m_a, eta, n_pulses, phys, flags):
                 else:
                     vac_159 = p0s_l_151 * _envelope_177_2 - p0d_u_150 * _envelope_172_2
                 den_146 = p1d_u_152 * _envelope_172_2 - p1s_l_153 * _envelope_177_2
-            if (1.0 - delta_10) * m_a >= 320.0:
+            if lo_148 >= 320.0:
                 corr_145 = 0.0
             elif delta_10 <= 0.0 or p2s_l_156 <= 0.0 or lam_p_d_90 >= 1.0:
                 corr_145 = 0.0
             else:
-                lc_182 = log(2.0 * delta_10 * m_a) + (2.0 * delta_10 * m_a - 1.0) * log1p(-lam_p_d_90) + log(p2s_l_156) - lgamma((1.0 - delta_10) * m_a + 2.0)
+                shared_3 = 2.0 * delta_10 * m_a
+                lc_182 = log(shared_3) + (shared_3 - 1.0) * log1p(-lam_p_d_90) + log(p2s_l_156) - lgamma(lo_148 + 2.0)
                 if lc_182 < -700.0:
                     corr_145 = 0.0
                 else:
@@ -455,23 +456,26 @@ def make_decoy_finite(m_a, eta, n_pulses, phys, flags):
             if e_s_80 <= 0.0 or e_s_80 >= 1.0:
                 h2_kernel_185 = 0.0
             else:
-                h2_kernel_185 = -e_s_80 * log2(e_s_80) - (1.0 - e_s_80) * log2(1.0 - e_s_80)
+                shared_4 = 1.0 - e_s_80
+                h2_kernel_185 = -e_s_80 * log2(e_s_80) - shared_4 * log2(shared_4)
             if q1u_104 > 0.0:
                 x_188 = e1u_77 if e1u_77 < 0.5 else 0.5
                 if x_188 <= 0.0 or x_188 >= 1.0:
                     h2_kernel_187 = 0.0
                 else:
-                    h2_kernel_187 = -x_188 * log2(x_188) - (1.0 - x_188) * log2(1.0 - x_188)
+                    shared_5 = 1.0 - x_188
+                    h2_kernel_187 = -x_188 * log2(x_188) - shared_5 * log2(shared_5)
                 _privacy_186 = pu_s_102 * q1u_104 * (1.0 - h2_kernel_187)
             else:
                 _privacy_186 = 0.0
-            rate_111 = 0.5 * p_s_16 * (-q_s_106 * bound_10 * h2_kernel_185 + _privacy_186)
+            shared_6 = 0.5 * p_s_16
+            rate_111 = shared_6 * (-q_s_106 * bound_10 * h2_kernel_185 + _privacy_186)
             eps_pe_189 = min(finite_6, finite_7, finite_8, finite_9)
             if not isfinite(n_raw_96):
                 corr_75 = 0.0
             else:
                 corr_75 = log2(2.0 / eps_pe_189) / n_raw_96 + 7.0 * sqrt((1.0 - log2(finite_5)) / n_raw_96) + 2.0 * log2(1.0 / (2.0 * finite_4)) / n_raw_96
-            rate_111 -= 0.5 * p_s_16 * q_s_106 * corr_75
+            rate_111 -= shared_6 * q_s_106 * corr_75
             if bound_11 == 1 and isfinite(sifted_112):
                 rate_111 *= 1.0 - finite_1 / sifted_112
         if status_113 == 0.0:
@@ -494,11 +498,10 @@ def make_decoy_infinite(m_a, eta, n_pulses, phys, flags):
     bound_6 = phys[5]
     bound_7 = flags[3]
     bound_8 = phys[6]
-    bound_9 = flags[4]
     bound_10 = 1.0 - bound
     bound_11 = bound_3 * bound_1
-    bound_12 = m_a * bound_10 / 2.0
-    bound_13 = m_a * bound_10
+    bound_15 = m_a * bound_10
+    bound_12 = bound_15 / 2.0
     bound_14 = bound_6 * bound_1
     def objective_decoy(raw):
         z_23 = raw[0]
@@ -514,7 +517,8 @@ def make_decoy_infinite(m_a, eta, n_pulses, phys, flags):
         else:
             ez_29 = exp(z_28)
             s_32 = ez_29 / (1.0 + ez_29)
-        cap_35 = bound_10 / (bound * (1.0 + delta_10) * m_a)
+        shared = 1.0 + delta_10
+        cap_35 = bound_10 / (bound * shared * m_a)
         lam_s_12 = exp(-23.025850929940457 + s_32 * 23.025750924940123) * (cap_35 if cap_35 < 1.0 else 1.0)
         z_37 = raw[2]
         if z_37 >= 0.0:
@@ -535,7 +539,7 @@ def make_decoy_infinite(m_a, eta, n_pulses, phys, flags):
         status_113 = 0.0
         if lam_d >= lam_s_12 or lam_d <= 0.0:
             status_113 = 5.0
-        elif (1.0 + delta_10) * m_a * lam_p_s_91 >= 1.0 or lam_p_s_91 > 1.0:
+        elif shared * m_a * lam_p_s_91 >= 1.0 or lam_p_s_91 > 1.0:
             status_113 = 1.0
         else:
             mu_s_94 = m_a * lam_s_12 * bound
@@ -552,7 +556,7 @@ def make_decoy_infinite(m_a, eta, n_pulses, phys, flags):
             if bound_5 == 1:
                 arg_127 = delta_10 * sqrt(bound_12)
             else:
-                arg_127 = delta_10 * sqrt(bound_13) / 2.0
+                arg_127 = delta_10 * sqrt(bound_15) / 2.0
             coverage_kernel_125 = erf(arg_127)
             pu_s_102 = coverage_kernel_125
             pu_d_101 = coverage_kernel_125
@@ -569,7 +573,7 @@ def make_decoy_infinite(m_a, eta, n_pulses, phys, flags):
             eq_v_low_89 = 0.0 if low_136 < 0.0 else low_136
             qu_v_up_138 = bound_1 / pu_v_103
             eq_s_up_139 = q_s_106 * e_s_80 / pu_s_102
-            hi_147 = (1.0 + delta_10) * m_a
+            hi_147 = shared * m_a
             lo_148 = (1.0 - delta_10) * m_a
             if 1 > lo_148:
                 c1_lo_142 = (1e309-1e309)
@@ -632,12 +636,13 @@ def make_decoy_infinite(m_a, eta, n_pulses, phys, flags):
                 else:
                     vac_159 = p0s_l_151 * _envelope_177_2 - p0d_u_150 * _envelope_172_2
                 den_146 = p1d_u_152 * _envelope_172_2 - p1s_l_153 * _envelope_177_2
-            if (1.0 - delta_10) * m_a >= 320.0:
+            if lo_148 >= 320.0:
                 corr_145 = 0.0
             elif delta_10 <= 0.0 or p2s_l_156 <= 0.0 or lam_p_d_90 >= 1.0:
                 corr_145 = 0.0
             else:
-                lc_182 = log(2.0 * delta_10 * m_a) + (2.0 * delta_10 * m_a - 1.0) * log1p(-lam_p_d_90) + log(p2s_l_156) - lgamma((1.0 - delta_10) * m_a + 2.0)
+                shared_1 = 2.0 * delta_10 * m_a
+                lc_182 = log(shared_1) + (shared_1 - 1.0) * log1p(-lam_p_d_90) + log(p2s_l_156) - lgamma(lo_148 + 2.0)
                 if lc_182 < -700.0:
                     corr_145 = 0.0
                 else:
@@ -659,13 +664,15 @@ def make_decoy_infinite(m_a, eta, n_pulses, phys, flags):
             if e_s_80 <= 0.0 or e_s_80 >= 1.0:
                 h2_kernel_185 = 0.0
             else:
-                h2_kernel_185 = -e_s_80 * log2(e_s_80) - (1.0 - e_s_80) * log2(1.0 - e_s_80)
+                shared_2 = 1.0 - e_s_80
+                h2_kernel_185 = -e_s_80 * log2(e_s_80) - shared_2 * log2(shared_2)
             if q1u_104 > 0.0:
                 x_188 = e1u_77 if e1u_77 < 0.5 else 0.5
                 if x_188 <= 0.0 or x_188 >= 1.0:
                     h2_kernel_187 = 0.0
                 else:
-                    h2_kernel_187 = -x_188 * log2(x_188) - (1.0 - x_188) * log2(1.0 - x_188)
+                    shared_3 = 1.0 - x_188
+                    h2_kernel_187 = -x_188 * log2(x_188) - shared_3 * log2(shared_3)
                 _privacy_186 = pu_s_102 * q1u_104 * (1.0 - h2_kernel_187)
             else:
                 _privacy_186 = 0.0

@@ -113,7 +113,10 @@ optima are those of scipy's ``minimize``, float for float:
   ``sum()``, compensated for floats since Python 3.12, nor ``math.fsum``,
   exactly rounded: either would move floats;
 - reflection, expansion and the two contractions are ``2*xbar - w``,
-  ``3*xbar - 2*w``, ``1.5*xbar - 0.5*w`` and ``0.5*xbar + 0.5*w``;
+  ``3*xbar - 2*w``, ``1.5*xbar - 0.5*w`` and ``0.5*xbar + 0.5*w``, and a
+  shrink moves vertex ``s`` to ``s0 + 0.5*(s - s0)``.  `_step_fn`
+  generates the four moves in the same source, each coordinate written out
+  with the same expression, so they run no loop and no ``zip``;
 - an evaluation refused at the budget leaves the simplex as scipy's does,
   and a shrink writes each vertex before its evaluation is refused;
 - the simplex is sorted in full only after a shrink or while a nan is
@@ -408,21 +411,39 @@ def _stable_sorted(sim: list, fsim: list) -> tuple[list, list]:
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
+# coordinate j of each move from ``a``, the centroid (the best vertex for a
+# shrink), and ``b``, a vertex
+_MOVES = {"expand": "3.0 * a{j} - 2.0 * b{j}",
+          "outside": "1.5 * a{j} - 0.5 * b{j}",
+          "inside": "0.5 * a{j} + 0.5 * b{j}",
+          "shrink": "a{j} + 0.5 * (b{j} - a{j})"}
+
+
 @functools.cache
 def _step_fn(n: int) -> Callable[[list[list[float]]], tuple[list, list]]:
     """``(xbar, xr)`` of a sorted simplex: the centroid of its first ``n``
     vertices, coordinate j written out as ``(s0[j] + s1[j] + ...) / n`` and
     added left to right as numpy does, and the reflection ``2.0 * xbar - w``
-    of the last vertex ``w`` (see the module docstring)."""
+    of the last vertex ``w`` (see the module docstring).  Its ``moves``
+    are ``expand(xbar, w)``, ``outside(xbar, w)``, ``inside(xbar, w)`` and
+    ``shrink(s0, s)``, the terms of `_MOVES` written out per coordinate."""
     verts = [f"s{i}" for i in range(n)]
     lines = ["def step(sim):", f"    {', '.join(verts)}, w = sim"]
     lines += [f"    c{j} = ({' + '.join(f'{v}[{j}]' for v in verts)}) / {n}"
               for j in range(n)]
     lines.append(f"    return [{', '.join(f'c{j}' for j in range(n))}], "
                  f"[{', '.join(f'2.0 * c{j} - w[{j}]' for j in range(n))}]")
+    for name, term in _MOVES.items():
+        terms = ", ".join(term.format(j=j) for j in range(n))
+        lines += [f"def {name}(a, b):",
+                  f"    {''.join(f'a{j}, ' for j in range(n))}= a",
+                  f"    {''.join(f'b{j}, ' for j in range(n))}= b",
+                  f"    return [{terms}]"]
     namespace = {}
     exec("\n".join(lines), namespace)
-    return namespace["step"]
+    step = namespace["step"]
+    step.moves = tuple(namespace[name] for name in _MOVES)
+    return step
 
 
 def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
@@ -463,6 +484,7 @@ def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
     sim, fsim = _stable_sorted(sim, fsim)
 
     step = _step_fn(n)
+    expand, outside, inside, shrink = step.moves
     while nfev < maxfev:
         best, fbest = sim[0], fsim[0]
         # fsim is sorted, so its largest distance from fbest is the last
@@ -478,19 +500,19 @@ def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
             worst = sim[-1]
             fxr = call(xr)
             if fxr < fbest:
-                xe = [3.0 * a - 2.0 * b for a, b in zip(xbar, worst)]
+                xe = expand(xbar, worst)
                 fxe = call(xe)
                 new = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 new = (xr, fxr)
             else:
                 if fxr < fsim[-1]:
-                    xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, worst)]
+                    xc = outside(xbar, worst)
                     fxc = call(xc)
                     if fxc <= fxr:
                         new = (xc, fxc)
                 else:
-                    xcc = [0.5 * a + 0.5 * b for a, b in zip(xbar, worst)]
+                    xcc = inside(xbar, worst)
                     fxcc = call(xcc)
                     if fxcc < fsim[-1]:
                         new = (xcc, fxcc)
@@ -499,8 +521,7 @@ def _nelder_mead(f: Callable[[list[float]], float], x0: Sequence[float],
                     for j in range(1, n + 1):
                         # the vertex is written before its evaluation,
                         # which the budget may refuse
-                        sim[j] = [a + 0.5 * (b - a)
-                                  for a, b in zip(best, sim[j])]
+                        sim[j] = shrink(best, sim[j])
                         fsim[j] = call(sim[j])
         except _BudgetSpent:
             pass

@@ -546,6 +546,162 @@ def test_a_read_keeps_the_value_stored_before_it(tmp_path, source):
         assert spec(raw) == module.entry(raw, *args)
 
 
+def _inner(module):
+    """``module.entry`` specialized to a finite key, the arguments it is
+    bound to, and the source of its evaluation."""
+    args = (2.0, 0.5, 5e10, (3.0,), (1,))
+    source = flatten.make_source(module.entry, False)
+    return (specialized(module.entry, module, *args), args,
+            source[source.index("    def entry(raw):"):])
+
+
+def test_a_later_occurrence_reads_the_earlier_one(tmp_path):
+    module = load(tmp_path, "reused", """
+    from math import log, sqrt
+
+    def entry(raw, m_a, eta, n_pulses, phys, flags):
+        x = raw[0]
+        y = raw[1]
+        a = sqrt(x * y + 1.0) - eta
+        if a > 0.0:
+            return sqrt(x * y + 1.0) * a + log(x * x) + (x * x - 1.0)
+        return a
+    """)
+    spec, args, inner = _inner(module)
+    # the first sqrt is stored apart and read by name in the if body; the
+    # first x * x of one expression is read by the second
+    assert inner.count("sqrt(") == 1 and inner.count("x * x") == 1
+    assert re.search(r"(shared\w*) = sqrt\(.*\)\n\s*a = \1 - eta\n", inner)
+    for raw in ([2.0, 3.0], [0.5, -1.0], [-1.5, 0.25], [0.0, 1.0]):
+        assert outcome(spec, raw) == outcome(module.entry, raw, *args)
+
+
+def test_a_conditional_occurrence_is_neither_read_nor_reads(tmp_path):
+    # exp(x) runs unconditionally in b alone: in a it is an IfExp branch,
+    # in c a later comparison link, in d a later and-operand, in e an IfExp
+    # branch again
+    module = load(tmp_path, "conditional", """
+    from math import exp
+
+    def entry(raw, m_a, eta, n_pulses, phys, flags):
+        x = raw[0]
+        a = exp(x) if x > 0.0 else 1.0
+        b = a * exp(x)
+        c = 0.0 < b < exp(x)
+        d = b > 1.0 and exp(x) > 2.0
+        e = b if x < 0.0 else exp(x)
+        return a + b + c + d + e + a * b * c * d * e
+    """)
+    spec, args, inner = _inner(module)
+    assert inner.count("exp(x)") == 5 and "shared" not in inner
+    for raw in ([2.0], [0.5], [-1.5], [0.0]):
+        assert spec(raw) == module.entry(raw, *args)
+
+
+@pytest.mark.parametrize("source", [
+    # an input stored between the two occurrences
+    """
+    def entry(raw, m_a, eta, n_pulses, phys, flags):
+        x = raw[0]
+        a = exp(x) + 1.0
+        x = raw[1]
+        b = exp(x) + 2.0
+        return a * b + a + b
+    """,
+    # an input stored in a branch between them
+    """
+    def entry(raw, m_a, eta, n_pulses, phys, flags):
+        x = raw[0]
+        a = exp(x) + 1.0
+        if raw[1] > 0.0:
+            x = raw[2]
+        b = exp(x) + 2.0
+        return a * b + a + b
+    """,
+    # the name the first is read by stored between
+    """
+    def entry(raw, m_a, eta, n_pulses, phys, flags):
+        x = raw[0]
+        a = exp(x)
+        b = a + 1.0
+        a = raw[2]
+        c = exp(x)
+        return a * b * c + a + b + c
+    """,
+    # the first inside a branch, which does not run on every path
+    """
+    def entry(raw, m_a, eta, n_pulses, phys, flags):
+        x = raw[0]
+        a = 1.0
+        if raw[1] > 0.0:
+            a = exp(x) + 1.0
+        b = exp(x) + 2.0
+        return a * b + a + b
+    """,
+], ids=["store", "store-in-branch", "name-stored", "first-in-branch"])
+def test_a_store_in_between_keeps_both_occurrences(tmp_path, source):
+    module = load(tmp_path, f"kept_{abs(hash(source))}",
+                  "from math import exp\n" + textwrap.dedent(source))
+    spec, args, inner = _inner(module)
+    assert inner.count("exp(") == 2
+    for raw in ([2.0, 3.0, 1.0], [0.5, -1.0, 2.0], [-1.5, 0.25, -3.0]):
+        assert spec(raw) == module.entry(raw, *args)
+
+
+def test_a_call_that_may_change_a_value_in_place_blocks_reuse(tmp_path):
+    # bump stays a call (it is decorated) and changes raw[0] in place, so
+    # the second raw[0] * 2.0 is not the first
+    module = load(tmp_path, "in_place", """
+    def tag(f):
+        return f
+
+    @tag
+    def bump(v):
+        v[0] = v[0] + 1.0
+        return 0.0
+
+    def entry(raw, m_a, eta, n_pulses, phys, flags):
+        a = raw[0] * 2.0
+        b = bump(raw) + raw[0] * 2.0
+        return a + b + a * b
+    """)
+    spec, args, inner = _inner(module)
+    assert inner.count("raw[0] * 2.0") == 2
+    assert spec([1.0]) == module.entry([1.0], *args) == 14.0
+
+
+def test_a_prologue_value_is_computed_once_per_problem():
+    # m_a * (1.0 - phys[8]) is read alone and halved, in both key lengths
+    for name in ("make_decoy_finite", "make_decoy_infinite"):
+        source = inspect.getsource(getattr(_objectives, name))
+        prologue = source[:source.index("    def objective_decoy(raw):")]
+        products = re.findall(r"^    (bound\w*) = m_a \* bound\w*$",
+                              prologue, re.M)
+        assert len(products) == 1, name
+        assert f" = {products[0]} / 2.0\n" in prologue, name
+        assert prologue.count("m_a *") == 1, name
+
+
+def test_a_finite_key_evaluation_computes_each_shared_value_once(monkeypatch):
+    # the signal gain -expm1(-mu) is read by the map's m_e and by the rate,
+    # and the decoy correction reads (1 - delta) m_a where the envelopes do
+    source = inspect.getsource(_objectives.make_decoy_finite)
+    lower = [n for n in ast.walk(ast.parse(source))
+             if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+             and ast.unparse(n.left).startswith("1.0 - delta")
+             and ast.unparse(n.right) == "m_a"]
+    assert len(lower) == 1
+    calls = []
+    expm1 = _objectives.expm1
+    monkeypatch.setattr(_objectives, "expm1",
+                        lambda x: calls.append(x) or expm1(x))
+    problem = OptimizationProblem(Scenario.DECOY_FINITE, 20.0, 5e10)
+    objective = _objectives.make_decoy_finite(*problem._args)
+    raw = _heuristic_raw(problem)
+    assert objective(raw) == _kernels.objective_decoy(raw, *problem._args) > 0
+    assert len(calls) == 2
+
+
 def _calls(source: str) -> set:
     return {node.func.id for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}

@@ -213,3 +213,34 @@ def test_generated_step_is_the_reference_loop_bit_for_bit(n):
         for g, w in zip(got[0] + got[1], want[0] + want[1]):
             # float.hex tells -0.0 from 0.0 and prints every nan as "nan"
             assert g.hex() == w.hex(), (sim, got, want)
+
+
+# the comprehensions the generated moves stand for, in the same float order
+_REFERENCE_MOVES = {
+    "expand": lambda c, w: [3.0 * a - 2.0 * b for a, b in zip(c, w)],
+    "outside": lambda c, w: [1.5 * a - 0.5 * b for a, b in zip(c, w)],
+    "inside": lambda c, w: [0.5 * a + 0.5 * b for a, b in zip(c, w)],
+    "shrink": lambda s0, s: [a + 0.5 * (b - a) for a, b in zip(s0, s)],
+}
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_generated_moves_are_the_reference_comprehensions_bit_for_bit(n):
+    from pnp_bb84.optimize import _step_fn
+
+    rng = random.Random(100 + n)
+    draw = lambda: (rng.choice(_SPECIAL) if rng.random() < 0.4
+                    else rng.choice([1.0, 1e-8, 1e300]) * rng.uniform(-1, 1))
+    pairs = [([draw() for _ in range(n)], [draw() for _ in range(n)])
+             for _ in range(300)]
+    # differences and sums that overflow, and signed zeros
+    pairs += [([1e308] * n, [-1e308] * n), ([-1e308] * n, [1e308] * n),
+              ([-0.0] * n, [-0.0] * n), ([0.0] * n, [-0.0] * n)]
+    moves = {f.__name__: f for f in _step_fn(n).moves}
+    assert moves.keys() == _REFERENCE_MOVES.keys()
+    for name, reference in _REFERENCE_MOVES.items():
+        for a, b in pairs:
+            got, want = moves[name](a, b), reference(a, b)
+            assert len(got) == n
+            assert [g.hex() for g in got] == [w.hex() for w in want], (
+                name, a, b, got, want)

@@ -78,18 +78,38 @@ repeated until nothing changes:
   alike (both emptied, say) and whose test can have no effect but raising
   gives way to one branch; any other ``if`` left with an empty body raises
   `FlattenError`, as does a function that assigns ``n_pulses`` or ``INF``;
-- last, each largest subexpression that reads only ``make``'s arguments
-  and the prologue's names (``phys[8]``, ``flags[0]``, ``1.0 - bound``,
-  ``phys[4] * phys[2]``) moves to ``make``'s prologue, duplicates once, and
-  is read from there, so a local stored once from it is a copy the next
-  round substitutes.  A subexpression hoisted earlier is read by name in a
-  larger one.  Only subscripts at constants, ``+``, ``-``, ``*`` and
+- each largest subexpression that reads only ``make``'s arguments and the
+  prologue's names (``phys[8]``, ``flags[0]``, ``1.0 - bound``, ``phys[4]
+  * phys[2]``) moves to ``make``'s prologue, duplicates once, and is read
+  from there, so a local stored once from it is a copy the next round
+  substitutes.  Only subscripts at constants, ``+``, ``-``, ``*`` and
   division by a nonzero constant qualify, no call and no ``**``, so the
-  prologue cannot raise where an evaluation would not.
+  prologue cannot raise where an evaluation would not;
+- last, a later occurrence of a pure expression (an operator, subscript or
+  call that `_pure` accepts and that reads a name) reads the earlier one
+  when the earlier dominates it (earlier in its block or in an enclosing
+  one, or earlier in the same expression), both run whenever their
+  statements do (neither is in an ``IfExp`` branch, a later ``and``/``or``
+  operand or a later link of a chained comparison), and no statement in
+  between stores a name the expression reads.  The earlier one is read by
+  the name it is assigned to (``x = value``) while that name is not stored
+  again, else it is stored to a fresh ``shared`` local just before its
+  statement.  Once the rounds end, the prologue gets the same rule, so a
+  part hoisted on its own is read by name in a larger value, and loses a
+  name nothing reads.
 
-Every operation whose value reaches the result runs on the same values in
-the same order, so the specialized objective equals ``fn`` bit for bit,
-with one Python frame fewer per evaluation than a closure around the flat
+The reuse is exact: the same operation on the same values gives the same
+float, and a value is only read from an evaluation that already ran, so it
+raises nothing new.  Storing an earlier occurrence ahead of the rest of its
+statement moves its evaluation, which changes no value, as hoisting a
+helper call does not.  A read value is the same float but not the same
+object as a fresh one, so a function with an ``is`` test is left as it
+is, as is one with an assignment inside an expression or a call that
+`_pure` refuses, which could change a subscripted value in place.
+
+Every value that reaches the result comes from the same operations on the
+same values, so the specialized objective equals ``fn`` bit for bit, with
+one Python frame fewer per evaluation than a closure around the flat
 function.  Nothing generated depends on the hash seed, and the output
 follows `ast.unparse`, whose text can differ between Python versions: the
 committed module is generated on Python 3.11.
@@ -686,7 +706,7 @@ class _Specializer:
     """The ``make`` of one variant of flat function ``fdef``: its key
     ``n_pulses == INF`` is ``infinite``.  The first parameter stays the
     function's; the others are bound by ``make``, whose prologue `_Hoist`
-    builds as the last pass of each round.
+    builds in each round and `_Reuse` finishes.
     """
 
     def __init__(self, fdef: ast.FunctionDef, infinite: bool,
@@ -716,13 +736,23 @@ class _Specializer:
         while self.changed:
             self.changed = False
             for step in (self._fold, self._split, self._scalarize,
-                         self._substitute, self._drop_dead, self._hoist):
+                         self._substitute, self._drop_dead, self._hoist,
+                         self._reuse):
                 body = step(body)
+        prologue = _Reuse(self._pure, lambda: self._fresh("bound")).run(
+            self.hoist.prologue)
+        # a prologue name stored from another's is that name
+        copies = {c[0]: c[1] for c in map(_copy_target, prologue)
+                  if type(c[1]) is ast.Name}
+        prologue = [_copy(st, copies) for st in prologue
+                    if _copy_target(st)[0] not in copies]
+        body = _copy(body, copies)
+        prologue = self._live(prologue, _names(body, ast.Load))[0]
         inner = self.fdef
         inner.args.args = inner.args.args[:1]
         inner.body = body
         lines = [f"def {name}({', '.join(self.params[1:])}):"]
-        for part in (ast.Module(self.hoist.prologue, []), inner):
+        for part in (ast.Module(prologue, []), inner):
             text = ast.unparse(ast.fix_missing_locations(part))
             lines += ["    " + line if line else line
                       for line in text.splitlines()]
@@ -898,6 +928,12 @@ class _Specializer:
     def _hoist(self, body: list) -> list:
         return self._apply(self.hoist, body)
 
+    def _reuse(self, body: list) -> list:
+        reuse = _Reuse(self._pure, lambda: self._fresh("shared"))
+        body = reuse.run(body)
+        self.changed |= bool(reuse.reads)
+        return body
+
     def _live(self, stmts: list, live: set) -> tuple[list, set]:
         """``(stmts', live')``: ``stmts`` less their dead stores, and the
         names read before any store on some path through them, given the
@@ -998,7 +1034,7 @@ class _Hoist(_Rewrite):
     """Each largest subexpression that `_invariant` accepts and that reads a
     name, read from a prologue name: one per distinct subexpression
     (``seen`` maps its dump to the name), added to ``prologue`` and to the
-    ``invariant`` names.  Its parts hoisted before it are read by name."""
+    ``invariant`` names."""
 
     def __init__(self, invariant: set, fresh):
         self.invariant, self.fresh = invariant, fresh
@@ -1015,20 +1051,137 @@ class _Hoist(_Rewrite):
                 name = self.seen[key] = self.fresh("bound")
                 self.invariant.add(name)
                 self.prologue.append(ast.Assign(
-                    [ast.Name(name, ast.Store())], self._reuse(node)))
+                    [ast.Name(name, ast.Store())], node))
             return self.done(ast.Name(self.seen[key], ast.Load()))
         return super().visit(node)
 
-    def _reuse(self, node):
-        """``node`` with each largest part in ``seen`` read by its name: the
-        same float operations on the same values, done once."""
-        for field in node._fields:
-            part = getattr(node, field)
-            if isinstance(part, ast.expr) and type(part) is not ast.Name:
-                name = self.seen.get(ast.dump(part))
-                setattr(node, field, ast.Name(name, ast.Load()) if name
-                        else self._reuse(part))
-        return node
+
+
+# what a later occurrence can read from an earlier one: arithmetic,
+# subscripts and calls; names and constants are read as they are
+_REUSED = (ast.BinOp, ast.UnaryOp, ast.Subscript, ast.Call)
+
+
+def _unconditional(node) -> list:
+    """The parts of ``node`` that run whenever it runs, in their order."""
+    if isinstance(node, ast.IfExp):
+        return [node.test]
+    if isinstance(node, ast.BoolOp):
+        return node.values[:1]
+    if isinstance(node, ast.Compare):
+        return [node.left, node.comparators[0]]
+    if isinstance(node, _CONDITIONAL):
+        return []
+    return list(ast.iter_child_nodes(node))
+
+
+class _First:
+    """The first occurrence of an expression, and the name it is read by:
+    the target of ``x = node``, else a fresh local stored just before the
+    statement that holds it."""
+
+    def __init__(self, node):
+        self.node, self.inputs, self.name = node, _names(node, ast.Load), None
+
+
+class _Reuse:
+    """Each later occurrence of a pure expression (`_REUSED`, with `pure`
+    true and a name read) reads the first one, in one pass over a function
+    body with no loops.  The first must dominate the later: earlier in its
+    block or in an enclosing one, or earlier in the same expression; both
+    run whenever their statements do (no ``IfExp`` branch, later
+    ``and``/``or`` operand or later comparison link), and no statement in
+    between stores a name the expression reads or the name it is read by.
+    ``fresh()`` names a first occurrence that is part of its statement."""
+
+    def __init__(self, pure, fresh):
+        self.pure, self.fresh = pure, fresh
+        self.reads: dict = {}   # id of a later occurrence: its _First
+        self.apart: dict = {}   # id of a first occurrence stored apart
+
+    def run(self, stmts: list) -> list:
+        # a read value is the same float as a fresh one, but not the same
+        # object; a store inside an expression splits its statement; any
+        # other call could change a subscripted value in place
+        if any(isinstance(n, (ast.Is, ast.IsNot, ast.NamedExpr))
+               or isinstance(n, ast.Call) and not self.pure(n)
+               for n in _walk(stmts)):
+            return stmts
+        self._block(stmts, {})
+        return self._rewrite(stmts) if self.reads else stmts
+
+    def _block(self, stmts: list, seen: dict) -> dict:
+        """``seen`` (dump: _First) after ``stmts``, given it before them."""
+        for st in stmts:
+            if isinstance(st, ast.If):
+                self._visit(st.test, seen)
+                body = self._block(st.body, dict(seen))
+                orelse = self._block(st.orelse, dict(seen))
+                seen = {k: f for k, f in seen.items()
+                        if body.get(k) is f is orelse.get(k)}
+                continue
+            if getattr(st, "value", None) is not None:
+                self._visit(st.value, seen)
+            targets = (st.targets if isinstance(st, ast.Assign)
+                       else [st.target] if isinstance(st, ast.AugAssign)
+                       else [])
+            stored = {n.id for n in _walk(targets) if type(n) is ast.Name}
+            seen = {k: f for k, f in seen.items()
+                    if not (f.inputs & stored or f.name in stored)}
+            copy = _copy_target(st)
+            first = copy and seen.get(ast.dump(copy[1]))
+            if first and first.node is copy[1]:
+                first.name = copy[0]
+        return seen
+
+    def _visit(self, node, seen: dict) -> None:
+        key = None
+        if (isinstance(node, _REUSED) and _names(node, ast.Load)
+                and self.pure(node)):
+            key = ast.dump(node)
+            first = seen.get(key)
+            if first is not None:
+                if first.name is None:
+                    first.name = self.fresh()
+                    self.apart[id(first.node)] = first
+                self.reads[id(node)] = first
+                return
+        for part in _unconditional(node):
+            self._visit(part, seen)
+        if key is not None:
+            seen[key] = _First(node)
+
+    def _rewrite(self, stmts: list) -> list:
+        out = []
+        for st in stmts:
+            pre = []
+            if isinstance(st, ast.If):
+                st.test = self._put(st.test, pre)
+                st.body = self._rewrite(st.body)
+                st.orelse = self._rewrite(st.orelse)
+            elif getattr(st, "value", None) is not None:
+                st.value = self._put(st.value, pre)
+            out += pre + [st]
+        return out
+
+    def _put(self, node, pre: list):
+        """``node`` with each later occurrence read by name, each first one
+        stored apart assigned in ``pre``, innermost first."""
+        if not isinstance(node, ast.AST) or isinstance(node, _LEAVES):
+            return node
+        first = self.reads.get(id(node))
+        if first is not None:
+            return ast.Name(first.name, ast.Load())
+        for field, value in ast.iter_fields(node):
+            if isinstance(value, list):
+                setattr(node, field, [self._put(v, pre) for v in value])
+            elif isinstance(value, ast.AST):
+                setattr(node, field, self._put(value, pre))
+        first = self.apart.get(id(node))
+        if first is None:
+            return node
+        pre.append(ast.Assign([ast.Name(first.name, ast.Store())], node))
+        return ast.Name(first.name, ast.Load())
 
 
 if __name__ == "__main__":
